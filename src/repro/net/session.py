@@ -32,6 +32,7 @@ from repro.phy.channel import Channel
 from repro.phy.ofdm import Carrier
 from repro.phy.timebase import tc_from_us
 from repro.radio.radio_head import RadioHead
+from repro.sim.distributions import DelaySampler
 from repro.sim.engine import Simulator
 from repro.sim.resources import CpuResource
 from repro.sim.rng import RngRegistry
@@ -227,8 +228,11 @@ class RanSystem:
             self.slotted = SlottedUplink(self)
             self.ul_probe = self.slotted.probe
         else:
+            # Samplers are immutable and every UE draws from its own
+            # stream, so one calibrated set serves all UEs.
+            tx_delays, rx_delays = self._ue_tx_delays(), self._ue_rx_delays()
             for ue_id in range(1, self.config.n_ues + 1):
-                self._build_ue(ue_id)
+                self._build_ue(ue_id, tx_delays, rx_delays)
         self.gnb.start()
 
     def _use_slotted(self) -> bool:
@@ -274,7 +278,8 @@ class RanSystem:
                 self.carrier.samples_per_slot())
         return tc_from_us(2.0 * (phy_us + radio_us))
 
-    def _build_ue(self, ue_id: int) -> None:
+    def _build_ue(self, ue_id: int, tx_delays: dict[str, DelaySampler],
+                  rx_delays: dict[str, DelaySampler]) -> None:
         grant_free = self.config.access is AccessMode.GRANT_FREE
         priority = (self.config.ue_priorities or {}).get(ue_id, 0)
         self.gnb.register_ue(ue_id, grant_free, self.cg_share,
@@ -286,8 +291,8 @@ class RanSystem:
             self.sim, self.tracer, ue_id, self.scheme, self.carrier,
             self.rngs.stream(f"ue{ue_id}"),
             access=self.config.access,
-            tx_layer_delays=self._ue_tx_delays(),
-            rx_layer_delays=self._ue_rx_delays(),
+            tx_layer_delays=tx_delays,
+            rx_layer_delays=rx_delays,
             radio_submission_us=radio_submission,
             sr_period_tc=self.config.sr_period_tc,
             sr_offset_tc=self.config.sr_offset_tc,

@@ -92,25 +92,23 @@ class LogNormal:
         if self.mean_us < 0 or self.std_us < 0:
             raise ValueError("mean and std must be >= 0, "
                              f"got mean={self.mean_us}, std={self.std_us}")
-
-    def _log_params(self) -> tuple[float, float]:
-        # Memoized: the instance is frozen, so (mu, sigma) never changes,
-        # and this is called once per packet transit on the hot path.
-        cached = getattr(self, "_log_params_cache", None)
-        if cached is None:
-            variance_ratio = (self.std_us / self.mean_us) ** 2
-            sigma2 = math.log1p(variance_ratio)
-            cached = (math.log(self.mean_us) - sigma2 / 2,
+        # (mu, sigma) of the underlying normal, fixed at construction
+        # because sample() runs once per layer hop.  None when a zero
+        # mean or std makes the delay constant and draw-free.  A plain
+        # attribute, not a field: equality, hashing, repr and asdict()
+        # see only mean_us and std_us.
+        params = None
+        if self.mean_us != 0 and self.std_us != 0:
+            sigma2 = math.log1p((self.std_us / self.mean_us) ** 2)
+            params = (math.log(self.mean_us) - sigma2 / 2,
                       math.sqrt(sigma2))
-            object.__setattr__(self, "_log_params_cache", cached)
-        return cached
+        object.__setattr__(self, "log_params", params)
 
     def sample(self, rng: np.random.Generator) -> float:
-        if self.mean_us == 0:
-            return 0.0
-        if self.std_us == 0:
-            return self.mean_us
-        mu, sigma = self._log_params()
+        params = self.log_params
+        if params is None:
+            return 0.0 if self.mean_us == 0 else self.mean_us
+        mu, sigma = params
         return float(rng.lognormal(mu, sigma))
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -118,7 +116,7 @@ class LogNormal:
             return np.zeros(n, dtype=float)
         if self.std_us == 0:
             return np.full(n, self.mean_us, dtype=float)
-        mu, sigma = self._log_params()
+        mu, sigma = self.log_params
         # Generator.lognormal(size=n) consumes the bit-stream exactly as
         # n scalar calls (verified by tests/sim/test_sampling.py).
         return rng.lognormal(mu, sigma, n)

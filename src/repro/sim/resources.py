@@ -10,7 +10,7 @@ queue over job durations.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.sim.engine import Simulator
 from repro.phy.timebase import us_from_tc
@@ -38,10 +38,10 @@ class CpuResource:
         self.jobs_executed = 0
         self.queueing_samples_us: list[float] = []
 
-    def execute(self, duration_tc: int,
-                callback: Callable[[], None]) -> int:
-        """Run a job of ``duration_tc`` ticks; fire ``callback`` when it
-        completes.  Returns the queueing delay incurred (ticks)."""
+    def execute(self, duration_tc: int, callback: Callable[..., None],
+                *args: Any) -> int:
+        """Run a job of ``duration_tc`` ticks; fire ``callback(*args)``
+        when it completes.  Returns the queueing delay incurred (ticks)."""
         if duration_tc < 0:
             raise ValueError(f"duration must be >= 0, got {duration_tc}")
         now = self.sim.now
@@ -53,7 +53,7 @@ class CpuResource:
         queueing = start - now
         self.jobs_executed += 1
         self.queueing_samples_us.append(us_from_tc(queueing))
-        self.sim.schedule(finish, callback)
+        self.sim.schedule(finish, callback, *args)
         return queueing
 
     def utilisation_until(self, horizon_tc: int) -> float:

@@ -140,7 +140,7 @@ def _compile_sampler(sampler: DelaySampler) -> tuple[int, float, float]:
             return (_KIND_CONST, 0.0, 0.0)
         if sampler.std_us == 0:
             return (_KIND_CONST, sampler.mean_us, 0.0)
-        mu, sigma = sampler._log_params()
+        mu, sigma = sampler.log_params
         return (_KIND_LOGNORMAL, mu, sigma)
     raise ValueError(
         f"slotted engine requires LogNormal/Constant layer delays, "

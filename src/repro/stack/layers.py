@@ -13,19 +13,17 @@ each layer cost.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 __all__ = ["ProcessingLayer", "LayerPipeline"]
 
-if TYPE_CHECKING:
-    from repro.sim.resources import CpuResource
-
 from repro.sim.distributions import DelaySampler
 from repro.sim.engine import Simulator
+from repro.sim.resources import CpuResource
 from repro.sim.trace import Tracer
-from repro.stack.packets import LatencySource, Packet
+from repro.stack.packets import HEADER_BYTES, LatencySource, Packet
 from repro.phy.timebase import tc_from_us
 
 
@@ -36,24 +34,27 @@ class ProcessingLayer:
                  category: str, delay: DelaySampler,
                  rng: np.random.Generator,
                  adds_header: bool = False,
-                 cpu: "CpuResource | None" = None,
+                 cpu: CpuResource | None = None,
                  dilation: Callable[[str], float] | None = None):
+        if adds_header and name not in HEADER_BYTES:
+            raise ValueError(f"no header size known for layer {name!r}")
         self.sim = sim
         self.tracer = tracer
         self.name = name
         self.category = category
         self.delay = delay
         self.rng = rng
-        self.adds_header = adds_header
+        self.header_bytes = HEADER_BYTES[name] if adds_header else 0
         self.cpu = cpu
-        # Fault-injection hook (repro.faults): multiplies the sampled
-        # delay during a processing-overload window (factor >= 1).
+        # Fault hook (repro.faults): delay factor >= 1 during overload.
         self.dilation = dilation
         self.samples_us: list[float] = []
+        self._enter_key = f"{category}.enter"
+        self._exit_key = f"{category}.exit"
 
-    def process(self, packet: Packet,
-                on_done: Callable[[Packet], None]) -> None:
-        """Run the packet through this layer, then call ``on_done``.
+    def process(self, packet: Packet, on_done: Callable[..., None],
+                *args: Any) -> None:
+        """Process the packet, then call ``on_done(packet, *args)``.
 
         With a shared :class:`~repro.sim.resources.CpuResource` the
         intrinsic delay is a CPU job: contention queueing inflates the
@@ -68,24 +69,23 @@ class ProcessingLayer:
         if self.tracer.enabled:  # lazy fields: skip kwargs when disabled
             self.tracer.emit(submitted, self.category, "enter",
                              packet_id=packet.packet_id, layer=self.name)
-        packet.stamp(f"{self.category}.enter", submitted)
+        packet.stamp(self._enter_key, submitted)
+        # One event per hop, no closure (docs/PERFORMANCE.md "Layer transit")
+        run = self.sim.call_in if self.cpu is None else self.cpu.execute
+        run(delay_tc, self._finish, packet, submitted, delay_us, on_done,
+            args)
 
-        def finish() -> None:
-            packet.charge(LatencySource.PROCESSING,
-                          self.sim.now - submitted)
-            packet.stamp(f"{self.category}.exit", self.sim.now)
-            if self.adds_header:
-                packet.add_header(self.name)
-            if self.tracer.enabled:
-                self.tracer.emit(self.sim.now, self.category, "exit",
-                                 packet_id=packet.packet_id, layer=self.name,
-                                 delay_us=delay_us)
-            on_done(packet)
-
-        if self.cpu is not None:
-            self.cpu.execute(delay_tc, finish)
-        else:
-            self.sim.call_in(delay_tc, finish)
+    def _finish(self, packet: Packet, submitted: int, delay_us: float,
+                on_done: Callable[..., None], args: tuple) -> None:
+        now = self.sim.now
+        packet.charge(LatencySource.PROCESSING, now - submitted)
+        packet.stamp(self._exit_key, now)
+        packet.header_bytes += self.header_bytes
+        if self.tracer.enabled:
+            self.tracer.emit(now, self.category, "exit",
+                             packet_id=packet.packet_id, layer=self.name,
+                             delay_us=delay_us)
+        on_done(packet, *args)
 
 
 class LayerPipeline:
@@ -99,15 +99,15 @@ class LayerPipeline:
     def process(self, packet: Packet,
                 on_done: Callable[[Packet], None]) -> None:
         """Send the packet through every layer, then ``on_done``."""
+        self._advance(packet, 0, on_done)
 
-        def advance(index: int, pkt: Packet) -> None:
-            if index == len(self.layers):
-                on_done(pkt)
-                return
-            self.layers[index].process(
-                pkt, lambda p: advance(index + 1, p))
-
-        advance(0, packet)
+    def _advance(self, packet: Packet, index: int, on_done: Callable) -> None:
+        # Looks up ``process`` per hop, so instance-attribute wrappers apply.
+        if index == len(self.layers):
+            on_done(packet)
+        else:
+            self.layers[index].process(packet, self._advance, index + 1,
+                                       on_done)
 
     def layer(self, name: str) -> ProcessingLayer:
         """Look up a layer by name."""

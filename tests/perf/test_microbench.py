@@ -11,6 +11,7 @@ computing the right thing is worse than a slow one.
 
 import numpy as np
 
+from repro.phy.timebase import tc_from_us
 from repro.sim.distributions import LogNormal
 from repro.sim.engine import Simulator
 from repro.sim.sampling import BufferedSampler
@@ -19,6 +20,7 @@ from repro.sim.trace import Tracer
 N_EVENTS = 5_000
 N_SAMPLES = 5_000
 N_EMITS = 5_000
+N_PACKETS = 1_000
 
 
 def test_simulator_schedule_and_run(benchmark):
@@ -95,6 +97,46 @@ def test_tracer_emit_disabled(benchmark):
         return len(tracer)
 
     assert benchmark(emit_none) == 0
+
+
+def test_layer_pipeline_transit(benchmark):
+    """Per-hop cost of the scalar engine's layer transit: a 5-layer
+    pipeline, N_PACKETS packets, one engine event and one draw per hop."""
+    from repro.mac.types import Direction
+    from repro.stack.layers import LayerPipeline, ProcessingLayer
+    from repro.stack.packets import LatencySource, Packet, PacketKind
+
+    names = ("SDAP", "PDCP", "RLC", "MAC", "PHY")
+
+    def transit():
+        sim = Simulator()
+        tracer = Tracer(enabled=False)
+        rng = np.random.default_rng(3)
+        pipeline = LayerPipeline([
+            ProcessingLayer(sim, tracer, name, f"ue1.{name.lower()}",
+                            LogNormal(20.0 + i, 5.0), rng,
+                            adds_header=name != "PHY")
+            for i, name in enumerate(names)])
+        done = []
+        for i in range(N_PACKETS):
+            packet = Packet(PacketKind.DATA, Direction.UL, 32, 0,
+                            packet_id=i + 1)
+            pipeline.process(packet, done.append)
+        sim.run()
+        return sim, pipeline, done
+
+    sim, pipeline, done = benchmark(transit)
+    assert len(done) == N_PACKETS
+    assert sim.events_processed == len(names) * N_PACKETS
+    assert all(len(layer.samples_us) == N_PACKETS
+               for layer in pipeline.layers)
+    # Packets overtake each other between layers, so compare totals:
+    # every hop charges exactly its own sampled delay.
+    assert sum(packet.budget[LatencySource.PROCESSING]
+               for packet in done) == sum(
+        tc_from_us(us) for layer in pipeline.layers
+        for us in layer.samples_us)
+    assert all(packet.header_bytes == 10 for packet in done)
 
 
 # ---------------------------------------------------------------------------
