@@ -52,19 +52,26 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     The payload lands in a sibling temp file first and is moved into
     place with ``os.replace``, which is atomic on POSIX and Windows —
     a reader (or a parallel writer) sees either the old file or the
-    new one, never an interleaving.
+    new one, never an interleaving.  A missing parent directory is
+    created.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent,
-        prefix=f".{path.name}.", suffix=".tmp", delete=False)
+    # Random temp names: writers on different hosts may target the
+    # same path through a shared filesystem.
+    prefix = f".{path.name}."
     try:
-        with handle:
+        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=prefix,
+                                    dir=path.parent)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=prefix,
+                                    dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(temp)
         raise
 
 

@@ -491,8 +491,12 @@ def run_schedule(schedule: ChaosSchedule, campaign: "Campaign",
     windows actually get exercised.  For the same reason, the peer of
     a reclaim composite starts with a head start *against* it: its
     process sleeps briefly before attaching, so the orphaning target
-    reliably claims a job first.  Both are pure scheduling bias —
-    results are digest-checked against serial regardless.
+    reliably claims a job first.  A listing-fault schedule turns that
+    around: the targeted worker gets the head start over its peers, so
+    it lists the queue while jobs are still left in it — a stale
+    listing needs a previous non-empty one — instead of finding a
+    queue the peers already drained.  All of it is pure scheduling
+    bias — results are digest-checked against serial regardless.
     """
     from repro.runner import envconfig
     from repro.runner.dispatch import DispatchCoordinator
@@ -505,14 +509,21 @@ def run_schedule(schedule: ChaosSchedule, campaign: "Campaign",
     plan = ChaosPlan(
         seed=campaign.seed if seed is None else seed,
         specs=schedule.specs, marker_dir=str(marker))
-    delayed = ({schedule.worker} if len(schedule.specs) > 1 else set())
+    composite = len(schedule.specs) > 1
+    listing_fault = schedule.kind in (FsFaultKind.LIST_DELAY.value,
+                                      FsFaultKind.LIST_STALE.value)
+
+    def delayed(worker_id: str) -> bool:
+        if composite:
+            return worker_id == schedule.worker
+        return listing_fault and worker_id != schedule.worker
 
     def spawn(worker_id: str) -> list[str]:
         argv = ["bench", "--worker", str(queue_dir),
                 "--worker-id", worker_id,
                 "--retries", str(max_retries),
                 "--strikes", str(worker_strikes)]
-        if worker_id in delayed:
+        if delayed(worker_id):
             return [sys.executable, "-c",
                     "import sys, time; time.sleep(0.8); "
                     "from repro.cli import main; "

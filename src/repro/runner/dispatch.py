@@ -446,16 +446,17 @@ class DispatchCoordinator:
             warnings.extend(self.cache.warnings)
 
         self._reset_queue()
+        # Each point's digest is computed once and reused throughout.
+        digests = [point.digest() for point in campaign.points]
         cached: dict[str, dict[str, Any]] = {}
-        pending: list[ScenarioPoint] = []
-        for point in campaign.points:
-            digest = point.digest()
+        pending: dict[str, ScenarioPoint] = {}
+        for point, digest in zip(campaign.points, digests):
             if self.cache is not None:
                 payload = self.cache.lookup(digest, self.fingerprint)
                 if payload is not None:
                     cached[digest] = payload
                     continue
-            pending.append(point)
+            pending[digest] = point
 
         worker_ids = [f"w{k + 1}" for k in range(self.workers)]
         write_queue_manifest(self.queue, {
@@ -463,13 +464,14 @@ class DispatchCoordinator:
             "seed": campaign.seed,
             "fingerprint": self.fingerprint,
             "points": len(campaign.points),
-            "digests": [point.digest() for point in campaign.points],
-            "enqueued": sorted(point.digest() for point in pending),
+            "digests": digests,
+            "enqueued": sorted(pending),
             "workers": worker_ids,
         })
-        for index, point in enumerate(pending):
+        for index, (digest, point) in enumerate(pending.items()):
             self.queue.enqueue(point,
-                               home=worker_ids[index % self.workers])
+                               home=worker_ids[index % self.workers],
+                               digest=digest)
         events = EventLog(self.queue, _COORDINATOR)
         events.emit("enqueue", jobs=len(pending), cached=len(cached))
 
@@ -477,10 +479,12 @@ class DispatchCoordinator:
         inline_points = 0
         if pending:
             procs = self._spawn(worker_ids)
-            inline_points = self._wait(pending, procs, events, warnings)
+            inline_points = self._wait(set(pending), procs, events,
+                                       warnings)
 
         point_results, stats = self._collect(
-            campaign, cached, pending, inline_points, warnings)
+            campaign, digests, cached, len(pending), inline_points,
+            warnings)
         end_s = time.perf_counter()
         return CampaignResult(
             campaign=campaign,
@@ -515,6 +519,9 @@ class DispatchCoordinator:
                     f"{QUEUE_MANIFEST_NAME} — not a dispatch queue "
                     "directory")
             shutil.rmtree(root)
+        # A fresh QueueDir: the old one remembers the wiped queue's
+        # listing and done markers.
+        self.queue = QueueDir(root, fs=self.queue.fs)
         self.queue.initialise()
 
     def _default_command(self, worker_id: str) -> list[str]:
@@ -541,17 +548,17 @@ class DispatchCoordinator:
                           worker_id))
         return procs
 
-    def _wait(self, pending: list[ScenarioPoint],
+    def _wait(self, expected: set[str],
               procs: list[tuple[subprocess.Popen[bytes], str]],
               events: EventLog, warnings: list[str]) -> int:
-        """Poll until every enqueued point has a done marker.
+        """Poll until every ``expected`` digest has a done marker.
 
         Reclaims orphaned leases of dead workers each cycle.  When no
         local worker is left alive — or the queue makes no progress
         for ``stall_polls`` cycles — the coordinator drains the
-        remaining jobs inline, guaranteeing termination.
+        remaining jobs inline, guaranteeing termination.  Each poll
+        reads only the done markers that are new since the last one.
         """
-        expected = {point.digest() for point in pending}
         tracker = LivenessTracker(self.queue, strikes=self.strikes)
         backoff = _Backoff(self.poll_interval_s, _COORDINATOR)
         inline_journal: CampaignJournal | None = None
@@ -581,7 +588,7 @@ class DispatchCoordinator:
                     if job is not None:
                         if inline_journal is None:
                             inline_journal = self._start_inline_journal(
-                                pending)
+                                expected)
                         _process_job(self.queue, inline_journal,
                                      events, job, _COORDINATOR,
                                      self.max_retries)
@@ -629,7 +636,7 @@ class DispatchCoordinator:
                         proc.wait()
         return inline_points
 
-    def _start_inline_journal(self, pending: list[ScenarioPoint]
+    def _start_inline_journal(self, expected: set[str]
                               ) -> CampaignJournal:
         journal = CampaignJournal(
             self.queue.journals / f"{_COORDINATOR}.jsonl")
@@ -638,28 +645,25 @@ class DispatchCoordinator:
                           seed=int(manifest["seed"]),
                           fingerprint=self.fingerprint,
                           points=int(manifest["points"]),
-                          digests={p.digest() for p in pending})
+                          digests=expected)
         return journal
 
     # ------------------------------------------------------------------
-    def _collect(self, campaign: Campaign,
-                 cached: dict[str, dict[str, Any]],
-                 pending: list[ScenarioPoint], inline_points: int,
-                 warnings: list[str]
+    def _collect(self, campaign: Campaign, all_digests: list[str],
+                 cached: dict[str, dict[str, Any]], jobs: int,
+                 inline_points: int, warnings: list[str]
                  ) -> tuple[list[PointResult], DispatchStats]:
         """Merge journals into campaign-order results + stats."""
-        all_digests = [point.digest() for point in campaign.points]
         merge = merge_worker_journals(
             sorted(self.queue.journals.glob("*.jsonl")),
             name=campaign.name, seed=campaign.seed,
             fingerprint=self.fingerprint, digests=set(all_digests))
         warnings.extend(merge.warnings)
-        markers = self.queue.done_markers()
+        markers = self.queue.done_markers(fresh=True)
 
         point_results: list[PointResult] = []
         recovered = 0
-        for point in campaign.points:
-            digest = point.digest()
+        for point, digest in zip(campaign.points, all_digests):
             if digest in cached:
                 point_results.append(
                     PointResult(point, cached[digest], from_cache=True))
@@ -732,7 +736,7 @@ class DispatchCoordinator:
 
         stats = DispatchStats(
             workers=self.workers,
-            jobs=len(pending),
+            jobs=jobs,
             steals=steals,
             lease_expirations=_count("expire"),
             reclaims=_count("reclaim"),

@@ -56,6 +56,7 @@ import hashlib
 import json
 import re
 import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -135,6 +136,14 @@ class QueueDir:
         self.hearts = self.root / "hearts"
         self.events = self.root / "events"
         self.journals = self.root / "journals"
+        #: Unclaimed ``(digest, home)`` candidates left from the last
+        #: ``jobs/`` listing, own shard first (see :meth:`claim`).
+        self._listing: deque[tuple[str, str]] = deque()
+        self._listed_for = ""
+        #: Done markers already parsed, and the file names they came
+        #: from (see :meth:`done_markers`).
+        self._markers: dict[str, dict[str, Any]] = {}
+        self._marker_names: set[str] = set()
 
     def initialise(self) -> None:
         """Create the directory skeleton (idempotent)."""
@@ -145,10 +154,16 @@ class QueueDir:
     # ------------------------------------------------------------------
     # jobs
     # ------------------------------------------------------------------
-    def enqueue(self, point: ScenarioPoint, home: str) -> None:
-        """Publish one job file, atomically, under its home shard."""
+    def enqueue(self, point: ScenarioPoint, home: str,
+                digest: str | None = None) -> None:
+        """Publish one job file, atomically, under its home shard.
+
+        ``digest`` is the point's digest when the caller already has
+        it (it is computed otherwise).
+        """
         _check_worker_id(home)
-        digest = point.digest()
+        if digest is None:
+            digest = point.digest()
         job = Job(digest=digest, scenario=point.scenario,
                   params=point.params_dict(), seed=point.seed,
                   home=home)
@@ -185,6 +200,15 @@ class QueueDir:
         Returns None when nothing was claimable — either the queue is
         empty or every candidate was won by a faster worker.
 
+        Candidates come from one cached listing of ``jobs/``, which is
+        re-listed only once it is used up, so a claim costs O(1) file
+        operations instead of a scan of the whole queue.  The listing
+        may be stale by design: an entry a peer claimed since simply
+        loses its rename, exactly like a lost race.  None is returned
+        only after a listing taken during this call had nothing
+        claimable, so a job reclaimed into ``jobs/`` after the cached
+        listing is still found before the caller gives up.
+
         A lease whose payload reads but does not parse is *corrupt*
         (not torn — the rename was atomic): it is quarantined and its
         digest marked done with no payload, so the claim loop cannot
@@ -193,51 +217,67 @@ class QueueDir:
         (transient EIO) is surrendered back to the queue unchanged.
         """
         _check_worker_id(worker_id)
-        candidates = self.pending()
-        ordered = ([c for c in candidates if c[1] == worker_id]
-                   + [c for c in candidates if c[1] != worker_id])
-        for digest, home in ordered:
-            if (self.done / f"{digest}.json").exists():
-                # Already completed by a worker whose lease was
-                # (falsely) reclaimed: retire the duplicate job file.
-                try:
-                    self.fs.unlink(
-                        self.jobs / f"{digest}{_SEP}{home}.json")
-                except OSError:
-                    pass
+        if self._listed_for != worker_id:
+            self._listing.clear()
+            self._listed_for = worker_id
+        relisted = False
+        while True:
+            if not self._listing:
+                if relisted:
+                    return None
+                candidates = self.pending()
+                self._listing.extend(
+                    [c for c in candidates if c[1] == worker_id]
+                    + [c for c in candidates if c[1] != worker_id])
+                relisted = True
                 continue
-            source = self.jobs / f"{digest}{_SEP}{home}.json"
-            target = self.leases / f"{digest}{_SEP}{worker_id}.json"
-            self.fs.crash_point("claim.pre-rename")
+            digest, home = self._listing.popleft()
+            job = self._claim_one(digest, home, worker_id, events)
+            if job is not None:
+                return job
+
+    def _claim_one(self, digest: str, home: str, worker_id: str,
+                   events: "EventLog | None") -> Job | None:
+        """Try to claim one listed job; None when it is not ours."""
+        if (self.done / f"{digest}.json").exists():
+            # Already completed by a worker whose lease was (falsely)
+            # reclaimed: retire the duplicate job file.
             try:
-                self.fs.replace(source, target)
+                self.fs.unlink(self.jobs / f"{digest}{_SEP}{home}.json")
             except OSError:
-                continue  # lost the race: try the next candidate
-            self.fs.crash_point("claim.post-rename")
+                pass
+            return None
+        source = self.jobs / f"{digest}{_SEP}{home}.json"
+        target = self.leases / f"{digest}{_SEP}{worker_id}.json"
+        self.fs.crash_point("claim.pre-rename")
+        try:
+            self.fs.replace(source, target)
+        except OSError:
+            return None  # lost the race (or a stale listing entry)
+        self.fs.crash_point("claim.post-rename")
+        try:
+            raw = self.fs.read_text(target)
+        except OSError:
+            # Transient read failure: surrender the lease so the job
+            # stays claimable for a later listing.
             try:
-                raw = self.fs.read_text(target)
+                self.fs.replace(target, source)
             except OSError:
-                # Transient read failure: surrender the lease so the
-                # job stays claimable, and keep scanning.
-                try:
-                    self.fs.replace(target, source)
-                except OSError:
-                    pass
-                continue
-            try:
-                payload = json.loads(raw)
-                return Job(digest=str(payload["digest"]),
-                           scenario=str(payload["scenario"]),
-                           params=dict(payload["params"]),
-                           seed=int(payload["seed"]),
-                           home=str(payload["home"]))
-            except (ValueError, KeyError, TypeError):
-                # The payload read fine but is not a job: the file is
-                # corrupt, and re-reading can never heal it.
-                self._quarantine(target, raw, digest,
-                                 worker=worker_id, events=events)
-                continue
-        return None
+                pass
+            return None
+        try:
+            payload = json.loads(raw)
+            return Job(digest=str(payload["digest"]),
+                       scenario=str(payload["scenario"]),
+                       params=dict(payload["params"]),
+                       seed=int(payload["seed"]),
+                       home=str(payload["home"]))
+        except (ValueError, KeyError, TypeError):
+            # The payload read fine but is not a job: the file is
+            # corrupt, and re-reading can never heal it.
+            self._quarantine(target, raw, digest, worker=worker_id,
+                             events=events)
+            return None
 
     def release(self, digest: str, worker_id: str) -> None:
         """Drop a completed claim's lease file (idempotent)."""
@@ -332,15 +372,27 @@ class QueueDir:
                         "stolen": stolen}, sort_keys=True))
         self.fs.crash_point("done-marker.post")
 
-    def done_markers(self) -> dict[str, dict[str, Any]]:
-        """digest -> completion marker, for every finished point."""
-        markers: dict[str, dict[str, Any]] = {}
+    def done_markers(self, fresh: bool = False
+                     ) -> dict[str, dict[str, Any]]:
+        """digest -> completion marker, for every finished point.
+
+        A marker is never deleted, so each one parsed is remembered
+        and only names not seen before are read: a poll costs one
+        listing plus O(new markers) reads.  A marker that does not
+        parse yet is read again on the next call.  ``fresh`` forgets
+        what was remembered and re-reads every marker — for final
+        statistics, where a marker rewritten by a duplicate execution
+        must show its last content.
+        """
+        if fresh:
+            self._markers.clear()
+            self._marker_names.clear()
         try:
             names = self.fs.listdir(self.done)
         except OSError:
-            return markers
+            return dict(self._markers)
         for name in names:
-            if not name.endswith(".json"):
+            if name in self._marker_names or not name.endswith(".json"):
                 continue
             try:
                 payload = json.loads(
@@ -349,8 +401,9 @@ class QueueDir:
                 continue  # torn write in progress: next poll sees it
             if isinstance(payload, dict) \
                     and isinstance(payload.get("digest"), str):
-                markers[payload["digest"]] = payload
-        return markers
+                self._markers[payload["digest"]] = payload
+                self._marker_names.add(name)
+        return dict(self._markers)
 
 
 # ----------------------------------------------------------------------

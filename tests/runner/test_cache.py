@@ -17,6 +17,26 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in target.parent.iterdir()] == ["artifact.txt"]
 
 
+def test_atomic_write_creates_missing_parents(tmp_path):
+    target = tmp_path / "a" / "b" / "artifact.txt"
+    atomic_write_text(target, "hello")
+    assert target.read_text(encoding="utf-8") == "hello"
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "artifact.txt"
+    atomic_write_text(target, "kept")
+
+    def failing_replace(source, destination):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("repro.runner.cache.os.replace", failing_replace)
+    with pytest.raises(OSError):
+        atomic_write_text(target, "lost")
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+    assert target.read_text(encoding="utf-8") == "kept"
+
+
 def test_cache_roundtrip_and_hit_miss_accounting(tmp_path):
     path = tmp_path / "cache.json"
     cache = ResultCache(path)

@@ -2,18 +2,26 @@
 
 import json
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.devtools.distcheck.manifest import load_manifest
-from repro.runner import Campaign, CampaignRunner, ResultCache
+from repro.runner import (
+    Campaign,
+    CampaignRunner,
+    ResultCache,
+    build_campaign,
+)
 from repro.runner.dispatch import (
     MERGED_JOURNAL_NAME,
     DispatchCoordinator,
     DispatchRefusedError,
     run_worker,
 )
+from repro.runner.fsops import FsOps
 from repro.runner.lease import QueueDir, write_queue_manifest
 
 REPO_MANIFEST = load_manifest("distcheck-manifest.json")
@@ -274,3 +282,82 @@ def test_coordinator_rejects_bad_construction(tmp_path):
     with pytest.raises(ValueError, match="strikes"):
         DispatchCoordinator(workers=1, queue_dir=tmp_path,
                             manifest=REPO_MANIFEST, strikes=0)
+
+
+# ----------------------------------------------------------------------
+# queue-operation counts
+# ----------------------------------------------------------------------
+class _CountingFs(FsOps):
+    """Passthrough seam that counts listings per directory and reads
+    per file."""
+
+    def __init__(self):
+        self.listings = Counter()
+        self.reads = Counter()
+
+    def listdir(self, directory):
+        self.listings[Path(directory).name] += 1
+        return super().listdir(directory)
+
+    def read_text(self, path):
+        self.reads[Path(path)] += 1
+        return super().read_text(path)
+
+
+def _enqueue_all(queue, campaign, homes):
+    queue.initialise()
+    digests = [point.digest() for point in campaign.points]
+    write_queue_manifest(queue, {
+        "campaign": campaign.name, "seed": campaign.seed,
+        "fingerprint": "fp", "points": len(campaign),
+        "digests": digests, "enqueued": sorted(digests)})
+    for index, point in enumerate(campaign.points):
+        queue.enqueue(point, home=homes[index % len(homes)])
+    return set(digests)
+
+
+def test_worker_lists_the_job_queue_a_constant_number_of_times(
+        tmp_path):
+    # 238 points over two home shards: the worker drains its own shard
+    # and steals the other from one listing, plus the listing that
+    # finds the queue empty.  Listing per claim would be O(points).
+    campaign = build_campaign("sweep")
+    assert len(campaign) >= 200
+    fs = _CountingFs()
+    queue = QueueDir(tmp_path / "queue", fs=fs)
+    expected = _enqueue_all(queue, campaign, ["w1", "w2"])
+    assert run_worker(queue.root, "w1", fingerprint="fp", fs=fs,
+                      attach_polls=1, poll_interval_s=0.0) == 0
+    assert set(queue.done_markers()) == expected
+    assert fs.listings["jobs"] <= 3
+
+
+def test_coordinator_reads_each_done_marker_once_while_waiting(
+        tmp_path, monkeypatch):
+    # The spawned workers exit at once, so the coordinator drains all
+    # 238 points inline, polling the done markers after each one.
+    campaign = build_campaign("sweep")
+    fs = _CountingFs()
+    coordinator = DispatchCoordinator(
+        workers=2, queue_dir=tmp_path / "queue",
+        manifest=REPO_MANIFEST, fingerprint="fp",
+        spawn_command=lambda worker_id: [sys.executable, "-c", "pass"])
+    coordinator.queue = QueueDir(tmp_path / "queue", fs=fs)
+    collect = coordinator._collect
+    reads_before_collect = Counter()
+
+    def counting_collect(*args, **kwargs):
+        reads_before_collect.update(fs.reads)
+        return collect(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "_collect", counting_collect)
+    dispatched = coordinator.run(campaign)
+    assert dispatched.dispatch is not None
+    assert dispatched.dispatch.inline_points == len(campaign)
+    marker_reads = [count for path, count in reads_before_collect.items()
+                    if path.parent.name == "done"]
+    assert len(marker_reads) == len(campaign)
+    assert max(marker_reads) == 1
+    assert fs.listings["jobs"] <= 3
+    serial = CampaignRunner(workers=1).run(campaign)
+    assert dispatched.results_digest() == serial.results_digest()
