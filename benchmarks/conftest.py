@@ -8,10 +8,11 @@ paper-vs-measured values.
 The replication-heavy benchmarks (fig5, fig6, sensitivity, multi-UE,
 exhaustive search) no longer run their sweeps inline: they declare a
 campaign and hand it to the session-wide :data:`campaign_runner`,
-which shares one worker pool and one content-hash result cache across
-the whole benchmark session (see ``docs/CAMPAIGNS.md``).  Set
-``URLLC5G_BENCH_WORKERS`` to control the pool size and
-``URLLC5G_BENCH_NO_CACHE=1`` to force recomputation.
+which shares one content-hash result cache across the whole benchmark
+session (see ``docs/CAMPAIGNS.md``).  With more than one worker each
+campaign runs through the dispatch queue, which spawns its worker
+processes per campaign.  Set ``URLLC5G_BENCH_WORKERS`` to control the
+worker count and ``URLLC5G_BENCH_NO_CACHE=1`` to force recomputation.
 """
 
 import os
@@ -44,13 +45,13 @@ def results_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def campaign_runner():
-    """One pool + one result cache shared by every campaign benchmark."""
+    """One runner + one result cache shared by every campaign
+    benchmark."""
     knobs = envconfig.refresh()
     workers = (knobs.bench_workers if knobs.bench_workers is not None
                else min(4, os.cpu_count() or 1))
     cache = None if knobs.bench_no_cache else ResultCache(CACHE_PATH)
-    with CampaignRunner(workers=max(1, workers), cache=cache) as runner:
-        yield runner
+    return CampaignRunner(workers=max(1, workers), cache=cache)
 
 
 def write_artifact(name: str, content: str) -> None:

@@ -26,7 +26,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.analysis.report import render_table, render_worst_case_bars
 from repro.analysis.stats import histogram
@@ -371,17 +371,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     # Imported lazily so analysis commands stay import-light.
     from repro.runner import (
-        CAMPAIGNS, CampaignJournal, CampaignRunner, ResultCache,
-        bench_payload, build_campaign, check_against_baseline,
-        load_baseline, render_baseline, write_bench_json)
+        CAMPAIGNS, CampaignJournal, CampaignRunner, DispatchCoordinator,
+        DispatchRefusedError, ResultCache, bench_payload, build_campaign,
+        check_against_baseline, load_baseline, render_baseline,
+        write_bench_json)
     if args.worker is not None:
         # Worker mode: attach to a dispatch queue directory and exit
         # when the campaign is drained.  No campaign name, cache or
         # journal flags apply — everything comes from the queue.
         from repro.runner import run_worker
-        if args.campaign is not None or args.dispatch is not None:
-            print("error: --worker takes no campaign name and is "
-                  "mutually exclusive with --dispatch",
+        if args.campaign is not None:
+            print("error: --worker takes no campaign name",
                   file=sys.stderr)
             return 2
         worker_id = args.worker_id or f"w{os.getpid()}"
@@ -400,20 +400,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: --resume requires a journal (drop --no-journal)",
               file=sys.stderr)
         return 2
-    if args.dispatch is not None:
-        if args.dispatch < 1:
-            print(f"error: --dispatch must be >= 1, got "
-                  f"{args.dispatch}", file=sys.stderr)
-            return 2
-        if args.workers != 1:
-            print("error: --dispatch spawns its own worker processes; "
-                  "drop --workers", file=sys.stderr)
-            return 2
-        if args.resume:
-            print("error: --resume is not supported with --dispatch "
-                  "(the queue is rebuilt each run; warm points replay "
-                  "from the result cache instead)", file=sys.stderr)
-            return 2
     try:
         campaign = build_campaign(args.campaign)
     except ValueError as exc:
@@ -427,65 +413,48 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # valid either way.
         os.environ["URLLC5G_SANITIZE"] = "1"
     cache = None if args.no_cache else ResultCache(args.cache)
-    journal_path = None
+    journal = None
     if not args.no_journal:
-        journal_path = (args.journal
-                        or f".urllc5g-{campaign.name}.journal.jsonl")
-    if args.profile:
-        from repro.devtools.profile import (
-            profile_call, write_profile_json)
-    if args.dispatch is not None:
-        import shutil
-
+        journal = CampaignJournal(
+            args.journal or f".urllc5g-{campaign.name}.journal.jsonl")
+    queue_dir = None
+    if args.workers > 1:
         from repro.devtools.distcheck.manifest import (
             ManifestError, load_manifest)
-        from repro.runner.dispatch import (
-            MERGED_JOURNAL_NAME, DispatchCoordinator,
-            DispatchRefusedError)
+        from repro.runner.dispatch import REPO_MANIFEST
         try:
-            manifest = load_manifest(args.manifest)
+            manifest = load_manifest(args.manifest or REPO_MANIFEST)
         except ManifestError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         queue_dir = Path(args.queue_dir
                          or f".urllc5g-{campaign.name}.queue")
-        coordinator = DispatchCoordinator(
-            workers=args.dispatch, queue_dir=queue_dir,
-            manifest=manifest, cache=cache,
-            max_retries=args.retries)
-        try:
-            if args.profile:
-                result, report = profile_call(
-                    lambda: coordinator.run(campaign))
-            else:
-                result = coordinator.run(campaign)
-        except (DispatchRefusedError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # The merged journal is serial-equivalent: copy it to the
-        # standard journal path so a later (non-dispatched) --resume
-        # picks it up exactly as if this run had been serial.
-        if journal_path is not None:
-            shutil.copyfile(queue_dir / MERGED_JOURNAL_NAME,
-                            journal_path)
-        if not args.keep_queue:
-            shutil.rmtree(queue_dir, ignore_errors=True)
+        runner: CampaignRunner = DispatchCoordinator(
+            workers=args.workers, queue_dir=queue_dir,
+            manifest=manifest, cache=cache, max_retries=args.retries)
     else:
-        journal = None
-        if journal_path is not None:
-            journal = CampaignJournal(journal_path)
-        with CampaignRunner(workers=args.workers, cache=cache,
-                            timeout_s=args.timeout_s,
-                            max_retries=args.retries) as runner:
-            if args.profile:
-                result, report = profile_call(
-                    lambda: runner.run(campaign, journal=journal,
-                                       resume=args.resume))
-            else:
-                result = runner.run(campaign, journal=journal,
-                                    resume=args.resume)
+        runner = CampaignRunner(workers=1, cache=cache,
+                                max_retries=args.retries)
+    if args.profile:
+        from repro.devtools.profile import (
+            profile_call, write_profile_json)
+    try:
+        if args.profile:
+            result, report = profile_call(
+                lambda: runner.run(campaign, journal=journal,
+                                   resume=args.resume))
+        else:
+            result = runner.run(campaign, journal=journal,
+                                resume=args.resume)
+    except (DispatchRefusedError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
         if journal is not None:
             journal.close()
+    if queue_dir is not None and not args.keep_queue:
+        import shutil
+        shutil.rmtree(queue_dir, ignore_errors=True)
     payload = bench_payload(result)
     output = args.output or f"BENCH_{campaign.name}.json"
     write_bench_json(output, payload)
@@ -511,10 +480,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"steal(s), {stats['lease_expirations']} expired "
               f"lease(s), {stats['reclaims']} reclaim(s), "
               f"{stats['inline_points']} inline point(s)")
-        degraded = {key: stats.get(key, 0)
-                    for key in ("quarantined_files", "heartbeat_drops",
-                                "event_drops", "journal_drops")
-                    if stats.get(key)}
+        degraded = result.dispatch.degraded()
         if degraded:
             detail = ", ".join(f"{count} {name.replace('_', ' ')}"
                                for name, count in degraded.items())
@@ -555,13 +521,14 @@ def _cmd_chaosdispatch(args: argparse.Namespace) -> int:
                                                    load_manifest)
     from repro.runner import build_campaign
     from repro.runner.chaos import certify_dispatch
+    from repro.runner.dispatch import REPO_MANIFEST
     try:
         campaign = build_campaign(args.campaign)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        manifest = load_manifest(args.manifest)
+        manifest = load_manifest(args.manifest or REPO_MANIFEST)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -587,6 +554,21 @@ def _cmd_chaosdispatch(args: argparse.Namespace) -> int:
     for label in failed:
         print(f"NOT CERTIFIED: {label}", file=sys.stderr)
     return 0 if report["certified"] else 1
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer of at least ``minimum`` (else exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -752,8 +734,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign name (see --list)")
     bench.add_argument("--list", action="store_true",
                        help="list known campaigns and exit")
-    bench.add_argument("--workers", type=int, default=1,
-                       help="worker processes (1 = serial, default)")
+    bench.add_argument("--workers", type=_at_least(1), default=1,
+                       metavar="N",
+                       help="worker processes (1 = serial, default); "
+                            "N > 1 runs the dispatch queue and needs "
+                            "every scenario certified in the distcheck "
+                            "manifest (docs/CAMPAIGNS.md)")
     bench.add_argument("--cache", default=".urllc5g-bench-cache.json",
                        metavar="FILE",
                        help="result-cache location")
@@ -771,12 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run under cProfile and write "
                             "PROFILE_<campaign>.json next to the bench "
                             "document (see docs/PERFORMANCE.md)")
-    bench.add_argument("--timeout-s", type=float, default=None,
-                       metavar="S",
-                       help="parallel liveness timeout: if no point "
-                            "completes within S seconds the workers "
-                            "are killed and their points requeued")
-    bench.add_argument("--retries", type=int, default=2, metavar="N",
+    bench.add_argument("--retries", type=_at_least(0), default=2,
+                       metavar="N",
                        help="extra attempts a failing point gets "
                             "before it is recorded as failed "
                             "(default: 2)")
@@ -793,13 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(URLLC5G_SANITIZE=1): stream draws are "
                             "recorded and ownership violations raise, "
                             "results stay bit-identical")
-    bench.add_argument("--dispatch", type=int, default=None,
-                       metavar="N",
-                       help="distribute the campaign over N worker "
-                            "processes through a shared queue "
-                            "directory; requires every scenario to be "
-                            "certified in the distcheck manifest "
-                            "(docs/CAMPAIGNS.md)")
     bench.add_argument("--queue-dir", default=None, metavar="DIR",
                        help="dispatch queue directory (default: "
                             ".urllc5g-<campaign>.queue); put it on a "
@@ -808,12 +783,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--keep-queue", action="store_true",
                        help="keep the queue directory (leases, "
                             "events, per-worker journals) after a "
-                            "successful dispatched run")
-    bench.add_argument("--manifest", default="distcheck-manifest.json",
-                       metavar="FILE",
+                            "parallel run")
+    bench.add_argument("--manifest", default=None, metavar="FILE",
                        help="distcheck certification manifest gating "
-                            "--dispatch (default: "
-                            "distcheck-manifest.json)")
+                            "--workers N > 1 (default: the checked-in "
+                            "distcheck-manifest.json at the repository "
+                            "root)")
     bench.add_argument("--worker", default=None, metavar="QUEUE_DIR",
                        help="run as a dispatch worker attached to an "
                             "existing queue directory (no campaign "
@@ -822,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--worker-id", default=None, metavar="ID",
                        help="worker identity inside the queue "
                             "(default: w<pid>)")
-    bench.add_argument("--strikes", type=int, default=8, metavar="N",
+    bench.add_argument("--strikes", type=_at_least(1), default=8,
+                       metavar="N",
                        help="worker mode only: heartbeat observations "
                             "without progress before a peer is "
                             "declared dead (default: 8)")
@@ -838,11 +814,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workers", type=int, default=2,
                        help="worker processes per schedule "
                             "(default: 2; minimum 2)")
-    chaos.add_argument("--manifest", default="distcheck-manifest.json",
-                       metavar="FILE",
+    chaos.add_argument("--manifest", default=None, metavar="FILE",
                        help="distcheck certification manifest gating "
-                            "dispatch (default: "
-                            "distcheck-manifest.json)")
+                            "dispatch (default: the checked-in "
+                            "distcheck-manifest.json at the repository "
+                            "root)")
     chaos.add_argument("--output", default=None, metavar="FILE",
                        help="certification document path "
                             "(default: CHAOS_<campaign>.json)")

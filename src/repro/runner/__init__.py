@@ -2,12 +2,14 @@
 
 The paper's artifacts are thousands of independent simulation
 replications; this package turns such sweeps into declarative
-:class:`Campaign` grids of :class:`ScenarioPoint`s, executes them
-across worker processes with bit-identical-to-serial results
-(:class:`CampaignRunner`), and skips already-computed points through a
-content-hash :class:`ResultCache` keyed on point identity plus a
-source fingerprint.  ``urllc5g bench`` and the benchmark harness are
-the two front-ends; see ``docs/CAMPAIGNS.md``.
+:class:`Campaign` grids of :class:`ScenarioPoint`s and executes them
+through one front end, :class:`CampaignRunner`: serially in-process,
+or across worker processes coordinating through the dispatch queue
+(:class:`DispatchCoordinator`) with bit-identical-to-serial results.
+Already-computed points are skipped through a content-hash
+:class:`ResultCache` keyed on point identity plus a source
+fingerprint.  ``urllc5g bench`` and the benchmark harness drive it;
+see ``docs/CAMPAIGNS.md``.
 """
 
 from repro.runner import envconfig
@@ -54,11 +56,7 @@ from repro.runner.executor import (
 from repro.runner.fsops import CRASH_POINTS, DEFAULT_FS, FsOps
 from repro.runner.journal import CampaignJournal
 from repro.runner.lease import QueueDir
-from repro.runner.merge import (
-    JournalMergeError,
-    merge_worker_journals,
-    write_merged_journal,
-)
+from repro.runner.merge import JournalMergeError, merge_worker_journals
 from repro.runner.scenarios import SCENARIOS, run_point, scenario
 
 __all__ = [
@@ -101,5 +99,4 @@ __all__ = [
     "scenario",
     "source_fingerprint",
     "write_bench_json",
-    "write_merged_journal",
 ]

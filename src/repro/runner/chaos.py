@@ -408,7 +408,8 @@ def enumerate_schedules(worker_ids: Sequence[str], *,
     — each worker process dies at its own first passage, which makes
     the injection independent of claim races: the queue can only drain
     through the crash point, so it always fires, and the coordinator's
-    inline drain is exercised on every such schedule too.
+    takeover of the queue (in-process, or through a stand-in worker
+    for points that lost one) is exercised on every such schedule too.
 
     ``reclaim.*`` windows only open inside a *surviving* worker, so
     those schedules are asymmetric composites: the first worker dies
@@ -572,8 +573,8 @@ def certify_dispatch(campaign: "Campaign", manifest: "DistManifest", *,
 
     work = Path(work_dir)
     work.mkdir(parents=True, exist_ok=True)
-    with CampaignRunner(workers=1) as runner:
-        serial_digest = runner.run(campaign).results_digest()
+    serial_digest = CampaignRunner(workers=1).run(
+        campaign).results_digest()
     if log is not None:
         log(f"serial reference digest {serial_digest[:12]}...")
 

@@ -23,18 +23,24 @@ The safety argument, end to end:
   the done marker and releases its lease only after.  Whatever instant
   a worker dies, either its lease is reclaimed and the point re-run, or
   the done marker exists and the journal entry is already on disk.
-- **Convergence.**  If every local worker dies (or the queue stalls),
-  the coordinator itself drains the remaining jobs inline, so a
-  dispatched run always terminates with the full document.
-- **Single-writer caches.**  Workers never write the shared
-  :class:`~repro.runner.cache.ResultCache`; the coordinator consults it
-  before enqueueing and stores merged payloads at collect time, so the
-  whole-file atomic rewrite can never lose concurrent entries.
+- **Convergence.**  Every orphaned lease costs its point one attempt;
+  a point that has lost ``max_retries + 1`` workers fails alone.  If
+  every local worker dies (or the queue stalls), the remaining jobs
+  still run: the coordinator executes in-process only points that
+  never lost a worker and hands the others to a stand-in worker
+  process, so a dispatched run always terminates with the full
+  document and a point that crashes or wedges its process never takes
+  the coordinator down.
+- **Single-writer caches and journals.**  Workers never write the
+  shared :class:`~repro.runner.cache.ResultCache` or the campaign
+  journal; the coordinator is a
+  :class:`~repro.runner.executor.CampaignRunner`, whose front end
+  consults both before enqueueing and records each payload as soon as
+  a worker journals it, so the whole-file atomic rewrite can never
+  lose concurrent entries and a killed run resumes from every point
+  already done.
 
-The wall clock is read only for the campaign-level ``wall_clock_s``
-span (``time.perf_counter`` is excused for this file in
-``[tool.urllc5g.lint.per-path]``); the queue protocol itself is
-entirely stamp-based and clock-free.
+The queue protocol is entirely stamp-based and clock-free.
 """
 
 from __future__ import annotations
@@ -44,15 +50,19 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.devtools.distcheck.manifest import DistManifest
+from repro.devtools.distcheck.manifest import (DistManifest,
+                                               ManifestError,
+                                               load_manifest)
 from repro.runner import envconfig
 from repro.runner.cache import ResultCache, source_fingerprint
 from repro.runner.campaign import Campaign, ScenarioPoint
-from repro.runner.executor import CampaignResult, PointResult
+from repro.runner.executor import (CampaignRunner, Outcome, Record,
+                                   execute_point)
 from repro.runner.fsops import FsOps
 from repro.runner.journal import CampaignJournal
 from repro.runner.lease import (
@@ -65,27 +75,24 @@ from repro.runner.lease import (
     read_queue_manifest,
     write_queue_manifest,
 )
-from repro.runner.merge import (
-    MergedEntry,
-    merge_worker_journals,
-    write_merged_journal,
-)
-from repro.runner.scenarios import run_point
+from repro.runner.merge import JournalMerger, MergeOutcome
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "DispatchCoordinator",
     "DispatchRefusedError",
     "DispatchStats",
-    "MERGED_JOURNAL_NAME",
+    "check_certified",
+    "load_repo_manifest",
     "run_worker",
 ]
 
 #: The coordinator's actor id in event logs, inline journals and claims.
 _COORDINATOR = "coordinator"
 
-#: Filename of the serial-equivalent merged journal inside the queue.
-MERGED_JOURNAL_NAME = "merged-journal.jsonl"
+#: The checked-in certification manifest at the root of the source tree.
+REPO_MANIFEST = Path(__file__).resolve().parents[3] / \
+    "distcheck-manifest.json"
 
 
 class _Backoff:
@@ -137,6 +144,22 @@ class DispatchRefusedError(RuntimeError):
             + "\n  - ".join(self.reasons))
 
 
+def load_repo_manifest() -> DistManifest:
+    """The checked-in manifest; a missing or broken one refuses."""
+    try:
+        return load_manifest(REPO_MANIFEST)
+    except ManifestError as exc:
+        raise DispatchRefusedError([str(exc)]) from None
+
+
+def check_certified(manifest: DistManifest, campaign: Campaign) -> None:
+    """The manifest gate: refuse a campaign with an uncertified point."""
+    refusals = manifest.refusals(
+        sorted({point.scenario for point in campaign.points}))
+    if refusals:
+        raise DispatchRefusedError(refusals)
+
+
 @dataclass(frozen=True)
 class DispatchStats:
     """Scheduling provenance of one dispatched run.
@@ -183,23 +206,10 @@ class DispatchStats:
 
     def as_payload(self) -> dict[str, Any]:
         """JSON-ready form for the bench document."""
-        return {
-            "workers": self.workers,
-            "jobs": self.jobs,
-            "steals": self.steals,
-            "lease_expirations": self.lease_expirations,
-            "reclaims": self.reclaims,
-            "duplicate_points": self.duplicate_points,
-            "journals_rejected": self.journals_rejected,
-            "inline_points": self.inline_points,
-            "recovered_points": self.recovered_points,
-            "quarantined_files": self.quarantined_files,
-            "heartbeat_drops": self.heartbeat_drops,
-            "event_drops": self.event_drops,
-            "journal_drops": self.journal_drops,
-            "per_worker_points": dict(
-                sorted(self.per_worker_points.items())),
-        }
+        payload = asdict(self)
+        payload["per_worker_points"] = dict(
+            sorted(self.per_worker_points.items()))
+        return payload
 
     def degraded(self) -> dict[str, int]:
         """The nonzero degradation counters (empty on a clean run)."""
@@ -210,18 +220,6 @@ class DispatchStats:
             "journal_drops": self.journal_drops,
         }
         return {key: value for key, value in counters.items() if value}
-
-
-def _execute_job(point: ScenarioPoint, max_retries: int
-                 ) -> tuple[dict[str, Any] | None, int, str | None]:
-    """Run one point with the standard bounded-retry budget."""
-    error = None
-    for attempt in range(1, max_retries + 2):
-        try:
-            return run_point(point), attempt, None
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-    return None, max_retries + 1, error
 
 
 def _publish(queue: QueueDir, events: EventLog, job: Job,
@@ -273,14 +271,14 @@ def _process_job(queue: QueueDir, journal: CampaignJournal,
         _publish(queue, events, job, worker_id, attempts=1,
                  error=str(exc), stolen=stolen)
         return
-    result, attempts, error = _execute_job(point, max_retries)
-    if result is not None:
+    outcome = execute_point(point, max_retries)
+    if outcome.result is not None:
         try:
-            journal.record(job.digest, result, attempts)
+            journal.record(job.digest, outcome.result, outcome.attempts)
         except OSError:
             events.emit("journal-drop", digest=job.digest)
-    _publish(queue, events, job, worker_id, attempts=attempts,
-             error=error, stolen=stolen)
+    _publish(queue, events, job, worker_id, attempts=outcome.attempts,
+             error=outcome.error, stolen=stolen)
 
 
 # ----------------------------------------------------------------------
@@ -344,12 +342,13 @@ def run_worker(queue_dir: str | Path, worker_id: str, *,
     events = EventLog(queue, worker_id)
     journal = CampaignJournal(queue.journals / f"{worker_id}.jsonl",
                               fs=queue.fs)
-    journal.start_raw(name=str(manifest["campaign"]),
-                      seed=int(manifest["seed"]),
-                      fingerprint=str(manifest["fingerprint"]),
-                      points=int(manifest["points"]),
-                      digests=set(manifest["digests"]))
-    tracker = LivenessTracker(queue, strikes=strikes)
+    journal.start(name=str(manifest["campaign"]),
+                  seed=int(manifest["seed"]),
+                  fingerprint=str(manifest["fingerprint"]),
+                  points=int(manifest["points"]),
+                  digests=set(manifest["digests"]))
+    tracker = LivenessTracker(queue, strikes=strikes,
+                              max_retries=max_retries)
     completed = 0
     try:
         with HeartbeatWriter(queue, worker_id,
@@ -379,12 +378,14 @@ def run_worker(queue_dir: str | Path, worker_id: str, *,
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
-class DispatchCoordinator:
-    """Runs one campaign across N workers through a queue directory.
+class DispatchCoordinator(CampaignRunner):
+    """Runs campaigns across N workers through a queue directory.
 
-    Drop-in producer of the same :class:`CampaignResult` a
-    :class:`~repro.runner.executor.CampaignRunner` returns — plus a
-    :class:`DispatchStats` block — so ``bench_payload`` and baseline
+    A :class:`~repro.runner.executor.CampaignRunner` that overrides only
+    how pending points execute: the shared front end replays the
+    journal and the cache, and this class enqueues what is left, waits
+    for the workers and merges their journals.  Its results carry a
+    :class:`DispatchStats` block, so ``bench_payload`` and baseline
     checking work unchanged on dispatched runs.
 
     ``spawn_command`` (worker id -> argv) exists for tests; the default
@@ -402,68 +403,37 @@ class DispatchCoordinator:
                  stall_polls: int = 6000,
                  spawn_command: Callable[[str], list[str]] | None = None,
                  worker_env: Mapping[str, str] | None = None):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {max_retries}")
+        super().__init__(workers, cache=cache, fingerprint=fingerprint,
+                         max_retries=max_retries)
         if strikes < 1:
             raise ValueError(f"strikes must be >= 1, got {strikes}")
-        self.workers = workers
         self.queue = QueueDir(queue_dir)
         self.manifest = manifest
-        self.cache = cache
-        self.max_retries = max_retries
         self.poll_interval_s = poll_interval_s
         self.strikes = strikes
         self.stall_polls = stall_polls
         self.spawn_command = spawn_command
-        #: Extra environment for spawned workers only (the chaos
-        #: explorer plants URLLC5G_CHAOS_PLAN here, so the coordinator
-        #: process itself always runs the passthrough seam).
+        #: Extra environment for the spawned ``w<k>`` workers only
+        #: (the chaos explorer plants URLLC5G_CHAOS_PLAN here, so the
+        #: coordinator and its stand-ins run the passthrough seam).
         self.worker_env = dict(worker_env or {})
-        self._fingerprint = fingerprint
-
-    @property
-    def fingerprint(self) -> str:
-        """The source fingerprint jobs and cache entries are keyed on."""
-        if self._fingerprint is None:
-            self._fingerprint = source_fingerprint()
-        return self._fingerprint
 
     # ------------------------------------------------------------------
-    def run(self, campaign: Campaign) -> CampaignResult:
-        """Dispatch, wait, merge; bit-identical to a serial run."""
-        # Measurement boundary: elapsed-time span only, never results.
-        start_s = time.perf_counter()
-        refusals = self.manifest.refusals(
-            sorted({point.scenario for point in campaign.points}))
-        if refusals:
-            raise DispatchRefusedError(refusals)
-        envconfig.refresh()
-        warnings: list[str] = []
-        if self.cache is not None:
-            warnings.extend(self.cache.warnings)
+    def _admit(self, campaign: Campaign) -> None:
+        """The manifest gate: refuse before anything is written."""
+        check_certified(self.manifest, campaign)
 
+    def _execute(self, campaign: Campaign, digests: list[str],
+                 pending: dict[str, ScenarioPoint], record: Record,
+                 warnings: list[str]) -> DispatchStats:
+        """Enqueue ``pending``, record outcomes as workers finish them."""
         self._reset_queue()
-        # Each point's digest is computed once and reused throughout.
-        digests = [point.digest() for point in campaign.points]
-        cached: dict[str, dict[str, Any]] = {}
-        pending: dict[str, ScenarioPoint] = {}
-        for point, digest in zip(campaign.points, digests):
-            if self.cache is not None:
-                payload = self.cache.lookup(digest, self.fingerprint)
-                if payload is not None:
-                    cached[digest] = payload
-                    continue
-            pending[digest] = point
-
         worker_ids = [f"w{k + 1}" for k in range(self.workers)]
         write_queue_manifest(self.queue, {
             "campaign": campaign.name,
             "seed": campaign.seed,
             "fingerprint": self.fingerprint,
-            "points": len(campaign.points),
+            "points": len(digests),
             "digests": digests,
             "enqueued": sorted(pending),
             "workers": worker_ids,
@@ -473,30 +443,34 @@ class DispatchCoordinator:
                                home=worker_ids[index % self.workers],
                                digest=digest)
         events = EventLog(self.queue, _COORDINATOR)
-        events.emit("enqueue", jobs=len(pending), cached=len(cached))
+        events.emit("enqueue", jobs=len(pending),
+                    replayed=len(digests) - len(pending))
+        merger = JournalMerger(name=campaign.name, seed=campaign.seed,
+                               fingerprint=self.fingerprint,
+                               digests=set(pending))
 
-        procs: list[tuple[subprocess.Popen[bytes], str]] = []
+        def absorb(final: bool = False) -> None:
+            """Record every payload journaled since the last call."""
+            for entry in merger.read(self.queue.journals.glob("*.jsonl"),
+                                     final=final):
+                record(entry.digest,
+                       Outcome(entry.result, entry.attempts, None))
+
         inline_points = 0
         if pending:
-            procs = self._spawn(worker_ids)
-            inline_points = self._wait(set(pending), procs, events,
-                                       warnings)
-
-        point_results, stats = self._collect(
-            campaign, digests, cached, len(pending), inline_points,
-            warnings)
-        end_s = time.perf_counter()
-        return CampaignResult(
-            campaign=campaign,
-            point_results=tuple(point_results),
-            workers=self.workers,
-            cache_hits=len(cached),
-            cache_misses=len(pending),
-            wall_clock_s=end_s - start_s,
-            journal_replays=0,
-            warnings=tuple(dict.fromkeys(warnings)),
-            dispatch=stats,
-        )
+            procs = [(self._spawn(worker_id, self.worker_env), worker_id)
+                     for worker_id in worker_ids]
+            with CampaignJournal(self.queue.journals
+                                 / f"{_COORDINATOR}.jsonl") as inline:
+                inline.start(name=campaign.name, seed=campaign.seed,
+                             fingerprint=self.fingerprint,
+                             points=len(digests), digests=set(pending))
+                inline_points = self._wait(set(pending), procs, events,
+                                           inline, absorb, warnings)
+        absorb(final=True)
+        warnings.extend(merger.outcome.warnings)
+        return self._collect(pending, merger.outcome, inline_points,
+                             record, warnings)
 
     # ------------------------------------------------------------------
     def _reset_queue(self) -> None:
@@ -530,45 +504,52 @@ class DispatchCoordinator:
                 "--worker-id", worker_id,
                 "--retries", str(self.max_retries)]
 
-    def _spawn(self, worker_ids: list[str]
-               ) -> list[tuple[subprocess.Popen[bytes], str]]:
+    def _spawn(self, worker_id: str, extra_env: Mapping[str, str]
+               ) -> subprocess.Popen[bytes]:
         env = dict(os.environ)
         source_root = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH", "")
         parts = [p for p in existing.split(os.pathsep) if p]
         if source_root not in parts:
             env["PYTHONPATH"] = os.pathsep.join([source_root] + parts)
-        env.update(self.worker_env)
-        procs = []
-        for worker_id in worker_ids:
-            command = (self.spawn_command(worker_id)
-                       if self.spawn_command is not None
-                       else self._default_command(worker_id))
-            procs.append((subprocess.Popen(command, env=env),
-                          worker_id))
-        return procs
+        env.update(extra_env)
+        command = (self.spawn_command(worker_id)
+                   if self.spawn_command is not None
+                   else self._default_command(worker_id))
+        return subprocess.Popen(command, env=env)
 
     def _wait(self, expected: set[str],
               procs: list[tuple[subprocess.Popen[bytes], str]],
-              events: EventLog, warnings: list[str]) -> int:
+              events: EventLog, inline: CampaignJournal,
+              absorb: Callable[[], None], warnings: list[str]) -> int:
         """Poll until every ``expected`` digest has a done marker.
 
-        Reclaims orphaned leases of dead workers each cycle.  When no
-        local worker is left alive — or the queue makes no progress
-        for ``stall_polls`` cycles — the coordinator drains the
-        remaining jobs inline, guaranteeing termination.  Each poll
-        reads only the done markers that are new since the last one.
+        Each poll with new done markers hands the newly journaled
+        payloads to ``absorb``, and every poll reclaims — or, past the
+        retry budget, abandons — the leases of dead workers.  When no
+        local worker is left alive (the stall detector kills wedged
+        ones), the coordinator takes over the queue: a point that never
+        lost a worker runs in-process (journaled to ``inline``); one
+        that did goes to a *stand-in* worker process with the
+        coordinator's own environment (never ``worker_env``), or is
+        abandoned if the last stand-in made no progress (no done
+        marker, no lost lease) since it was spawned.
         """
-        tracker = LivenessTracker(self.queue, strikes=self.strikes)
+        tracker = LivenessTracker(self.queue, strikes=self.strikes,
+                                  max_retries=self.max_retries)
         backoff = _Backoff(self.poll_interval_s, _COORDINATOR)
-        inline_journal: CampaignJournal | None = None
         inline_points = 0
         reaped: set[str] = set()
         stall = 0.0
         last_done = -1
+        #: digest -> workers lost on it, re-read after a change.
+        lost: dict[str, set[str]] | None = None
+        stand_in_progress: tuple[int, int] | None = None
         try:
             while True:
                 done = set(self.queue.done_markers())
+                if len(done) != last_done:
+                    absorb()
                 if expected <= done:
                     break
                 for proc, worker_id in procs:
@@ -580,20 +561,39 @@ class DispatchCoordinator:
                                 f"dispatch worker {worker_id} exited "
                                 f"with code {proc.returncode}; its "
                                 "leases will be reclaimed")
-                tracker.reclaim_dead(tracker.observe(), events)
+                if tracker.reclaim_dead(tracker.observe(), events):
+                    lost = None
                 alive = any(proc.returncode is None
                             for proc, _ in procs)
-                if not alive:
+                if alive:
+                    lost = None
+                else:
                     job = self.queue.claim(_COORDINATOR, events)
                     if job is not None:
-                        if inline_journal is None:
-                            inline_journal = self._start_inline_journal(
-                                expected)
-                        _process_job(self.queue, inline_journal,
-                                     events, job, _COORDINATOR,
-                                     self.max_retries)
-                        inline_points += 1
-                        backoff.reset()
+                        if lost is None:
+                            lost = EventLog.losses(
+                                EventLog.read_all(self.queue))
+                        if job.digest not in lost:
+                            _process_job(self.queue, inline, events, job,
+                                         _COORDINATOR, self.max_retries)
+                            inline_points += 1
+                            backoff.reset()
+                            continue
+                        progress = (len(done),
+                                    sum(map(len, lost.values())))
+                        if progress != stand_in_progress:
+                            stand_in_progress = progress
+                            stand_in = \
+                                f"stand-in-{len(procs) - self.workers + 1}"
+                            self.queue.requeue(job.digest, _COORDINATOR,
+                                               job.home)
+                            procs.append((self._spawn(stand_in, {}),
+                                          stand_in))
+                            stall = 0.0  # its start-up is no stall
+                            backoff.reset()
+                            continue
+                        self.queue.abandon(job.digest, _COORDINATOR,
+                                           len(lost[job.digest]), events)
                         continue
                 if len(done) == last_done:
                     stall += 1.0
@@ -605,10 +605,13 @@ class DispatchCoordinator:
                         warnings.append(
                             f"dispatch made no progress for "
                             f"{self.stall_polls} polls; killing local "
-                            "workers and finishing inline")
+                            "workers and taking over the queue")
                         for proc, _ in procs:
                             proc.kill()
+                        # Poll briskly again, so their leases expire
+                        # long before the next stall verdict.
                         stall = 0.0
+                        backoff.reset()
                     else:
                         # Every worker is gone and nothing is
                         # claimable or completing: some digest can
@@ -625,8 +628,6 @@ class DispatchCoordinator:
                         break
                 stall += max(0.0, backoff.sleep() - 1.0)
         finally:
-            if inline_journal is not None:
-                inline_journal.close()
             for proc, _ in procs:
                 if proc.returncode is None:
                     try:
@@ -636,55 +637,32 @@ class DispatchCoordinator:
                         proc.wait()
         return inline_points
 
-    def _start_inline_journal(self, expected: set[str]
-                              ) -> CampaignJournal:
-        journal = CampaignJournal(
-            self.queue.journals / f"{_COORDINATOR}.jsonl")
-        manifest = read_queue_manifest(self.queue)
-        journal.start_raw(name=str(manifest["campaign"]),
-                          seed=int(manifest["seed"]),
-                          fingerprint=self.fingerprint,
-                          points=int(manifest["points"]),
-                          digests=expected)
-        return journal
-
     # ------------------------------------------------------------------
-    def _collect(self, campaign: Campaign, all_digests: list[str],
-                 cached: dict[str, dict[str, Any]], jobs: int,
-                 inline_points: int, warnings: list[str]
-                 ) -> tuple[list[PointResult], DispatchStats]:
-        """Merge journals into campaign-order results + stats."""
-        merge = merge_worker_journals(
-            sorted(self.queue.journals.glob("*.jsonl")),
-            name=campaign.name, seed=campaign.seed,
-            fingerprint=self.fingerprint, digests=set(all_digests))
-        warnings.extend(merge.warnings)
+    def _collect(self, pending: dict[str, ScenarioPoint],
+                 merge: MergeOutcome, inline_points: int,
+                 record: Record, warnings: list[str]) -> DispatchStats:
+        """Record the points no journal carried, and count."""
         markers = self.queue.done_markers(fresh=True)
+        all_events = EventLog.read_all(self.queue)
+        losses = EventLog.losses(all_events)
 
-        point_results: list[PointResult] = []
         recovered = 0
-        for point, digest in zip(campaign.points, all_digests):
-            if digest in cached:
-                point_results.append(
-                    PointResult(point, cached[digest], from_cache=True))
-                continue
-            entry = merge.entries.get(digest)
-            if entry is not None:
-                point_results.append(PointResult(
-                    point, entry.result, from_cache=False,
-                    attempts=entry.attempts))
-                if self.cache is not None:
-                    self.cache.store(digest, self.fingerprint,
-                                     entry.result)
-                continue
+        for digest, point in pending.items():
+            if digest in merge.entries:
+                continue  # recorded as its worker journaled it
             marker = markers.get(digest)
             if marker is not None and marker.get("error"):
                 attempts = marker.get("attempts")
-                point_results.append(PointResult(
-                    point, {}, from_cache=False,
-                    attempts=attempts if isinstance(attempts, int)
-                    else 1,
-                    error=str(marker["error"])))
+                record(digest, Outcome(
+                    None, attempts if isinstance(attempts, int) else 1,
+                    str(marker["error"])))
+                continue
+            if marker is None and digest in losses:
+                # It cost a worker and never completed anywhere: it is
+                # not run in this process.
+                record(digest, Outcome(
+                    None, len(losses[digest]),
+                    "lost its worker process and never completed"))
                 continue
             # No journaled payload survived (journal rejected at merge,
             # or lost with its worker).  Points are pure functions, so
@@ -693,61 +671,29 @@ class DispatchCoordinator:
             warnings.append(
                 f"point {digest[:12]}... had no merged payload; "
                 "recomputed by the coordinator at collect")
-            result, attempts, error = _execute_job(point,
-                                                   self.max_retries)
-            point_results.append(PointResult(
-                point, result or {}, from_cache=False,
-                attempts=attempts, error=error))
-            if result is not None:
-                merge.entries[digest] = MergedEntry(
-                    digest=digest, result=result, attempts=attempts,
-                    workers=(_COORDINATOR,))
-                if self.cache is not None:
-                    self.cache.store(digest, self.fingerprint, result)
-        if self.cache is not None:
-            self.cache.save()
+            record(digest, execute_point(point, self.max_retries))
 
-        write_merged_journal(
-            self.queue.root / MERGED_JOURNAL_NAME,
-            name=campaign.name, seed=campaign.seed,
-            fingerprint=self.fingerprint,
-            ordered_digests=all_digests, entries=merge.entries)
-
-        all_events = EventLog.read_all(self.queue)
-        per_worker: dict[str, int] = {}
-        steals = 0
-        for marker in markers.values():
-            worker = str(marker.get("worker"))
-            per_worker[worker] = per_worker.get(worker, 0) + 1
-            if marker.get("stolen"):
-                steals += 1
-
-        def _count(event: str) -> int:
-            return sum(1 for e in all_events if e.get("event") == event)
+        counts = Counter(str(e.get("event")) for e in all_events)
+        exits = [e for e in all_events if e.get("event") == "exit"]
 
         def _exit_total(field: str) -> int:
-            total = 0
-            for e in all_events:
-                if e.get("event") != "exit":
-                    continue
-                value = e.get(field)
-                total += value if isinstance(value, int) else 0
-            return total
+            return sum(e[field] for e in exits
+                       if isinstance(e.get(field), int))
 
-        stats = DispatchStats(
+        return DispatchStats(
             workers=self.workers,
-            jobs=jobs,
-            steals=steals,
-            lease_expirations=_count("expire"),
-            reclaims=_count("reclaim"),
+            jobs=len(pending),
+            steals=sum(1 for m in markers.values() if m.get("stolen")),
+            lease_expirations=counts["expire"],
+            reclaims=counts["reclaim"],
             duplicate_points=merge.duplicate_points,
             journals_rejected=merge.journals_rejected,
             inline_points=inline_points,
             recovered_points=recovered,
-            quarantined_files=_count("quarantine"),
+            quarantined_files=counts["quarantine"],
             heartbeat_drops=_exit_total("heartbeat_drops"),
             event_drops=_exit_total("event_drops"),
-            journal_drops=_count("journal-drop"),
-            per_worker_points=per_worker,
+            journal_drops=counts["journal-drop"],
+            per_worker_points=dict(Counter(
+                str(m.get("worker")) for m in markers.values())),
         )
-        return point_results, stats

@@ -6,8 +6,9 @@ The runner and benchmarks used to read ``URLLC5G_BENCH_WORKERS``,
 ``os.environ`` mutation could be observed by some components and not
 others.  This module is the single anchor: every knob is read once
 into an immutable :class:`EnvSnapshot`, refreshed only at campaign
-start (:meth:`repro.runner.executor.CampaignRunner.run`), so one run
-sees one consistent configuration.
+start (:meth:`repro.runner.executor.CampaignRunner.run`, and in a
+dispatch worker at attach, :func:`repro.runner.dispatch.run_worker`),
+so one run sees one consistent configuration.
 
 This is also the reviewed ``allow-env`` contract for ``urllc5g
 distcheck``: scenario-reachable code may consult ``URLLC5G_*`` knobs
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 __all__ = ["EnvSnapshot", "snapshot", "current", "refresh"]
 
-#: Pool size for parallel campaign execution (None = runner default).
+#: Worker count for benchmark campaigns (None = harness default).
 BENCH_WORKERS = "URLLC5G_BENCH_WORKERS"
 #: Any non-empty value disables the result cache in benchmarks.
 BENCH_NO_CACHE = "URLLC5G_BENCH_NO_CACHE"

@@ -1,8 +1,12 @@
-"""Campaign execution: fan points out across worker processes.
+"""Campaign execution: one front end for serial and parallel runs.
 
-:class:`CampaignRunner` executes a :class:`~repro.runner.campaign.Campaign`
-either serially in-process or across a pool of ``spawn``-start worker
-processes.  Three properties make the two modes interchangeable:
+:class:`CampaignRunner` executes a :class:`~repro.runner.campaign.Campaign`:
+it replays journaled and cached points, executes the rest, and merges
+every payload in campaign order.  ``workers=1`` executes pending points
+in-process; higher counts hand them to the dispatch queue
+(:class:`~repro.runner.dispatch.DispatchCoordinator`, the subclass that
+overrides only how pending points execute).  Three properties make the
+two modes interchangeable:
 
 - every point carries its own derived seed, so no point's randomness
   depends on which worker runs it or what ran before it;
@@ -14,28 +18,27 @@ processes.  Three properties make the two modes interchangeable:
 Consequently a parallel run is bit-identical to a serial run of the
 same campaign, which the test-suite asserts.
 
-The runner is also *hardened* (docs/ROBUSTNESS.md): a worker that
-raises, segfaults or wedges fails — after bounded retries — only its
-own point, never the campaign.  Failure handling is deterministic in
-everything that reaches the result document: retries are *counted* (in
-:class:`PointResult.attempts`), never timed, and a retried point
+The runner is also *hardened* (docs/ROBUSTNESS.md): a point that
+raises, or — on the dispatch queue — crashes or wedges its worker,
+fails after bounded retries only itself, never the campaign.  Failure
+handling is deterministic in everything that reaches the result
+document: retries are *counted* (in :class:`PointResult.attempts`, and
+as lost leases on the queue), never timed, and a retried point
 recomputes from its own derived seed so the payload is the same
-whichever attempt produced it.  The wall clock is read only for the
-campaign-level ``wall_clock_s`` span and for the liveness timeout that
-detects wedged workers (``time.perf_counter`` is excused for this file
-in ``[tool.urllc5g.lint.per-path]``); neither can alter a payload.
+whichever attempt produced it.  The wall
+clock is read only for the campaign-level ``wall_clock_s`` span
+(``time.perf_counter`` is excused for this file in
+``[tool.urllc5g.lint.per-path]``); it can never alter a payload.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import get_context
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.runner import envconfig
@@ -47,7 +50,8 @@ from repro.runner.scenarios import run_point
 if TYPE_CHECKING:
     from repro.runner.dispatch import DispatchStats
 
-__all__ = ["CampaignResult", "CampaignRunner", "PointResult"]
+__all__ = ["CampaignResult", "CampaignRunner", "Outcome", "PointResult",
+           "execute_point"]
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,8 @@ class PointResult:
 
 
 @dataclass(frozen=True)
-class _Outcome:
-    """Internal record of how one pending point ended up."""
+class Outcome:
+    """How one executed point ended up: a payload or the last error."""
 
     result: dict[str, Any] | None
     attempts: int
@@ -158,50 +162,56 @@ class CampaignResult:
         return hasher.hexdigest()
 
 
-def _execute_point(point: ScenarioPoint) -> dict[str, Any]:
-    """Worker-side entry: must stay a module-level importable."""
-    return run_point(point)
+def execute_point(point: ScenarioPoint, max_retries: int) -> Outcome:
+    """Run one point in this process with the bounded retry budget.
+
+    Serial runs, dispatch workers and the coordinator's inline drain
+    all execute through here.  ``run_point`` is looked up in this
+    module at call time, so a tracer that patches
+    ``repro.runner.executor.run_point`` sees every execution in its
+    process.
+    """
+    error = None
+    for attempt in range(1, max_retries + 2):
+        try:
+            return Outcome(run_point(point), attempt, None)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    return Outcome(None, max_retries + 1, error)
+
+
+#: Receives each pending point's outcome as soon as it is known.
+Record = Callable[[str, Outcome], None]
 
 
 class CampaignRunner:
-    """Executes campaigns through an optional pool and result cache.
+    """Executes campaigns in-process or through the dispatch queue.
 
-    ``workers=1`` runs serially in-process; higher counts fan points
-    out over ``spawn``-start processes (``fork`` would silently share
-    whatever RNG/simulator state the parent already holds — ``spawn``
-    makes every worker import the simulation fresh).  The pool is
-    created lazily and reused across :meth:`run` calls so several
-    campaigns (e.g. a whole benchmark session) share it; call
-    :meth:`close` — or use the runner as a context manager — when done.
-
-    Hardening knobs:
-
-    - ``max_retries`` — extra attempts a failing point gets before it
-      is recorded as failed (the campaign always completes).
-    - ``timeout_s`` — parallel mode only: if *no* in-flight point
-      completes within this window the pool is presumed wedged, its
-      workers are killed, and every unfinished point is requeued
-      (costing each one attempt).
+    ``workers=1`` runs pending points serially in this process.  Higher
+    counts hand them to a
+    :class:`~repro.runner.dispatch.DispatchCoordinator` with that many
+    local worker processes, a temporary queue directory and the
+    checked-in ``distcheck-manifest.json``: only certified scenarios
+    run in parallel, and a missing manifest refuses the run before
+    the journal or any queue file is touched.
+    ``max_retries`` is the number of extra attempts a failing point
+    gets before it is recorded as failed (the campaign always
+    completes).
     """
 
     def __init__(self, workers: int = 1,
                  cache: ResultCache | None = None,
                  fingerprint: str | None = None,
-                 timeout_s: float | None = None,
                  max_retries: int = 2):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
         if max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {max_retries}")
         self.workers = workers
         self.cache = cache
-        self.timeout_s = timeout_s
         self.max_retries = max_retries
         self._fingerprint = fingerprint
-        self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -211,56 +221,13 @@ class CampaignRunner:
             self._fingerprint = source_fingerprint()
         return self._fingerprint
 
-    def _acquire_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=get_context("spawn"))
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def _kill_pool(self) -> None:
-        """Tear the pool down hard: SIGKILL workers, drop the object.
-
-        Used when the pool is wedged (liveness timeout) or broken (a
-        worker died); a fresh pool is created on the next acquire.
-        """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        processes = list(getattr(pool, "_processes", None) or {})
-        process_map = getattr(pool, "_processes", None) or {}
-        workers = [process_map[pid] for pid in processes]
-        pool.shutdown(wait=False, cancel_futures=True)
-        for worker in workers:
-            try:
-                worker.kill()
-            except (OSError, ValueError):
-                pass
-        for worker in workers:
-            try:
-                worker.join(timeout=5.0)
-            except (OSError, ValueError, AssertionError):
-                pass
-
-    def __enter__(self) -> "CampaignRunner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     def run(self, campaign: Campaign,
             journal: CampaignJournal | None = None,
             resume: bool = False) -> CampaignResult:
         """Execute every point, merging results in campaign order.
 
-        With a ``journal`` each completed point is checkpointed as soon
+        With a ``journal`` each executed point is checkpointed as soon
         as its payload is known; with ``resume`` additionally matching
         entries from a previous (interrupted) run are replayed instead
         of recomputed.  A point that keeps failing past ``max_retries``
@@ -268,6 +235,7 @@ class CampaignRunner:
         """
         # Measurement boundary: elapsed-time span only, never results.
         start_s = time.perf_counter()
+        self._admit(campaign)
         # One consistent URLLC5G_* reading for the whole campaign:
         # mid-run environment mutation is never observed.
         envconfig.refresh()
@@ -275,15 +243,18 @@ class CampaignRunner:
         if self.cache is not None:
             warnings.extend(self.cache.warnings)
 
+        # Each point's digest is computed once and reused throughout.
+        digests = [point.digest() for point in campaign.points]
         replayed: dict[str, tuple[dict[str, Any], int]] = {}
         if journal is not None:
-            replayed = journal.start(campaign, self.fingerprint,
-                                     resume=resume)
+            replayed = journal.start(
+                name=campaign.name, seed=campaign.seed,
+                fingerprint=self.fingerprint, points=len(digests),
+                digests=set(digests), resume=resume)
 
         cached: dict[str, dict[str, Any]] = {}
-        pending: list[ScenarioPoint] = []
-        for point in campaign.points:
-            digest = point.digest()
+        pending: dict[str, ScenarioPoint] = {}
+        for point, digest in zip(campaign.points, digests):
             if digest in replayed:
                 continue
             if self.cache is not None:
@@ -291,12 +262,11 @@ class CampaignRunner:
                 if payload is not None:
                     cached[digest] = payload
                     continue
-            pending.append(point)
+            pending[digest] = point
 
-        outcomes: dict[str, _Outcome] = {}
+        outcomes: dict[str, Outcome] = {}
 
-        def record(point: ScenarioPoint, outcome: _Outcome) -> None:
-            digest = point.digest()
+        def record(digest: str, outcome: Outcome) -> None:
             outcomes[digest] = outcome
             if outcome.result is None:
                 return
@@ -306,22 +276,15 @@ class CampaignRunner:
             if journal is not None:
                 journal.record(digest, outcome.result, outcome.attempts)
 
-        if pending:
-            if self.workers == 1 or len(pending) == 1:
-                for point in pending:
-                    record(point, self._run_serial(point))
-            else:
-                self._run_parallel(pending, record)
-            if self.cache is not None:
-                self.cache.save()
-
+        stats = self._execute(campaign, digests, pending, record,
+                              warnings)
+        if pending and self.cache is not None:
+            self.cache.save()
         if journal is not None:
-            warnings.extend(w for w in journal.warnings
-                            if w not in warnings)
+            warnings.extend(journal.warnings)
 
         point_results: list[PointResult] = []
-        for point in campaign.points:
-            digest = point.digest()
+        for point, digest in zip(campaign.points, digests):
             if digest in replayed:
                 result, attempts = replayed[digest]
                 point_results.append(PointResult(
@@ -344,106 +307,35 @@ class CampaignRunner:
             cache_misses=len(pending),
             wall_clock_s=end_s - start_s,
             journal_replays=len(replayed),
-            warnings=tuple(warnings),
+            warnings=tuple(dict.fromkeys(warnings)),
+            dispatch=stats,
         )
 
     # ------------------------------------------------------------------
-    def _run_serial(self, point: ScenarioPoint) -> _Outcome:
-        """In-process execution with the same retry budget as parallel."""
-        error = None
-        for attempt in range(1, self.max_retries + 2):
-            try:
-                return _Outcome(_execute_point(point), attempt, None)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        return _Outcome(None, self.max_retries + 1, error)
+    def _admit(self, campaign: Campaign) -> None:
+        """Refuse a campaign before anything is written."""
+        if self.workers > 1:
+            from repro.runner.dispatch import (check_certified,
+                                               load_repo_manifest)
+            check_certified(load_repo_manifest(), campaign)
 
-    def _bump(self, point: ScenarioPoint, attempts: dict[str, int],
-              error: str, requeue: list[ScenarioPoint],
-              record: Callable[[ScenarioPoint, _Outcome], None]) -> None:
-        """One attempt failed: requeue within budget, else record."""
-        digest = point.digest()
-        attempts[digest] += 1
-        if attempts[digest] <= self.max_retries:
-            requeue.append(point)
-        else:
-            record(point, _Outcome(None, attempts[digest], error))
+    def _execute(self, campaign: Campaign, digests: list[str],
+                 pending: dict[str, ScenarioPoint], record: Record,
+                 warnings: list[str]) -> "DispatchStats | None":
+        """Execute ``pending`` (digest -> point, campaign order).
 
-    def _run_parallel(
-            self, pending: list[ScenarioPoint],
-            record: Callable[[ScenarioPoint, _Outcome], None]) -> None:
-        """Submit-based fan-out with kill-and-requeue recovery.
-
-        The outer loop resubmits requeued points on a (possibly fresh)
-        pool; the inner loop drains completions.  ``wait`` with a
-        liveness timeout detects a wedged pool: if nothing at all
-        completes within ``timeout_s`` the workers are killed and every
-        unfinished point costs one attempt.  A :class:`BrokenProcessPool`
-        (worker segfaulted/was killed) likewise dooms all in-flight
-        futures; affected points are requeued on a fresh pool.
+        Every outcome goes to ``record``; returns the dispatch
+        provenance, or None for an in-process run.
         """
-        attempts = {point.digest(): 0 for point in pending}
-        queue = list(pending)
-        while queue:
-            batch, queue = queue, []
-            requeue: list[ScenarioPoint] = []
-            futures: dict[Future[dict[str, Any]], ScenarioPoint] = {}
-            try:
-                pool = self._acquire_pool()
-                for point in batch:
-                    futures[pool.submit(_execute_point, point)] = point
-            except BrokenProcessPool:
-                # The pool broke while we were still submitting: kill
-                # it and charge every point of this batch one attempt.
-                self._kill_pool()
-                for future in futures:
-                    future.cancel()
-                for point in batch:
-                    self._bump(point, attempts,
-                               "worker process died (pool broken)",
-                               requeue, record)
-                queue = requeue
-                continue
-            while futures:
-                done, _ = wait(futures, timeout=self.timeout_s,
-                               return_when=FIRST_COMPLETED)
-                if not done:
-                    # Liveness timeout: nothing completed at all — the
-                    # pool is wedged (e.g. a worker spinning forever).
-                    self._kill_pool()
-                    for point in futures.values():
-                        self._bump(
-                            point, attempts,
-                            f"no progress within {self.timeout_s:g}s "
-                            "(workers killed)", requeue, record)
-                    futures = {}
-                    break
-                broken = False
-                for future in done:
-                    point = futures.pop(future)
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        self._bump(point, attempts,
-                                   "worker process died (pool broken)",
-                                   requeue, record)
-                        continue
-                    except Exception as exc:
-                        self._bump(point, attempts,
-                                   f"{type(exc).__name__}: {exc}",
-                                   requeue, record)
-                        continue
-                    attempts[point.digest()] += 1
-                    record(point, _Outcome(payload,
-                                           attempts[point.digest()],
-                                           None))
-                if broken:
-                    # Every future still in flight died with the pool.
-                    for point in futures.values():
-                        self._bump(point, attempts,
-                                   "worker process died (pool broken)",
-                                   requeue, record)
-                    futures = {}
-                    self._kill_pool()
-            queue = requeue
+        if self.workers == 1:
+            for digest, point in pending.items():
+                record(digest, execute_point(point, self.max_retries))
+            return None
+        from repro.runner.dispatch import (DispatchCoordinator,
+                                           load_repo_manifest)
+        with tempfile.TemporaryDirectory(prefix="urllc5g-") as scratch:
+            return DispatchCoordinator(
+                self.workers, Path(scratch) / "queue",
+                load_repo_manifest(), fingerprint=self.fingerprint,
+                max_retries=self.max_retries,
+            )._execute(campaign, digests, pending, record, warnings)

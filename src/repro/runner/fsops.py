@@ -90,6 +90,12 @@ class FsOps:
     def read_text(self, path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
 
+    def read_tail(self, path: str | Path, offset: int) -> bytes:
+        """The bytes of ``path`` from ``offset`` to its current end."""
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            return handle.read()
+
     def write_text(self, path: str | Path, text: str) -> None:
         """Atomic whole-file write (temp file + rename)."""
         atomic_write_text(Path(path), text)

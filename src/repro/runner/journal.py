@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
 from repro.runner.cache import RUNNER_VERSION
 from repro.runner.fsops import DEFAULT_FS, FsOps
-
-if TYPE_CHECKING:
-    from repro.runner.campaign import Campaign
+from repro.runner.merge import JournalMerger
 
 __all__ = ["CampaignJournal"]
 
@@ -50,42 +48,33 @@ class CampaignJournal:
         self._started = False
 
     # ------------------------------------------------------------------
-    def start(self, campaign: "Campaign", fingerprint: str,
-              resume: bool = False) -> dict[str, tuple[dict[str, Any],
-                                                       int]]:
+    def start(self, *, name: str, seed: int, fingerprint: str,
+              points: int, digests: set[str], resume: bool = False
+              ) -> dict[str, tuple[dict[str, Any], int]]:
         """Open the journal for this run; returns replayable results.
 
-        With ``resume`` the existing file is read first and every entry
+        The campaign is identified by ``(name, seed, fingerprint)`` and
+        its point ``digests``, so dispatch workers
+        (:mod:`repro.runner.dispatch`) journal against the queue
+        manifest without ever materialising a
+        :class:`~repro.runner.campaign.Campaign`.  With
+        ``resume`` the existing file is read first and every entry
         matching the campaign comes back as ``digest -> (result,
         attempts)``.  The file is then rewritten (atomically) as a clean
         header plus the surviving entries — healing any truncated tail —
         and left open for appending.  Without ``resume`` the file is
         simply truncated to a fresh header.
         """
-        return self.start_raw(
-            name=campaign.name, seed=campaign.seed,
-            fingerprint=fingerprint, points=len(campaign.points),
-            digests={point.digest() for point in campaign.points},
-            resume=resume)
-
-    def start_raw(self, *, name: str, seed: int, fingerprint: str,
-                  points: int, digests: set[str],
-                  resume: bool = False
-                  ) -> dict[str, tuple[dict[str, Any], int]]:
-        """:meth:`start` for callers holding only the campaign identity.
-
-        Dispatch workers (:mod:`repro.runner.dispatch`) journal against
-        the queue manifest's ``(name, seed, fingerprint, digests)``
-        without ever materialising a :class:`Campaign` — the campaign
-        object stays on the coordinating host; workers receive points
-        as job files.
-        """
         self.close()
         replayed: dict[str, tuple[dict[str, Any], int]] = {}
-        if resume:
-            replayed = self._load(name=name, seed=seed,
-                                  fingerprint=fingerprint,
-                                  digests=digests)
+        if resume and self.path.is_file():
+            merger = JournalMerger(name=name, seed=seed,
+                                   fingerprint=fingerprint,
+                                   digests=digests, fs=self.fs)
+            merger.read([self.path], final=True)
+            self.warnings.extend(merger.outcome.warnings)
+            replayed = {digest: (entry.result, entry.attempts)
+                        for digest, entry in merger.outcome.entries.items()}
         header = {
             "journal_version": RUNNER_VERSION,
             "campaign": name,
@@ -126,46 +115,3 @@ class CampaignJournal:
                     attempts: int) -> str:
         return json.dumps({"digest": digest, "result": dict(result),
                            "attempts": attempts}, sort_keys=True)
-
-    @staticmethod
-    def _parse(line: str) -> Any:
-        try:
-            return json.loads(line)
-        except ValueError:
-            return None
-
-    def _load(self, *, name: str, seed: int, fingerprint: str,
-              digests: set[str]
-              ) -> dict[str, tuple[dict[str, Any], int]]:
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return {}
-        if not lines:
-            return {}
-        header = self._parse(lines[0])
-        if (not isinstance(header, dict)
-                or header.get("journal_version") != RUNNER_VERSION
-                or header.get("campaign") != name
-                or header.get("seed") != seed
-                or header.get("fingerprint") != fingerprint):
-            self.warnings.append(
-                f"journal {self.path} belongs to a different campaign, "
-                "seed, source tree or format; ignoring it")
-            return {}
-        replayed: dict[str, tuple[dict[str, Any], int]] = {}
-        for number, line in enumerate(lines[1:], start=2):
-            entry = self._parse(line)
-            if (not isinstance(entry, dict)
-                    or not isinstance(entry.get("digest"), str)
-                    or not isinstance(entry.get("result"), dict)):
-                self.warnings.append(
-                    f"journal {self.path} line {number} is corrupt or "
-                    "truncated; discarding it and any later entries")
-                break
-            if entry["digest"] in digests:
-                attempts = entry.get("attempts")
-                replayed[entry["digest"]] = (
-                    entry["result"],
-                    attempts if isinstance(attempts, int) else 1)
-        return replayed

@@ -20,7 +20,8 @@ Every protocol transition is a single atomic ``os.replace``:
   the rename; losers get ``FileNotFoundError`` and move on.
 - **reclaim**: an orphaned lease is renamed back into ``jobs/`` with
   its original home shard, so a crashed worker's points are re-run by
-  whoever steals them next.
+  whoever steals them next — or, once the point has lost
+  ``max_retries + 1`` workers, *abandoned* with an error done marker.
 
 Every filesystem operation routes through an injectable
 :class:`~repro.runner.fsops.FsOps` seam (passthrough by default), and
@@ -287,6 +288,24 @@ class QueueDir:
         except OSError:
             pass
 
+    def abandon(self, digest: str, worker_id: str, attempts: int,
+                events: "EventLog") -> None:
+        """Retire an orphaned lease whose point used up its attempts.
+
+        The error done marker goes out first and the lease is dropped
+        after, so a crash in between leaves a lease the next observer
+        abandons again.  A marker that cannot be written leaves the
+        lease in place for the same reason.
+        """
+        try:
+            self.mark_done(digest, worker_id, attempts=attempts,
+                           error=f"lost {attempts} worker process(es) "
+                                 "while running this point")
+        except OSError:
+            return
+        self.release(digest, worker_id)
+        events.emit("abandon", digest=digest, owner=worker_id)
+
     def requeue(self, digest: str, worker_id: str, home: str) -> None:
         """Return a *live* worker's own lease to the job queue.
 
@@ -487,11 +506,13 @@ class LivenessTracker:
     caller polls — and never touches the wall clock.
     """
 
-    def __init__(self, queue: QueueDir, strikes: int = 4):
+    def __init__(self, queue: QueueDir, strikes: int = 4,
+                 max_retries: int = 2):
         if strikes < 1:
             raise ValueError(f"strikes must be >= 1, got {strikes}")
         self.queue = queue
         self.strikes = strikes
+        self.max_retries = max_retries
         self._seen: dict[str, tuple[int, int]] = {}
 
     def _stamps(self) -> dict[str, int]:
@@ -537,20 +558,32 @@ class LivenessTracker:
                 dead.add(worker)
         return dead
 
-    def reclaim_dead(self, dead: set[str],
-                     events: "EventLog | None" = None) -> int:
-        """Reclaim every lease held by a dead worker; returns count."""
-        reclaimed = 0
-        for digest, worker in self.queue.active_leases():
-            if worker not in dead:
-                continue
-            if events is not None:
-                events.emit("expire", digest=digest, owner=worker)
-            if self.queue.reclaim(digest, worker, events):
-                reclaimed += 1
-                if events is not None:
-                    events.emit("reclaim", digest=digest, owner=worker)
-        return reclaimed
+    def reclaim_dead(self, dead: set[str], events: "EventLog") -> int:
+        """Reclaim or abandon every lease held by a dead worker.
+
+        Each dead lease is announced with an ``expire`` event *before*
+        anything is renamed, and counts as one lost attempt at its
+        point.  Losses are read back from every actor's ``expire``
+        events as distinct (point, owner) pairs, so the budget holds
+        across the fleet and across observers racing for the same
+        lease: a point that has lost ``max_retries + 1`` workers is
+        abandoned, so one that kills or wedges every process running
+        it fails alone.  Returns the number of dead leases found.
+        """
+        orphans = [(digest, worker)
+                   for digest, worker in self.queue.active_leases()
+                   if worker in dead]
+        if not orphans:
+            return 0
+        losses = EventLog.losses(EventLog.read_all(self.queue))
+        for digest, worker in orphans:
+            events.emit("expire", digest=digest, owner=worker)
+            lost = len(losses.get(digest, set()) | {worker})
+            if lost > self.max_retries:
+                self.queue.abandon(digest, worker, lost, events)
+            elif self.queue.reclaim(digest, worker, events):
+                events.emit("reclaim", digest=digest, owner=worker)
+        return len(orphans)
 
 
 # ----------------------------------------------------------------------
@@ -563,10 +596,13 @@ class EventLog:
     from these logs at collect time.  Each actor owns exactly one file,
     so no two processes ever write the same log — there is nothing to
     lock even on filesystems without atomic appends.  Events feed the
-    ``DispatchStats`` block only; they never influence results — which
-    is also why an event that cannot be *written* (ENOSPC/EIO) is
-    dropped and counted (:attr:`dropped`) rather than allowed to crash
-    the worker that tried to emit it.
+    ``DispatchStats`` block and the retry budget of points that lose
+    their worker (``expire`` events, see
+    :meth:`LivenessTracker.reclaim_dead`); they never alter a payload —
+    which is also why an event that cannot be *written* (ENOSPC/EIO)
+    is dropped and counted (:attr:`dropped`) rather than allowed to
+    crash the worker that tried to emit it.  A dropped ``expire`` only
+    makes the budget more lenient.
     """
 
     def __init__(self, queue: QueueDir, actor: str):
@@ -609,6 +645,17 @@ class EventLog:
                 if isinstance(record, dict):
                     events.append(record)
         return events
+
+    @staticmethod
+    def losses(records: list[dict[str, Any]]) -> dict[str, set[str]]:
+        """digest -> the workers whose lease on it expired."""
+        lost: dict[str, set[str]] = {}
+        for record in records:
+            if record.get("event") == "expire" \
+                    and isinstance(record.get("digest"), str):
+                lost.setdefault(record["digest"], set()).add(
+                    str(record.get("owner")))
+        return lost
 
 
 # ----------------------------------------------------------------------

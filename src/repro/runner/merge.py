@@ -30,14 +30,13 @@ from typing import Any, Iterable
 
 from repro.runner.cache import RUNNER_VERSION
 from repro.runner.fsops import DEFAULT_FS, FsOps
-from repro.runner.journal import CampaignJournal
 
 __all__ = [
     "JournalMergeError",
+    "JournalMerger",
     "MergeOutcome",
     "MergedEntry",
     "merge_worker_journals",
-    "write_merged_journal",
 ]
 
 
@@ -73,104 +72,137 @@ def _parse(line: str) -> Any:
         return None
 
 
-def merge_worker_journals(paths: Iterable[str | Path], *,
-                          name: str, seed: int, fingerprint: str,
-                          digests: set[str],
-                          fs: FsOps | None = None) -> MergeOutcome:
-    """Merge worker journals into one digest-keyed result map.
+class JournalMerger:
+    """Merges worker journals incrementally, while workers append.
 
-    ``digests`` is the campaign's full point-digest set; entries
-    outside it are ignored (a reused queue directory cannot smuggle
-    stale points into the document).  Reads go through the ``fs``
-    seam (passthrough by default) like every other queue operation.
+    Each :meth:`read` consumes only the complete lines appended since
+    the previous call, so the coordinator records every payload as soon
+    as it is journaled and still parses each line once.  ``digests`` is
+    the set of points to merge; entries outside it are ignored (a
+    reused queue directory cannot smuggle stale points into the
+    document).  Reads go through the ``fs`` seam (passthrough by
+    default) like every other queue operation.  ``--resume`` reads the
+    campaign journal through the same merger
+    (:class:`~repro.runner.journal.CampaignJournal`).
     """
-    fs = fs if fs is not None else DEFAULT_FS
-    outcome = MergeOutcome()
-    for path in sorted(Path(p) for p in paths):
-        try:
-            lines = fs.read_text(path).splitlines()
-        except OSError as exc:
-            outcome.warnings.append(
-                f"worker journal {path.name} is unreadable ({exc}); "
-                "its points will be recomputed")
-            outcome.journals_rejected += 1
-            continue
-        header = _parse(lines[0]) if lines else None
+
+    def __init__(self, *, name: str, seed: int, fingerprint: str,
+                 digests: set[str], fs: FsOps | None = None):
+        self.outcome = MergeOutcome()
+        self._identity = (name, seed, fingerprint)
+        self._digests = digests
+        self._fs = fs if fs is not None else DEFAULT_FS
+        #: path -> (bytes, lines) consumed so far.
+        self._consumed: dict[Path, tuple[int, int]] = {}
+        #: Journals rejected whole or read up to a corrupt line.
+        self._closed: set[Path] = set()
+
+    def read(self, paths: Iterable[str | Path], *,
+             final: bool = False) -> list[MergedEntry]:
+        """Merge what was appended to ``paths``; returns new points.
+
+        Without ``final`` a last line with no newline yet is left for
+        the next call (its worker may be mid-append) and an unreadable
+        journal is tried again later; with ``final`` both count as the
+        crash artifacts they are.
+        """
+        fresh: list[MergedEntry] = []
+        for path in sorted(Path(p) for p in paths):
+            if path in self._closed:
+                continue
+            start, number = self._consumed.get(path, (0, 0))
+            try:
+                data = self._fs.read_tail(path, start)
+            except OSError as exc:
+                if final:
+                    self._reject(path, f"journal {path.name} is "
+                                       f"unreadable ({exc}); its points "
+                                       "will be recomputed")
+                continue
+            end = len(data) if final else data.rfind(b"\n") + 1
+            if end == 0:
+                continue
+            lines = data[:end].decode("utf-8", "replace").splitlines()
+            if number == 0:
+                problem = self._header_problem(_parse(lines[0]))
+                if problem:
+                    self._reject(path, f"journal {path.name} {problem}; "
+                                       "none of its entries are used")
+                    continue
+                self.outcome.journals_read += 1
+            self._consumed[path] = (start + end, number + len(lines))
+            skip = 1 if number == 0 else 0
+            for number, line in enumerate(lines[skip:],
+                                          start=number + skip + 1):
+                entry = _parse(line)
+                if (not isinstance(entry, dict)
+                        or not isinstance(entry.get("digest"), str)
+                        or not isinstance(entry.get("result"), dict)):
+                    self.outcome.warnings.append(
+                        f"journal {path.name} line {number} is corrupt "
+                        "or truncated; discarding it and any later "
+                        "entries of that journal")
+                    self._closed.add(path)
+                    break
+                merged = self._merge(entry, path.stem)
+                if merged is not None:
+                    fresh.append(merged)
+        return fresh
+
+    def _header_problem(self, header: Any) -> str:
+        name, seed, fingerprint = self._identity
         if (not isinstance(header, dict)
                 or header.get("journal_version") != RUNNER_VERSION
                 or header.get("campaign") != name
                 or header.get("seed") != seed):
-            outcome.warnings.append(
-                f"worker journal {path.name} belongs to a different "
-                "campaign, seed or format; rejected at merge")
-            outcome.journals_rejected += 1
-            continue
+            return "belongs to a different campaign, seed or format"
         if header.get("fingerprint") != fingerprint:
-            outcome.warnings.append(
-                f"worker journal {path.name} was written against a "
-                "different source fingerprint (mixed code versions on "
-                "the fleet); rejected at merge")
-            outcome.journals_rejected += 1
-            continue
-        outcome.journals_read += 1
-        worker = path.stem
-        for number, line in enumerate(lines[1:], start=2):
-            entry = _parse(line)
-            if (not isinstance(entry, dict)
-                    or not isinstance(entry.get("digest"), str)
-                    or not isinstance(entry.get("result"), dict)):
-                outcome.warnings.append(
-                    f"worker journal {path.name} line {number} is "
-                    "corrupt or truncated; discarding it and any "
-                    "later entries of that journal")
-                break
-            digest = entry["digest"]
-            if digest not in digests:
-                continue
-            attempts = entry.get("attempts")
-            attempts = attempts if isinstance(attempts, int) else 1
-            existing = outcome.entries.get(digest)
-            if existing is None:
-                outcome.entries[digest] = MergedEntry(
-                    digest=digest, result=entry["result"],
-                    attempts=attempts, workers=(worker,))
-                continue
-            outcome.duplicate_points += 1
-            if existing.result != entry["result"]:
-                raise JournalMergeError(
-                    f"point {digest[:12]}... was journaled by "
-                    f"{existing.workers[0]} and {worker} with "
-                    "different payloads — scenario points must be "
-                    "pure functions of (scenario, params, seed); "
-                    "this is a determinism violation, not a merge "
-                    "conflict")
-            outcome.entries[digest] = MergedEntry(
-                digest=digest, result=existing.result,
-                attempts=existing.attempts,
-                workers=existing.workers + (worker,))
-    return outcome
+            return ("was written against a different source "
+                    "fingerprint (the code changed since, or mixed code "
+                    "versions on the fleet)")
+        return ""
+
+    def _reject(self, path: Path, warning: str) -> None:
+        self.outcome.warnings.append(warning)
+        self.outcome.journals_rejected += 1
+        self._closed.add(path)
+
+    def _merge(self, entry: dict[str, Any],
+               worker: str) -> MergedEntry | None:
+        """Fold one entry in; returns it if its point is new."""
+        digest = entry["digest"]
+        if digest not in self._digests:
+            return None
+        attempts = entry.get("attempts")
+        attempts = attempts if isinstance(attempts, int) else 1
+        entries = self.outcome.entries
+        existing = entries.get(digest)
+        if existing is None:
+            entries[digest] = MergedEntry(
+                digest=digest, result=entry["result"],
+                attempts=attempts, workers=(worker,))
+            return entries[digest]
+        self.outcome.duplicate_points += 1
+        if existing.result != entry["result"]:
+            raise JournalMergeError(
+                f"point {digest[:12]}... was journaled by "
+                f"{existing.workers[0]} and {worker} with different "
+                "payloads — scenario points must be pure functions of "
+                "(scenario, params, seed); this is a determinism "
+                "violation, not a merge conflict")
+        entries[digest] = MergedEntry(
+            digest=digest, result=existing.result,
+            attempts=existing.attempts,
+            workers=existing.workers + (worker,))
+        return None
 
 
-def write_merged_journal(path: str | Path, *, name: str, seed: int,
-                         fingerprint: str,
-                         ordered_digests: Iterable[str],
-                         entries: dict[str, MergedEntry],
-                         fs: FsOps | None = None) -> None:
-    """Write the bit-identical-to-serial merged journal.
-
-    Entries land in campaign order (``ordered_digests``), behind a
-    standard journal header — so the merged file is exactly what a
-    serial ``--journal`` run would have produced and feeds straight
-    into ``urllc5g bench --resume``.
-    """
-    digests = list(ordered_digests)
-    journal = CampaignJournal(path, fs=fs)
-    journal.start_raw(name=name, seed=seed, fingerprint=fingerprint,
-                      points=len(digests), digests=set(digests))
-    try:
-        for digest in digests:
-            entry = entries.get(digest)
-            if entry is not None:
-                journal.record(digest, entry.result, entry.attempts)
-    finally:
-        journal.close()
+def merge_worker_journals(paths: Iterable[str | Path], *,
+                          name: str, seed: int, fingerprint: str,
+                          digests: set[str],
+                          fs: FsOps | None = None) -> MergeOutcome:
+    """Merge complete worker journals into one digest-keyed result map."""
+    merger = JournalMerger(name=name, seed=seed, fingerprint=fingerprint,
+                           digests=digests, fs=fs)
+    merger.read(paths, final=True)
+    return merger.outcome

@@ -103,8 +103,7 @@ def _chaos_campaign():
 def test_chaos_campaign_serial_equals_four_workers():
     campaign = _chaos_campaign()
     serial = CampaignRunner(workers=1).run(campaign)
-    with CampaignRunner(workers=4) as runner:
-        parallel = runner.run(campaign)
+    parallel = CampaignRunner(workers=4).run(campaign)
     assert [p.result for p in serial.point_results] == \
         [p.result for p in parallel.point_results]
     assert serial.metrics() == parallel.metrics()

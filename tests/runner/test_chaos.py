@@ -337,8 +337,8 @@ def _chaos_campaign():
 
 @pytest.fixture(scope="module")
 def serial_digest():
-    with CampaignRunner(workers=1) as runner:
-        return runner.run(_chaos_campaign()).results_digest()
+    return CampaignRunner(workers=1).run(
+        _chaos_campaign()).results_digest()
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,12 @@ from repro.cli import main
 from repro.devtools.distcheck.manifest import load_manifest
 from repro.runner import (
     Campaign,
+    CampaignJournal,
     CampaignRunner,
     ResultCache,
     build_campaign,
 )
 from repro.runner.dispatch import (
-    MERGED_JOURNAL_NAME,
     DispatchCoordinator,
     DispatchRefusedError,
     run_worker,
@@ -79,6 +79,19 @@ def test_refused_status_is_refused_like_absence(tmp_path):
         coordinator.run(_campaign())
 
 
+def test_parallel_runner_refuses_before_touching_the_journal(tmp_path):
+    # CampaignRunner(workers=N) gates on the checked-in manifest, which
+    # refuses the self-test scenario, before the journal is opened.
+    journal_path = tmp_path / "run.journal.jsonl"
+    journal_path.write_text("previous run\n", encoding="utf-8")
+    campaign = Campaign.build("refused", 1, [
+        ("chaos-selftest", {"mode": "ok"})])
+    with CampaignJournal(journal_path) as journal:
+        with pytest.raises(DispatchRefusedError, match="chaos-selftest"):
+            CampaignRunner(workers=2).run(campaign, journal=journal)
+    assert journal_path.read_text(encoding="utf-8") == "previous run\n"
+
+
 def test_chaos_selftest_stays_host_local():
     # The repo manifest deliberately refuses the self-test scenario
     # (it kills its own worker process): the dispatcher must never
@@ -92,7 +105,7 @@ def test_cli_dispatch_refusal_exits_2(tmp_path, capsys):
     manifest_path.write_text(json.dumps({
         "schema_version": 1, "tool_version": "t", "scenarios": {}}),
         encoding="utf-8")
-    code = main(["bench", "smoke", "--dispatch", "2",
+    code = main(["bench", "smoke", "--workers", "2",
                  "--manifest", str(manifest_path),
                  "--queue-dir", str(tmp_path / "queue"),
                  "--no-cache", "--no-journal",
@@ -101,14 +114,30 @@ def test_cli_dispatch_refusal_exits_2(tmp_path, capsys):
     assert "dispatch refused" in capsys.readouterr().err
 
 
-def test_cli_dispatch_conflicts_exit_2(tmp_path, capsys):
-    assert main(["bench", "smoke", "--dispatch", "2",
-                 "--workers", "4"]) == 2
-    assert main(["bench", "smoke", "--dispatch", "2", "--resume"]) == 2
-    assert main(["bench", "smoke", "--dispatch", "0"]) == 2
-    assert main(["bench", "--worker", str(tmp_path), "--dispatch",
-                 "2"]) == 2
-    assert main(["bench", "smoke", "--dispatch", "2", "--manifest",
+def _exit_code(argv):
+    """``main``'s return code, or argparse's exit code on a usage
+    error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cli_invalid_counts_exit_2(tmp_path, capsys):
+    # Bad counts are refused at argument parsing, in campaign and
+    # worker mode alike, with a message instead of a traceback.
+    for argv in (["smoke", "--workers", "0"],
+                 ["smoke", "--workers", "two"],
+                 ["smoke", "--retries", "-1"],
+                 ["smoke", "--strikes", "0"],
+                 ["--worker", str(tmp_path), "--strikes", "0"],
+                 ["--worker", str(tmp_path), "--retries", "-1"]):
+        assert _exit_code(["bench", *argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert "must be >= " in err or "expected an integer" in err
+    assert main(["bench", "--worker", str(tmp_path), "smoke"]) == 2
+    assert "takes no campaign name" in capsys.readouterr().err
+    assert main(["bench", "smoke", "--workers", "2", "--manifest",
                  str(tmp_path / "missing.json")]) == 2
 
 
@@ -121,18 +150,23 @@ def test_dispatched_run_is_bit_identical_to_serial(tmp_path):
     coordinator = DispatchCoordinator(
         workers=2, queue_dir=tmp_path / "queue",
         manifest=REPO_MANIFEST)
-    dispatched = coordinator.run(campaign)
+    journal_path = tmp_path / "run.journal.jsonl"
+    with CampaignJournal(journal_path) as journal:
+        dispatched = coordinator.run(campaign, journal=journal)
     assert _payloads(dispatched) == _payloads(serial)
     assert dispatched.metrics() == serial.metrics()
     assert dispatched.results_digest() == serial.results_digest()
     stats = dispatched.dispatch
     assert stats is not None and stats.jobs == len(campaign)
     assert sum(stats.per_worker_points.values()) >= len(campaign)
-    # The merged journal is serial-equivalent and in campaign order.
-    merged = (tmp_path / "queue" / MERGED_JOURNAL_NAME)
-    lines = merged.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line)["digest"] for line in lines[1:]] == \
-        [point.digest() for point in campaign.points]
+    # The journal holds every point once, each with its serial
+    # payload; entries land in completion order.
+    lines = journal_path.read_text(encoding="utf-8").splitlines()
+    entries = {entry["digest"]: entry["result"]
+               for entry in map(json.loads, lines[1:])}
+    assert len(entries) == len(lines) - 1 == len(campaign)
+    assert entries == {pr.point.digest(): pr.result
+                       for pr in serial.point_results}
 
 
 def test_failing_point_fails_identically_under_dispatch(tmp_path):
@@ -167,6 +201,35 @@ def test_second_dispatch_replays_from_shared_cache(tmp_path):
     assert cold.results_digest() == warm.results_digest()
 
 
+def test_cli_resume_with_workers_dispatches_only_the_rest(
+        tmp_path, monkeypatch):
+    # Truncate a serial run's journal, then resume on 2 workers: the
+    # kept entries replay, only the rest are enqueued, and the document
+    # is the serial one.  Run from outside the repository: the parallel
+    # run finds the checked-in manifest without --manifest.
+    monkeypatch.chdir(tmp_path)
+    journal_path = tmp_path / "smoke.journal.jsonl"
+    common = ["bench", "smoke", "--no-cache", "--journal",
+              str(journal_path)]
+    assert main([*common, "--output", str(tmp_path / "serial.json")]) == 0
+    lines = journal_path.read_text(encoding="utf-8").splitlines()
+    kept = 4
+    journal_path.write_text("\n".join(lines[:1 + kept]) + "\n",
+                            encoding="utf-8")
+    assert main([*common, "--workers", "2", "--resume",
+                 "--queue-dir", str(tmp_path / "queue"),
+                 "--output", str(tmp_path / "resumed.json")]) == 0
+    serial = json.loads((tmp_path / "serial.json").read_text())
+    resumed = json.loads((tmp_path / "resumed.json").read_text())
+    assert resumed["journal_replays"] == kept
+    assert resumed["dispatch"]["jobs"] == serial["points"] - kept
+    assert resumed["results_digest"] == serial["results_digest"]
+    # The front end journaled the dispatched points: complete again.
+    healed = journal_path.read_text(encoding="utf-8").splitlines()
+    assert len(healed) == 1 + serial["points"]
+    assert not (tmp_path / "queue").exists()
+
+
 # ----------------------------------------------------------------------
 # crash recovery
 # ----------------------------------------------------------------------
@@ -183,10 +246,10 @@ queue = QueueDir(sys.argv[1])
 manifest = read_queue_manifest(queue)
 events = EventLog(queue, "doomed")
 journal = CampaignJournal(queue.journals / "doomed.jsonl")
-journal.start_raw(name=manifest["campaign"], seed=manifest["seed"],
-                  fingerprint=manifest["fingerprint"],
-                  points=manifest["points"],
-                  digests=set(manifest["digests"]))
+journal.start(name=manifest["campaign"], seed=manifest["seed"],
+              fingerprint=manifest["fingerprint"],
+              points=manifest["points"],
+              digests=set(manifest["digests"]))
 first = queue.claim("doomed")
 assert first is not None
 _process_job(queue, journal, events, first, "doomed", 2)

@@ -78,6 +78,5 @@ def test_refresh_runs_at_campaign_start(monkeypatch):
         grid={"index": [0]},
         fixed={"mu": 1, "max_period_ms": 1.0,
                "budget_ms": 1.0, "reliability": 0.999})
-    with CampaignRunner(workers=1) as runner:
-        runner.run(campaign)
+    CampaignRunner(workers=1).run(campaign)
     assert envconfig.current().chaos is True

@@ -30,9 +30,11 @@ def test_workers_must_be_positive():
 def test_serial_and_parallel_runs_are_bit_identical():
     campaign = _cheap_campaign()
     serial = CampaignRunner(workers=1).run(campaign)
-    with CampaignRunner(workers=2) as parallel_runner:
-        parallel = parallel_runner.run(campaign)
+    parallel = CampaignRunner(workers=2).run(campaign)
     assert _payloads(serial) == _payloads(parallel)
+    assert serial.dispatch is None
+    assert parallel.dispatch is not None
+    assert parallel.dispatch.jobs == len(campaign)
     assert [p.point for p in serial.point_results] == \
         list(campaign.points)
     assert serial.cache_hits == parallel.cache_hits == 0

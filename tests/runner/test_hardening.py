@@ -3,17 +3,33 @@
 The misbehaving points use the ``chaos-selftest`` scenario, whose fault
 path is double-gated behind ``URLLC5G_CHAOS=1`` and a marker-file token
 and fires exactly once — so a retried point succeeds and yields the
-same payload every attempt would have produced.
+same payload every attempt would have produced — unless its token
+cannot be written, in which case it fires on every attempt.  The
+crashed and wedged workers are dispatch-queue workers: the repo
+manifest refuses to distribute ``chaos-selftest``, so these tests
+certify it in a manifest of their own.  The gate is set in the test
+process itself, so the coordinator would fire the fault too if it ever
+ran such a point in-process.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
+
+from repro.devtools.distcheck.manifest import load_manifest
 from repro.runner import (
     Campaign,
     CampaignJournal,
     CampaignRunner,
+    DispatchCoordinator,
     ResultCache,
     bench_payload,
     run_point,
@@ -28,8 +44,19 @@ def _payloads(result):
     return [entry.result for entry in result.point_results]
 
 
+def _selftest_manifest(tmp_path):
+    """A manifest that lets ``chaos-selftest`` reach the queue."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "tool_version": "test",
+        "scenarios": {name: {"entry": f"m.{name}", "status": "certified"}
+                      for name in ("chaos-selftest", "radio-sweep")},
+    }), encoding="utf-8")
+    return load_manifest(path)
+
+
 # ----------------------------------------------------------------------
-# bounded retry, serial and parallel
+# bounded retry
 # ----------------------------------------------------------------------
 def test_serial_retry_recovers_a_raising_point(tmp_path, monkeypatch):
     monkeypatch.setenv("URLLC5G_CHAOS", "1")
@@ -66,7 +93,9 @@ def test_exhausted_retries_fail_the_point_not_the_campaign(
     assert result.failures == (doomed,)
 
 
-def test_selftest_fault_path_is_inert_without_the_env_gate(tmp_path):
+def test_selftest_fault_path_is_inert_without_the_env_gate(
+        tmp_path, monkeypatch):
+    monkeypatch.delenv("URLLC5G_CHAOS", raising=False)
     campaign = Campaign.build("gated", 5, [
         ("chaos-selftest", {"mode": "raise",
                             "token": str(tmp_path / "marker")}),
@@ -87,12 +116,47 @@ def test_killed_worker_fails_only_its_point(tmp_path, monkeypatch):
         _ok_point(1),
         _ok_point(2),
     ])
-    with CampaignRunner(workers=2, max_retries=2) as runner:
-        result = runner.run(campaign)
+    result = DispatchCoordinator(
+        workers=2, queue_dir=tmp_path / "queue",
+        manifest=_selftest_manifest(tmp_path), strikes=3).run(campaign)
     assert not result.failures
-    assert result.retries >= 1  # the killed attempt was requeued
+    assert (tmp_path / "marker").exists()  # a worker fired the fault
+    # The killed worker's lease was reclaimed and its point re-run.
+    assert result.dispatch is not None
+    assert result.dispatch.reclaims >= 1
     for entry in result.point_results:
         assert entry.result == run_point(entry.point)
+
+
+def test_point_that_always_kills_its_worker_fails_alone(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("URLLC5G_CHAOS", "1")
+    # An unwritable token: the point kills every process that runs it.
+    campaign = Campaign.build("poison", 5, [
+        ("chaos-selftest", {"mode": "kill",
+                            "token": str(tmp_path / "no-dir" / "m")}),
+        _ok_point(1),
+        _ok_point(2),
+        _ok_point(3),
+    ])
+    journal_path = tmp_path / "j.jsonl"
+    with CampaignJournal(journal_path) as journal:
+        result = DispatchCoordinator(
+            workers=2, queue_dir=tmp_path / "queue",
+            manifest=_selftest_manifest(tmp_path), strikes=3,
+            max_retries=2).run(campaign, journal=journal)
+    # Each lost worker was one attempt: the third loss fails the point,
+    # and the coordinator (this process) never ran it.
+    poison, *rest = result.point_results
+    assert result.failures == (poison,)
+    assert poison.attempts == 3
+    assert "lost 3 worker process(es)" in poison.error
+    assert result.dispatch is not None
+    assert result.dispatch.lease_expirations >= 3
+    for entry in rest:
+        assert entry.result == run_point(entry.point)
+    lines = journal_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + len(rest)
 
 
 def test_wedged_worker_is_killed_and_its_point_requeued(
@@ -103,12 +167,41 @@ def test_wedged_worker_is_killed_and_its_point_requeued(
                             "token": str(tmp_path / "marker")}),
         _ok_point(1),
     ])
-    with CampaignRunner(workers=2, max_retries=2,
-                        timeout_s=2.0) as runner:
-        result = runner.run(campaign)
+    # The stall detector kills the local workers once no point has
+    # completed for stall_polls polls (about 2 s here, longer than a
+    # worker takes to start); the wedged point lost a worker, so a
+    # stand-in worker process re-runs it.
+    result = DispatchCoordinator(
+        workers=2, queue_dir=tmp_path / "queue",
+        manifest=_selftest_manifest(tmp_path), stall_polls=40,
+        strikes=3).run(campaign)
     assert not result.failures
-    assert result.retries >= 1
+    assert (tmp_path / "marker").exists()
+    assert any("made no progress" in w for w in result.warnings)
     for entry in result.point_results:
+        assert entry.result == run_point(entry.point)
+
+
+def test_point_that_always_hangs_fails_alone(tmp_path, monkeypatch):
+    monkeypatch.setenv("URLLC5G_CHAOS", "1")
+    campaign = Campaign.build("stuck", 5, [
+        ("chaos-selftest", {"mode": "hang",
+                            "token": str(tmp_path / "no-dir" / "m")}),
+        _ok_point(1),
+        _ok_point(2),
+    ])
+    # Each stall kills the process running the point: the worker, then
+    # two stand-ins.  The third loss fails it; the other points finish.
+    result = DispatchCoordinator(
+        workers=1, queue_dir=tmp_path / "queue",
+        manifest=_selftest_manifest(tmp_path), stall_polls=40,
+        strikes=3, max_retries=2).run(campaign)
+    stuck, *rest = result.point_results
+    assert result.failures == (stuck,)
+    assert stuck.attempts == 3
+    assert any("made no progress" in w for w in result.warnings)
+    assert any("stand-in-2 exited" in w for w in result.warnings)
+    for entry in rest:
         assert entry.result == run_point(entry.point)
 
 
@@ -149,6 +242,70 @@ def test_interrupted_run_resumes_to_the_uninterrupted_document(tmp_path):
     # The healed journal is complete again.
     healed = journal_path.read_text(encoding="utf-8").splitlines()
     assert len(healed) == 1 + len(campaign)
+
+
+INTERRUPTED_RUN = """\
+import json
+import sys
+from pathlib import Path
+
+from repro.devtools.distcheck.manifest import load_manifest
+from repro.runner import Campaign, CampaignJournal, DispatchCoordinator
+
+tmp = Path(sys.argv[1])
+specs = json.loads((tmp / "specs.json").read_text(encoding="utf-8"))
+campaign = Campaign.build("interrupted", 5, [tuple(s) for s in specs])
+with CampaignJournal(tmp / "run.journal.jsonl") as journal:
+    DispatchCoordinator(
+        workers=2, queue_dir=tmp / "queue",
+        manifest=load_manifest(tmp / "manifest.json"),
+    ).run(campaign, journal=journal)
+"""
+
+
+def test_killed_parallel_run_resumes_from_every_finished_point(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("URLLC5G_CHAOS", "1")
+    # One point wedges its worker, so the run cannot finish; the other
+    # worker completes the rest before the whole run is SIGKILLed.
+    specs = [("chaos-selftest", {"mode": "hang",
+                                 "token": str(tmp_path / "marker")})]
+    specs += [_ok_point(index) for index in range(1, 7)]
+    (tmp_path / "specs.json").write_text(json.dumps(specs),
+                                         encoding="utf-8")
+    manifest = _selftest_manifest(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    run = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_RUN, str(tmp_path)],
+        env=env, start_new_session=True)
+    journal_path = tmp_path / "run.journal.jsonl"
+    try:
+        for _ in range(1200):
+            if journal_path.exists() and len(journal_path.read_text(
+                    encoding="utf-8").splitlines()) == 1 + 6:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("the interrupted run never journaled its points")
+    finally:
+        os.killpg(run.pid, signal.SIGKILL)  # coordinator and workers
+        run.wait(timeout=60)
+
+    campaign = Campaign.build("interrupted", 5, specs)
+    with CampaignJournal(journal_path) as journal:
+        resumed = DispatchCoordinator(
+            workers=2, queue_dir=tmp_path / "queue",
+            manifest=manifest).run(campaign, journal=journal,
+                                   resume=True)
+    assert resumed.journal_replays == 6
+    assert resumed.dispatch is not None and resumed.dispatch.jobs == 1
+    assert not resumed.failures
+    for entry in resumed.point_results:
+        assert entry.result == run_point(entry.point)
+    assert len(journal_path.read_text(
+        encoding="utf-8").splitlines()) == 1 + len(campaign)
 
 
 def test_corrupt_journal_tail_is_discarded_with_a_warning(tmp_path):
@@ -204,15 +361,24 @@ def test_smoke_harness_survives_corruption_and_crashes(
         ("radio-sweep", {"bus": "usb3", "samples": 2_000,
                          "repetitions": 10}),
     ])
-    cache = ResultCache(cache_path)
-    with CampaignRunner(workers=2, cache=cache, fingerprint="fp",
-                        max_retries=2) as runner:
-        with CampaignJournal(tmp_path / "j.jsonl") as journal:
-            result = runner.run(campaign, journal=journal)
+    coordinator = DispatchCoordinator(
+        workers=2, queue_dir=tmp_path / "queue",
+        manifest=_selftest_manifest(tmp_path), strikes=3,
+        cache=ResultCache(cache_path))
+    with CampaignJournal(tmp_path / "j.jsonl") as journal:
+        result = coordinator.run(campaign, journal=journal)
     assert not result.failures
+    assert (tmp_path / "marker").exists()
+    assert result.dispatch is not None
+    assert result.dispatch.reclaims >= 1
     assert any("quarantined" in warning for warning in result.warnings)
     for entry in result.point_results:
         assert entry.result == run_point(entry.point)
+    # Every point was journaled by the front end, once each.
+    lines = (tmp_path / "j.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["digest"] for line in lines[1:]) == \
+        sorted(point.digest() for point in campaign.points)
 
     payload = bench_payload(result)
     assert payload["failed_points"] == []

@@ -6,7 +6,6 @@ import pytest
 
 from repro.runner import JournalMergeError, merge_worker_journals
 from repro.runner.cache import RUNNER_VERSION
-from repro.runner.merge import write_merged_journal
 
 NAME, SEED, FP = "demo", 7, "fp-current"
 
@@ -119,27 +118,3 @@ def test_entries_outside_the_campaign_are_ignored(tmp_path):
     outcome = merge_worker_journals(
         [stale], name=NAME, seed=SEED, fingerprint=FP, digests={"d1"})
     assert set(outcome.entries) == {"d1"}
-
-
-def test_merged_journal_round_trips_through_merge(tmp_path):
-    a = _write(tmp_path / "w1.jsonl", _header(),
-               _entry("d2", {"x": 2.0}))
-    b = _write(tmp_path / "w2.jsonl", _header(),
-               _entry("d1", {"x": 1.0}))
-    outcome = merge_worker_journals(
-        [a, b], name=NAME, seed=SEED, fingerprint=FP,
-        digests={"d1", "d2"})
-    merged = tmp_path / "merged.jsonl"
-    write_merged_journal(merged, name=NAME, seed=SEED, fingerprint=FP,
-                         ordered_digests=["d1", "d2"],
-                         entries=outcome.entries)
-    lines = merged.read_text(encoding="utf-8").splitlines()
-    # Header + entries in campaign order — exactly a serial journal.
-    assert json.loads(lines[0])["campaign"] == NAME
-    assert [json.loads(line)["digest"] for line in lines[1:]] == \
-        ["d1", "d2"]
-    again = merge_worker_journals(
-        [merged], name=NAME, seed=SEED, fingerprint=FP,
-        digests={"d1", "d2"})
-    assert {d: e.result for d, e in again.entries.items()} == \
-        {d: e.result for d, e in outcome.entries.items()}
