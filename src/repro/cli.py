@@ -8,10 +8,7 @@ Usage (after installation)::
     urllc5g fig6 --packets 400    # testbed latency distributions
     urllc5g sweep                 # slot duration × radio latency
     urllc5g technologies          # Wi-Fi / Bluetooth / mmWave (§9)
-    urllc5g lint src/             # per-file static analysis (docs/LINTING.md)
-    urllc5g analyze src/          # whole-program analysis (docs/ANALYSIS.md)
-    urllc5g distcheck src/        # distributability certification
-    urllc5g check --all           # lint + analyze + detsan + distcheck gate
+    urllc5g check src/            # static analysis (docs/ANALYSIS.md)
     urllc5g check --determinism   # same-seed trace-digest comparison
     urllc5g bench smoke           # run a named campaign (docs/CAMPAIGNS.md)
     urllc5g bench smoke --check benchmarks/baselines/smoke.json
@@ -132,13 +129,24 @@ def _cmd_technologies(args: argparse.Namespace) -> None:
     print(render_table(("technology", "vs the 0.5 ms budget"), rows))
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    # Imported lazily so analysis commands stay import-light.
-    from pathlib import Path
-
-    from repro.devtools.lintkit import (
-        LintConfig, lint_paths, load_config, render_json, render_sarif,
-        render_text)
+def _cmd_check(args: argparse.Namespace) -> int:
+    if args.determinism:
+        from repro.devtools.determinism import determinism_report
+        try:
+            report = determinism_report(seed=args.seed,
+                                        packets=args.packets,
+                                        runs=args.runs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(report.render())
+        return 0 if report.ok else 1
+    # Imported lazily so the simulation commands stay import-light.
+    from repro.devtools.analyze.baseline import (Baseline, load_baseline,
+                                                 write_baseline)
+    from repro.devtools.check import (RENDERERS, check_paths,
+                                      render_manifest)
+    from repro.devtools.config import CheckConfig, load_check_config
     paths = args.paths or ["src"]
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
@@ -147,225 +155,35 @@ def _cmd_lint(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        if args.no_config:
-            config = LintConfig()
+        config = (CheckConfig() if args.no_config else
+                  load_check_config(pyproject=args.config, start=paths[0]))
+        if args.write_baseline:
+            # Capture the findings the baseline would otherwise hide.
+            baseline: Baseline | None = Baseline()
         else:
-            config = load_config(pyproject=args.config, start=paths[0])
-        if args.select:
-            config.select = tuple(args.select)
-        if args.ignore:
-            config.ignore = tuple(config.ignore) + tuple(args.ignore)
-        report = lint_paths(paths, config)
+            baseline = load_baseline(args.baseline) if args.baseline else None
+        report = check_paths(paths, config, baseline=baseline,
+                             cache_path=args.cache,
+                             use_cache=not args.no_cache)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    renderers = {"json": render_json, "sarif": render_sarif,
-                 "text": render_text}
-    print(renderers[args.format](report))
-    return report.exit_code
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    # Imported lazily so analysis commands stay import-light.
-    from pathlib import Path
-
-    from repro.devtools.analyze import (
-        AnalyzeConfig, Baseline, analyze_paths, load_analyze_config,
-        load_baseline, render_analysis_json, render_analysis_sarif,
-        render_analysis_text, write_baseline)
-    paths = args.paths or ["src"]
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"error: no such path: {', '.join(missing)}",
+    if not report.files_checked:
+        print(f"error: no Python files to check under: {', '.join(paths)}",
               file=sys.stderr)
         return 2
-    try:
-        if args.no_config:
-            config = AnalyzeConfig()
-        else:
-            config = load_analyze_config(pyproject=args.config,
-                                         start=paths[0])
-        baseline = (load_baseline(args.baseline)
-                    if args.baseline else None)
-        if args.write_baseline:
-            # Capture the *unfiltered* findings as the new baseline.
-            report = analyze_paths(paths, config, baseline=Baseline(),
-                                   cache_path=args.cache,
-                                   use_cache=not args.no_cache)
-            write_baseline(args.write_baseline, report.violations)
-            print(f"wrote {len(report.violations)} finding(s) to "
-                  f"{args.write_baseline}")
-            return 0
-        report = analyze_paths(paths, config, baseline=baseline,
-                               cache_path=args.cache,
-                               use_cache=not args.no_cache)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    renderers = {"json": render_analysis_json,
-                 "sarif": render_analysis_sarif,
-                 "text": render_analysis_text}
-    print(renderers[args.format](report))
-    return report.exit_code
-
-
-def _cmd_detsan(args: argparse.Namespace) -> int:
-    # Imported lazily so analysis commands stay import-light.
-    from pathlib import Path
-
-    from repro.devtools.analyze import (Baseline, load_baseline,
-                                        write_baseline)
-    from repro.devtools.detsan import (
-        DetsanConfig, detsan_paths, load_detsan_config,
-        render_detsan_dot, render_detsan_json, render_detsan_sarif,
-        render_detsan_text)
-    paths = args.paths or ["src"]
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"error: no such path: {', '.join(missing)}",
+    if args.write_baseline:
+        write_baseline(args.write_baseline, report.violations)
+        print(f"wrote {len(report.violations)} finding(s) to "
+              f"{args.write_baseline}")
+        return 0
+    print(RENDERERS[args.format](report))
+    if args.manifest:
+        Path(args.manifest).write_text(render_manifest(report),
+                                       encoding="utf-8")
+        print(f"wrote certification manifest {args.manifest}",
               file=sys.stderr)
-        return 2
-    try:
-        if args.no_config:
-            config = DetsanConfig()
-        else:
-            config = load_detsan_config(pyproject=args.config,
-                                        start=paths[0])
-        baseline = (load_baseline(args.baseline)
-                    if args.baseline else None)
-        if args.write_baseline:
-            # Capture the *unfiltered* findings as the new baseline.
-            report = detsan_paths(paths, config, baseline=Baseline(),
-                                  cache_path=args.cache,
-                                  use_cache=not args.no_cache)
-            write_baseline(args.write_baseline, report.violations)
-            print(f"wrote {len(report.violations)} finding(s) to "
-                  f"{args.write_baseline}")
-            return 0
-        report = detsan_paths(paths, config, baseline=baseline,
-                              cache_path=args.cache,
-                              use_cache=not args.no_cache)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    renderers = {"json": render_detsan_json,
-                 "sarif": render_detsan_sarif,
-                 "dot": render_detsan_dot,
-                 "text": render_detsan_text}
-    print(renderers[args.format](report))
     return report.exit_code
-
-
-def _cmd_distcheck(args: argparse.Namespace) -> int:
-    # Imported lazily so analysis commands stay import-light.
-    from pathlib import Path
-
-    from repro.devtools.analyze import (Baseline, load_baseline,
-                                        write_baseline)
-    from repro.devtools.distcheck import (
-        DistcheckConfig, distcheck_paths, load_distcheck_config,
-        render_distcheck_json, render_distcheck_manifest,
-        render_distcheck_sarif, render_distcheck_text)
-    paths = args.paths or ["src"]
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"error: no such path: {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.no_config:
-            config = DistcheckConfig()
-        else:
-            config = load_distcheck_config(pyproject=args.config,
-                                           start=paths[0])
-        baseline = (load_baseline(args.baseline)
-                    if args.baseline else None)
-        if args.write_baseline:
-            # Capture the *unfiltered* findings as the new baseline.
-            report = distcheck_paths(paths, config, baseline=Baseline(),
-                                     cache_path=args.cache,
-                                     use_cache=not args.no_cache)
-            write_baseline(args.write_baseline, report.violations)
-            print(f"wrote {len(report.violations)} finding(s) to "
-                  f"{args.write_baseline}")
-            return 0
-        report = distcheck_paths(paths, config, baseline=baseline,
-                                 cache_path=args.cache,
-                                 use_cache=not args.no_cache)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    renderers = {"json": render_distcheck_json,
-                 "sarif": render_distcheck_sarif,
-                 "text": render_distcheck_text}
-    print(renderers[args.format](report))
-    if not args.no_manifest:
-        manifest = Path(args.manifest)
-        manifest.write_text(render_distcheck_manifest(report),
-                            encoding="utf-8")
-        print(f"wrote certification manifest {manifest}")
-    return report.exit_code
-
-
-def _check_all() -> int:
-    """One blocking pre-merge entry point: all four analysis verbs."""
-    from repro.devtools.analyze import (analyze_paths,
-                                        load_analyze_config)
-    from repro.devtools.detsan import detsan_paths, load_detsan_config
-    from repro.devtools.distcheck import (distcheck_paths,
-                                          load_distcheck_config)
-    from repro.devtools.lintkit import lint_paths, load_config
-
-    paths = ["src"]
-    lint_report = lint_paths(paths, load_config(start=paths[0]))
-    analyze_report = analyze_paths(
-        paths, load_analyze_config(start=paths[0]))
-    detsan_report = detsan_paths(
-        paths, load_detsan_config(start=paths[0]))
-    distcheck_report = distcheck_paths(
-        paths, load_distcheck_config(start=paths[0]))
-
-    rows = []
-    reports = (("lint", lint_report), ("analyze", analyze_report),
-               ("detsan", detsan_report),
-               ("distcheck", distcheck_report))
-    for name, report in reports:
-        extras = []
-        for label in ("suppressed", "baselined"):
-            count = getattr(report, label, 0)
-            if count:
-                extras.append(f"{count} {label}")
-        detail = f" ({', '.join(extras)})" if extras else ""
-        rows.append((name,
-                     f"{len(report.violations)} finding(s){detail}",
-                     "FAIL" if report.exit_code else "PASS"))
-    print(render_table(("tool", "findings", "status"), rows,
-                       title="urllc5g check --all"))
-    statuses: dict[str, int] = {}
-    for cert in distcheck_report.certifications:
-        statuses[cert.status] = statuses.get(cert.status, 0) + 1
-    summary = ", ".join(f"{count} {status}" for status, count
-                        in sorted(statuses.items()))
-    print(f"distcheck scenarios: {summary or '(none registered)'}")
-    return max(report.exit_code for _, report in reports)
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    if args.all:
-        return _check_all()
-    from repro.devtools.determinism import determinism_report
-    if not args.determinism:
-        print("nothing to check: pass --determinism or --all")
-        return 2
-    try:
-        report = determinism_report(seed=args.seed,
-                                    packets=args.packets,
-                                    runs=args.runs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -609,116 +427,34 @@ def build_parser() -> argparse.ArgumentParser:
     tech.add_argument("--seed", type=int, default=3)
     tech.set_defaults(func=_cmd_technologies)
 
-    lint = sub.add_parser(
-        "lint", help="domain static analysis (see docs/LINTING.md)")
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories (default: src)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--select", nargs="*", metavar="RULE",
-                      help="run only these rule ids")
-    lint.add_argument("--ignore", nargs="*", metavar="RULE",
-                      help="additionally disable these rule ids")
-    lint.add_argument("--config", default=None,
-                      help="explicit pyproject.toml path")
-    lint.add_argument("--no-config", action="store_true",
-                      help="ignore [tool.urllc5g.lint] entirely")
-    lint.set_defaults(func=_cmd_lint)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="whole-program analysis (see docs/ANALYSIS.md)")
-    analyze.add_argument("paths", nargs="*", default=["src"],
-                         help="files or directories (default: src)")
-    analyze.add_argument("--format",
-                         choices=("text", "json", "sarif"),
-                         default="text")
-    analyze.add_argument("--baseline", default=None, metavar="FILE",
-                         help="accepted-findings file "
-                              "(overrides pyproject)")
-    analyze.add_argument("--write-baseline", default=None,
-                         metavar="FILE",
-                         help="accept all current findings into FILE "
-                              "and exit 0")
-    analyze.add_argument("--cache", default=None, metavar="FILE",
-                         help="incremental cache location "
-                              "(overrides pyproject)")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="re-parse every module")
-    analyze.add_argument("--config", default=None,
-                         help="explicit pyproject.toml path")
-    analyze.add_argument("--no-config", action="store_true",
-                         help="ignore [tool.urllc5g.analyze] entirely")
-    analyze.set_defaults(func=_cmd_analyze)
-
-    detsan = sub.add_parser(
-        "detsan",
-        help="RNG stream-ownership analysis (see docs/ANALYSIS.md)")
-    detsan.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories (default: src)")
-    detsan.add_argument("--format",
-                        choices=("text", "json", "sarif", "dot"),
-                        default="text",
-                        help="dot emits the stream->owner graph")
-    detsan.add_argument("--baseline", default=None, metavar="FILE",
-                        help="accepted-findings file "
-                             "(overrides pyproject)")
-    detsan.add_argument("--write-baseline", default=None,
-                        metavar="FILE",
-                        help="accept all current findings into FILE "
-                             "and exit 0")
-    detsan.add_argument("--cache", default=None, metavar="FILE",
-                        help="incremental cache location "
-                             "(overrides pyproject)")
-    detsan.add_argument("--no-cache", action="store_true",
-                        help="re-parse every module")
-    detsan.add_argument("--config", default=None,
-                        help="explicit pyproject.toml path")
-    detsan.add_argument("--no-config", action="store_true",
-                        help="ignore [tool.urllc5g.detsan] entirely")
-    detsan.set_defaults(func=_cmd_detsan)
-
-    distcheck = sub.add_parser(
-        "distcheck",
-        help="distributability certification (see docs/ANALYSIS.md)")
-    distcheck.add_argument("paths", nargs="*", default=["src"],
-                           help="files or directories (default: src)")
-    distcheck.add_argument("--format",
-                           choices=("text", "json", "sarif"),
-                           default="text")
-    distcheck.add_argument("--baseline", default=None, metavar="FILE",
-                           help="accepted-findings file "
-                                "(overrides pyproject)")
-    distcheck.add_argument("--write-baseline", default=None,
-                           metavar="FILE",
-                           help="accept all current findings into FILE "
-                                "and exit 0")
-    distcheck.add_argument("--cache", default=None, metavar="FILE",
-                           help="incremental cache location "
-                                "(overrides pyproject)")
-    distcheck.add_argument("--no-cache", action="store_true",
-                           help="re-parse every module")
-    distcheck.add_argument("--config", default=None,
-                           help="explicit pyproject.toml path")
-    distcheck.add_argument("--no-config", action="store_true",
-                           help="ignore [tool.urllc5g.distcheck] "
-                                "entirely")
-    distcheck.add_argument("--manifest",
-                           default="distcheck-manifest.json",
-                           metavar="FILE",
-                           help="per-scenario certification manifest "
-                                "(default: distcheck-manifest.json)")
-    distcheck.add_argument("--no-manifest", action="store_true",
-                           help="skip writing the manifest")
-    distcheck.set_defaults(func=_cmd_distcheck)
-
     check = sub.add_parser(
         "check",
-        help="aggregate gate (--all) and runtime sanitizers "
-             "(--determinism)")
-    check.add_argument("--all", action="store_true",
-                       help="run lint + analyze + detsan + distcheck "
-                            "over src/ and exit with the worst code")
+        help="static analysis: every rule family in one pass "
+             "(see docs/ANALYSIS.md); --determinism runs the "
+             "runtime sanitizer instead")
+    check.add_argument("paths", nargs="*", default=["src"],
+                       help="files or directories (default: src)")
+    check.add_argument("--format",
+                       choices=("text", "json", "sarif", "dot"),
+                       default="text",
+                       help="dot emits the stream->owner graph")
+    check.add_argument("--baseline", default=None, metavar="FILE",
+                       help="accepted-findings file (overrides pyproject)")
+    check.add_argument("--write-baseline", default=None, metavar="FILE",
+                       help="accept all current findings into FILE and "
+                            "exit 0")
+    check.add_argument("--cache", default=None, metavar="FILE",
+                       help="incremental cache location "
+                            "(overrides pyproject)")
+    check.add_argument("--no-cache", action="store_true",
+                       help="re-parse every module")
+    check.add_argument("--config", default=None,
+                       help="explicit pyproject.toml path")
+    check.add_argument("--no-config", action="store_true",
+                       help="ignore [tool.urllc5g.check] entirely")
+    check.add_argument("--manifest", default=None, metavar="FILE",
+                       help="write the per-scenario certification "
+                            "manifest to FILE")
     check.add_argument("--determinism", action="store_true",
                        help="run a scenario twice with the same seed "
                             "and compare trace digests")

@@ -1,47 +1,22 @@
 """Developer tooling for the urllc5g reproduction.
 
-Three quality gates live here, all wired into the ``urllc5g`` CLI and CI:
-
-- :mod:`repro.devtools.lintkit` — an AST static-analysis framework with
-  per-file domain rules enforcing the invariants the paper's results
-  rest on (no wall-clock reads in simulated paths, explicit RNG
-  threading, time-unit suffix consistency, deterministic iteration
-  order);
-- :mod:`repro.devtools.analyze` — the whole-program companion:
-  cross-module time-unit inference and transitive purity checking over
-  the project call graph (see docs/ANALYSIS.md);
+- :mod:`repro.devtools.check` — ``urllc5g check``: one static pass over
+  the shared project model (:mod:`repro.devtools.analyze.loader`) that
+  runs every rule family — per-file AST rules (:mod:`.lintkit`),
+  cross-module time units and transitive purity (:mod:`.analyze`), RNG
+  stream ownership (:mod:`.detsan`) and scenario distributability
+  (:mod:`.distcheck`) — configured by one ``[tool.urllc5g.check]``
+  table (:mod:`repro.devtools.config`); see docs/ANALYSIS.md;
 - :mod:`repro.devtools.determinism` — a runtime sanitizer that runs a
-  scenario twice with the same seed and compares trace digests.
+  scenario twice with the same seed and compares trace digests;
+- :mod:`repro.devtools.profile` — the cProfile harness behind
+  ``urllc5g bench --profile``.
 
 Shared infrastructure: :mod:`repro.devtools.walker` (file discovery)
 and :mod:`repro.devtools.sarif` (SARIF 2.1.0 output).
+
+Nothing is imported here: the campaign runner imports the walker and
+the distcheck manifest reader, and must not pay for the analyzer.
 """
 
-from repro.devtools.analyze import AnalysisReport, analyze_paths
-from repro.devtools.determinism import (
-    DeterminismReport,
-    determinism_report,
-    run_traced_scenario,
-)
-from repro.devtools.lintkit import (
-    LintConfig,
-    LintReport,
-    Rule,
-    Severity,
-    Violation,
-    lint_paths,
-)
-
-__all__ = [
-    "AnalysisReport",
-    "DeterminismReport",
-    "analyze_paths",
-    "determinism_report",
-    "run_traced_scenario",
-    "LintConfig",
-    "LintReport",
-    "Rule",
-    "Severity",
-    "Violation",
-    "lint_paths",
-]
+__all__: list[str] = []

@@ -1,8 +1,9 @@
-"""``urllc5g analyze`` — whole-program static analysis.
+"""The shared project model and the whole-program unit/purity passes.
 
-Where :mod:`repro.devtools.lintkit` checks one expression in one file,
-this package loads *all* of ``src/`` into a project model (symbol
-table + call graph) and runs two cross-module passes over it:
+:mod:`.loader` parses every module under the checked roots once into a
+project model (symbol table + call graph + per-module summaries, cached
+by content hash in :mod:`.cache`); every ``urllc5g check`` rule family
+runs over that model.  Two of the families live here:
 
 - **time-unit inference** (:mod:`.units`): abstract interpretation over
   the unit lattice ``tc | ns | us | ms | s | unitless | unknown``,
@@ -11,12 +12,11 @@ table + call graph) and runs two cross-module passes over it:
   assignments, returns and call boundaries;
 - **transitive purity** (:mod:`.purity`): wall-clock, global-RNG and
   unordered-iteration-before-scheduling taint propagated through the
-  call graph, catching the helper-indirection cases per-file lint is
-  blind to.
+  call graph, catching the helper-indirection cases the file-scope
+  rules are blind to.
 
-Findings reuse the lintkit :class:`~repro.devtools.lintkit.core.Violation`
-shape, so the text/JSON/SARIF reporters and the reviewed-baseline
-workflow are shared between both tools.  See docs/ANALYSIS.md.
+:mod:`.baseline` holds the reviewed-findings file shared by every
+family.  See docs/ANALYSIS.md.
 """
 
 from repro.devtools.analyze.baseline import (
@@ -24,32 +24,15 @@ from repro.devtools.analyze.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.devtools.analyze.config import AnalyzeConfig, load_analyze_config
 from repro.devtools.analyze.cache import AnalysisCache
-from repro.devtools.analyze.engine import (
-    ANALYZE_RULES,
-    AnalysisReport,
-    analyze_paths,
-    render_analysis_json,
-    render_analysis_sarif,
-    render_analysis_text,
-)
 from repro.devtools.analyze.loader import PARSE_HOOKS, Project, load_project
 
 __all__ = [
-    "ANALYZE_RULES",
     "AnalysisCache",
-    "AnalysisReport",
-    "AnalyzeConfig",
     "Baseline",
     "PARSE_HOOKS",
     "Project",
-    "analyze_paths",
-    "load_analyze_config",
     "load_baseline",
     "load_project",
-    "render_analysis_json",
-    "render_analysis_sarif",
-    "render_analysis_text",
     "write_baseline",
 ]

@@ -3,9 +3,9 @@
 New analyzers on old code always surface a mix of true positives (fix
 them) and accepted debt (baseline it).  The baseline is a JSON file of
 finding fingerprints — ``rule | src-relative path | message`` — checked
-in and reviewed like code.  ``urllc5g analyze --baseline FILE`` fails
-only on findings *not* in the baseline, so CI gates on regressions
-while the backlog is burned down deliberately.
+in and reviewed like code.  ``urllc5g check`` fails only on findings
+*not* in the baseline, so CI gates on regressions while the backlog is
+burned down deliberately.
 
 Fingerprints deliberately exclude line numbers: inserting a line above
 an accepted finding must not resurrect it.
@@ -49,16 +49,16 @@ class Baseline:
     fingerprints: set[str] = field(default_factory=set)
 
     def filter(self, violations: Iterable[Violation]
-               ) -> tuple[list[Violation], int]:
-        """Split into (new findings, count suppressed by baseline)."""
+               ) -> tuple[list[Violation], list[Violation]]:
+        """Split into (new findings, findings the baseline accepts)."""
         kept: list[Violation] = []
-        suppressed = 0
+        accepted: list[Violation] = []
         for violation in violations:
             if fingerprint(violation) in self.fingerprints:
-                suppressed += 1
+                accepted.append(violation)
             else:
                 kept.append(violation)
-        return kept, suppressed
+        return kept, accepted
 
 
 def load_baseline(path: str | Path) -> Baseline:

@@ -20,14 +20,13 @@ from pathlib import Path
 
 from repro.devtools.analyze.loader import ModuleSummary
 
-__all__ = ["ANALYZER_VERSION", "DEFAULT_CACHE_PATH", "AnalysisCache"]
+__all__ = ["ANALYZER_VERSION", "AnalysisCache"]
 
 #: Bump on any change to summary extraction or the summary schema.
 #: "3": distributability channels (host_state, global_writes, fs_writes,
 #: boundary, digest_hazards, decorators, str_constants, mutable_globals).
-ANALYZER_VERSION = "3"
-
-DEFAULT_CACHE_PATH = ".urllc5g-analyze-cache.json"
+#: "4": file-scope rule findings; ``# check:`` pragma grammar.
+ANALYZER_VERSION = "4"
 
 
 class AnalysisCache:

@@ -5,8 +5,9 @@ The loader walks the analysis roots with the shared
 once (or restores it from the incremental cache without parsing — see
 :data:`PARSE_HOOKS`), and extracts a :class:`ModuleSummary`: the symbol
 table (functions, methods, classes, module constants), the call edges
-resolvable from imports/``self``, per-function purity effects, and the
-*symbolic* unit facts the global passes resolve later.
+resolvable from imports/``self``, per-function purity effects, the
+*symbolic* unit facts the global passes resolve later, and the raw
+findings of the file-scope rules, which run on the same AST.
 
 Symbolic unit expressions are plain JSON-able dicts so summaries can be
 cached to disk and whole-program resolution never needs the AST again:
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro.devtools.lintkit.core import run_file_rules
 from repro.devtools.walker import iter_python_files
 
 __all__ = [
@@ -74,9 +76,9 @@ CONSTANT_UNIT_SEEDS = {
 }
 
 _UNIT_ANNOTATION_RE = re.compile(r"#\s*unit:\s*([A-Za-z]+)")
-_PRAGMA_RE = re.compile(r"#\s*analyze:\s*disable=([A-Za-z0-9_,\- ]+)")
+_PRAGMA_RE = re.compile(r"#\s*check:\s*disable=([A-Za-z0-9_,\- ]+)")
 _PRAGMA_FILE_RE = re.compile(
-    r"#\s*analyze:\s*disable-file=([A-Za-z0-9_,\- ]+)")
+    r"#\s*check:\s*disable-file=([A-Za-z0-9_,\- ]+)")
 
 _WALL_CLOCK_TIME_FUNCS = frozenset({
     "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
@@ -289,37 +291,24 @@ class ModuleSummary:
     str_constants: dict[str, str] = field(default_factory=dict)
     #: Module-level bindings to mutable containers (dict/list/set/...).
     mutable_globals: list[str] = field(default_factory=list)
+    #: Raw file-scope rule findings (see :func:`run_file_rules`).
+    file_findings: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
+        # JSON turns the int line_pragmas keys into strings;
+        # from_json turns them back.
         from dataclasses import asdict
-        payload = asdict(self)
-        payload["line_pragmas"] = {
-            str(line): rules for line, rules in self.line_pragmas.items()}
-        return payload
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "ModuleSummary":
-        functions = [FunctionSummary(**f) for f in payload["functions"]]
-        classes = [ClassSummary(**c) for c in payload["classes"]]
-        return cls(
-            path=payload["path"],
-            qualname=payload["qualname"],
-            content_hash=payload["content_hash"],
-            aliases=dict(payload["aliases"]),
-            constants=dict(payload["constants"]),
-            module_checks=list(payload["module_checks"]),
-            functions=functions,
-            classes=classes,
-            line_pragmas={int(line): rules for line, rules
-                          in payload["line_pragmas"].items()},
-            file_pragmas=list(payload["file_pragmas"]),
-            parse_error=payload.get("parse_error"),
-            streams=list(payload.get("streams", [])),
-            rng_buffers=list(payload.get("rng_buffers", [])),
-            rng_escapes=list(payload.get("rng_escapes", [])),
-            str_constants=dict(payload.get("str_constants", {})),
-            mutable_globals=list(payload.get("mutable_globals", [])),
-        )
+        fields = dict(payload)
+        fields["functions"] = [FunctionSummary(**f)
+                               for f in payload["functions"]]
+        fields["classes"] = [ClassSummary(**c) for c in payload["classes"]]
+        fields["line_pragmas"] = {int(line): rules for line, rules
+                                  in payload["line_pragmas"].items()}
+        return cls(**fields)
 
 
 @dataclass
@@ -370,12 +359,6 @@ class Project:
             return None
         return (self.functions.get(resolved)
                 or self.classes.get(resolved))
-
-    def resolve_constant(self, qualname: str) -> dict | None:
-        resolved = self._resolve(qualname)
-        if resolved is None:
-            return None
-        return self.constant_seeds.get(resolved)
 
     def _resolve(self, qualname: str, depth: int = 0) -> str | None:
         """Follow import/re-export links until a definition is found."""
@@ -455,6 +438,10 @@ class _ModuleExtractor:
             elif isinstance(stmt, ast.ClassDef):
                 self._extract_class(stmt)
         _StreamWalker(self).run()
+        self.summary.file_findings = [
+            {"line": v.line, "col": v.col, "rule": v.rule_id,
+             "severity": str(v.severity), "message": v.message}
+            for v in run_file_rules(self.path, self.tree)]
         return self.summary
 
     # -- comments ------------------------------------------------------

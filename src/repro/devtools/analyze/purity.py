@@ -1,7 +1,7 @@
 """Transitive purity: taint propagation through the call graph.
 
-Per-file lint catches ``time.time()`` *in the function you are
-reading*.  It cannot see that an innocuous helper three calls away
+The file-scope rules catch ``time.time()`` *in the function you are
+reading*.  They cannot see that an innocuous helper three calls away
 reaches the wall clock, seeds the process-global RNG, or schedules
 simulator events from inside an unordered ``set`` iteration.  This
 pass propagates three taints over the whole-program call graph:
@@ -14,8 +14,8 @@ pass propagates three taints over the whole-program call graph:
 - **schedules** — calls to ``.schedule(...)`` / ``.call_in(...)``.
 
 Only *indirectly acquired* taint is reported: a function that calls
-``time.time()`` itself is lint's business (``no-wall-clock``), so the
-two tools never double-report one line.
+``time.time()`` itself is the file rule ``no-wall-clock``'s business,
+so the two families never double-report one line.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def purity_violations(project: Project) -> list[Violation]:
                 ("transitive-wall-clock", wall, bool(summary.wall_clock)),
                 ("transitive-global-rng", rng, bool(summary.global_rng))):
             if directly:
-                continue  # the direct use is lint's finding, not ours
+                continue  # the direct use is a file rule's finding
             seen_lines: set[int] = set()
             for edge, resolved in edges_by_fn[qualname]:
                 hit = next((t for t in resolved if t in tainted), None)
@@ -132,7 +132,7 @@ def purity_violations(project: Project) -> list[Violation]:
                              f"reaches {what}; {_ADVICE[rule]}")))
         for loop in summary.unordered_loops:
             if loop["direct"]:
-                continue  # literal schedule-in-loop is lint's finding
+                continue  # literal schedule-in-loop: a file rule's finding
             hit = None
             for candidate in loop["calls"]:
                 target = project.resolve_function(candidate)

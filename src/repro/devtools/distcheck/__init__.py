@@ -1,29 +1,20 @@
-"""``urllc5g distcheck`` — distributability certification.
+"""Distributability certification of ``@scenario`` entry points.
 
-Whole-program pass over the analyze project model that certifies each
-``@scenario``-registered campaign entry point as safe to execute on a
-remote host: no reachable writes to module-level mutable state, no
+:mod:`.rules` is the ``dist`` rule family of ``urllc5g check``: it
+certifies each registered campaign entry point as safe to execute on a
+remote host — no reachable writes to module-level mutable state, no
 undeclared host-state observation, nothing unpicklable crossing the
-pool boundary, order-stable digest material, and no filesystem writes
-outside the sanctioned artifact/journal APIs.  Findings ride the same
-``Violation``/pragma/baseline/SARIF machinery as lint, analyze, and
-detsan; the per-scenario verdicts are emitted as
-``distcheck-manifest.json`` for the multi-host dispatcher.  See the
-"Distributability contract" chapter in docs/ANALYSIS.md.
+process boundary, order-stable digest material, and no filesystem
+writes outside the sanctioned artifact/journal APIs.  ``check
+--manifest`` writes the per-scenario verdicts to
+``distcheck-manifest.json``; :mod:`.manifest` is the fail-closed reader
+the campaign dispatcher uses.  See the "Distributability contract"
+chapter in docs/ANALYSIS.md.
+
+Only the manifest reader is imported here, so the runner's dispatch
+gate does not pay for loading the analyzer.
 """
 
-from repro.devtools.distcheck.config import (DistcheckConfig,
-                                             load_distcheck_config)
-from repro.devtools.distcheck.engine import (
-    DIST_RULES,
-    DistcheckReport,
-    ScenarioCertification,
-    distcheck_paths,
-    render_distcheck_json,
-    render_distcheck_manifest,
-    render_distcheck_sarif,
-    render_distcheck_text,
-)
 from repro.devtools.distcheck.manifest import (
     DISTRIBUTABLE_STATUSES,
     DistManifest,
@@ -31,29 +22,11 @@ from repro.devtools.distcheck.manifest import (
     ScenarioVerdict,
     load_manifest,
 )
-from repro.devtools.distcheck.rules import (CertificationMap,
-                                            ScenarioEntry,
-                                            certification_map,
-                                            find_scenario_entries)
 
 __all__ = [
-    "DIST_RULES",
     "DISTRIBUTABLE_STATUSES",
-    "CertificationMap",
     "DistManifest",
-    "DistcheckConfig",
-    "DistcheckReport",
     "ManifestError",
-    "ScenarioCertification",
-    "ScenarioEntry",
     "ScenarioVerdict",
-    "certification_map",
-    "distcheck_paths",
-    "find_scenario_entries",
-    "load_distcheck_config",
     "load_manifest",
-    "render_distcheck_json",
-    "render_distcheck_manifest",
-    "render_distcheck_sarif",
-    "render_distcheck_text",
 ]

@@ -1,8 +1,8 @@
 """Consumption side of ``distcheck-manifest.json``: the dispatch gate.
 
-``urllc5g distcheck`` certifies every ``@scenario`` entry point and
-writes the verdicts to a deterministic manifest
-(:func:`repro.devtools.distcheck.engine.render_distcheck_manifest`).
+``urllc5g check`` certifies every ``@scenario`` entry point, and
+``check --manifest`` writes the verdicts to a deterministic manifest
+(:func:`repro.devtools.check.render_manifest`).
 This module is the *reader* the campaign dispatcher uses before
 shipping a point to a remote worker: a scenario may leave the host
 only when its manifest status is ``certified`` or
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: Statuses that permit off-host execution (the dispatcher contract of
-#: :func:`repro.devtools.distcheck.engine.render_distcheck_manifest`).
+#: :func:`repro.devtools.check.render_manifest`).
 DISTRIBUTABLE_STATUSES = frozenset({"certified", "baselined-findings"})
 
 #: The manifest schema this reader understands.
@@ -92,8 +92,8 @@ class DistManifest:
             if verdict is None:
                 reasons.append(
                     f"scenario {name!r} is absent from the distcheck "
-                    f"manifest {self.path}; re-run `urllc5g distcheck` "
-                    "to certify it")
+                    f"manifest {self.path}; re-run `urllc5g check "
+                    "--manifest` to certify it")
             elif not verdict.distributable:
                 reasons.append(
                     f"scenario {name!r} has manifest status "
@@ -114,7 +114,7 @@ def load_manifest(path: str | Path) -> DistManifest:
     except OSError as exc:
         raise ManifestError(
             f"cannot read distcheck manifest {path}: {exc}; run "
-            "`urllc5g distcheck src/ --manifest "
+            "`urllc5g check src/ --manifest "
             f"{path.name}` to generate it") from exc
     try:
         payload = json.loads(raw)

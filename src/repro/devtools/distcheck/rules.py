@@ -7,8 +7,9 @@ including class closures for every type it constructs.  Each
 distributability hazard the loader extracted (host-state reads,
 module-global writes, filesystem mutations, boundary crossings,
 digest-form hazards) is attributed to the set of scenarios whose
-closure reaches the offending function; the engine then certifies,
-baselines, or refuses each scenario from that attribution.
+closure reaches the offending function; :mod:`repro.devtools.check`
+then certifies, baselines, or refuses each scenario from that
+attribution.
 
 Violation messages deliberately never name scenarios: the reviewed
 baseline fingerprints ``rule|path|message``, and attribution (which
@@ -25,12 +26,20 @@ from fnmatch import fnmatchcase
 from repro.devtools.analyze.loader import (ClassSummary, FunctionSummary,
                                            Project)
 from repro.devtools.analyze.purity import _short
-from repro.devtools.distcheck.config import DistcheckConfig
+from repro.devtools.config import CheckConfig
 from repro.devtools.lintkit.core import Severity, Violation
 
-__all__ = ["DIST_RULES", "ScenarioEntry", "CertificationMap",
+__all__ = ["DIST_RULES", "ENTRY_DECORATORS", "SHARED_ROOTS",
+           "DIGEST_ROOTS", "ScenarioEntry", "CertificationMap",
            "find_scenario_entries", "certification_map",
            "distcheck_findings"]
+
+#: The decorator that marks a remote-executable entry point.
+ENTRY_DECORATORS = ("repro.runner.scenarios.scenario",)
+#: Functions every remote point executes besides the scenario itself.
+SHARED_ROOTS = ("repro.runner.scenarios.run_point",)
+#: Digest-feeding functions whose names carry no digest marker.
+DIGEST_ROOTS: tuple[str, ...] = ()
 
 DIST_RULES = {
     "dist-mutable-global":
@@ -81,11 +90,10 @@ class CertificationMap:
     digest_closure: frozenset[str]
 
 
-def find_scenario_entries(project: Project,
-                          config: DistcheckConfig) -> list[ScenarioEntry]:
+def find_scenario_entries(project: Project) -> list[ScenarioEntry]:
     """Every function carrying a registered entry decorator."""
     targets = {project._resolve(name) or name
-               for name in config.entry_decorators}
+               for name in ENTRY_DECORATORS}
     entries: list[ScenarioEntry] = []
     seen: set[str] = set()
     for qualname in sorted(project.functions):
@@ -132,11 +140,9 @@ def _reachable(project: Project, roots: list[str]) -> set[str]:
     return seen
 
 
-def certification_map(project: Project,
-                      config: DistcheckConfig) -> CertificationMap:
-    entries = find_scenario_entries(project, config)
-    shared = [project._resolve(root) or root
-              for root in config.shared_roots]
+def certification_map(project: Project) -> CertificationMap:
+    entries = find_scenario_entries(project)
+    shared = [project._resolve(root) or root for root in SHARED_ROOTS]
     reached_by: dict[str, set[str]] = {}
     closure_sizes: dict[str, int] = {}
     for entry in entries:
@@ -149,7 +155,7 @@ def certification_map(project: Project,
         if any(marker in summary.name.lower()
                for marker in _DIGEST_NAME_MARKERS)]
     digest_roots.extend(project._resolve(root) or root
-                        for root in config.digest_roots)
+                        for root in DIGEST_ROOTS)
     return CertificationMap(
         entries=entries,
         reached_by={qualname: frozenset(names)
@@ -165,7 +171,7 @@ def _matches(name: str, patterns: tuple[str, ...]) -> bool:
 
 
 def distcheck_findings(
-        project: Project, config: DistcheckConfig,
+        project: Project, config: CheckConfig,
         cert: CertificationMap
 ) -> list[tuple[Violation, frozenset[str]]]:
     """All rule findings, each paired with its scenario attribution.
@@ -211,7 +217,7 @@ def _project_str_constants(project: Project) -> dict[str, str]:
 def _scenario_scoped(
         findings: list[tuple[Violation, frozenset[str]]],
         summary: FunctionSummary, scenarios: frozenset[str],
-        config: DistcheckConfig,
+        config: CheckConfig,
         str_constants: dict[str, str]) -> None:
     qualname = summary.qualname
     for record in summary.host_state:
@@ -247,7 +253,7 @@ def _scenario_scoped(
 
 
 def _host_state_message(qualname: str, record: dict,
-                        config: DistcheckConfig,
+                        config: CheckConfig,
                         str_constants: dict[str, str]) -> str | None:
     kind = record["kind"]
     short = _short(qualname)

@@ -1,49 +1,31 @@
-"""``urllc5g lint`` — AST static analysis for simulation invariants.
+"""File-scope rules for ``urllc5g check``: one parsed module at a time.
 
-The framework (:mod:`.core`) walks Python sources, runs every
-registered :class:`Rule`, honours ``# lint: disable=RULE`` pragmas and
-the ``[tool.urllc5g.lint]`` baseline, and reports through
-:mod:`.reporters`.  The domain rules live in :mod:`.rules`; importing
-this package registers them all.
+The framework (:mod:`.core`) defines :class:`Rule`, :class:`Violation`
+and the rule registry; the seven domain rules live in :mod:`.rules`,
+and importing this package registers them all.  The rules run on the
+AST the project loader already parsed (see docs/ANALYSIS.md).
 """
 
-from repro.devtools.lintkit.config import find_pyproject, load_config
 from repro.devtools.lintkit.core import (
     SYNTAX_ERROR_RULE_ID,
-    LintConfig,
-    LintReport,
     ModuleUnderLint,
     Rule,
     Severity,
     Violation,
-    lint_paths,
-    lint_source,
     register,
     registered_rules,
-)
-from repro.devtools.lintkit.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
+    run_file_rules,
 )
 from repro.devtools.lintkit import rules  # noqa: F401  (registers rules)
 
 __all__ = [
-    "LintConfig",
-    "LintReport",
     "ModuleUnderLint",
     "Rule",
     "SYNTAX_ERROR_RULE_ID",
     "Severity",
     "Violation",
-    "find_pyproject",
-    "lint_paths",
-    "lint_source",
-    "load_config",
     "register",
     "registered_rules",
-    "render_json",
-    "render_sarif",
-    "render_text",
     "rules",
+    "run_file_rules",
 ]

@@ -1,7 +1,7 @@
-"""The domain rules behind ``urllc5g lint``.
+"""The file-scope rule family of ``urllc5g check``.
 
 Each rule encodes one invariant the paper's results depend on; see
-docs/LINTING.md for worked examples and the suppression syntax.
+docs/ANALYSIS.md for worked examples and the suppression syntax.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ through per-function noise.
 
 Timing discipline: cProfile's internal timer is a wall-clock source,
 which is banned everywhere simulation results are computed; it is
-sanctioned here (see the reviewed per-path table in ``pyproject.toml``)
-because profiling measures the *host*, never the simulated system, and
-the profiled callable's return value is passed through untouched.  All
-numbers in the JSON come from :mod:`pstats` aggregation; the module
-itself never reads ``time.*``.
+acceptable here because profiling measures the *host*, never the
+simulated system, and the profiled callable's return value is passed
+through untouched.  All numbers in the JSON come from :mod:`pstats`
+aggregation; the module itself never reads ``time.*``, so it needs no
+``no-wall-clock`` exemption.
 
 Reading the document is covered in docs/PERFORMANCE.md.
 """

@@ -1,73 +1,47 @@
-"""SARIF 2.1.0 output shared by all four ``urllc5g`` analysis verbs.
+"""SARIF 2.1.0 output for ``urllc5g check``.
 
 `SARIF <https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html>`_
 is the interchange format code scanners upload to review UIs; emitting
-it lets lint, analyze, detsan, and distcheck feed GitHub code scanning
-and any SARIF viewer.  The writer is a pure function from violations +
-rule metadata to the document, so tests can assert on the exact shape.
-
-Every verb emits the same driver metadata shape — ``urllc5g-<verb>``
-tool name, the shared :data:`TOOL_VERSION`, and a sorted,
-index-referenced rule table — so the four CI artifacts merge cleanly
-in one viewer.
+it lets every rule family feed GitHub code scanning and any SARIF
+viewer through one driver.  The writer is a pure function from
+violations + rule metadata to the document, so tests can assert on the
+exact shape.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.devtools.lintkit.core import Severity, Violation
+from repro.devtools.lintkit.core import Violation
 
 __all__ = ["SARIF_SCHEMA_URI", "SARIF_VERSION", "TOOL_VERSION",
-           "sarif_document", "render_sarif"]
+           "render_sarif"]
 
 SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
 SARIF_VERSION = "2.1.0"
 
-#: One version for every ``urllc5g-*`` driver; tracks the project
-#: version in pyproject.toml so merged artifacts agree on provenance.
+#: The driver version; tracks the project version in pyproject.toml.
 TOOL_VERSION = "1.0.0"
 
-#: Severity -> SARIF ``level`` (the two vocabularies coincide for the
-#: levels this project uses; "none" exists in SARIF but is never emitted).
-_LEVELS = {"note": "note", "warning": "warning", "error": "error"}
 
+def render_sarif(violations: Sequence[Violation], *, tool_name: str,
+                 rules: Mapping[str, tuple[str, str]],
+                 information_uri: str) -> str:
+    """A SARIF 2.1.0 document, serialised with stable key order.
 
-def _level(severity: str) -> str:
-    return _LEVELS.get(str(severity), "warning")
-
-
-def sarif_document(violations: Sequence[Violation], *,
-                   tool_name: str,
-                   tool_version: str = TOOL_VERSION,
-                   rules: Mapping[str, str] | None = None,
-                   rule_severities: Mapping[str, str] | None = None,
-                   information_uri: str | None = None) -> dict:
-    """Build a SARIF 2.1.0 document as a plain dict.
-
-    ``rules`` maps rule id -> one-line description; rule ids that appear
-    in ``violations`` but not in ``rules`` are added with an empty
-    description so every result can reference a rule object by index,
-    as the spec recommends.  ``rule_severities`` sets each rule's
-    ``defaultConfiguration.level`` (defaults to "error").
+    ``rules`` maps every rule id to its (description, severity); the
+    severity vocabulary (note/warning/error) is SARIF's ``level``.
+    Rule objects are sorted by id and every result references its rule
+    by index, as the spec recommends.
     """
-    rules = dict(rules or {})
-    rule_severities = dict(rule_severities or {})
-    for violation in violations:
-        rules.setdefault(violation.rule_id, "")
-        rule_severities.setdefault(violation.rule_id, violation.severity)
     rule_ids = sorted(rules)
     rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
-
     rule_objects = [
         {
             "id": rule_id,
-            "shortDescription": {"text": rules[rule_id] or rule_id},
-            "defaultConfiguration": {
-                "level": _level(rule_severities.get(rule_id,
-                                                    Severity.ERROR)),
-            },
+            "shortDescription": {"text": rules[rule_id][0]},
+            "defaultConfiguration": {"level": str(rules[rule_id][1])},
         }
         for rule_id in rule_ids
     ]
@@ -75,7 +49,7 @@ def sarif_document(violations: Sequence[Violation], *,
         {
             "ruleId": violation.rule_id,
             "ruleIndex": rule_index[violation.rule_id],
-            "level": _level(violation.severity),
+            "level": str(violation.severity),
             "message": {"text": violation.message},
             "locations": [
                 {
@@ -86,7 +60,7 @@ def sarif_document(violations: Sequence[Violation], *,
                         },
                         "region": {
                             "startLine": max(violation.line, 1),
-                            # SARIF columns are 1-based; violations are 0-based.
+                            # SARIF columns are 1-based, findings 0-based.
                             "startColumn": violation.col + 1,
                         },
                     },
@@ -95,14 +69,13 @@ def sarif_document(violations: Sequence[Violation], *,
         }
         for violation in violations
     ]
-    driver: dict = {
+    driver = {
         "name": tool_name,
-        "version": tool_version,
+        "version": TOOL_VERSION,
+        "informationUri": information_uri,
         "rules": rule_objects,
     }
-    if information_uri:
-        driver["informationUri"] = information_uri
-    return {
+    return json.dumps({
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
         "runs": [
@@ -112,18 +85,4 @@ def sarif_document(violations: Sequence[Violation], *,
                 "columnKind": "utf16CodeUnits",
             }
         ],
-    }
-
-
-def render_sarif(violations: Iterable[Violation], *,
-                 tool_name: str,
-                 tool_version: str = TOOL_VERSION,
-                 rules: Mapping[str, str] | None = None,
-                 rule_severities: Mapping[str, str] | None = None,
-                 information_uri: str | None = None) -> str:
-    """The SARIF document serialised with stable key order."""
-    document = sarif_document(
-        list(violations), tool_name=tool_name, tool_version=tool_version,
-        rules=rules, rule_severities=rule_severities,
-        information_uri=information_uri)
-    return json.dumps(document, indent=2, sort_keys=True)
+    }, indent=2, sort_keys=True)

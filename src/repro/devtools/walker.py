@@ -1,9 +1,10 @@
-"""Shared source-file discovery for ``urllc5g lint`` and ``analyze``.
+"""Shared source-file discovery for ``urllc5g check`` and the runner.
 
-Both tools accept a mix of files and directories and must visit the
-same set of modules in the same (sorted, deterministic) order, so the
-walk lives here rather than in either tool.  Directories are expanded
-recursively; ``__pycache__`` and hidden directories are skipped.
+The project loader and the result cache's code fingerprint both accept
+a mix of files and directories and must visit the same set of modules
+in the same (sorted, deterministic) order, so the walk lives here.
+Directories are expanded recursively; ``__pycache__`` and hidden
+directories are skipped.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ increasing counter, and an observer decides a worker is dead when the
 counter has not advanced across ``strikes`` consecutive observations
 (the observer sleeps its poll interval between scans).  No component
 of the protocol ever reads the wall clock, so the queue layer is
-lint-clean under the ``no-wall-clock`` rule without any excuse — and
+clean under the ``no-wall-clock`` rule without any excuse — and
 scheduling can never leak into results, which stay pure functions of
 ``(scenario, params, seed)``.
 

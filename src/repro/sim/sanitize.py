@@ -3,7 +3,7 @@
 The determinism contract (docs/PERFORMANCE.md, docs/ROBUSTNESS.md) says
 every registry stream has exactly one well-ordered consumer; buffered
 samplers additionally take *exclusive* ownership of their stream.  The
-static side of that contract is checked by ``urllc5g detsan``; this
+static side of that contract is checked by ``urllc5g check``; this
 module is the dynamic side.  When sanitizing is active (environment
 variable ``URLLC5G_SANITIZE=1``, ``urllc5g bench --sanitize``, or a
 :func:`sanitizer_session`), :class:`~repro.sim.rng.RngRegistry` wraps
@@ -79,7 +79,7 @@ class DeterminismViolation(RuntimeError):
     :class:`~repro.sim.sampling.BufferedSampler` when ``sample()`` is
     called with a Generator it does not own.  Carries the stream name
     and both consumer qualnames so dynamic reports line up with the
-    static ``urllc5g detsan`` output.
+    static ``urllc5g check`` output.
     """
 
     def __init__(self, message: str, *, stream: str | None = None,

@@ -25,7 +25,7 @@ __all__ = ["PacketKind", "LatencySource", "HEADER_BYTES", "Packet"]
 #: (ad-hoc tests, notebooks).  Simulation code must pass ``packet_id``
 #: explicitly from a per-system counter — a process-global sequence
 #: would make trace digests depend on how many packets earlier runs in
-#: the same process created (see docs/LINTING.md, determinism).
+#: the same process created (see docs/ANALYSIS.md, determinism).
 _fallback_packet_ids = itertools.count(1)
 
 

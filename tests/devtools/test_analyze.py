@@ -1,20 +1,11 @@
-"""Whole-program analyzer: unit inference, purity, cache, SARIF."""
+"""Whole-program families (units, purity), the cache, SARIF."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.analyze import (
-    AnalyzeConfig,
-    analyze_paths,
-    load_analyze_config,
-    load_baseline,
-    render_analysis_json,
-    render_analysis_sarif,
-    render_analysis_text,
-    write_baseline,
-)
+from repro.devtools.analyze import load_baseline, write_baseline
 from repro.devtools.analyze.baseline import Baseline, fingerprint
 from repro.devtools.analyze.loader import (
     PARSE_HOOKS,
@@ -24,7 +15,14 @@ from repro.devtools.analyze.loader import (
     unit_of_name,
 )
 from repro.devtools.analyze.units import resolve_units
-from repro.devtools.lintkit import lint_paths, render_text
+from repro.devtools.check import (
+    RULES,
+    check_paths,
+    render_json,
+    render_sarif,
+    render_text,
+)
+from repro.devtools.config import CheckConfig, load_check_config
 
 CROSSMOD = Path(__file__).parent / "fixtures_analyze" / "crossmod"
 
@@ -37,8 +35,21 @@ def write_tree(tmp_path, files):
     return tmp_path
 
 
+def family(violations, *families):
+    return [v for v in violations if RULES[v.rule_id].family in families]
+
+
+def findings(report):
+    """The surviving findings of the two whole-program families."""
+    return findings_of(report.violations)
+
+
+def findings_of(violations):
+    return family(violations, "units", "purity")
+
+
 def rule_ids(report):
-    return {v.rule_id for v in report.violations}
+    return {v.rule_id for v in findings(report)}
 
 
 # ----------------------------------------------------------------------
@@ -67,12 +78,15 @@ def test_module_qualname_walks_init_chain():
 
 
 # ----------------------------------------------------------------------
-# the headline requirement: per-file lint passes, analyze flags
+# the headline requirement: file rules pass, program rules flag
 # ----------------------------------------------------------------------
+def file_findings(*paths):
+    return family(check_paths(paths).violations, "file")
+
+
 def test_cross_module_unit_mismatch_invisible_to_lint():
-    lint = lint_paths([CROSSMOD / "budget.py", CROSSMOD / "phy.py"])
-    assert lint.violations == [], render_text(lint)
-    report = analyze_paths([CROSSMOD], use_cache=False)
+    assert file_findings(CROSSMOD / "budget.py", CROSSMOD / "phy.py") == []
+    report = check_paths([CROSSMOD])
     mismatches = [v for v in report.violations
                   if v.rule_id == "cross-unit-arithmetic"]
     assert len(mismatches) == 1
@@ -82,30 +96,26 @@ def test_cross_module_unit_mismatch_invisible_to_lint():
 
 
 def test_transitive_wall_clock_invisible_to_lint():
-    lint = lint_paths([CROSSMOD / "jitter.py"])
-    assert lint.violations == [], render_text(lint)
-    report = analyze_paths([CROSSMOD], use_cache=False)
+    assert file_findings(CROSSMOD / "jitter.py") == []
+    report = check_paths([CROSSMOD])
     leaks = [v for v in report.violations
              if v.rule_id == "transitive-wall-clock"]
-    assert leaks, render_analysis_text(report)
+    assert leaks, render_text(report)
     assert all(v.path.endswith("jitter.py") for v in leaks)
     assert "time.perf_counter()" in leaks[0].message
 
 
 def test_direct_wall_clock_is_lints_finding_not_analyzes():
-    # timing.py reads the clock directly: lint flags it ...
-    lint = lint_paths([CROSSMOD / "timing.py"])
-    assert {v.rule_id for v in lint.violations} == {"no-wall-clock"}
-    # ... so analyze stays silent there (no double-reporting).
-    report = analyze_paths([CROSSMOD], use_cache=False)
-    assert not any(v.path.endswith("timing.py")
-                   for v in report.violations)
+    # timing.py reads the clock directly: the file rule flags it, and
+    # the purity family stays silent there (no double-reporting).
+    report = check_paths([CROSSMOD])
+    timing = [v for v in report.violations if v.path.endswith("timing.py")]
+    assert {v.rule_id for v in timing} == {"no-wall-clock"}
 
 
 def test_transitive_schedule_in_set_loop_invisible_to_lint():
-    lint = lint_paths([CROSSMOD / "sched.py"])
-    assert lint.violations == [], render_text(lint)
-    report = analyze_paths([CROSSMOD], use_cache=False)
+    assert file_findings(CROSSMOD / "sched.py") == []
+    report = check_paths([CROSSMOD])
     loops = [v for v in report.violations
              if v.rule_id == "transitive-unordered-schedule"]
     assert len(loops) == 1
@@ -140,9 +150,9 @@ def test_argument_unit_checked_against_callee_signature(tmp_path):
                           "def go(timeout_ms):\n"
                           "    return hold(timeout_ms)\n"),
     })
-    report = analyze_paths([tmp_path / "pkg"], use_cache=False)
+    report = check_paths([tmp_path / "pkg"])
     assert rule_ids(report) == {"cross-unit-argument"}
-    message = report.violations[0].message
+    message = findings(report)[0].message
     assert "duration" not in message or "expects _us" in message
 
 
@@ -152,7 +162,7 @@ def test_suffixed_assignment_checked(tmp_path):
                    "    wait_us = delay_ms\n"
                    "    return wait_us\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"cross-unit-assignment"}
 
 
@@ -161,7 +171,7 @@ def test_declared_return_unit_checked(tmp_path):
         "mod.py": ("def worst_case_us(budget_ms):\n"
                    "    return budget_ms\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"cross-unit-return"}
 
 
@@ -170,7 +180,7 @@ def test_comparison_between_units_checked(tmp_path):
         "mod.py": ("def late(deadline_ms, elapsed_us):\n"
                    "    return elapsed_us > deadline_ms\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"cross-unit-comparison"}
 
 
@@ -180,8 +190,8 @@ def test_conversion_call_reconciles_units(tmp_path):
                    "def f(slot_tc, margin_us):\n"
                    "    return slot_tc + tc_from_us(margin_us)\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
-    assert report.violations == [], render_analysis_text(report)
+    report = check_paths([tmp_path])
+    assert findings(report) == [], render_text(report)
 
 
 def test_converter_rejects_wrong_source_unit(tmp_path):
@@ -190,7 +200,7 @@ def test_converter_rejects_wrong_source_unit(tmp_path):
                    "def f(margin_ms):\n"
                    "    return tc_from_us(margin_ms)\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"cross-unit-argument"}
 
 
@@ -200,8 +210,8 @@ def test_ratio_of_same_unit_is_unitless(tmp_path):
                    "    frac = busy_us / window_us\n"
                    "    return total_ms * frac + total_ms\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
-    assert report.violations == [], render_analysis_text(report)
+    report = check_paths([tmp_path])
+    assert findings(report) == [], render_text(report)
 
 
 def test_unknown_units_never_flag(tmp_path):
@@ -209,8 +219,8 @@ def test_unknown_units_never_flag(tmp_path):
         "mod.py": ("def f(a, b_ms):\n"
                    "    return a + b_ms\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
 
 
 def test_transitive_global_rng(tmp_path):
@@ -223,7 +233,7 @@ def test_transitive_global_rng(tmp_path):
                         "def sample_offset():\n"
                         "    return draw() * 10.0\n"),
     })
-    report = analyze_paths([tmp_path / "pkg"], use_cache=False)
+    report = check_paths([tmp_path / "pkg"])
     leaks = [v for v in report.violations
              if v.rule_id == "transitive-global-rng"]
     assert len(leaks) == 1
@@ -241,8 +251,8 @@ def test_default_rng_is_not_a_taint_source(tmp_path):
                         "def sample(seed):\n"
                         "    return make_stream(seed).normal()\n"),
     })
-    report = analyze_paths([tmp_path / "pkg"], use_cache=False)
-    assert report.violations == [], render_analysis_text(report)
+    report = check_paths([tmp_path / "pkg"])
+    assert findings(report) == [], render_text(report)
 
 
 # ----------------------------------------------------------------------
@@ -252,24 +262,24 @@ def test_line_pragma_suppresses_finding(tmp_path):
     write_tree(tmp_path, {
         "mod.py": ("def f(a_ms, b_us):\n"
                    "    return a_ms + b_us"
-                   "  # analyze: disable=cross-unit-arithmetic\n"),
+                   "  # check: disable=cross-unit-arithmetic\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
-    assert report.violations == []
-    assert report.suppressed == 1
+    report = check_paths([tmp_path])
+    assert findings(report) == []
+    assert len(findings_of(report.suppressed)) == 1
 
 
 def test_file_pragma_suppresses_rule_everywhere(tmp_path):
     write_tree(tmp_path, {
-        "mod.py": ("# analyze: disable-file=cross-unit-arithmetic\n"
+        "mod.py": ("# check: disable-file=cross-unit-arithmetic\n"
                    "def f(a_ms, b_us):\n"
                    "    return a_ms + b_us\n"
                    "def g(c_ms, d_us):\n"
                    "    return c_ms - d_us\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
-    assert report.violations == []
-    assert report.suppressed == 2
+    report = check_paths([tmp_path])
+    assert findings(report) == []
+    assert len(findings_of(report.suppressed)) == 2
 
 
 def test_unit_annotation_seeds_declared_unit(tmp_path):
@@ -280,7 +290,7 @@ def test_unit_annotation_seeds_declared_unit(tmp_path):
                    "def f_us(raw):\n"
                    "    return 1.0\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"cross-unit-arithmetic"}
 
 
@@ -289,30 +299,32 @@ def test_config_ignore_drops_rule(tmp_path):
         "mod.py": ("def f(a_ms, b_us):\n"
                    "    return a_ms + b_us\n"),
     })
-    config = AnalyzeConfig(ignore=("cross-unit-arithmetic",))
-    report = analyze_paths([tmp_path], config, use_cache=False)
-    assert report.violations == []
+    config = CheckConfig(ignore=("cross-unit-arithmetic",))
+    report = check_paths([tmp_path], config)
+    assert findings(report) == []
 
 
 def test_load_analyze_config_from_pyproject(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.analyze]\n'
+        '[tool.urllc5g.check]\n'
         'ignore = ["cross-unit-comparison"]\n'
         'exclude = ["gen/*"]\n'
-        'baseline = "analyze-baseline.json"\n'
+        'baseline = "check-baseline.json"\n'
         'cache = ".cache.json"\n', encoding="utf-8")
-    config = load_analyze_config(start=tmp_path)
+    config = load_check_config(start=tmp_path)
     assert config.ignore == ("cross-unit-comparison",)
     assert config.exclude == ("gen/*",)
-    assert config.baseline == "analyze-baseline.json"
-    assert config.cache == ".cache.json"
+    # Relative paths anchor at the pyproject's directory, so an
+    # explicit --config works from any invocation cwd.
+    assert config.baseline == str(tmp_path / "check-baseline.json")
+    assert config.cache == str(tmp_path / ".cache.json")
 
 
 def test_load_analyze_config_rejects_bad_types(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.analyze]\nignore = "oops"\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="list of strings"):
-        load_analyze_config(start=tmp_path)
+        '[tool.urllc5g.check]\nbaseline = ["oops"]\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="must be a string"):
+        load_check_config(start=tmp_path)
 
 
 def test_baseline_round_trip_suppresses_known_findings(tmp_path):
@@ -320,30 +332,29 @@ def test_baseline_round_trip_suppresses_known_findings(tmp_path):
         "mod.py": ("def f(a_ms, b_us):\n"
                    "    return a_ms + b_us\n"),
     })
-    first = analyze_paths([source_dir], use_cache=False)
-    assert first.exit_code == 1
+    first = check_paths([source_dir])
+    assert rule_ids(first) == {"cross-unit-arithmetic"}
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, first.violations)
     baseline = load_baseline(baseline_file)
-    second = analyze_paths([source_dir], baseline=baseline,
-                           use_cache=False)
+    second = check_paths([source_dir], baseline=baseline)
     assert second.exit_code == 0
-    assert second.baselined == 1
+    assert second.violations == []
+    assert second.baselined == first.violations
 
 
 def test_baseline_survives_line_shifts(tmp_path):
     source = ("def f(a_ms, b_us):\n"
               "    return a_ms + b_us\n")
     source_dir = write_tree(tmp_path / "proj", {"mod.py": source})
-    first = analyze_paths([source_dir], use_cache=False)
-    baseline = Baseline({fingerprint(v) for v in first.violations})
+    first = check_paths([source_dir])
+    baseline = Baseline({fingerprint(v) for v in findings(first)})
     # Prepend a line: the finding moves but stays baselined.
     (source_dir / "mod.py").write_text('"""doc."""\n' + source,
                                        encoding="utf-8")
-    second = analyze_paths([source_dir], baseline=baseline,
-                           use_cache=False)
-    assert second.exit_code == 0
-    assert second.baselined == 1
+    second = check_paths([source_dir], baseline=baseline)
+    assert findings(second) == []
+    assert [v.line for v in second.baselined] == [3]
 
 
 def test_new_finding_escapes_the_baseline(tmp_path):
@@ -351,16 +362,15 @@ def test_new_finding_escapes_the_baseline(tmp_path):
         "mod.py": ("def f(a_ms, b_us):\n"
                    "    return a_ms + b_us\n"),
     })
-    first = analyze_paths([source_dir], use_cache=False)
+    first = check_paths([source_dir])
     baseline = Baseline({fingerprint(v) for v in first.violations})
     (source_dir / "other.py").write_text(
         "def g(c_tc, d_ns):\n    return c_tc - d_ns\n",
         encoding="utf-8")
-    second = analyze_paths([source_dir], baseline=baseline,
-                           use_cache=False)
+    second = check_paths([source_dir], baseline=baseline)
     assert second.exit_code == 1
-    assert len(second.violations) == 1
-    assert second.violations[0].path.endswith("other.py")
+    assert len(findings(second)) == 1
+    assert findings(second)[0].path.endswith("other.py")
 
 
 # ----------------------------------------------------------------------
@@ -368,8 +378,8 @@ def test_new_finding_escapes_the_baseline(tmp_path):
 # ----------------------------------------------------------------------
 def test_unparseable_file_becomes_error_finding(tmp_path):
     write_tree(tmp_path, {"broken.py": "def broken(:\n"})
-    report = analyze_paths([tmp_path], use_cache=False)
-    assert rule_ids(report) == {"syntax-error"}
+    report = check_paths([tmp_path])
+    assert {v.rule_id for v in report.violations} == {"syntax-error"}
     assert report.exit_code == 1
 
 
@@ -381,25 +391,29 @@ def test_cache_rerun_performs_zero_reparses(tmp_path):
         "pkg/__init__.py": "",
         "pkg/a.py": "def base_ms():\n    return 2.0\n",
         "pkg/b.py": ("from pkg.a import base_ms\n"
+                     "import time\n"
                      "def f(x_us):\n"
-                     "    return x_us + base_ms()\n"),
+                     "    return x_us + base_ms() + time.time()\n"),
     })
     cache_file = tmp_path / "cache.json"
     parses: list[str] = []
     PARSE_HOOKS.append(parses.append)
     try:
-        first = analyze_paths([source_dir], cache_path=cache_file)
+        first = check_paths([source_dir], cache_path=cache_file)
         assert len(parses) == first.files_checked == 3
         parses.clear()
-        second = analyze_paths([source_dir], cache_path=cache_file)
+        second = check_paths([source_dir], cache_path=cache_file)
     finally:
         PARSE_HOOKS.remove(parses.append)
     assert parses == []  # zero re-parses on an unchanged tree
     assert second.from_cache == second.files_checked == 3
     assert second.parsed == 0
-    # Cached summaries must reproduce the exact findings.
+    # Cached summaries must reproduce the exact findings, the
+    # file-scope rules' included.
     assert second.violations == first.violations
     assert rule_ids(second) == {"cross-unit-arithmetic"}
+    assert {v.rule_id for v in family(second.violations, "file")} == {
+        "no-wall-clock", "public-api-exports", "unit-suffix-mixing"}
 
 
 def test_cache_reparses_only_the_changed_file(tmp_path):
@@ -408,13 +422,13 @@ def test_cache_reparses_only_the_changed_file(tmp_path):
         "b.py": "def g():\n    return 2\n",
     })
     cache_file = tmp_path / "cache.json"
-    analyze_paths([source_dir], cache_path=cache_file)
+    check_paths([source_dir], cache_path=cache_file)
     (source_dir / "a.py").write_text("def f():\n    return 3\n",
                                      encoding="utf-8")
     parses: list[str] = []
     PARSE_HOOKS.append(parses.append)
     try:
-        report = analyze_paths([source_dir], cache_path=cache_file)
+        report = check_paths([source_dir], cache_path=cache_file)
     finally:
         PARSE_HOOKS.remove(parses.append)
     assert [Path(p).name for p in parses] == ["a.py"]
@@ -426,16 +440,16 @@ def test_cache_reparses_only_the_changed_file(tmp_path):
 # SARIF 2.1.0 output
 # ----------------------------------------------------------------------
 def test_sarif_document_matches_2_1_0_shape():
-    report = analyze_paths([CROSSMOD], use_cache=False)
+    report = check_paths([CROSSMOD])
     assert report.violations  # the fixture must produce findings
-    document = json.loads(render_analysis_sarif(report))
+    document = json.loads(render_sarif(report))
     assert document["$schema"] == (
         "https://json.schemastore.org/sarif-2.1.0.json")
     assert document["version"] == "2.1.0"
     assert len(document["runs"]) == 1
     run = document["runs"][0]
     driver = run["tool"]["driver"]
-    assert driver["name"] == "urllc5g-analyze"
+    assert driver["name"] == "urllc5g-check"
     rule_ids_listed = [rule["id"] for rule in driver["rules"]]
     assert rule_ids_listed == sorted(rule_ids_listed)
     for rule in driver["rules"]:
@@ -454,9 +468,9 @@ def test_sarif_document_matches_2_1_0_shape():
 
 
 def test_sarif_lists_every_analyzer_rule_even_without_findings(tmp_path):
-    write_tree(tmp_path, {"mod.py": "def f():\n    return 1\n"})
-    report = analyze_paths([tmp_path], use_cache=False)
-    document = json.loads(render_analysis_sarif(report))
+    write_tree(tmp_path, {"mod.py": "__all__ = []\n"})
+    report = check_paths([tmp_path])
+    document = json.loads(render_sarif(report))
     run = document["runs"][0]
     assert run["results"] == []
     listed = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
@@ -469,15 +483,14 @@ def test_sarif_lists_every_analyzer_rule_even_without_findings(tmp_path):
 # ----------------------------------------------------------------------
 def test_text_reporter_mentions_cache_split(tmp_path):
     write_tree(tmp_path, {"mod.py": "def f():\n    return 1\n"})
-    text = render_analysis_text(analyze_paths([tmp_path],
-                                              use_cache=False))
-    assert "1 file(s) analyzed" in text
+    text = render_text(check_paths([tmp_path]))
+    assert "1 file(s) checked" in text
     assert "1 parsed" in text
 
 
 def test_json_reporter_round_trips():
-    report = analyze_paths([CROSSMOD], use_cache=False)
-    payload = json.loads(render_analysis_json(report))
+    report = check_paths([CROSSMOD])
+    payload = json.loads(render_json(report))
     assert payload["exit_code"] == 1
     assert payload["files_checked"] == report.files_checked
     rules_seen = {v["rule"] for v in payload["violations"]}
@@ -485,12 +498,11 @@ def test_json_reporter_round_trips():
 
 
 # ----------------------------------------------------------------------
-# the repository itself is analyze-clean
+# the repository itself is clean in both whole-program families
 # ----------------------------------------------------------------------
 def test_src_tree_is_analyze_clean():
     repo_root = Path(__file__).resolve().parents[2]
-    report = analyze_paths([repo_root / "src"], use_cache=False)
-    assert report.exit_code == 0, render_analysis_text(report)
-    # No scattered escapes: pragmas would hide regressions.
-    assert report.suppressed == 0
-    assert report.baselined == 0
+    report = check_paths([repo_root / "src"], use_cache=False)
+    assert findings(report) == [], render_text(report)
+    # No escapes: pragmas or baseline entries would hide regressions.
+    assert findings_of(report.unfiltered) == []

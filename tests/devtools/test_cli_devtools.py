@@ -1,25 +1,36 @@
-"""CLI wiring: ``urllc5g lint``/``analyze``/``distcheck``/``check``."""
+"""CLI wiring: ``urllc5g check`` (static rules and the runtime sanitizer)."""
 
 import json
 from pathlib import Path
 
 from repro.cli import main
+from repro.devtools.check import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CROSSMOD = Path(__file__).parent / "fixtures_analyze" / "crossmod"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+HOST_STATEFUL = (
+    "import os\n"
+    "\n"
+    "from repro.runner.scenarios import scenario\n"
+    "\n"
+    "\n"
+    '@scenario("env-probe")\n'
+    "def env_probe(params, seed):\n"
+    '    return {"tag": os.environ.get("EXPERIMENT_TAG")}\n')
+
 
 def test_lint_src_is_clean_and_exits_zero(capsys):
-    code = main(["lint", str(REPO_ROOT / "src"),
+    code = main(["check", str(REPO_ROOT / "src"), "--no-cache",
                  "--config", str(REPO_ROOT / "pyproject.toml")])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "0 error(s)" in out
+    assert "0 finding(s) (3 suppressed, 3 baselined" in out
 
 
 def test_lint_fixture_violations_exit_nonzero(capsys):
-    code = main(["lint", str(FIXTURES), "--no-config"])
+    code = main(["check", str(FIXTURES), "--no-config", "--no-cache"])
     out = capsys.readouterr().out
     assert code == 1
     assert "no-wall-clock" in out
@@ -27,48 +38,49 @@ def test_lint_fixture_violations_exit_nonzero(capsys):
 
 
 def test_lint_json_format(capsys):
-    code = main(["lint", str(FIXTURES / "bad_exports.py"),
-                 "--no-config", "--format", "json"])
+    code = main(["check", str(FIXTURES / "bad_exports.py"),
+                 "--no-config", "--no-cache", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["errors"] == 1
+    assert payload["exit_code"] == 1
     assert payload["violations"][0]["rule"] == "public-api-exports"
 
 
-def test_lint_select_narrows_rules(capsys):
-    code = main(["lint", str(FIXTURES), "--no-config",
-                 "--select", "no-wall-clock"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "rng-discipline" not in out
-
-
-def test_lint_ignore_disables_rule(capsys):
-    code = main(["lint", str(FIXTURES / "bad_exports.py"), "--no-config",
-                 "--ignore", "public-api-exports"])
+def test_lint_ignore_disables_rule(tmp_path, capsys):
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text(
+        '[tool.urllc5g.check]\nignore = ["public-api-exports"]\n',
+        encoding="utf-8")
+    code = main(["check", str(FIXTURES / "bad_exports.py"), "--no-cache",
+                 "--config", str(pyproject)])
     out = capsys.readouterr().out
     assert code == 0, out
 
 
 def test_lint_sarif_format(capsys):
-    code = main(["lint", str(FIXTURES / "bad_exports.py"),
-                 "--no-config", "--format", "sarif"])
+    code = main(["check", str(FIXTURES / "bad_exports.py"),
+                 "--no-config", "--no-cache", "--format", "sarif"])
     document = json.loads(capsys.readouterr().out)
     assert code == 1
     assert document["version"] == "2.1.0"
-    assert document["runs"][0]["tool"]["driver"]["name"] == "urllc5g-lint"
+    assert document["runs"][0]["tool"]["driver"]["name"] == "urllc5g-check"
 
 
-def test_analyze_src_is_clean_and_exits_zero(capsys):
-    code = main(["analyze", str(REPO_ROOT / "src"), "--no-cache",
-                 "--config", str(REPO_ROOT / "pyproject.toml")])
+def test_analyze_src_is_clean_and_exits_zero(tmp_path, capsys):
+    # Warm cache: the second run over src/ parses nothing.
+    argv = ["check", str(REPO_ROOT / "src"),
+            "--config", str(REPO_ROOT / "pyproject.toml"),
+            "--cache", str(tmp_path / "cache.json")]
+    main(argv)
+    capsys.readouterr()
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "0 finding(s)" in out
+    assert "(0 parsed," in out
 
 
 def test_analyze_fixture_violations_exit_nonzero(capsys):
-    code = main(["analyze", str(CROSSMOD), "--no-config", "--no-cache"])
+    code = main(["check", str(CROSSMOD), "--no-config", "--no-cache"])
     out = capsys.readouterr().out
     assert code == 1
     assert "cross-unit-arithmetic" in out
@@ -76,22 +88,22 @@ def test_analyze_fixture_violations_exit_nonzero(capsys):
 
 
 def test_analyze_sarif_format(capsys):
-    code = main(["analyze", str(CROSSMOD), "--no-config", "--no-cache",
+    code = main(["check", str(CROSSMOD), "--no-config", "--no-cache",
                  "--format", "sarif"])
     document = json.loads(capsys.readouterr().out)
     assert code == 1
     driver = document["runs"][0]["tool"]["driver"]
-    assert driver["name"] == "urllc5g-analyze"
+    assert driver["name"] == "urllc5g-check"
     assert document["runs"][0]["results"]
 
 
 def test_analyze_write_then_use_baseline(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
-    code = main(["analyze", str(CROSSMOD), "--no-config", "--no-cache",
+    code = main(["check", str(CROSSMOD), "--no-config", "--no-cache",
                  "--write-baseline", str(baseline)])
     assert code == 0
     assert "wrote" in capsys.readouterr().out
-    code = main(["analyze", str(CROSSMOD), "--no-config", "--no-cache",
+    code = main(["check", str(CROSSMOD), "--no-config", "--no-cache",
                  "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -99,14 +111,14 @@ def test_analyze_write_then_use_baseline(tmp_path, capsys):
 
 
 def test_analyze_missing_path_is_an_error(capsys):
-    code = main(["analyze", "no/such/dir"])
+    code = main(["check", "no/such/dir"])
     assert code == 2
     assert "no such path" in capsys.readouterr().err
 
 
 def test_distcheck_src_certifies_and_writes_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
-    code = main(["distcheck", str(REPO_ROOT / "src"),
+    code = main(["check", str(REPO_ROOT / "src"), "--no-cache",
                  "--config", str(REPO_ROOT / "pyproject.toml"),
                  "--manifest", str(manifest)])
     out = capsys.readouterr().out
@@ -119,21 +131,20 @@ def test_distcheck_src_certifies_and_writes_manifest(tmp_path, capsys):
                for entry in payload["scenarios"].values())
 
 
+def test_check_writes_no_manifest_unless_asked(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "probe.py").write_text(HOST_STATEFUL, encoding="utf-8")
+    main(["check", "probe.py", "--no-config", "--no-cache"])
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == [tmp_path / "probe.py"]
+
+
 def test_distcheck_host_stateful_scenario_exits_one(tmp_path, capsys):
     # The CI regression contract: a scenario reaching undeclared host
     # state must fail certification with exit code 1.
-    (tmp_path / "probe.py").write_text(
-        "import os\n"
-        "\n"
-        "from repro.runner.scenarios import scenario\n"
-        "\n"
-        "\n"
-        '@scenario("env-probe")\n'
-        "def env_probe(params, seed):\n"
-        '    return {"tag": os.environ.get("EXPERIMENT_TAG")}\n',
-        encoding="utf-8")
-    code = main(["distcheck", str(tmp_path), "--no-config",
-                 "--no-cache", "--no-manifest"])
+    (tmp_path / "probe.py").write_text(HOST_STATEFUL, encoding="utf-8")
+    code = main(["check", str(tmp_path), "--no-config", "--no-cache"])
     out = capsys.readouterr().out
     assert code == 1
     assert "dist-host-state" in out
@@ -153,47 +164,44 @@ def test_distcheck_write_then_use_baseline(tmp_path, capsys):
         "    return {\"count\": len(_SEEN)}\n",
         encoding="utf-8")
     baseline = tmp_path / "baseline.json"
-    code = main(["distcheck", str(tmp_path), "--no-config", "--no-cache",
+    code = main(["check", str(tmp_path), "--no-config", "--no-cache",
                  "--write-baseline", str(baseline)])
     assert code == 0
     assert "wrote" in capsys.readouterr().out
-    code = main(["distcheck", str(tmp_path), "--no-config", "--no-cache",
-                 "--no-manifest", "--baseline", str(baseline)])
+    code = main(["check", str(tmp_path), "--no-config", "--no-cache",
+                 "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "baselined-findings" in out
 
 
 def test_sarif_metadata_is_unified_across_all_verbs(capsys):
-    drivers = {}
-    for verb in ("lint", "analyze", "detsan", "distcheck"):
-        argv = [verb, str(CROSSMOD), "--no-config", "--format", "sarif"]
-        if verb != "lint":
-            argv.append("--no-cache")
-        if verb == "distcheck":
-            argv.append("--no-manifest")
-        main(argv)
-        document = json.loads(capsys.readouterr().out)
-        drivers[verb] = document["runs"][0]["tool"]["driver"]
-    # One tool family: urllc5g-<verb>, one shared version, a docs link
-    # and an indexed rule table in every driver.
-    for verb, driver in drivers.items():
-        assert driver["name"] == f"urllc5g-{verb}", verb
-        assert driver["informationUri"], verb
-        assert driver["rules"], verb
-    assert {driver["version"] for driver in drivers.values()} == \
-        {"1.0.0"}
+    main(["check", str(CROSSMOD), "--no-config", "--no-cache",
+          "--format", "sarif"])
+    document = json.loads(capsys.readouterr().out)
+    (run,) = document["runs"]
+    driver = run["tool"]["driver"]
+    # One driver for every rule family: one name, the shared version,
+    # a docs link and the whole registry as the indexed rule table.
+    assert driver["name"] == "urllc5g-check"
+    assert driver["version"] == "1.0.0"
+    assert driver["informationUri"] == "docs/ANALYSIS.md"
+    assert [rule["id"] for rule in driver["rules"]] == sorted(RULES)
+    families = {RULES[result["ruleId"]].family
+                for result in run["results"]}
+    assert families == {"file", "units", "purity"}
 
 
 def test_check_all_aggregates_the_four_gates(capsys, monkeypatch):
+    # `urllc5g check` from the repo root: src/, the repo config, and
+    # every rule family in one pass.
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["check", "--all"])
+    code = main(["check", "--no-cache"])
     out = capsys.readouterr().out
     assert code == 0, out
-    for verb in ("lint", "analyze", "detsan", "distcheck"):
-        assert verb in out
-    assert "FAIL" not in out
-    assert "distcheck scenarios:" in out
+    assert "stream ownership map" in out
+    assert "scenario certification" in out
+    assert "chaos-selftest" in out and "refused" in out
 
 
 def test_check_determinism_passes(capsys):
@@ -204,7 +212,17 @@ def test_check_determinism_passes(capsys):
     assert "PASS" in out
 
 
-def test_check_without_sanitizer_flag(capsys):
-    code = main(["check"])
-    assert code == 2
-    assert "--determinism" in capsys.readouterr().out
+def test_check_without_sanitizer_flag(tmp_path, capsys, monkeypatch):
+    # Without --determinism, check is the static gate over src/ — and
+    # a directory with no src/ is an error, never a green run over
+    # zero files.
+    monkeypatch.chdir(tmp_path)
+    assert main(["check"]) == 2
+    assert "no such path: src" in capsys.readouterr().err
+
+
+def test_check_with_no_python_files_is_an_error(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("nothing to check\n",
+                                        encoding="utf-8")
+    assert main(["check", str(tmp_path), "--no-config"]) == 2
+    assert "no Python files" in capsys.readouterr().err

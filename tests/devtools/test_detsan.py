@@ -1,4 +1,4 @@
-"""DetSan static pass: ownership map, the five rules, renderers."""
+"""DetSan: the detsan rule family, the ownership map, replay checks."""
 
 import json
 from pathlib import Path
@@ -7,16 +7,16 @@ import pytest
 
 from repro.devtools.analyze import write_baseline
 from repro.devtools.analyze.baseline import Baseline, fingerprint
-from repro.devtools.detsan import (
-    DeterminismViolation,
-    detsan_paths,
-    load_detsan_config,
-    render_detsan_dot,
-    render_detsan_json,
-    render_detsan_sarif,
-    render_detsan_text,
-    verify_replay,
+from repro.devtools.check import (
+    RULES,
+    check_paths,
+    render_dot,
+    render_json,
+    render_sarif,
+    render_text,
 )
+from repro.devtools.config import load_check_config
+from repro.devtools.detsan import DeterminismViolation, verify_replay
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -29,8 +29,17 @@ def write_tree(tmp_path, files):
     return tmp_path
 
 
+def findings_of(violations):
+    return [v for v in violations if RULES[v.rule_id].family == "detsan"]
+
+
+def findings(report):
+    """The surviving findings of the detsan family."""
+    return findings_of(report.violations)
+
+
 def rule_ids(report):
-    return {v.rule_id for v in report.violations}
+    return {v.rule_id for v in findings(report)}
 
 
 # ----------------------------------------------------------------------
@@ -57,9 +66,9 @@ def run():
 
 def test_shared_stream_without_contract_is_flagged(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"detsan-shared-stream"}
-    (violation,) = report.violations
+    (violation,) = findings(report)
     assert "'noise'" in violation.message
     assert "2 components" in violation.message
     assert "detsan: shared" in violation.message  # tells you the fix
@@ -70,8 +79,8 @@ def test_shared_contract_comment_accepts_the_sharing(tmp_path):
         'registry.stream("noise")',
         'registry.stream("noise")  # detsan: shared')
     write_tree(tmp_path, {"sharedmod.py": contracted})
-    report = detsan_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
     info = next(s for s in report.ownership.streams
                 if s.template == "noise")
     assert info.shared
@@ -83,7 +92,7 @@ def test_unresolvable_dynamic_name_is_flagged(tmp_path):
         "def acquire(registry, name):\n"
         "    return registry.stream(name)\n"
     )})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"detsan-unresolved-stream"}
     assert report.ownership.acquisitions == 1
     assert report.ownership.resolved == 0
@@ -96,8 +105,8 @@ def test_literal_prefix_fstring_resolves_to_a_template(tmp_path):
         '    rng = registry.stream(f"ue{ue_id}")\n'
         "    return rng.random()\n"
     )})
-    report = detsan_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
     (info,) = report.ownership.streams
     assert info.template == "ue{*}"
     assert report.ownership.resolution_rate == 1.0
@@ -119,9 +128,9 @@ class Node:
 
 def test_escaped_buffered_stream_is_flagged(tmp_path):
     write_tree(tmp_path, {"escaped.py": ESCAPED})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert "detsan-buffered-escape" in rule_ids(report)
-    (violation,) = [v for v in report.violations
+    (violation,) = [v for v in findings(report)
                     if v.rule_id == "detsan-buffered-escape"]
     assert "BufferedSampler" in violation.message
     assert ".random()" in violation.message
@@ -149,8 +158,8 @@ def fan_out(rng, items):
 
 def test_draws_under_unordered_iteration_are_flagged(tmp_path):
     write_tree(tmp_path, {"unordered.py": UNORDERED})
-    report = detsan_paths([tmp_path], use_cache=False)
-    hits = [v for v in report.violations
+    report = check_paths([tmp_path])
+    hits = [v for v in findings(report)
             if v.rule_id == "detsan-unordered-draw"]
     assert len(hits) == 2
     direct, transitive = sorted(hits, key=lambda v: v.line)
@@ -167,9 +176,9 @@ def test_acquired_but_never_drawn_stream_is_flagged(tmp_path):
         "    spare = registry.stream('spare')\n"
         "    return registry\n"
     )})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"detsan-unused-stream"}
-    (violation,) = report.violations
+    (violation,) = findings(report)
     assert "'spare'" in violation.message
     assert violation.severity.name == "WARNING"
 
@@ -181,36 +190,37 @@ def test_analyze_pragma_suppresses_detsan_rules(tmp_path):
     suppressed = SHARED.replace(
         'noise = registry.stream("noise")',
         'noise = registry.stream("noise")'
-        '  # analyze: disable=detsan-shared-stream')
+        '  # check: disable=detsan-shared-stream')
     write_tree(tmp_path, {"sharedmod.py": suppressed})
-    report = detsan_paths([tmp_path], use_cache=False)
-    assert report.violations == []
-    assert report.suppressed == 1
+    report = check_paths([tmp_path])
+    assert findings(report) == []
+    assert [v.rule_id for v in report.suppressed] == [
+        "detsan-shared-stream"]
 
 
 def test_baseline_roundtrip_filters_known_findings(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert report.exit_code == 1
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, report.violations)
-    rerun = detsan_paths(
-        [tmp_path], use_cache=False,
+    rerun = check_paths(
+        [tmp_path],
         baseline=Baseline({fingerprint(v) for v in report.violations}))
     assert rerun.violations == []
-    assert rerun.baselined == 1
+    assert findings_of(rerun.baselined) == findings(report)
     assert rerun.exit_code == 0
 
 
 def test_config_reads_detsan_table(tmp_path):
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text(
-        "[tool.urllc5g.detsan]\n"
+        "[tool.urllc5g.check]\n"
         'baseline = "accepted.json"\n'
         'cache = ".cache.json"\n'
         'ignore = ["detsan-unused-stream"]\n',
         encoding="utf-8")
-    config = load_detsan_config(pyproject=pyproject)
+    config = load_check_config(pyproject=pyproject)
     # Relative paths anchor at the pyproject's directory, so an
     # explicit --config works from any invocation cwd.
     assert config.baseline == str(tmp_path / "accepted.json")
@@ -223,8 +233,8 @@ def test_config_reads_detsan_table(tmp_path):
 # ----------------------------------------------------------------------
 def test_text_report_shows_map_and_resolution(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    report = detsan_paths([tmp_path], use_cache=False)
-    text = render_detsan_text(report)
+    report = check_paths([tmp_path])
+    text = render_text(report)
     assert "stream ownership map" in text
     assert "1/1 acquisition(s) resolved" in text
     assert "noise" in text
@@ -232,8 +242,7 @@ def test_text_report_shows_map_and_resolution(tmp_path):
 
 def test_json_report_carries_streams_and_rate(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    payload = json.loads(render_detsan_json(
-        detsan_paths([tmp_path], use_cache=False)))
+    payload = json.loads(render_json(check_paths([tmp_path])))
     assert payload["resolution"] == {
         "acquisitions": 1, "resolved": 1, "rate": 1.0}
     (stream,) = payload["streams"]
@@ -243,20 +252,21 @@ def test_json_report_carries_streams_and_rate(tmp_path):
 
 
 def test_sarif_report_uses_detsan_tool_name(tmp_path):
+    # One driver for every family; detsan results ride in it.
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    doc = json.loads(render_detsan_sarif(
-        detsan_paths([tmp_path], use_cache=False)))
+    doc = json.loads(render_sarif(check_paths([tmp_path])))
     run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "urllc5g-detsan"
-    assert [r["ruleId"] for r in run["results"]] == \
+    assert run["tool"]["driver"]["name"] == "urllc5g-check"
+    assert [r["ruleId"] for r in run["results"]
+            if r["ruleId"].startswith("detsan-")] == \
         ["detsan-shared-stream"]
 
 
 def test_dot_graph_is_deterministic_and_marks_buffering(tmp_path):
     write_tree(tmp_path, {"escaped.py": ESCAPED, "sharedmod.py": SHARED})
-    report = detsan_paths([tmp_path], use_cache=False)
-    dot = render_detsan_dot(report)
-    assert dot == render_detsan_dot(report)
+    report = check_paths([tmp_path])
+    dot = render_dot(report)
+    assert dot == render_dot(report)
     assert dot.startswith("// Generated by")
     assert "digraph stream_ownership" in dot
     assert "shape=box" in dot  # consumer components
@@ -295,19 +305,20 @@ def test_verify_replay_raises_on_draw_count_divergence():
 # acceptance: the repository itself
 # ----------------------------------------------------------------------
 def test_src_tree_is_detsan_clean_against_reviewed_baseline():
-    config = load_detsan_config(pyproject=REPO / "pyproject.toml")
-    report = detsan_paths([REPO / "src"], config, use_cache=False)
-    assert report.exit_code == 0, render_detsan_text(report)
+    config = load_check_config(pyproject=REPO / "pyproject.toml")
+    report = check_paths([REPO / "src"], config, use_cache=False)
+    assert report.exit_code == 0, render_text(report)
     # Every acceptance threshold from the determinism contract:
     # >= 95% of stream names resolve statically, and the only accepted
     # debt is the reviewed baseline (no stray pragmas).
     assert report.ownership.resolution_rate >= 0.95
-    assert report.suppressed == 0
-    assert report.baselined == 1  # the AirLink escape, reviewed
+    assert findings_of(report.suppressed) == []
+    # the AirLink escape, reviewed
+    assert len(findings_of(report.baselined)) == 1
 
 
 def test_src_ownership_map_covers_the_core_streams():
-    report = detsan_paths([REPO / "src"], use_cache=False)
+    report = check_paths([REPO / "src"], use_cache=False)
     by_template = {info.template: info
                    for info in report.ownership.streams}
     assert "upf" in by_template and by_template["upf"].buffered

@@ -5,15 +5,15 @@ from pathlib import Path
 
 from repro.devtools.analyze import write_baseline
 from repro.devtools.analyze.baseline import Baseline, fingerprint
-from repro.devtools.distcheck import (
-    DistcheckConfig,
-    distcheck_paths,
-    load_distcheck_config,
-    render_distcheck_json,
-    render_distcheck_manifest,
-    render_distcheck_sarif,
-    render_distcheck_text,
+from repro.devtools.check import (
+    RULES,
+    check_paths,
+    render_json,
+    render_manifest,
+    render_sarif,
+    render_text,
 )
+from repro.devtools.config import CheckConfig, load_check_config
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -26,8 +26,17 @@ def write_tree(tmp_path, files):
     return tmp_path
 
 
+def findings_of(violations):
+    return [v for v in violations if RULES[v.rule_id].family == "dist"]
+
+
+def findings(report):
+    """The surviving findings of the dist family."""
+    return findings_of(report.violations)
+
+
 def rule_ids(report):
-    return {v.rule_id for v in report.violations}
+    return {v.rule_id for v in findings(report)}
 
 
 def cert_by_name(report):
@@ -42,6 +51,8 @@ HOST_STATE = """\
 import os
 
 from repro.runner.scenarios import scenario
+
+__all__ = ["env_probe"]
 
 
 def lookup():
@@ -58,6 +69,8 @@ import os
 
 from repro.runner.scenarios import scenario
 
+__all__ = ["env_probe"]
+
 
 def lookup():
     return os.environ.get("URLLC5G_BENCH_WORKERS")
@@ -71,9 +84,9 @@ def env_probe(params, seed):
 
 def test_env_read_outside_allowlist_fails_certification(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"dist-host-state"}
-    (violation,) = report.violations
+    (violation,) = findings(report)
     assert "'EXPERIMENT_TAG'" in violation.message
     assert "allow-env" in violation.message
     assert report.scenarios_for(violation) == frozenset({"env-probe"})
@@ -84,8 +97,8 @@ def test_env_read_outside_allowlist_fails_certification(tmp_path):
 
 def test_allowlisted_env_read_certifies(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
     assert cert_by_name(report)["env-probe"].status == "certified"
     assert report.exit_code == 0
 
@@ -124,9 +137,9 @@ def stateful(params, seed):
 
 def test_module_global_write_is_flagged_transitively(tmp_path):
     write_tree(tmp_path, {"state.py": MUTABLE})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"dist-mutable-global"}
-    (violation,) = report.violations
+    (violation,) = findings(report)
     assert "_RESULTS" in violation.message
     assert "remote worker" in violation.message
     # The write is in record(), two hops from the entry point.
@@ -135,8 +148,8 @@ def test_module_global_write_is_flagged_transitively(tmp_path):
 
 def test_locally_scoped_mutation_is_clean(tmp_path):
     write_tree(tmp_path, {"state.py": MUTABLE_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
     assert cert_by_name(report)["stateful"].status == "certified"
 
 
@@ -168,9 +181,9 @@ def fan_out(points):
 
 def test_lambda_into_pool_submit_is_flagged(tmp_path):
     write_tree(tmp_path, {"pool.py": BOUNDARY})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"dist-unpicklable-boundary"}
-    (violation,) = report.violations
+    (violation,) = findings(report)
     assert "a lambda" in violation.message
     assert ".submit()" in violation.message
     # Boundary hazards are program-wide: no scenario attribution.
@@ -179,8 +192,8 @@ def test_lambda_into_pool_submit_is_flagged(tmp_path):
 
 def test_module_level_callable_crosses_boundary_cleanly(tmp_path):
     write_tree(tmp_path, {"pool.py": BOUNDARY_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
 
 
 DIGEST = """\
@@ -202,17 +215,17 @@ def point_digest(payload):
 
 def test_unsorted_dumps_in_digest_closure_is_flagged(tmp_path):
     write_tree(tmp_path, {"cachekey.py": DIGEST})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"dist-digest-instability"}
-    (violation,) = report.violations
+    (violation,) = findings(report)
     assert "json.dumps" in violation.message
     assert "bit-identical" in violation.message
 
 
 def test_sorted_dumps_in_digest_closure_is_clean(tmp_path):
     write_tree(tmp_path, {"cachekey.py": DIGEST_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
 
 
 def test_hash_builtin_outside_digest_closure_is_ignored(tmp_path):
@@ -221,8 +234,8 @@ def test_hash_builtin_outside_digest_closure_is_ignored(tmp_path):
         "def bucket(key):\n"
         "    return hash(key) % 8\n"
     )})
-    report = distcheck_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
 
 
 FS_ESCAPE = """\
@@ -259,25 +272,25 @@ def reader(params, seed):
 
 def test_scenario_reachable_fs_write_is_flagged(tmp_path):
     write_tree(tmp_path, {"io.py": FS_ESCAPE})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert rule_ids(report) == {"dist-filesystem-escape"}
-    (violation,) = report.violations
+    (violation,) = findings(report)
     assert "sanctioned" in violation.message
     assert report.scenarios_for(violation) == frozenset({"spiller"})
 
 
 def test_reads_are_not_filesystem_escapes(tmp_path):
     write_tree(tmp_path, {"io.py": FS_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
-    assert report.violations == []
+    report = check_paths([tmp_path])
+    assert findings(report) == []
     assert cert_by_name(report)["reader"].status == "certified"
 
 
 def test_sanctioned_writer_pattern_permits_the_write(tmp_path):
     write_tree(tmp_path, {"io.py": FS_ESCAPE})
-    config = DistcheckConfig(sanctioned_writers=("io.spill",))
-    report = distcheck_paths([tmp_path], config, use_cache=False)
-    assert report.violations == []
+    config = CheckConfig(sanctioned_writers=("io.spill",))
+    report = check_paths([tmp_path], config)
+    assert findings(report) == []
     assert cert_by_name(report)["spiller"].status == "certified"
 
 
@@ -286,9 +299,9 @@ def test_sanctioned_writer_pattern_permits_the_write(tmp_path):
 # ----------------------------------------------------------------------
 def test_refused_scenario_drops_its_findings(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    config = DistcheckConfig(refuse_scenarios=("env-probe",))
-    report = distcheck_paths([tmp_path], config, use_cache=False)
-    assert report.violations == []
+    config = CheckConfig(refuse_scenarios=("env-probe",))
+    report = check_paths([tmp_path], config)
+    assert findings(report) == []
     assert report.refused_findings == 1
     assert cert_by_name(report)["env-probe"].status == "refused"
     assert report.exit_code == 0
@@ -303,8 +316,8 @@ def test_finding_shared_with_certified_scenario_still_gates(tmp_path):
         "    return {\"tag\": lookup()}\n"
     )
     write_tree(tmp_path, {"probe.py": shared})
-    config = DistcheckConfig(refuse_scenarios=("env-probe",))
-    report = distcheck_paths([tmp_path], config, use_cache=False)
+    config = CheckConfig(refuse_scenarios=("env-probe",))
+    report = check_paths([tmp_path], config)
     assert rule_ids(report) == {"dist-host-state"}
     assert cert_by_name(report)["env-probe-b"].status == "failed"
     assert report.exit_code == 1
@@ -314,11 +327,11 @@ def test_analyze_pragma_suppresses_dist_rules(tmp_path):
     suppressed = HOST_STATE.replace(
         'os.environ.get("EXPERIMENT_TAG")',
         'os.environ.get("EXPERIMENT_TAG")'
-        '  # analyze: disable=dist-host-state')
+        '  # check: disable=dist-host-state')
     write_tree(tmp_path, {"probe.py": suppressed})
-    report = distcheck_paths([tmp_path], use_cache=False)
-    assert report.violations == []
-    assert report.suppressed == 1
+    report = check_paths([tmp_path])
+    assert findings(report) == []
+    assert [v.rule_id for v in report.suppressed] == ["dist-host-state"]
     # Reviewed-away findings downgrade failed -> baselined-findings.
     assert cert_by_name(report)["env-probe"].status == \
         "baselined-findings"
@@ -327,15 +340,15 @@ def test_analyze_pragma_suppresses_dist_rules(tmp_path):
 
 def test_baseline_roundtrip_filters_known_findings(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = check_paths([tmp_path])
     assert report.exit_code == 1
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, report.violations)
-    rerun = distcheck_paths(
-        [tmp_path], use_cache=False,
+    rerun = check_paths(
+        [tmp_path],
         baseline=Baseline({fingerprint(v) for v in report.violations}))
     assert rerun.violations == []
-    assert rerun.baselined == 1
+    assert findings_of(rerun.baselined) == findings(report)
     assert cert_by_name(rerun)["env-probe"].status == \
         "baselined-findings"
     assert rerun.exit_code == 0
@@ -344,14 +357,14 @@ def test_baseline_roundtrip_filters_known_findings(tmp_path):
 def test_config_reads_distcheck_table(tmp_path):
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text(
-        "[tool.urllc5g.distcheck]\n"
+        "[tool.urllc5g.check]\n"
         'baseline = "accepted.json"\n'
         'cache = ".cache.json"\n'
         'allow-env = ["URLLC5G_*", "CI"]\n'
         'refuse-scenarios = ["chaos-selftest"]\n'
         'sanctioned-writers = ["repro.runner.cache.*"]\n',
         encoding="utf-8")
-    config = load_distcheck_config(pyproject=pyproject)
+    config = load_check_config(pyproject=pyproject)
     # Relative paths anchor at the pyproject's directory.
     assert config.baseline == str(tmp_path / "accepted.json")
     assert config.cache == str(tmp_path / ".cache.json")
@@ -359,9 +372,7 @@ def test_config_reads_distcheck_table(tmp_path):
     assert config.refuse_scenarios == ("chaos-selftest",)
     assert config.sanctioned_writers == ("repro.runner.cache.*",)
     # Unset keys keep their contract defaults.
-    assert config.entry_decorators == \
-        ("repro.runner.scenarios.scenario",)
-    assert config.shared_roots == ("repro.runner.scenarios.run_point",)
+    assert config.allow_globals == ()
 
 
 # ----------------------------------------------------------------------
@@ -369,8 +380,7 @@ def test_config_reads_distcheck_table(tmp_path):
 # ----------------------------------------------------------------------
 def test_text_report_shows_certifications_and_attribution(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    text = render_distcheck_text(
-        distcheck_paths([tmp_path], use_cache=False))
+    text = render_text(check_paths([tmp_path]))
     assert "scenario certification" in text
     assert "env-probe" in text
     assert "failed" in text
@@ -379,32 +389,33 @@ def test_text_report_shows_certifications_and_attribution(tmp_path):
 
 def test_json_report_carries_scenarios_and_attribution(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    payload = json.loads(render_distcheck_json(
-        distcheck_paths([tmp_path], use_cache=False)))
+    payload = json.loads(render_json(check_paths([tmp_path])))
     (scenario_row,) = payload["scenarios"]
     assert scenario_row["name"] == "env-probe"
     assert scenario_row["status"] == "failed"
-    (violation,) = payload["violations"]
+    (violation,) = [v for v in payload["violations"]
+                    if v["family"] == "dist"]
     assert violation["rule"] == "dist-host-state"
     assert violation["scenarios"] == ["env-probe"]
     assert payload["exit_code"] == 1
 
 
 def test_sarif_report_uses_distcheck_tool_name(tmp_path):
+    # One driver for every family; dist results ride in it.
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    doc = json.loads(render_distcheck_sarif(
-        distcheck_paths([tmp_path], use_cache=False)))
+    doc = json.loads(render_sarif(check_paths([tmp_path])))
     run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "urllc5g-distcheck"
-    assert [r["ruleId"] for r in run["results"]] == ["dist-host-state"]
+    assert run["tool"]["driver"]["name"] == "urllc5g-check"
+    assert [r["ruleId"] for r in run["results"]
+            if r["ruleId"].startswith("dist-")] == ["dist-host-state"]
 
 
 def test_manifest_lists_every_scenario_with_verdict(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE,
                           "io.py": FS_CLEAN})
-    config = DistcheckConfig(refuse_scenarios=("env-probe",))
-    report = distcheck_paths([tmp_path], config, use_cache=False)
-    manifest = json.loads(render_distcheck_manifest(report))
+    config = CheckConfig(refuse_scenarios=("env-probe",))
+    report = check_paths([tmp_path], config)
+    manifest = json.loads(render_manifest(report))
     assert manifest["tool"] == "urllc5g-distcheck"
     assert manifest["schema_version"] == 1
     assert manifest["exit_code"] == 0
@@ -416,17 +427,17 @@ def test_manifest_lists_every_scenario_with_verdict(tmp_path):
     assert reader["distributable"] is True
     assert reader["reachable_functions"] >= 2
     # Deterministic byte-for-byte: CI diffs the artifact.
-    assert render_distcheck_manifest(report) == \
-        render_distcheck_manifest(report)
+    assert render_manifest(report) == \
+        render_manifest(report)
 
 
 # ----------------------------------------------------------------------
 # acceptance: the repository itself
 # ----------------------------------------------------------------------
 def test_every_registered_scenario_is_certified_or_reviewed():
-    config = load_distcheck_config(pyproject=REPO / "pyproject.toml")
-    report = distcheck_paths([REPO / "src"], config, use_cache=False)
-    assert report.exit_code == 0, render_distcheck_text(report)
+    config = load_check_config(pyproject=REPO / "pyproject.toml")
+    report = check_paths([REPO / "src"], config, use_cache=False)
+    assert report.exit_code == 0, render_text(report)
     from repro.runner.scenarios import SCENARIOS
     by_name = cert_by_name(report)
     assert set(by_name) == set(SCENARIOS)
@@ -437,13 +448,17 @@ def test_every_registered_scenario_is_certified_or_reviewed():
     # chaos-selftest fault-injects the host; it must stay refused.
     assert by_name["chaos-selftest"].status == "refused"
     # No stray pragmas: accepted debt lives in the reviewed baseline.
-    assert report.suppressed == 0
-    assert report.baselined == 2  # the sanitizer log + sim clock slots
+    assert findings_of(report.suppressed) == []
+    # the sanitizer log + sim clock slots
+    assert len(findings_of(report.baselined)) == 2
+    # The checked-in dispatch gate is exactly what the checker renders.
+    assert render_manifest(report) == (
+        REPO / "distcheck-manifest.json").read_text(encoding="utf-8")
 
 
 def test_src_closures_reach_the_simulation_core():
-    config = load_distcheck_config(pyproject=REPO / "pyproject.toml")
-    report = distcheck_paths([REPO / "src"], config, use_cache=False)
+    config = load_check_config(pyproject=REPO / "pyproject.toml")
+    report = check_paths([REPO / "src"], config, use_cache=False)
     sizes = {cert.name: cert.reachable
              for cert in report.certifications}
     # The latency campaigns pull in the full DES core; the analytic

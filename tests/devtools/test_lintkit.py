@@ -1,24 +1,28 @@
-"""The lint framework: rules, suppressions, config, reporters."""
+"""The file-scope rule family: rules, suppressions, config, reporters."""
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.lintkit import (
-    SYNTAX_ERROR_RULE_ID,
-    LintConfig,
-    Severity,
-    lint_paths,
-    lint_source,
-    load_config,
-    registered_rules,
+from repro.devtools.check import (
+    RULES,
+    check_paths,
     render_json,
     render_sarif,
     render_text,
 )
+from repro.devtools.config import CheckConfig, load_check_config
+from repro.devtools.lintkit import (
+    SYNTAX_ERROR_RULE_ID,
+    Severity,
+    registered_rules,
+    run_file_rules,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 EXPECTED_RULES = {
     "no-wall-clock",
@@ -31,17 +35,24 @@ EXPECTED_RULES = {
 }
 
 
-def rules():
-    return [cls() for cls in registered_rules().values()]
-
-
 def rule_ids_in(source: str, path: str = "mod.py") -> set[str]:
-    violations, _ = lint_source(source, path, rules())
-    return {v.rule_id for v in violations}
+    return {v.rule_id for v in run_file_rules(path, ast.parse(source))}
+
+
+def file_family(violations):
+    return [v for v in violations if RULES[v.rule_id].family == "file"]
+
+
+def check_source(tmp_path, source, config=None):
+    (tmp_path / "mod.py").write_text(source, encoding="utf-8")
+    return check_paths([tmp_path], config)
 
 
 def test_all_domain_rules_are_registered():
     assert EXPECTED_RULES <= set(registered_rules())
+    for rule_id in EXPECTED_RULES | {SYNTAX_ERROR_RULE_ID}:
+        assert RULES[rule_id].family == "file"
+        assert RULES[rule_id].scope == "file"
 
 
 # ----------------------------------------------------------------------
@@ -58,9 +69,9 @@ def test_all_domain_rules_are_registered():
 ])
 def test_fixture_caught_by_correct_rule(fixture, expected_rule,
                                         expected_count):
-    source = (FIXTURES / fixture).read_text(encoding="utf-8")
-    violations, suppressed = lint_source(source, fixture, rules())
-    assert suppressed == 0
+    report = check_paths([FIXTURES / fixture])
+    assert report.suppressed == []
+    violations = file_family(report.violations)
     by_rule = {v.rule_id for v in violations}
     assert by_rule == {expected_rule}, (
         f"{fixture}: expected only {expected_rule}, got {sorted(by_rule)}")
@@ -68,9 +79,9 @@ def test_fixture_caught_by_correct_rule(fixture, expected_rule,
 
 
 def test_fixture_directory_linted_as_a_tree():
-    report = lint_paths([FIXTURES])
+    report = check_paths([FIXTURES])
     assert report.files_checked == 8
-    assert {v.rule_id for v in report.violations} == (
+    assert {v.rule_id for v in file_family(report.violations)} == (
         EXPECTED_RULES | {SYNTAX_ERROR_RULE_ID})
     assert report.exit_code == 1
 
@@ -79,8 +90,9 @@ def test_fixture_directory_linted_as_a_tree():
 # unparseable files are findings, not crashes
 # ----------------------------------------------------------------------
 def test_syntax_error_reported_as_violation_not_traceback():
-    report = lint_paths([FIXTURES / "bad_syntax.py"])
+    report = check_paths([FIXTURES / "bad_syntax.py"])
     assert report.exit_code == 1
+    # Reported once, although every rule family sees the broken file.
     assert len(report.violations) == 1
     violation = report.violations[0]
     assert violation.rule_id == SYNTAX_ERROR_RULE_ID
@@ -94,7 +106,7 @@ def test_lint_continues_past_a_broken_file(tmp_path):
                                         encoding="utf-8")
     (tmp_path / "ok.py").write_text("__all__ = []\nimport random\n",
                                     encoding="utf-8")
-    report = lint_paths([tmp_path])
+    report = check_paths([tmp_path])
     assert report.files_checked == 2
     assert {v.rule_id for v in report.violations} == {
         SYNTAX_ERROR_RULE_ID, "rng-discipline"}
@@ -102,7 +114,7 @@ def test_lint_continues_past_a_broken_file(tmp_path):
 
 def test_null_bytes_reported_as_syntax_error(tmp_path):
     (tmp_path / "nul.py").write_text("x = 1\x00\n", encoding="utf-8")
-    report = lint_paths([tmp_path])
+    report = check_paths([tmp_path])
     assert [v.rule_id for v in report.violations] == [
         SYNTAX_ERROR_RULE_ID]
 
@@ -120,7 +132,7 @@ def test_severity_orders_by_rank_not_lexicographically():
 
 
 def test_severity_compares_against_plain_strings():
-    # Config files hold plain strings; ranking must still apply.
+    # Cached findings hold plain strings; ranking must still apply.
     assert Severity.ERROR >= "warning"
     assert Severity.NOTE < "warning"
     assert Severity.WARNING == "warning"
@@ -184,122 +196,106 @@ def test_rng_parameter_and_closure_are_fine():
 
 
 # ----------------------------------------------------------------------
-# suppressions
+# suppressions: one pragma grammar for every family
 # ----------------------------------------------------------------------
-def test_inline_pragma_suppresses_one_line():
-    source = ('__all__ = []\n'
-              'import time\n'
-              'def f():\n'
-              '    return time.time()  # lint: disable=no-wall-clock\n')
-    violations, suppressed = lint_source(source, "mod.py", rules())
-    assert violations == []
-    assert suppressed == 1
+def test_inline_pragma_suppresses_one_line(tmp_path):
+    report = check_source(
+        tmp_path,
+        '__all__ = []\n'
+        'import time\n'
+        'def f():\n'
+        '    return time.time()  # check: disable=no-wall-clock\n')
+    assert report.violations == []
+    assert [v.rule_id for v in report.suppressed] == ["no-wall-clock"]
 
 
-def test_file_pragma_suppresses_whole_file():
-    source = ('# lint: disable-file=no-wall-clock\n'
-              '__all__ = []\n'
-              'import time\n'
-              'def f():\n'
-              '    return time.time()\n')
-    violations, _ = lint_source(source, "mod.py", rules())
-    assert violations == []
+def test_file_pragma_suppresses_whole_file(tmp_path):
+    report = check_source(
+        tmp_path,
+        '# check: disable-file=no-wall-clock\n'
+        '__all__ = []\n'
+        'import time\n'
+        'def f():\n'
+        '    return time.time()\n')
+    assert report.violations == []
 
 
-def test_pragma_only_silences_the_named_rule():
-    source = ('__all__ = []\n'
-              'import random  # lint: disable=no-wall-clock\n')
-    violations, _ = lint_source(source, "mod.py", rules())
-    assert {v.rule_id for v in violations} == {"rng-discipline"}
+def test_pragma_only_silences_the_named_rule(tmp_path):
+    report = check_source(
+        tmp_path,
+        '__all__ = []\n'
+        'import random  # check: disable=no-wall-clock\n')
+    assert {v.rule_id for v in report.violations} == {"rng-discipline"}
 
 
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
-def test_select_and_ignore():
-    config = LintConfig(select=("no-wall-clock", "rng-discipline"),
-                        ignore=("rng-discipline",))
-    active = {rule.rule_id for rule in config.active_rules()}
-    assert active == {"no-wall-clock"}
+def test_select_and_ignore(tmp_path):
+    # Rule selection is gone: every rule runs, and ``ignore`` is the
+    # one switch that turns a rule off.
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.urllc5g.check]\nselect = ["no-wall-clock"]\n',
+        encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown key"):
+        load_check_config(start=tmp_path)
+    source = '__all__ = []\nimport random\n'
+    assert check_source(tmp_path, source).exit_code == 1
+    ignored = check_source(
+        tmp_path, source, CheckConfig(ignore=("rng-discipline",)))
+    assert ignored.violations == []
+    assert ignored.exit_code == 0
 
 
-def test_unknown_rule_id_rejected():
+def test_unknown_rule_id_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown rule"):
-        LintConfig(select=("no-such-rule",)).active_rules()
-
-
-def test_per_path_baseline(tmp_path):
-    bad = tmp_path / "generators.py"
-    bad.write_text('__all__ = []\nimport random\n', encoding="utf-8")
-    strict = lint_paths([tmp_path])
-    assert strict.exit_code == 1
-    baselined = lint_paths(
-        [tmp_path],
-        LintConfig(per_path={"generators.py": ("rng-discipline",)}))
-    assert baselined.exit_code == 0
+        check_paths([tmp_path], CheckConfig(ignore=("no-such-rule",)))
 
 
 def test_exclude_glob(tmp_path):
     bad = tmp_path / "vendored.py"
     bad.write_text("import random\n", encoding="utf-8")
-    report = lint_paths([tmp_path], LintConfig(exclude=("vendored.py",)))
+    report = check_paths([tmp_path],
+                         CheckConfig(exclude=("vendored.py",)))
     assert report.files_checked == 0
-
-
-def test_severity_override_downgrades_to_warning(tmp_path):
-    bad = tmp_path / "mod.py"
-    bad.write_text("import random\n__all__ = []\n", encoding="utf-8")
-    config = LintConfig(
-        severity_overrides={"rng-discipline": Severity.WARNING})
-    report = lint_paths([tmp_path], config)
-    assert report.errors == []
-    assert len(report.warnings) == 1
-    assert report.exit_code == 0
 
 
 def test_load_config_from_pyproject(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.lint]\n'
+        '[tool.urllc5g.check]\n'
         'ignore = ["public-api-exports"]\n'
-        'exclude = ["gen/*"]\n'
-        '[tool.urllc5g.lint.per-path]\n'
-        '"sim/rng.py" = ["rng-discipline"]\n'
-        '[tool.urllc5g.lint.severity]\n'
-        '"no-float-tick-equality" = "warning"\n',
+        'exclude = ["gen/*"]\n',
         encoding="utf-8")
-    config = load_config(start=tmp_path)
+    config = load_check_config(start=tmp_path)
     assert config.ignore == ("public-api-exports",)
     assert config.exclude == ("gen/*",)
-    assert config.per_path == {"sim/rng.py": ("rng-discipline",)}
-    assert config.severity_overrides == {
-        "no-float-tick-equality": "warning"}
+    assert config.baseline is None
 
 
 def test_load_config_defaults_when_table_missing(tmp_path):
     (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n",
                                              encoding="utf-8")
-    config = load_config(start=tmp_path)
-    assert config == LintConfig()
+    config = load_check_config(start=tmp_path)
+    assert config == CheckConfig()
 
 
 def test_load_config_rejects_bad_types(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.lint]\nselect = "oops"\n', encoding="utf-8")
+        '[tool.urllc5g.check]\nignore = "oops"\n', encoding="utf-8")
     with pytest.raises(ValueError, match="list of strings"):
-        load_config(start=tmp_path)
+        load_check_config(start=tmp_path)
 
 
 def test_repo_config_names_only_known_rules():
-    repo_root = Path(__file__).resolve().parents[2]
-    config = load_config(pyproject=repo_root / "pyproject.toml")
-    config.active_rules()  # raises on unknown ids
+    config = load_check_config(pyproject=REPO_ROOT / "pyproject.toml")
+    assert set(config.ignore) <= set(RULES)
 
 
 # ----------------------------------------------------------------------
 # reporters
 # ----------------------------------------------------------------------
 def test_text_reporter_lists_violations_and_summary():
-    report = lint_paths([FIXTURES / "bad_units.py"])
+    report = check_paths([FIXTURES / "bad_units.py"])
     text = render_text(report)
     assert "unit-suffix-mixing" in text
     assert "bad_units.py:" in text
@@ -307,44 +303,52 @@ def test_text_reporter_lists_violations_and_summary():
 
 
 def test_json_reporter_round_trips():
-    report = lint_paths([FIXTURES / "bad_exports.py"])
+    report = check_paths([FIXTURES / "bad_exports.py"])
     payload = json.loads(render_json(report))
-    assert payload["errors"] == 1
-    assert payload["violations"][0]["rule"] == "public-api-exports"
-    assert payload["violations"][0]["line"] == 1
+    assert payload["exit_code"] == 1
+    (violation,) = payload["violations"]
+    assert violation["rule"] == "public-api-exports"
+    assert violation["family"] == "file"
+    assert violation["line"] == 1
 
 
 def test_sarif_reporter_shares_the_common_writer():
-    report = lint_paths([FIXTURES / "bad_units.py"])
+    report = check_paths([FIXTURES / "bad_units.py"])
     document = json.loads(render_sarif(report))
     assert document["version"] == "2.1.0"
     driver = document["runs"][0]["tool"]["driver"]
-    assert driver["name"] == "urllc5g-lint"
+    assert driver["name"] == "urllc5g-check"
     listed = {rule["id"] for rule in driver["rules"]}
     # Every registered rule appears, found or not.
-    assert EXPECTED_RULES | {SYNTAX_ERROR_RULE_ID} <= listed
+    assert listed == set(RULES)
     results = document["runs"][0]["results"]
-    assert {r["ruleId"] for r in results} == {"unit-suffix-mixing"}
+    assert {r["ruleId"] for r in results
+            if RULES[r["ruleId"]].family == "file"} == {
+        "unit-suffix-mixing"}
 
 
 def test_clean_report_says_clean(tmp_path):
     good = tmp_path / "mod.py"
     good.write_text('__all__ = []\n', encoding="utf-8")
-    text = render_text(lint_paths([tmp_path]))
+    text = render_text(check_paths([tmp_path]))
     assert "clean" in text
 
 
 # ----------------------------------------------------------------------
-# the repository itself is lint-clean
+# the repository itself is clean
 # ----------------------------------------------------------------------
 def test_src_tree_is_lint_clean():
-    repo_root = Path(__file__).resolve().parents[2]
-    config = load_config(pyproject=repo_root / "pyproject.toml")
-    report = lint_paths([repo_root / "src"], config)
+    config = load_check_config(pyproject=REPO_ROOT / "pyproject.toml")
+    report = check_paths([REPO_ROOT / "src"], config, use_cache=False)
     assert report.exit_code == 0, render_text(report)
-    # The reviewed baseline lives in pyproject.toml, not in scattered
-    # pragma comments: the src tree must contain none.
-    assert report.suppressed == 0
+    # The only suppressions are the three sanctioned host-clock and
+    # generator-construction sites, each a line pragma with its reason.
+    assert sorted((v.rule_id, Path(v.path).name, v.line)
+                  for v in report.suppressed) == [
+        ("no-wall-clock", "executor.py", 237),
+        ("no-wall-clock", "executor.py", 301),
+        ("rng-discipline", "rng.py", 51),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +369,7 @@ def test_fault_stream_dynamic_name_reported_as_unresolvable():
         "def acquire(rngs, name):\n"
         "    return rngs.stream(name)\n"
     )
-    violations, _ = lint_source(source, "faults/dynamic.py", rules())
+    violations = run_file_rules("faults/dynamic.py", ast.parse(source))
     hits = [v for v in violations if v.rule_id == "fault-streams-named"]
     assert len(hits) == 1
     assert "resolved statically" in hits[0].message
@@ -376,7 +380,8 @@ def test_fault_stream_resolved_template_in_message():
         "def acquire(rngs, index):\n"
         "    return rngs.stream(f\"link.{index}\")\n"
     )
-    violations, _ = lint_source(source, "faults/wrongprefix.py", rules())
+    violations = run_file_rules("faults/wrongprefix.py",
+                                ast.parse(source))
     hits = [v for v in violations if v.rule_id == "fault-streams-named"]
     assert len(hits) == 1
     assert "'link.{*}'" in hits[0].message
