@@ -253,17 +253,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         runner = CampaignRunner(workers=1, cache=cache,
                                 max_retries=args.retries)
-    if args.profile:
-        from repro.devtools.profile import (
-            profile_call, write_profile_json)
     try:
-        if args.profile:
-            result, report = profile_call(
-                lambda: runner.run(campaign, journal=journal,
-                                   resume=args.resume))
-        else:
-            result = runner.run(campaign, journal=journal,
-                                resume=args.resume)
+        result = runner.run(campaign, journal=journal, resume=args.resume)
     except (DispatchRefusedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -276,13 +267,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     payload = bench_payload(result)
     output = args.output or f"BENCH_{campaign.name}.json"
     write_bench_json(output, payload)
-    if args.profile:
-        profile_path = Path(output).with_name(
-            f"PROFILE_{campaign.name}.json")
-        write_profile_json(profile_path, campaign.name, report)
-        hottest = next(iter(report.modules), "-")
-        print(f"profile: {report.total_time_s:.2f}s under cProfile, "
-              f"hottest module {hottest} -> {profile_path}")
     print(f"campaign {campaign.name}: {payload['points']} point(s) on "
           f"{payload['workers']} worker(s) in "
           f"{payload['wall_clock_s']:.2f}s wall-clock, cache hit-rate "
@@ -489,10 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "exit 1 on regression, 2 if unreadable")
     bench.add_argument("--write-baseline", default=None, metavar="FILE",
                        help="record this run's metrics as a baseline")
-    bench.add_argument("--profile", action="store_true",
-                       help="run under cProfile and write "
-                            "PROFILE_<campaign>.json next to the bench "
-                            "document (see docs/PERFORMANCE.md)")
     bench.add_argument("--retries", type=_at_least(0), default=2,
                        metavar="N",
                        help="extra attempts a failing point gets "

@@ -8,9 +8,7 @@
   (:mod:`.distcheck`) — configured by one ``[tool.urllc5g.check]``
   table (:mod:`repro.devtools.config`); see docs/ANALYSIS.md;
 - :mod:`repro.devtools.determinism` — a runtime sanitizer that runs a
-  scenario twice with the same seed and compares trace digests;
-- :mod:`repro.devtools.profile` — the cProfile harness behind
-  ``urllc5g bench --profile``.
+  scenario twice with the same seed and compares trace digests.
 
 Shared infrastructure: :mod:`repro.devtools.walker` (file discovery)
 and :mod:`repro.devtools.sarif` (SARIF 2.1.0 output).

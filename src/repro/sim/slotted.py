@@ -33,11 +33,15 @@ The mirror is **bit-identical** to the scalar path, not approximately
 equal.  Four mechanisms enforce it (all pinned by the golden
 equivalence suite in ``tests/integration/test_slotted_equivalence.py``):
 
-1. *Event order by construction.*  The executor pushes mirror events in
-   the exact order the scalar handlers call ``schedule``/``call_in``,
-   with its own monotone sequence number, so same-tick events execute
-   in the scalar engine's order and every shared RNG stream is consumed
-   in the same interleaving.
+1. *Event order by construction.*  The scalar engine runs same-tick
+   events by scheduling tick, then scheduling order (docs/MODEL.md,
+   "Deterministic event order").  Every mirror event carries that key:
+   the tick at which the scalar engine schedules it, then the
+   executor's push counter.  Events pushed ahead of their scalar
+   scheduling tick — fused UE chains, folded air landings, cohort-fused
+   UPF completions — take the scalar tick, not the push tick.  So
+   same-tick events execute in the scalar engine's order and every
+   shared RNG stream is consumed in the same interleaving.
 2. *Draw-for-draw RNG equivalence.*  Scalar ``Generator.lognormal``
    consumes exactly one ziggurat standard normal per call;
    :class:`~repro.sim.sampling.LogNormalBlockServer` serves the same
@@ -48,14 +52,16 @@ equivalence suite in ``tests/integration/test_slotted_equivalence.py``):
    wiring rather than reimplemented.
 3. *Guarded fusion.*  The per-packet UE draw chain (five transit draws
    plus the PHY-prep draw) is evaluated speculatively via
-   ``LogNormalBlockServer.peek`` and committed as one event **only**
-   when no other event of the same UE — the sole other consumer of
-   that stream — can fall inside the chain's time span (no packet of
-   the UE in flight, next arrival at or after the chain end).  When
-   the guard fails, the peeked normals are left unconsumed and the
-   per-layer event path serves them one at a time, so both paths
-   produce the identical value sequence.  Fusion is disabled entirely
-   when tracing, because the trace stream must interleave per-layer.
+   ``LogNormalBlockServer.peek`` and committed as one MAC-exit event,
+   keyed by its MAC-enter tick, **only** when no other event of the
+   same UE — the sole other consumer of that stream — can fall inside
+   the chain's time span (no packet of the UE in flight, next arrival
+   strictly after the chain end).  When the guard fails, the peeked
+   normals are left unconsumed and the per-layer event path serves
+   them one at a time, so both paths produce the identical value
+   sequence.  Landing cohorts fuse their gNB chains under the same
+   kind of guard.  Fusion is disabled entirely when tracing, because
+   the trace stream must interleave per-layer.
 4. *A real clock for the side effects.*  Fault hooks and the tracer
    read ``sim.now``; with either active the executor moves the
    simulator's clock forward with
@@ -75,15 +81,12 @@ from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.mac.types import AccessMode
 from repro.net.probes import LatencySummary, summarize_us
 from repro.phy.channel import IidErasureChannel, PerfectChannel
 from repro.phy.timebase import TC_PER_SECOND, tc_from_us, us_from_tc
 from repro.sim.distributions import Constant, DelaySampler, LogNormal
-from repro.sim.sampling import (DEFAULT_BLOCK, LogNormalBlockServer,
-                                buffering_enabled)
+from repro.sim.sampling import DEFAULT_BLOCK, LogNormalBlockServer
 from repro.stack.packets import HEADER_BYTES, LatencySource
 
 if TYPE_CHECKING:
@@ -103,16 +106,22 @@ _GNB_LAYERS = ("PHY", "MAC", "RLC", "PDCP", "SDAP")
 _GNB_CATEGORIES = tuple(f"gnb.up.{name.lower()}" for name in _GNB_LAYERS)
 
 # Mirror event codes.  Each heap entry is a plain tuple
-# ``(time, seq, code, ...)``; ``(time, seq)`` is unique so later
-# elements are never compared.
-_UE_LAYER = 1       # (t, seq, code, row, layer_k, delay_us, submitted)
-_TRANSMIT = 2       # (t, seq, code, ue, window_start)
-_DELIVER = 3        # (t, seq, code, rows)
-_GNB_LAYER = 5      # (t, seq, code, row, layer_k, delay_us, submitted)
-_UPF_DONE = 6       # (t, seq, code, row, submitted)
-_RETRANSMIT = 7     # (t, seq, code, ue, rows)
-_PLAN = 8           # (t, seq, code, row, ue) — fused-chain MAC exit
-_AIR = 9            # (t, seq, code, ue, window_start) — transmit+fly
+# ``(time, key, code, ...)`` with ``key = (tick << 32) | seq``: ``tick``
+# is the tick at which the scalar engine schedules the event, ``seq``
+# the executor's push counter (far below 2**32 in any run that fits in
+# memory).  Same-time events therefore pop in the scalar engine's order
+# (scheduling tick, then scheduling order) even when the executor
+# pushes them early.  ``(time, key)`` is unique so later elements are
+# never compared.
+_UE_LAYER = 1       # (t, key, code, row, layer_k, delay_us, submitted)
+_TRANSMIT = 2       # (t, key, code, ue, window_start)
+_DELIVER = 3        # (t, key, code, rows)
+_GNB_LAYER = 5      # (t, key, code, row, layer_k, delay_us, submitted)
+_UPF_DONE = 6       # (t, key, code, row, submitted)
+_RETRANSMIT = 7     # (t, key, code, ue, rows)
+_PLAN = 8           # (t, key, code, row, ue, prep_us) — fused-chain
+                    # MAC exit
+_AIR = 9            # (t, key, code, ue, window_start) — transmit+fly
                     # folded into one landing event (never-fail links)
 
 # Compiled layer-draw kinds: a draw-free constant value, or one
@@ -342,12 +351,11 @@ class SlottedUplink:
         self._ue_servers: dict[int, LogNormalBlockServer] = {}
         self._gnb_server: LogNormalBlockServer | None = None
 
-        # Pre-queued arrivals: (time, seq, row) tuples, sorted at run
+        # Pre-queued arrivals: (time, key, row) tuples, sorted at run
         # start and merged into the loop so the live heap stays small.
         self._arrivals: list[tuple[int, int, int]] = []
-        # Mirror event heap with its own monotone sequence counter —
-        # pushes happen in the exact order the scalar handlers call
-        # schedule/call_in, so same-tick ordering matches.
+        # Mirror event heap and the push counter behind its tie keys
+        # (see the event codes above).
         self._heap: list[tuple] = []
         self._seq = 0
         # Open CG plans: (ue_id, window_start) -> [window_k, rows, bytes]
@@ -383,7 +391,7 @@ class SlottedUplink:
     def queue_uplink(self, arrivals: list[int], payload_bytes: int,
                      ue_id: int) -> None:
         """Buffer UL data arrivals (mirror of ``RanSystem.queue_uplink``
-        — one pending entry per packet, seq in call order)."""
+        — one pending entry per packet, keyed in call order)."""
         if not 1 <= ue_id <= self.population.n_ues:
             raise ValueError(
                 f"ue_id must be in 1..{self.population.n_ues}, "
@@ -394,11 +402,12 @@ class SlottedUplink:
         packet_ids = self._system._packet_ids
         pop = self.population
         pending = self._arrivals
+        tick = self.sim.now << 32
         for arrival in arrivals:
             row = pop.add_packet(ue_id, next(packet_ids),
                                  payload_bytes, arrival)
             self._seq = seq = self._seq + 1
-            pending.append((arrival, seq, row))
+            pending.append((arrival, tick | seq, row))
 
     # ------------------------------------------------------------------
     # RNG servers
@@ -458,7 +467,7 @@ class SlottedUplink:
         arrivals = sorted(self._arrivals)
         n_arr = len(arrivals)
         # Fusion guard input: the next arrival time of the same UE.  A
-        # chain ending at or before it cannot interleave with any other
+        # chain ending before it cannot interleave with any other
         # consumer of the UE's stream (given nothing is in flight).
         pop = self.population
         ue_col = pop.ue
@@ -496,6 +505,10 @@ class SlottedUplink:
         ue_ln = [(a, b) for kind, a, b in ue_specs if kind]
         ue_const_tc = sum(round(a * TC_PER_SECOND / _US_PER_SECOND)
                           for kind, a, _b in ue_specs if not kind)
+        # MAC is the last UE layer: its transit is the chain's last
+        # lognormal term when it draws, else this constant.
+        mac_kind, mac_a, _mac_b = ue_specs[-1]
+        mac_const_tc = round(mac_a * TC_PER_SECOND / _US_PER_SECOND)
         servers = self._ue_servers
         dilation = self._dilation
         gserver = self._gnb_rng_server()
@@ -616,210 +629,15 @@ class SlottedUplink:
         if fast_tx:
             link.last_fault_fate = None
 
-        # UPF completions have no side effects beyond the probe, so in
-        # imprecise runs (no tracer, no fault hooks reading the clock)
-        # they skip the heap entirely and are drained — in the same
-        # (time, seq) order the heap would have given — after the loop.
-        defer_done = not precise
-        done: list[tuple[int, int, int, int]] = []
-        done_append = done.append
         last_t = sim.now
         ai = 0
 
-        # Plan pre-pass.  In never-fail untraced runs every packet is
-        # planned exactly once after a fixed draw-count transit, so the
-        # whole UE side collapses to a per-UE pre-pass: the chain math
-        # is vectorized over all of a UE's arrivals at once (each
-        # packet owns draws [i*peek_n, (i+1)*peek_n) of its stream),
-        # and the rare overlapping chains are replayed draw-for-draw on
-        # a local heap in the scalar engine's (time, seq) order.  The
-        # resulting plan stream — (chain_end, arrival_seq, row, ue,
-        # prep_us), sorted — merges into the main loop like the arrival
-        # stream, and no _PLAN or _UE_LAYER event ever reaches the
-        # heap.  Exactly peek_n draws commit per packet on either
-        # branch, so the sequential layout realigns after every
-        # cluster and the vectorized values stay valid.
-        plan_list: list[tuple[int, int, int, int, float]] = []
-        pi = 0
-        n_plans = 0
-        fast_plan = (fuse_ue and not can_fail and not precise
-                     and n_arr > 0 and buffering_enabled())
-        if fast_plan:
-            by_ue: dict[int, list[tuple[int, int, int]]] = {}
-            for entry in arrivals:
-                by_ue.setdefault(ue_col[entry[2]], []).append(entry)
-            ln_mu = np.array([a for kind, a, _b in ue_specs if kind]
-                             + ([prep_a] if prep_kind else []))
-            ln_sig = np.array([b for kind, _a, b in ue_specs if kind]
-                              + ([prep_b] if prep_kind else []))
-            kind0, a0, b0 = ue_specs[0]
-            for u, entries in by_ue.items():
-                server = servers.get(u)
-                if server is None:
-                    server = self._ue_server(u)
-                m = len(entries)
-                zz = server.peek(peek_n * m)
-                if zz is None:
-                    raise RuntimeError(
-                        "block drawing disabled mid-run")
-                # The exp stays scalar libm — np.exp differs from
-                # math.exp by 1 ulp on some inputs, and bit-identity
-                # tolerates none.  np.rint on these magnitudes is
-                # bitwise round().
-                args = np.tile(ln_mu, m) + np.tile(ln_sig, m) * zz
-                vals = list(map(exp, args.tolist()))
-                tcs = np.rint(np.asarray(vals) * TCS / USP)
-                tcs = tcs.astype(np.int64).reshape(m, peek_n)
-                chain = (tcs[:, :chain_draws].sum(axis=1)
-                         + ue_const_tc)
-                ends = (np.fromiter((e[0] for e in entries),
-                                    np.int64, m) + chain).tolist()
-                chain_l = chain.tolist()
-                zzl: list[float] | None = None
-                i = 0
-                c = 0
-                while i < m:
-                    a_i, aseq_i, row_i = entries[i]
-                    nxt = (entries[i + 1][0] if i + 1 < m
-                           else _FAR_FUTURE)
-                    end_i = ends[i]
-                    if nxt > end_i:
-                        # Strictly-later next arrival: the sequential
-                        # layout is the true draw order and the
-                        # vectorized values stand.
-                        plan_list.append((
-                            end_i, aseq_i, row_i, u,
-                            vals[c + chain_draws] if prep_kind
-                            else prep_a))
-                        bp[row_i] += chain_l[i]
-                        header[row_i] = _UE_WIRE_HEADER
-                        i += 1
-                        c += peek_n
-                        continue
-                    # Overlap cluster: interleaved replay.  Arrivals
-                    # admit before any local event at or after them
-                    # (queue-time seqs sort first in the scalar heap);
-                    # local ties break on push order, the scalar seq
-                    # order for same-tick events.
-                    if zzl is None:
-                        zzl = zz.tolist()
-                    i += 1
-                    if kind0:
-                        d = exp(a0 + b0 * zzl[c])
-                        c += 1
-                    else:
-                        d = a0
-                    mini = [(a_i + rnd(d * TCS / USP), 0, row_i, 0,
-                             aseq_i, a_i)]
-                    order = 1
-                    while mini:
-                        while (i < m
-                               and entries[i][0] <= mini[0][0]):
-                            a_j, sq_j, r_j = entries[i]
-                            i += 1
-                            if kind0:
-                                d = exp(a0 + b0 * zzl[c])
-                                c += 1
-                            else:
-                                d = a0
-                            heappush(mini, (
-                                a_j + rnd(d * TCS / USP), order,
-                                r_j, 0, sq_j, a_j))
-                            order += 1
-                        tau, _o, r_j, k, sq_j, a_j = heappop(mini)
-                        k += 1
-                        if k < 5:
-                            kk, aa, bb = ue_specs[k]
-                            if kk:
-                                d = exp(aa + bb * zzl[c])
-                                c += 1
-                            else:
-                                d = aa
-                            heappush(mini, (
-                                tau + rnd(d * TCS / USP), order,
-                                r_j, k, sq_j, a_j))
-                            order += 1
-                        else:
-                            # MAC exit: PHY-prep draw, plan recorded.
-                            if prep_kind:
-                                prep_us = exp(prep_a
-                                              + prep_b * zzl[c])
-                                c += 1
-                            else:
-                                prep_us = prep_a
-                            plan_list.append((tau, sq_j, r_j, u,
-                                              prep_us))
-                            bp[r_j] += tau - a_j
-                            header[r_j] = _UE_WIRE_HEADER
-                server.commit(peek_n * m)
-            plan_list.sort()
-            n_plans = len(plan_list)
-            ai = n_arr  # arrivals fully consumed by the pre-pass
-
         while True:
-            # Merge: pre-passed plan vs pending arrival vs heap top,
-            # in (time, seq) order.  At most one of the side streams
-            # is live (fast_plan consumes all arrivals), and their
-            # seqs predate all runtime seqs, so same-tick ties resolve
-            # to the side stream — as in the scalar engine, where
-            # queue-time schedule() calls get the earliest sequence
-            # numbers.
-            if pi < n_plans and (not heap or plan_list[pi] < heap[0]):
-                # Inline CG window scan (the _PLAN handler's body).
-                # fast_plan guarantees imprecise-clock mode, a drawn
-                # prep, and a first transmission.
-                t, _aseq, row, u, prep_us = plan_list[pi]
-                pi += 1
-                last_t = t
-                prep_tc = rnd(prep_us * TCS / USP)
-                ready = t + prep_tc
-                wire = payload[row] + header[row]
-                cyc, rem = divmod(ready, period)
-                base = bisect_right(w_ends, rem)
-                if base == nwin:
-                    cyc += 1
-                    base = 0
-                k = cyc * nwin + base
-                empty = 0
-                while True:
-                    if empty > nwin:
-                        raise LookupError(
-                            "no usable configured-grant window found")
-                    cyc, base = divmod(k, nwin)
-                    off = cyc * period
-                    start = w_starts[base] + off
-                    end = w_ends[base] + off
-                    entry = ready if ready > start else start
-                    if end - entry < min_tx:
-                        empty += 1
-                        k += 1
-                        continue
-                    key = (u, start)
-                    plan = plans.get(key)
-                    capacity = cap_by_base[base]
-                    used = plan[2] if plan is not None else 0
-                    if used + wire > capacity:
-                        if plan is None:
-                            empty += 1
-                        k += 1
-                        continue
-                    if plan is None:
-                        plans[key] = [k, [row], used + wire]
-                        self._seq = seq = self._seq + 1
-                        if fast_tx:
-                            heappush(heap, (end + prop_tc, seq,
-                                            _AIR, u, start))
-                        else:
-                            heappush(heap, (end, seq, _TRANSMIT, u,
-                                            start))
-                            heappush(air_times, end + prop_tc)
-                    else:
-                        plan[1].append(row)
-                        plan[2] += wire
-                    bp[row] += prep_tc
-                    bprot[row] += end - t - prep_tc
-                    break
-                continue
+            # Merge: pending arrival vs heap top, in (time, key) order.
+            # Arrival keys carry the queue-time tick, which no runtime
+            # key undercuts, so same-tick ties resolve to the arrival —
+            # as in the scalar engine, where queue-time schedule() calls
+            # get the earliest sequence numbers.
             if ai < n_arr and (not heap or arrivals[ai] < heap[0]):
                 t, _aseq, row = arrivals[ai]
                 ai += 1
@@ -854,9 +672,10 @@ class SlottedUplink:
                             zs = peeked.tolist()
                     if zs is not None:
                         total = ue_const_tc
+                        term = 0
                         for zi, (a, b) in enumerate(ue_ln):
-                            total += rnd(exp(a + b * zs[zi]) * TCS
-                                         / USP)
+                            term = rnd(exp(a + b * zs[zi]) * TCS / USP)
+                            total += term
                         end = t + total
                         # Strictly-later next arrival: every chain draw
                         # *and* the PHY-prep draw at the chain end
@@ -875,9 +694,13 @@ class SlottedUplink:
                             pop.header[row] = _UE_WIRE_HEADER
                             if can_fail:
                                 ue_hot[u] = 1
+                            # Keyed by the MAC-enter tick, where the
+                            # scalar engine schedules the MAC exit.
+                            mac_enter = end - (term if mac_kind
+                                               else mac_const_tc)
                             self._seq = seq = self._seq + 1
-                            heappush(heap, (end, seq, _PLAN, row, u,
-                                            prep_us))
+                            heappush(heap, (end, (mac_enter << 32) | seq,
+                                            _PLAN, row, u, prep_us))
                             continue
                 # Per-layer event path (tracing, forced-sequential
                 # sampling, or a chain that may interleave).
@@ -923,7 +746,8 @@ class SlottedUplink:
                     self._seq = seq = self._seq + 1
                     heappush(heap, (
                         t + rnd(delay_us * TCS / USP),
-                        seq, _GNB_LAYER, row, k, delay_us, t))
+                        (t << 32) | seq, _GNB_LAYER, row, k, delay_us,
+                        t))
                 else:
                     # SDAP exit: gNB hands the packet to the UPF
                     # (mirror of Gnb._ul_done + Upf._process).
@@ -941,11 +765,8 @@ class SlottedUplink:
                         emit(t, "upf", "ul_forward",
                              packet_id=pid_col[row])
                     self._seq = seq = self._seq + 1
-                    if defer_done:
-                        done_append((t + delay_tc, seq, row, t))
-                    else:
-                        heappush(heap, (t + delay_tc, seq, _UPF_DONE,
-                                        row, t))
+                    heappush(heap, (t + delay_tc, (t << 32) | seq,
+                                    _UPF_DONE, row, t))
             elif code == _UPF_DONE:
                 row = event[3]
                 proc = bp[row] + (t - event[4])
@@ -989,12 +810,13 @@ class SlottedUplink:
                     # completes at a window end), so sibling deliveries
                     # are collected and their gNB chains simulated on a
                     # local heap keyed (time, push order) — the exact
-                    # (time, seq) merge order the scalar engine gives
-                    # those events.  If the whole cohort drains
-                    # strictly before the next landing, its gnb-stream
-                    # draws and UPF forward draws are consumed in
-                    # scalar order and the result commits; otherwise
-                    # everything falls back to the per-layer path.
+                    # merge order the scalar engine gives those events.
+                    # If the whole cohort drains strictly before the
+                    # next landing, its gnb-stream draws and UPF
+                    # forward draws are consumed in scalar order and
+                    # the result commits; otherwise everything falls
+                    # back to the per-layer path.  Its UPF completions
+                    # are keyed by their SDAP-exit ticks.
                     while (heap and heap[0][0] == t
                            and heap[0][2] == code):
                         sib = heappop(heap)
@@ -1014,7 +836,11 @@ class SlottedUplink:
                         else:
                             heappop(air_times)
                             rows.extend(sib[3])
-                    if code == _AIR:
+                    if heap and heap[0][0] == t:
+                        # Another event ties between siblings, so a
+                        # landing may still be pending at t: no fusion.
+                        na = t
+                    elif code == _AIR:
                         nk = w_first_after(t - prop_tc)
                         na = ((nk // nwin) * period
                               + w_ends[nk % nwin] + prop_tc)
@@ -1049,12 +875,9 @@ class SlottedUplink:
                         if upf_outage is not None:
                             delay_tc += upf_outage()
                         self._seq = seq = self._seq + 1
-                        if defer_done:
-                            done_append((tau + delay_tc, seq, row,
-                                         tau))
-                        else:
-                            heappush(heap, (tau + delay_tc, seq,
-                                            _UPF_DONE, row, tau))
+                        heappush(heap, (tau + delay_tc,
+                                        (tau << 32) | seq, _UPF_DONE,
+                                        row, tau))
                         continue
                     if na > t and gn - gi >= need:
                         zi = 0
@@ -1106,13 +929,9 @@ class SlottedUplink:
                                 if upf_outage is not None:
                                     delay_tc += upf_outage()
                                 self._seq = seq = self._seq + 1
-                                if defer_done:
-                                    done_append((tau + delay_tc, seq,
-                                                 row, tau))
-                                else:
-                                    heappush(heap, (tau + delay_tc,
-                                                    seq, _UPF_DONE,
-                                                    row, tau))
+                                heappush(heap, (
+                                    tau + delay_tc, (tau << 32) | seq,
+                                    _UPF_DONE, row, tau))
                             continue
                 # gnb.receive_ul_block with no radio head charges zero
                 # RADIO and forwards the block to the up-pipeline in
@@ -1140,7 +959,8 @@ class SlottedUplink:
                     self._seq = seq = self._seq + 1
                     heappush(heap, (
                         t + rnd(delay_us * TCS / USP),
-                        seq, _GNB_LAYER, row, 0, delay_us, t))
+                        (t << 32) | seq, _GNB_LAYER, row, 0, delay_us,
+                        t))
             elif code == _UE_LAYER:
                 self._ue_layer_done(event, t)
             elif code == _PLAN:
@@ -1173,8 +993,7 @@ class SlottedUplink:
                         empty += 1
                         k += 1
                         continue
-                    key = (u, start)
-                    plan = plans.get(key)
+                    plan = plans.get((u, start))
                     capacity = cap_by_base[base]
                     used = plan[2] if plan is not None else 0
                     if used + wire > capacity:
@@ -1183,18 +1002,21 @@ class SlottedUplink:
                         k += 1
                         continue
                     if plan is None:
-                        plans[key] = [k, [row], used + wire]
+                        plans[(u, start)] = [k, [row], used + wire]
                         self._seq = seq = self._seq + 1
                         if fast_tx:
                             # Transmission cannot fail and draws
                             # nothing, so the window-end hop is folded
                             # into the landing event; its bookkeeping
-                            # (pure counter sums) moves there too.
-                            heappush(heap, (end + prop_tc, seq, _AIR,
+                            # (pure counter sums) moves there too.  The
+                            # key's tick is the window end, where the
+                            # scalar engine schedules the delivery.
+                            heappush(heap, (end + prop_tc,
+                                            (end << 32) | seq, _AIR,
                                             u, start))
                         else:
-                            heappush(heap, (end, seq, _TRANSMIT, u,
-                                            start))
+                            heappush(heap, (end, (t << 32) | seq,
+                                            _TRANSMIT, u, start))
                             heappush(air_times, end + prop_tc)
                     else:
                         plan[1].append(row)
@@ -1209,21 +1031,6 @@ class SlottedUplink:
                 for row in event[4]:
                     self._plan_grant_free(row, ue_id, t, True)
 
-        if done:
-            # Deferred UPF completions, in the (time, seq) order the
-            # heap would have dispatched them — the probe's append
-            # order is part of the bit-identity contract.
-            done.sort()
-            if done[-1][0] > last_t:
-                last_t = done[-1][0]
-            for done_t, _seq, row, tau in done:
-                proc = bp[row] + (done_t - tau)
-                bp[row] = proc
-                delivered_col[row] = done_t
-                lat_append(done_t - created[row])
-                tot_proc += proc
-                tot_prot += bprot[row]
-                tot_rad += brad[row]
         link_counters.blocks_sent += blocks_acc
         sched_counters.cg_allocated_bytes += cg_alloc_acc
         sched_counters.cg_used_bytes += cg_used_acc
@@ -1251,8 +1058,9 @@ class SlottedUplink:
                              packet_id=self.population.packet_id[row],
                              layer=_UE_LAYERS[layer_k])
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (now + tc_from_us(delay_us), seq,
-                              _UE_LAYER, row, layer_k, delay_us, now))
+        heappush(self._heap, (now + tc_from_us(delay_us),
+                              (now << 32) | seq, _UE_LAYER, row, layer_k,
+                              delay_us, now))
 
     def _ue_layer_done(self, event: tuple, now: int) -> None:
         row, layer_k, delay_us, submitted = (event[3], event[4],
@@ -1280,25 +1088,19 @@ class SlottedUplink:
         return capacity
 
     def _plan_grant_free(self, row: int, ue_id: int, now: int,
-                         is_retransmission: bool,
-                         prep_us: float | None = None) -> None:
-        """Mirror of ``Ue._plan_grant_free`` on columnar state.
-
-        ``prep_us`` carries a PHY-prep delay the fused arrival path
-        already drew (and committed) for this packet; None means draw
-        it here, as the scalar planner does.
-        """
-        if prep_us is None:
-            kind, a, b = self._prep_spec
-            if kind:
-                prep_us = self._ue_server(ue_id).sample(a, b)
-            else:
-                prep_us = a
-            if not self._can_fail and not is_retransmission:
-                # Last possible draw of this packet on the UE stream
-                # (the link never fails, so no retransmission preps
-                # follow): the packet stops blocking chain fusion.
-                self._ue_hot[ue_id] -= 1
+                         is_retransmission: bool) -> None:
+        """Mirror of ``Ue._plan_grant_free`` on columnar state (the
+        fused path's inline ``_PLAN`` handler covers the rest)."""
+        kind, a, b = self._prep_spec
+        if kind:
+            prep_us = self._ue_server(ue_id).sample(a, b)
+        else:
+            prep_us = a
+        if not self._can_fail and not is_retransmission:
+            # Last possible draw of this packet on the UE stream (the
+            # link never fails, so no retransmission preps follow): the
+            # packet stops blocking chain fusion.
+            self._ue_hot[ue_id] -= 1
         prep_tc = tc_from_us(prep_us)
         ready = now + prep_tc
         pop = self.population
@@ -1333,11 +1135,12 @@ class SlottedUplink:
                 plans[(ue_id, start)] = plan
                 self._seq = seq = self._seq + 1
                 if self._fast_tx:
-                    heappush(self._heap, (end + self._prop_tc, seq,
-                                          _AIR, ue_id, start))
-                else:
-                    heappush(self._heap, (end, seq, _TRANSMIT, ue_id,
+                    heappush(self._heap, (end + self._prop_tc,
+                                          (end << 32) | seq, _AIR, ue_id,
                                           start))
+                else:
+                    heappush(self._heap, (end, (now << 32) | seq,
+                                          _TRANSMIT, ue_id, start))
                     heappush(self._air_times, end + self._prop_tc)
             else:
                 plan[1].append(row)
@@ -1380,8 +1183,8 @@ class SlottedUplink:
             for row in rows:
                 pop.budget_radio[row] += propagation_tc
             self._seq = seq = self._seq + 1
-            heappush(self._heap, (now + propagation_tc, seq, _DELIVER,
-                                  rows))
+            heappush(self._heap, (now + propagation_tc,
+                                  (now << 32) | seq, _DELIVER, rows))
             return
         # The block never lands; its air-time entry stays behind as a
         # stale lower bound (only ever conservative — it can suppress
@@ -1416,5 +1219,5 @@ class SlottedUplink:
         for row in survivors:
             pop.budget_protocol[row] += wait
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (feedback_at, seq, _RETRANSMIT, ue_id,
-                              survivors))
+        heappush(self._heap, (feedback_at, (now << 32) | seq,
+                              _RETRANSMIT, ue_id, survivors))

@@ -11,14 +11,18 @@ regime the engine distinguishes internally:
   failing, which must keep the slow transmit path;
 - fault intensity 0 and 0.5 of the standard plan (precise-clock mode);
 - tracing on and off (per-layer event path vs fused paths);
-- sparse and heavily overlapping arrival processes (vectorized
-  pre-pass vs interleaved cluster replay);
+- sparse and heavily overlapping arrival processes (fused UE chains vs
+  the per-layer path);
+- dense same-tick ties between UEs, where early-pushed events must sort
+  by the tick the scalar engine schedules them at;
 - block-buffered and forced-sequential sampling;
 - the runtime determinism sanitizer, which must see the population
   streams resolve to exclusive owners with unchanged results.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
 from repro.mac.catalog import testbed_dddu
@@ -48,16 +52,17 @@ def _make_channel(kind):
 
 
 def _run(engine, channel_kind="perfect", intensity=0.0, trace=False,
-         n_ues=4, packets_per_ue=5, horizon_ms=40):
-    plan = None
-    if intensity:
+         n_ues=4, packets_per_ue=5, horizon_ms=40, seed=None,
+         cg_share=None, plan=None):
+    if plan is None and intensity:
         plan = FaultPlan.resolve("standard").scaled(intensity)
     system = RanSystem(
         testbed_dddu(),
-        RanConfig(access=AccessMode.GRANT_FREE, n_ues=n_ues, seed=7,
+        RanConfig(access=AccessMode.GRANT_FREE, n_ues=n_ues,
+                  seed=7 if seed is None else seed,
                   channel=_make_channel(channel_kind), fault_plan=plan,
-                  trace=trace, engine=engine))
-    rngs = RngRegistry(123)
+                  cg_share=cg_share, trace=trace, engine=engine))
+    rngs = RngRegistry(123 if seed is None else seed)
     horizon = horizon_ms * TC_PER_MS
     for ue_id in range(1, n_ues + 1):
         system.queue_uplink(
@@ -83,28 +88,75 @@ def _run(engine, channel_kind="perfect", intensity=0.0, trace=False,
     return out
 
 
+def _assert_engines_match(**kwargs):
+    scalar = _run("scalar", **kwargs)
+    slotted = _run("slotted", **kwargs)
+    assert scalar.pop("engine") == "scalar"
+    assert slotted.pop("engine") == "slotted"
+    assert scalar == slotted
+
+
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("intensity", [0.0, 0.5])
 @pytest.mark.parametrize("channel_kind",
                          ["perfect", "iid", "iid-zero", "ge"])
 def test_slotted_matches_scalar_bitwise(channel_kind, intensity, trace):
-    scalar = _run("scalar", channel_kind, intensity, trace)
-    slotted = _run("slotted", channel_kind, intensity, trace)
-    assert scalar.pop("engine") == "scalar"
-    assert slotted.pop("engine") == "slotted"
-    assert scalar == slotted
+    _assert_engines_match(channel_kind=channel_kind, intensity=intensity,
+                          trace=trace)
 
 
 def test_slotted_matches_scalar_with_overlapping_chains():
     """Dense arrivals: most transit chains overlap the UE's next
-    arrival, forcing the interleaved-replay path of the plan
-    pre-pass (and, under faults, the per-layer event path)."""
-    scalar = _run("scalar", n_ues=3, packets_per_ue=40, horizon_ms=25)
-    slotted = _run("slotted", n_ues=3, packets_per_ue=40,
-                   horizon_ms=25)
-    assert scalar.pop("engine") == "scalar"
-    assert slotted.pop("engine") == "slotted"
-    assert scalar == slotted
+    arrival, so guarded fusion fails and those packets take the
+    per-layer event path."""
+    _assert_engines_match(n_ues=3, packets_per_ue=40, horizon_ms=25)
+
+
+@pytest.mark.parametrize("seed", [3, 26])
+def test_slotted_matches_scalar_on_same_tick_ties(seed):
+    """400 UEs over 2 ms with full CG windows: packets of different UEs
+    leave MAC on the same tick and plan into the same window.  The
+    scalar engine runs them in RLC-exit order; the slotted engine's
+    early-pushed MAC exits, landings and UPF completions must sort the
+    same way, or the landing cohort trades gnb-stream draws."""
+    _assert_engines_match(n_ues=400, packets_per_ue=5, horizon_ms=2,
+                          seed=seed, cg_share=1.0)
+
+
+_CHANNELS = st.sampled_from(["perfect", "iid", "iid-zero", "ge"])
+# A CG share under ~1/60 leaves a 32-byte packet no window it fits
+# in, and the scalar planner then scans windows forever.
+_CG_SHARES = st.sampled_from([0.1, 1.0])
+
+
+@given(n_ues=st.integers(2, 400), packets_per_ue=st.integers(1, 6),
+       horizon_ms=st.integers(1, 40), seed=st.integers(0, 10_000),
+       channel_kind=_CHANNELS, intensity=st.sampled_from([0.0, 0.5]),
+       cg_share=_CG_SHARES)
+@settings(max_examples=60, deadline=None)
+def test_slotted_matches_scalar_property(n_ues, packets_per_ue,
+                                         horizon_ms, seed, channel_kind,
+                                         intensity, cg_share):
+    """Per-packet equality over slotted-eligible configurations; short
+    horizons pack many UEs' events onto the same ticks."""
+    _assert_engines_match(channel_kind=channel_kind, intensity=intensity,
+                          n_ues=n_ues, packets_per_ue=packets_per_ue,
+                          horizon_ms=horizon_ms, seed=seed,
+                          cg_share=cg_share)
+
+
+@given(engine=st.sampled_from(["scalar", "slotted"]),
+       n_ues=st.integers(2, 100), seed=st.integers(0, 10_000),
+       channel_kind=_CHANNELS, cg_share=_CG_SHARES)
+@settings(max_examples=15, deadline=None)
+def test_zero_intensity_fault_plan_is_fault_free(engine, n_ues, seed,
+                                                 channel_kind, cg_share):
+    """The standard plan scaled to intensity 0 changes nothing."""
+    zero = FaultPlan.resolve("standard").scaled(0.0)
+    kwargs = dict(channel_kind=channel_kind, n_ues=n_ues,
+                  packets_per_ue=3, horizon_ms=10, seed=seed,
+                  cg_share=cg_share)
+    assert _run(engine, plan=zero, **kwargs) == _run(engine, **kwargs)
 
 
 def test_slotted_buffered_equals_forced_sequential():

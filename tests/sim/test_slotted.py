@@ -4,8 +4,8 @@ End-to-end bit-identity is pinned by
 tests/integration/test_slotted_equivalence.py; this module covers the
 pieces in isolation: the columnar population store, the compact latency
 probe (vs the packet-holding scalar probe), engine selection and
-eligibility, and the peek/commit contract of the block samplers the
-plan pre-pass relies on.
+eligibility, and the peek/commit contract of the block samplers
+guarded fusion relies on.
 """
 
 import math
@@ -168,7 +168,7 @@ def test_engine_slotted_is_uplink_only():
 
 
 # ---------------------------------------------------------------------------
-# peek/commit — the guarded-fusion primitive of the plan pre-pass
+# peek/commit — the guarded-fusion primitive
 # ---------------------------------------------------------------------------
 def test_block_server_peek_does_not_consume():
     server = LogNormalBlockServer(np.random.default_rng(5), block=8)
