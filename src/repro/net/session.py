@@ -43,6 +43,10 @@ from repro import calibration
 
 __all__ = ["RanConfig", "PingResult", "RanSystem"]
 
+#: Population size at which ``engine="auto"`` switches to the slotted
+#: engine (when the configuration is eligible).
+SLOTTED_THRESHOLD = 256
+
 
 @dataclass
 class RanConfig:
@@ -70,12 +74,10 @@ class RanConfig:
     #: DL scheduling priority per UE id (lower = served first; absent
     #: UEs default to 0).  Used to protect URLLC traffic from eMBB.
     ue_priorities: dict[int, int] | None = None
-    #: HARQ processes per direction (TS 38.321 allows up to 16).  With
-    #: feedback-timed HARQ a retransmission waits for the NACK to come
-    #: back over the opposite timeline; set ``harq_feedback=False`` for
-    #: the older idealised next-window retransmission.
+    #: HARQ processes per direction (TS 38.321 allows up to 16).  A
+    #: retransmission waits for the NACK to come back over the
+    #: opposite timeline.
     harq_processes: int = 16
-    harq_feedback: bool = True
     #: CORESET size per control occasion; None = unlimited control
     #: capacity.  Small values expose PDCCH blocking at scale (§9).
     pdcch_cces: int | None = None
@@ -88,11 +90,9 @@ class RanConfig:
     #: Execution engine: "scalar" always builds per-UE objects,
     #: "slotted" runs the population executor (repro.sim.slotted —
     #: grant-free uplink only, raises for unsupported configs), "auto"
-    #: picks slotted when eligible and ``n_ues >= slotted_threshold``.
+    #: picks slotted when eligible and ``n_ues >= SLOTTED_THRESHOLD``.
     #: Both engines are bit-identical (see docs/PERFORMANCE.md).
     engine: str = "auto"
-    #: Population size at which "auto" switches to the slotted engine.
-    slotted_threshold: int = 256
     #: Fraction of each window's transport block available to one UE's
     #: configured grant.  None keeps the historical default
     #: (1/n_ues for grant-free); large populations set 1.0 to model
@@ -169,15 +169,9 @@ class RanSystem:
                                  packet_ids=self._packet_ids)
 
         symbol_tc = scheme.numerology.slot_duration_tc // 14
-        self.harq_pool: HarqProcessPool | None = None
-        self._dl_feedback: HarqFeedbackModel | None = None
-        self._ul_feedback: HarqFeedbackModel | None = None
-        if self.config.harq_feedback:
-            self.harq_pool = HarqProcessPool(self.config.harq_processes)
-            self._dl_feedback = HarqFeedbackModel(scheme,
-                                                  feedback_for="dl")
-            self._ul_feedback = HarqFeedbackModel(scheme,
-                                                  feedback_for="ul")
+        self.harq_pool = HarqProcessPool(self.config.harq_processes)
+        self._dl_feedback = HarqFeedbackModel(scheme, feedback_for="dl")
+        self._ul_feedback = HarqFeedbackModel(scheme, feedback_for="ul")
         self.gnb_cpu = None
         if self.config.gnb_cpu_cores is not None:
             self.gnb_cpu = CpuResource(self.sim,
@@ -245,7 +239,7 @@ class RanSystem:
             return False
         if engine == "slotted":
             return True  # SlottedUplink raises if the config is out
-        return (self.config.n_ues >= self.config.slotted_threshold
+        return (self.config.n_ues >= SLOTTED_THRESHOLD
                 and ineligibility(self) is None)
 
     @property
@@ -312,13 +306,11 @@ class RanSystem:
     # ------------------------------------------------------------------
     def _dl_over_air(self, window: Window, packets: list[Packet]) -> None:
         completion = self.sim.now
-        release_event = None
-        if self.harq_pool is not None and self._dl_feedback is not None:
-            # The process frees once the ACK/NACK makes it back over
-            # the UL timeline (k1 + PUCCH occasion + decode).
-            release_at = self._dl_feedback.feedback_time(completion)
-            release_event = self.sim.schedule(release_at,
-                                              self.harq_pool.release)
+        # The process frees once the ACK/NACK makes it back over the UL
+        # timeline (k1 + PUCCH occasion + decode).
+        release_at = self._dl_feedback.feedback_time(completion)
+        release_event = self.sim.schedule(release_at,
+                                          self.harq_pool.release)
         by_ue: dict[int, list[Packet]] = {}
         for packet in packets:
             by_ue.setdefault(packet.ue_id, []).append(packet)
@@ -331,7 +323,7 @@ class RanSystem:
                     self._dl_nack(pkts, c),
             )
             saw_dtx = saw_dtx or self.link.last_fault_fate == "dtx"
-        if saw_dtx and release_event is not None:
+        if saw_dtx:
             # Injected DTX: the feedback never arrives, so the process
             # is only freed at the DTX detection timeout.
             release_event.cancel()
@@ -343,9 +335,6 @@ class RanSystem:
     def _dl_nack(self, packets: list[Packet], completion: int) -> None:
         """A DL block failed: retransmission waits for the NACK (or,
         for an injected DTX, for the detection timeout)."""
-        if self._dl_feedback is None:
-            self.gnb.scheduler.requeue_dl(packets)
-            return
         if self.link.last_fault_fate == "dtx":
             feedback_at = self._dl_feedback.dtx_detection_time(completion)
         else:
@@ -374,9 +363,6 @@ class RanSystem:
     def _ul_nack(self, ue_id: int, packets: list[Packet],
                  completion: int) -> None:
         """A UL block failed: the UE learns via DL feedback."""
-        if self._ul_feedback is None:
-            self.ues[ue_id].retransmit_uplink(packets)
-            return
         if self.link.last_fault_fate == "dtx":
             feedback_at = self._ul_feedback.dtx_detection_time(completion)
         else:

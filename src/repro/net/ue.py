@@ -162,14 +162,24 @@ class Ue:
         prep_tc = tc_from_us(self.phy_prep.sample(self.rng))
         radio_tc = self._radio_tc()
         ready = now + prep_tc + radio_tc
+        # A window without a plan that rejects the packet is an *empty*
+        # rejection.  Once a full period of them has piled up, later
+        # cycles repeat the same rejections, so the packet fits nowhere.
+        n_windows = len(self._ul.windows)
+        empty_rejections = 0
         for window in self._ul.windows_from(ready):
+            if empty_rejections > n_windows:
+                break
             entry = max(ready, window.start)
             if window.end - entry < self.min_tx_tc:
+                empty_rejections += 1
                 continue
             plan = self._planned.get(window.start)
             capacity = self.cg_capacity_bytes(window)
             used = plan.bytes_used if plan else 0
             if used + packet.wire_bytes > capacity:
+                if plan is None:
+                    empty_rejections += 1
                 continue
             if plan is None:
                 plan = _PlannedWindow(window)

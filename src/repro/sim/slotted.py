@@ -38,10 +38,10 @@ equivalence suite in ``tests/integration/test_slotted_equivalence.py``):
    "Deterministic event order").  Every mirror event carries that key:
    the tick at which the scalar engine schedules it, then the
    executor's push counter.  Events pushed ahead of their scalar
-   scheduling tick — fused UE chains, folded air landings, cohort-fused
-   UPF completions — take the scalar tick, not the push tick.  So
-   same-tick events execute in the scalar engine's order and every
-   shared RNG stream is consumed in the same interleaving.
+   scheduling tick — fused UE chains and folded air landings — take
+   the scalar tick, not the push tick.  So same-tick events execute in
+   the scalar engine's order and every shared RNG stream is consumed
+   in the same interleaving.
 2. *Draw-for-draw RNG equivalence.*  Scalar ``Generator.lognormal``
    consumes exactly one ziggurat standard normal per call;
    :class:`~repro.sim.sampling.LogNormalBlockServer` serves the same
@@ -59,9 +59,9 @@ equivalence suite in ``tests/integration/test_slotted_equivalence.py``):
    strictly after the chain end).  When the guard fails, the peeked
    normals are left unconsumed and the per-layer event path serves
    them one at a time, so both paths produce the identical value
-   sequence.  Landing cohorts fuse their gNB chains under the same
-   kind of guard.  Fusion is disabled entirely when tracing, because
-   the trace stream must interleave per-layer.
+   sequence.  The gNB side has no fused path: every landing enters
+   gNB PHY on the per-layer event path.  Fusion is disabled entirely
+   when tracing, because the trace stream must interleave per-layer.
 4. *A real clock for the side effects.*  Fault hooks and the tracer
    read ``sim.now``; with either active the executor moves the
    simulator's clock forward with
@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.mac.types import AccessMode
@@ -119,7 +119,7 @@ _DELIVER = 3        # (t, key, code, rows)
 _GNB_LAYER = 5      # (t, key, code, row, layer_k, delay_us, submitted)
 _UPF_DONE = 6       # (t, key, code, row, submitted)
 _RETRANSMIT = 7     # (t, key, code, ue, rows)
-_PLAN = 8           # (t, key, code, row, ue, prep_us) — fused-chain
+_PLAN = 8           # (t, key, code, row, ue, prep_tc) — fused-chain
                     # MAC exit
 _AIR = 9            # (t, key, code, ue, window_start) — transmit+fly
                     # folded into one landing event (never-fail links)
@@ -326,9 +326,9 @@ class SlottedUplink:
         self._windex = system.scheme.ul_timeline().index()
         symbol_tc = (system.scheme.numerology.slot_duration_tc // 14)
         self.min_tx_tc = max(1, 2 * symbol_tc)
-        # Per-UE CG capacity memo keyed by window duration (the share
-        # is fixed for the run, so one int per distinct duration).
-        self._cap_cache: dict[int, int] = {}
+        # Per-UE CG capacity of each base window, filled by run() (the
+        # share is fixed for the run).
+        self._cap_by_base: list[int] = []
 
         # Compiled layer tables.  UE side: APP..MAC transit draws plus
         # the PHY preparation draw, all on the per-UE stream.  gNB
@@ -360,11 +360,6 @@ class SlottedUplink:
         self._seq = 0
         # Open CG plans: (ue_id, window_start) -> [window_k, rows, bytes]
         self._plans: dict[tuple[int, int], list] = {}
-        # Completion times (arrival at the gNB) of every planned
-        # transmission still in the air — the gNB-side fusion guard: a
-        # fused gNB chain must finish strictly before the next block
-        # lands, else its draws could interleave with that block's.
-        self._air_times: list[int] = []
         self._prop_tc = system.link.propagation_tc
         # Packets of each UE that may still draw on the UE's stream —
         # the UE-side fusion guard.  A packet's last possible UE-stream
@@ -485,9 +480,13 @@ class SlottedUplink:
         sim = self.sim
         advance = sim.advance_to
         exp = math.exp
+        rnd = round
+        TCS = TC_PER_SECOND
+        USP = _US_PER_SECOND
         pid_col = pop.packet_id
         created = pop.created
         bp = pop.budget_processing
+        bprot = pop.budget_protocol
         brad = pop.budget_radio
         delivered_col = pop.delivered_tc
         ue_hot = self._ue_hot
@@ -496,19 +495,19 @@ class SlottedUplink:
         gnb_specs = self._gnb_specs
         chain_draws = sum(1 for spec in ue_specs if spec[0])
         prep_kind, prep_a, prep_b = self._prep_spec
+        prep_const_tc = rnd(prep_a * TCS / USP)
         peek_n = chain_draws + (1 if prep_kind else 0)
-        gnb_draws = sum(1 for spec in gnb_specs if spec[0])
         # Chain-total form of the UE specs: the total transit is a sum,
         # so constant layers collapse to one precomputed term and the
         # lognormal ones zip against the peeked normals (stream order
         # is preserved — only lognormal layers consume a draw).
         ue_ln = [(a, b) for kind, a, b in ue_specs if kind]
-        ue_const_tc = sum(round(a * TC_PER_SECOND / _US_PER_SECOND)
+        ue_const_tc = sum(rnd(a * TCS / USP)
                           for kind, a, _b in ue_specs if not kind)
         # MAC is the last UE layer: its transit is the chain's last
         # lognormal term when it draws, else this constant.
         mac_kind, mac_a, _mac_b = ue_specs[-1]
-        mac_const_tc = round(mac_a * TC_PER_SECOND / _US_PER_SECOND)
+        mac_const_tc = rnd(mac_a * TCS / USP)
         servers = self._ue_servers
         dilation = self._dilation
         gserver = self._gnb_rng_server()
@@ -526,30 +525,17 @@ class SlottedUplink:
         gi = 0
         gn = 0
 
-        def _gtopup() -> bool:
+        def _gdraw(a: float, b: float) -> float:
             nonlocal gbuf, gi, gn
             fresh = gserver.peek(gchunk)
             if fresh is None:
-                return False
+                return gsample(a, b)
             gserver.commit(gchunk)
-            gbuf = gbuf[gi:] + fresh.tolist()
+            gbuf = fresh.tolist()
             gn = len(gbuf)
-            gi = 0
-            return True
+            gi = 1
+            return exp(a + b * gbuf[0])
 
-        def _gdraw(a: float, b: float) -> float:
-            nonlocal gi
-            if _gtopup():
-                z = gbuf[gi]
-                gi += 1
-                return exp(a + b * z)
-            return gsample(a, b)
-
-        # gNB-side fusion additionally requires fault-free layers (the
-        # dilation hook reads per-category state in event order).
-        fuse_gnb = fuse_ue and dilation is None
-        air_times = self._air_times
-        gnb_busy = 0  # gNB chains running on the per-layer event path
         upf = self.upf
         upf_sample = upf.delay.sample
         upf_rng = upf.rng
@@ -564,26 +550,16 @@ class SlottedUplink:
         ui = 0
         un = 0
 
-        def _utopup() -> bool:
-            nonlocal ubuf, ui, un
-            if upf_peek is None:
-                return False
-            fresh = upf_peek(uchunk)
-            if fresh is None:
-                return False
-            upf_commit(uchunk)
-            ubuf = ubuf[ui:] + fresh.tolist()
-            un = len(ubuf)
-            ui = 0
-            return True
-
         def _udraw() -> float:
-            nonlocal ui
-            if _utopup():
-                value = ubuf[ui]
-                ui += 1
-                return value
-            return upf_sample(upf_rng)
+            nonlocal ubuf, ui, un
+            fresh = upf_peek(uchunk) if upf_peek is not None else None
+            if fresh is None:
+                return upf_sample(upf_rng)
+            upf_commit(uchunk)
+            ubuf = fresh.tolist()
+            un = len(ubuf)
+            ui = 1
+            return ubuf[0]
 
         gnb_counters = self._system.gnb.counters
         probe = self.probe
@@ -594,29 +570,21 @@ class SlottedUplink:
         # one-per-block rates).
         cg_alloc_acc = cg_used_acc = blocks_acc = out_acc = 0
 
-        # CG planning + transmission, inlined.  The _PLAN handler only
-        # ever fires on the fused path (emit is None), so its inline
-        # form needs no trace branch; _TRANSMIT additionally gets a
-        # fast path when the link can neither fail nor draw (perfect
-        # channel, no fault gate, no uniform buffer).
-        rnd = round
-        TCS = TC_PER_SECOND
-        USP = _US_PER_SECOND
+        # CG planning goes through _place (fused MAC exits) or
+        # _plan_grant_free (per-layer path, retransmissions); both push
+        # a _TRANSMIT, or, when the link can neither fail nor draw
+        # (perfect channel, no fault gate, no uniform buffer), an _AIR
+        # landing with the window-end hop folded in.
+        place = self._place
         plans = self._plans
         windex = self._windex
-        w_starts = windex.starts
-        w_ends = windex.ends
-        w_durs = windex.durations
         nwin = windex.n_windows
-        period = windex.period_tc
-        # One capacity per base window, precomputed: the CG-capacity
-        # memo behind _cg_capacity only ever sees these durations.
-        cap_by_base = [self._cg_capacity(d) for d in w_durs]
-        w_first_after = windex.first_ending_after
-        min_tx = self.min_tx_tc
-        payload = pop.payload
-        header = pop.header
-        bprot = pop.budget_protocol
+        # One capacity per base window, one scheduler call per distinct
+        # duration.
+        caps = {d: self.scheduler.cg_capacity_for(d, self.cg_share)
+                for d in set(windex.durations)}
+        self._cap_by_base = cap_by_base = [caps[d]
+                                           for d in windex.durations]
         link = self.link
         link_counters = link.counters
         prop_tc = self._prop_tc
@@ -683,12 +651,13 @@ class SlottedUplink:
                         # whole span commits as one event.
                         if next_same[ai - 1] > end:
                             if prep_kind:
-                                prep_us = exp(prep_a
-                                              + prep_b
-                                              * zs[chain_draws])
+                                prep_tc = rnd(exp(prep_a
+                                                  + prep_b
+                                                  * zs[chain_draws])
+                                              * TCS / USP)
                                 server._pos += peek_n
                             else:
-                                prep_us = prep_a
+                                prep_tc = prep_const_tc
                                 server._pos += chain_draws
                             bp[row] += total
                             pop.header[row] = _UE_WIRE_HEADER
@@ -700,7 +669,7 @@ class SlottedUplink:
                                                else mac_const_tc)
                             self._seq = seq = self._seq + 1
                             heappush(heap, (end, (mac_enter << 32) | seq,
-                                            _PLAN, row, u, prep_us))
+                                            _PLAN, row, u, prep_tc))
                             continue
                 # Per-layer event path (tracing, forced-sequential
                 # sampling, or a chain that may interleave).
@@ -751,8 +720,7 @@ class SlottedUplink:
                 else:
                     # SDAP exit: gNB hands the packet to the UPF
                     # (mirror of Gnb._ul_done + Upf._process).
-                    gnb_busy -= 1
-                    gnb_counters.ul_packets_out += 1
+                    out_acc += 1
                     if ui < un:
                         upf_us = ubuf[ui]
                         ui += 1
@@ -794,153 +762,14 @@ class SlottedUplink:
                     for row in rows:
                         brad[row] += prop_tc
                 else:
-                    rows = list(event[3])
-                    # Retire this block's own air-time entry (== t)
-                    # plus any stale entries of failed blocks it has
-                    # passed.  (fast_tx runs keep no air-time heap at
-                    # all: nothing fails, and every landing sits on
-                    # the window-end + propagation grid, so the next
-                    # landing is read off the window index instead.)
-                    while air_times[0] < t:
-                        heappop(air_times)
-                    heappop(air_times)
-                if fuse_gnb and gnb_busy == 0:
-                    # Cohort fusion.  Slot alignment makes blocks land
-                    # in same-tick batches (every UL transmission
-                    # completes at a window end), so sibling deliveries
-                    # are collected and their gNB chains simulated on a
-                    # local heap keyed (time, push order) — the exact
-                    # merge order the scalar engine gives those events.
-                    # If the whole cohort drains strictly before the
-                    # next landing, its gnb-stream draws and UPF
-                    # forward draws are consumed in scalar order and
-                    # the result commits; otherwise everything falls
-                    # back to the per-layer path.  Its UPF completions
-                    # are keyed by their SDAP-exit ticks.
-                    while (heap and heap[0][0] == t
-                           and heap[0][2] == code):
-                        sib = heappop(heap)
-                        if code == _AIR:
-                            su = sib[3]
-                            window_k, srows, used = plans.pop(
-                                (su, sib[4]))
-                            pop_blocks[su] += 1
-                            capacity = cap_by_base[window_k % nwin]
-                            cg_alloc_acc += capacity
-                            cg_used_acc += (
-                                used if used <= capacity else capacity)
-                            blocks_acc += 1
-                            for row in srows:
-                                brad[row] += prop_tc
-                            rows.extend(srows)
-                        else:
-                            heappop(air_times)
-                            rows.extend(sib[3])
-                    if heap and heap[0][0] == t:
-                        # Another event ties between siblings, so a
-                        # landing may still be pending at t: no fusion.
-                        na = t
-                    elif code == _AIR:
-                        nk = w_first_after(t - prop_tc)
-                        na = ((nk // nwin) * period
-                              + w_ends[nk % nwin] + prop_tc)
-                    else:
-                        na = (air_times[0] if air_times
-                              else _FAR_FUTURE)
-                    need = gnb_draws * len(rows)
-                    while gn - gi < need and _gtopup():
-                        pass
-                    if na > t and gn - gi >= need and len(rows) == 1:
-                        # One-block cohort: the chain is a straight
-                        # line, no merge order to reproduce.
-                        row = rows[0]
-                        tau = t
-                        zi = 0
-                        for kind, a, b in gnb_specs:
-                            if kind:
-                                d = exp(a + b * gbuf[gi + zi])
-                                zi += 1
-                            else:
-                                d = a
-                            tau += rnd(d * TCS / USP)
-                        gi += zi
-                        out_acc += 1
-                        bp[row] += tau - t
-                        if ui < un:
-                            upf_us = ubuf[ui]
-                            ui += 1
-                        else:
-                            upf_us = _udraw()
-                        delay_tc = rnd(upf_us * TCS / USP)
-                        if upf_outage is not None:
-                            delay_tc += upf_outage()
-                        self._seq = seq = self._seq + 1
-                        heappush(heap, (tau + delay_tc,
-                                        (tau << 32) | seq, _UPF_DONE,
-                                        row, tau))
-                        continue
-                    if na > t and gn - gi >= need:
-                        zi = 0
-                        order = 0
-                        mini = []
-                        kind0, a0, b0 = gnb_specs[0]
-                        for row in rows:
-                            if kind0:
-                                d = exp(a0 + b0 * gbuf[gi + zi])
-                                zi += 1
-                            else:
-                                d = a0
-                            mini.append((
-                                t + rnd(d * TCS / USP),
-                                order, row, 0))
-                            order += 1
-                        heapify(mini)
-                        exits = []
-                        max_end = 0
-                        while mini:
-                            tau, _o, row, k = heappop(mini)
-                            k += 1
-                            if k < 5:
-                                kind, a, b = gnb_specs[k]
-                                if kind:
-                                    d = exp(a + b * gbuf[gi + zi])
-                                    zi += 1
-                                else:
-                                    d = a
-                                heappush(mini, (
-                                    tau + rnd(d * TCS / USP),
-                                    order, row, k))
-                                order += 1
-                            else:
-                                exits.append((tau, row))
-                                if tau > max_end:
-                                    max_end = tau
-                        if max_end < na:
-                            gi += zi
-                            out_acc += len(rows)
-                            for tau, row in exits:
-                                bp[row] += tau - t
-                                if ui < un:
-                                    upf_us = ubuf[ui]
-                                    ui += 1
-                                else:
-                                    upf_us = _udraw()
-                                delay_tc = rnd(upf_us * TCS / USP)
-                                if upf_outage is not None:
-                                    delay_tc += upf_outage()
-                                self._seq = seq = self._seq + 1
-                                heappush(heap, (
-                                    tau + delay_tc, (tau << 32) | seq,
-                                    _UPF_DONE, row, tau))
-                            continue
+                    rows = event[3]
                 # gnb.receive_ul_block with no radio head charges zero
                 # RADIO and forwards the block to the up-pipeline in
                 # order; the scalar call_in(0, ...) hop preserves the
                 # same relative push order, so entering PHY here is
                 # bit-identical (pinned by the equivalence suite).
+                kind, a, b = gnb_specs[0]
                 for row in rows:
-                    gnb_busy += 1
-                    kind, a, b = gnb_specs[0]
                     if kind:
                         if gi < gn:
                             delay_us = exp(a + b * gbuf[gi])
@@ -964,66 +793,9 @@ class SlottedUplink:
             elif code == _UE_LAYER:
                 self._ue_layer_done(event, t)
             elif code == _PLAN:
-                # Inline of _plan_grant_free for the fused path: _PLAN
-                # events only exist when fusion is on (emit is None),
-                # the prep delay is already drawn, and the packet is a
-                # first transmission.
-                row = event[3]
-                u = event[4]
-                prep_tc = rnd(event[5] * TCS / USP)
-                ready = t + prep_tc
-                wire = payload[row] + header[row]
-                cyc, rem = divmod(ready, period)
-                base = bisect_right(w_ends, rem)
-                if base == nwin:
-                    cyc += 1
-                    base = 0
-                k = cyc * nwin + base
-                empty = 0
-                while True:
-                    if empty > nwin:
-                        raise LookupError(
-                            "no usable configured-grant window found")
-                    cyc, base = divmod(k, nwin)
-                    off = cyc * period
-                    start = w_starts[base] + off
-                    end = w_ends[base] + off
-                    entry = ready if ready > start else start
-                    if end - entry < min_tx:
-                        empty += 1
-                        k += 1
-                        continue
-                    plan = plans.get((u, start))
-                    capacity = cap_by_base[base]
-                    used = plan[2] if plan is not None else 0
-                    if used + wire > capacity:
-                        if plan is None:
-                            empty += 1
-                        k += 1
-                        continue
-                    if plan is None:
-                        plans[(u, start)] = [k, [row], used + wire]
-                        self._seq = seq = self._seq + 1
-                        if fast_tx:
-                            # Transmission cannot fail and draws
-                            # nothing, so the window-end hop is folded
-                            # into the landing event; its bookkeeping
-                            # (pure counter sums) moves there too.  The
-                            # key's tick is the window end, where the
-                            # scalar engine schedules the delivery.
-                            heappush(heap, (end + prop_tc,
-                                            (end << 32) | seq, _AIR,
-                                            u, start))
-                        else:
-                            heappush(heap, (end, (t << 32) | seq,
-                                            _TRANSMIT, u, start))
-                            heappush(air_times, end + prop_tc)
-                    else:
-                        plan[1].append(row)
-                        plan[2] += wire
-                    bp[row] += prep_tc
-                    bprot[row] += end - t - prep_tc
-                    break
+                # Fused MAC exit: the prep delay is already drawn and
+                # the packet is a first transmission.
+                place(event[3], event[4], t, event[5])
             elif code == _TRANSMIT:
                 self._transmit(event[3], event[4], t)
             else:  # _RETRANSMIT
@@ -1079,18 +851,10 @@ class SlottedUplink:
         else:
             self._plan_grant_free(row, ue_id, now, False)
 
-    def _cg_capacity(self, duration_tc: int) -> int:
-        capacity = self._cap_cache.get(duration_tc)
-        if capacity is None:
-            capacity = self.scheduler.cg_capacity_for(duration_tc,
-                                                      self.cg_share)
-            self._cap_cache[duration_tc] = capacity
-        return capacity
-
     def _plan_grant_free(self, row: int, ue_id: int, now: int,
                          is_retransmission: bool) -> None:
-        """Mirror of ``Ue._plan_grant_free`` on columnar state (the
-        fused path's inline ``_PLAN`` handler covers the rest)."""
+        """Mirror of ``Ue._plan_grant_free`` on columnar state: the
+        PHY-prep draw, then :meth:`_place`."""
         kind, a, b = self._prep_spec
         if kind:
             prep_us = self._ue_server(ue_id).sample(a, b)
@@ -1101,21 +865,36 @@ class SlottedUplink:
             # link never fails, so no retransmission preps follow): the
             # packet stops blocking chain fusion.
             self._ue_hot[ue_id] -= 1
-        prep_tc = tc_from_us(prep_us)
+        start = self._place(row, ue_id, now, tc_from_us(prep_us))
+        if self.tracer.enabled:
+            self.tracer.emit(now, self._categories(ue_id)[4],
+                             "cg_planned",
+                             packet_id=self.population.packet_id[row],
+                             window_start=start,
+                             retransmission=is_retransmission)
+
+    def _place(self, row: int, ue_id: int, now: int,
+               prep_tc: int) -> int:
+        """Put a packet whose PHY prep takes ``prep_tc`` into the
+        earliest configured-grant window with room for it (the joining
+        rule of ``Ue._plan_grant_free``); returns the window start.
+
+        A window with no plan of this UE that rejects the packet is an
+        *empty* rejection.  Once a full period of them has piled up,
+        later cycles repeat the same rejections, so the scan stops with
+        :class:`LookupError` — the scalar planner's bound.
+        """
         ready = now + prep_tc
         pop = self.population
         wire = pop.payload[row] + pop.header[row]
         windex = self._windex
+        n_windows = windex.n_windows
+        cap_by_base = self._cap_by_base
         plans = self._plans
         min_tx_tc = self.min_tx_tc
         k = windex.first_ending_after(ready)
-        # The scalar planner scans the (infinite) window generator; an
-        # un-plannable packet — wire size above even an empty window's
-        # capacity — would loop forever there.  The mirror bounds the
-        # scan: once a full period of *empty* windows has been
-        # rejected, later cycles repeat the same rejection.
         empty_rejections = 0
-        while empty_rejections <= windex.n_windows:
+        while empty_rejections <= n_windows:
             start, end = windex.bounds(k)
             entry = ready if ready > start else start
             if end - entry < min_tx_tc:
@@ -1123,37 +902,32 @@ class SlottedUplink:
                 k += 1
                 continue
             plan = plans.get((ue_id, start))
-            capacity = self._cg_capacity(windex.duration(k))
             used = plan[2] if plan is not None else 0
-            if used + wire > capacity:
+            if used + wire > cap_by_base[k % n_windows]:
                 if plan is None:
                     empty_rejections += 1
                 k += 1
                 continue
             if plan is None:
-                plan = [k, [row], used + wire]
-                plans[(ue_id, start)] = plan
+                plans[(ue_id, start)] = [k, [row], wire]
                 self._seq = seq = self._seq + 1
                 if self._fast_tx:
+                    # The transmission cannot fail and draws nothing, so
+                    # the window-end hop is folded into the landing
+                    # event, keyed by the window end, where the scalar
+                    # engine schedules the delivery.
                     heappush(self._heap, (end + self._prop_tc,
                                           (end << 32) | seq, _AIR, ue_id,
                                           start))
                 else:
                     heappush(self._heap, (end, (now << 32) | seq,
                                           _TRANSMIT, ue_id, start))
-                    heappush(self._air_times, end + self._prop_tc)
             else:
                 plan[1].append(row)
                 plan[2] += wire
             pop.budget_processing[row] += prep_tc
             pop.budget_protocol[row] += end - now - prep_tc
-            if self.tracer.enabled:
-                self.tracer.emit(now, self._categories(ue_id)[4],
-                                 "cg_planned",
-                                 packet_id=pop.packet_id[row],
-                                 window_start=start,
-                                 retransmission=is_retransmission)
-            return
+            return start
         raise LookupError("no usable configured-grant window found")
 
     # ------------------------------------------------------------------
@@ -1172,7 +946,7 @@ class SlottedUplink:
                              window_start=window_start,
                              packets=len(rows))
         self.scheduler.account_cg_usage(
-            self._cg_capacity(self._windex.duration(window_k)), used)
+            self._cap_by_base[window_k % self._windex.n_windows], used)
         link = self.link
         if link.decide_fate(now):
             if self._can_fail:
@@ -1186,10 +960,6 @@ class SlottedUplink:
             heappush(self._heap, (now + propagation_tc,
                                   (now << 32) | seq, _DELIVER, rows))
             return
-        # The block never lands; its air-time entry stays behind as a
-        # stale lower bound (only ever conservative — it can suppress
-        # a fusion, never permit a wrong one) and is swept by the next
-        # delivery that passes it.
         link.counters.blocks_failed += 1
         if self.tracer.enabled:
             self.tracer.emit(now, "link", "block_failed",
@@ -1207,10 +977,6 @@ class SlottedUplink:
         if not survivors:
             return
         feedback = self._system._ul_feedback
-        if feedback is None:
-            for row in survivors:
-                self._plan_grant_free(row, ue_id, now, True)
-            return
         if link.last_fault_fate == "dtx":
             feedback_at = feedback.dtx_detection_time(now)
         else:

@@ -7,7 +7,7 @@ from repro.mac.harq import HarqFeedbackModel
 from repro.mac.types import AccessMode
 from repro.net.session import RanConfig, RanSystem
 from repro.phy.channel import IidErasureChannel
-from repro.phy.timebase import tc_from_ms, us_from_tc
+from repro.phy.timebase import tc_from_ms, tc_from_us, us_from_tc
 from repro.sim.rng import RngRegistry
 from repro.traffic.generators import uniform_in_horizon
 
@@ -17,18 +17,58 @@ def arrivals(n, seed, horizon_ms=1_000):
                               RngRegistry(seed).stream("a"))
 
 
-def test_feedback_delays_retransmission_vs_idealised():
-    def mean_with(feedback):
-        system = RanSystem(
-            testbed_dddu(),
-            RanConfig(channel=IidErasureChannel(0.3), seed=51,
-                      harq_feedback=feedback))
-        probe = system.run_downlink(arrivals(200, seed=52))
-        retx = [us_from_tc(p.latency_tc) for p in probe.packets
-                if p.harq_retransmissions > 0]
-        return sum(retx) / len(retx)
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_retransmission_waits_for_harq_feedback(direction):
+    """A failed block's packets re-enter DL scheduling or UL CG planning
+    exactly at the HARQ feedback instant of the failed transmission:
+    the NACK's round trip over the opposite timeline, never at once."""
+    scheme = testbed_dddu()
+    system = RanSystem(scheme,
+                       RanConfig(channel=IidErasureChannel(0.3), seed=51))
+    feedback = HarqFeedbackModel(scheme, feedback_for=direction)
+    failed: dict[int, list[int]] = {}
+    resumed: dict[int, list[int]] = {}
 
-    assert mean_with(True) > mean_with(False) + 500.0
+    def note(log, packets, now):
+        for packet in packets:
+            log.setdefault(packet.packet_id, []).append(now)
+
+    if direction == "dl":
+        nack, requeue = system._dl_nack, system.gnb.scheduler.requeue_dl
+
+        def on_nack(packets, completion):
+            note(failed, packets, completion)
+            nack(packets, completion)
+
+        def on_resume(packets):
+            note(resumed, packets, system.sim.now)
+            requeue(packets)
+
+        system._dl_nack = on_nack
+        system.gnb.scheduler.requeue_dl = on_resume
+        probe = system.run_downlink(arrivals(200, seed=52))
+    else:
+        nack, retransmit = system._ul_nack, system.ues[1].retransmit_uplink
+
+        def on_nack(ue_id, packets, completion):
+            note(failed, packets, completion)
+            nack(ue_id, packets, completion)
+
+        def on_resume(packets):
+            note(resumed, packets, system.sim.now)
+            retransmit(packets)
+
+        system._ul_nack = on_nack
+        system.ues[1].retransmit_uplink = on_resume
+        probe = system.run_uplink(arrivals(200, seed=52))
+
+    assert len(probe) + system.link.counters.packets_dropped == 200
+    assert failed and resumed.keys() == failed.keys()
+    for packet_id, completions in failed.items():
+        feedback_at = [feedback.feedback_time(c) for c in completions]
+        assert resumed[packet_id] == feedback_at
+        assert all(at - c >= tc_from_us(400.0)
+                   for at, c in zip(feedback_at, completions))
 
 
 def test_pool_releases_keep_in_flight_bounded():

@@ -16,6 +16,8 @@ regime the engine distinguishes internally:
 - dense same-tick ties between UEs, where early-pushed events must sort
   by the tick the scalar engine schedules them at;
 - block-buffered and forced-sequential sampling;
+- packets no configured-grant window can hold, which both planners
+  must reject with the same error;
 - the runtime determinism sanitizer, which must see the population
   streams resolve to exclusive owners with unchanged results.
 """
@@ -30,6 +32,7 @@ from repro.mac.types import AccessMode
 from repro.net.session import RanConfig, RanSystem
 from repro.phy.channel import GilbertElliottChannel, IidErasureChannel
 from repro.phy.timebase import TC_PER_MS
+from repro.sim.engine import SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.sampling import force_sequential
 from repro.sim.sanitize import sanitizer_session
@@ -96,6 +99,24 @@ def _assert_engines_match(**kwargs):
     assert scalar == slotted
 
 
+def _planner_error(exc):
+    """The error a run stopped on; the scalar engine chains a callback's
+    exception under a SimulationError."""
+    return exc.__cause__ if isinstance(exc, SimulationError) else exc
+
+
+def _outcome(engine, **kwargs):
+    """``_run``'s record without the engine name, or the planner error
+    the run stopped on."""
+    try:
+        out = _run(engine, **kwargs)
+    except (LookupError, SimulationError) as exc:
+        error = _planner_error(exc)
+        return (type(error).__name__, str(error))
+    assert out.pop("engine") == engine
+    return out
+
+
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("intensity", [0.0, 0.5])
 @pytest.mark.parametrize("channel_kind",
@@ -123,26 +144,43 @@ def test_slotted_matches_scalar_on_same_tick_ties(seed):
                           seed=seed, cg_share=1.0)
 
 
+@pytest.mark.parametrize("engine", ["scalar", "slotted"])
+def test_unplannable_packet_raises_lookup_error(engine):
+    """With the default share, 100 UEs leave each UE 1/100 of a window:
+    no window holds a 32-byte packet, so the planner gives up after a
+    full period of rejected empty windows instead of scanning forever."""
+    system = RanSystem(
+        testbed_dddu(),
+        RanConfig(access=AccessMode.GRANT_FREE, n_ues=100, seed=1,
+                  engine=engine))
+    system.queue_uplink([1000], ue_id=1)
+    with pytest.raises((LookupError, SimulationError)) as info:
+        system.run()
+    error = _planner_error(info.value)
+    assert isinstance(error, LookupError)
+    assert str(error) == "no usable configured-grant window found"
+
+
 _CHANNELS = st.sampled_from(["perfect", "iid", "iid-zero", "ge"])
-# A CG share under ~1/60 leaves a 32-byte packet no window it fits
-# in, and the scalar planner then scans windows forever.
 _CG_SHARES = st.sampled_from([0.1, 1.0])
 
 
 @given(n_ues=st.integers(2, 400), packets_per_ue=st.integers(1, 6),
        horizon_ms=st.integers(1, 40), seed=st.integers(0, 10_000),
        channel_kind=_CHANNELS, intensity=st.sampled_from([0.0, 0.5]),
-       cg_share=_CG_SHARES)
+       cg_share=st.sampled_from([None, 0.1, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_slotted_matches_scalar_property(n_ues, packets_per_ue,
                                          horizon_ms, seed, channel_kind,
                                          intensity, cg_share):
     """Per-packet equality over slotted-eligible configurations; short
-    horizons pack many UEs' events onto the same ticks."""
-    _assert_engines_match(channel_kind=channel_kind, intensity=intensity,
-                          n_ues=n_ues, packets_per_ue=packets_per_ue,
-                          horizon_ms=horizon_ms, seed=seed,
-                          cg_share=cg_share)
+    horizons pack many UEs' events onto the same ticks.  The default
+    share (None: 1/n_ues) leaves a 32-byte packet no window above ~60
+    UEs, and then both engines must stop with the same error."""
+    kwargs = dict(channel_kind=channel_kind, intensity=intensity,
+                  n_ues=n_ues, packets_per_ue=packets_per_ue,
+                  horizon_ms=horizon_ms, seed=seed, cg_share=cg_share)
+    assert _outcome("scalar", **kwargs) == _outcome("slotted", **kwargs)
 
 
 @given(engine=st.sampled_from(["scalar", "slotted"]),

@@ -277,6 +277,17 @@ def test_index_entries_joining_match_scalar(times, min_duration):
         assert entry == timeline.earliest_entry_joining(t, min_duration)
 
 
+def test_index_entries_joining_match_scalar_on_testbed():
+    """The batch rule on the Fig 6 testbed timeline, over 50 periods."""
+    from repro.mac.catalog import testbed_dddu
+
+    timeline = testbed_dddu().ul_timeline()
+    times = np.arange(0, 50 * timeline.period_tc, 9_973, dtype=np.int64)
+    entries = timeline.index().earliest_entries_joining(times, 2_000)
+    assert entries.tolist() == [
+        timeline.earliest_entry_joining(t, 2_000) for t in times.tolist()]
+
+
 def test_index_entries_joining_unsatisfiable_raises():
     index = make_timeline().index()
     with pytest.raises(LookupError):

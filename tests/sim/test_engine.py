@@ -93,7 +93,8 @@ def test_events_can_schedule_more_events():
             sim.call_in(7, chain, depth - 1)
 
     sim.schedule(0, chain, 3)
-    sim.run()
+    assert sim.run() == 4
+    assert sim.events_processed == 4
     assert trail == [0, 7, 14, 21]
 
 

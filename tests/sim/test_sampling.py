@@ -13,6 +13,7 @@ from repro.sim.distributions import (
 from repro.sim.sampling import (
     BufferedSampler,
     DeterminismViolation,
+    LogNormalBlockServer,
     UniformBuffer,
     buffering_enabled,
     force_sequential,
@@ -55,6 +56,21 @@ def test_buffered_sampler_matches_scalar_across_block_boundaries(sampler):
     n = 50  # crosses three block boundaries
     scalar = [sampler.sample(scalar_rng) for _ in range(n)]
     assert [buffered.sample(buffered_rng) for _ in range(n)] == scalar
+
+
+@pytest.mark.parametrize("block", [16, None])
+def test_lognormal_block_server_matches_scalar_lognormal(block):
+    """Served draws equal scalar ``Generator.lognormal`` bit for bit,
+    with (mu, sigma) varying per draw and across block refills."""
+    params = [(3.98, 0.29), (1.5, 0.25), (0.0, 1.0)]
+    rng = np.random.default_rng(6)
+    server = (LogNormalBlockServer(rng) if block is None
+              else LogNormalBlockServer(rng, block))
+    served = [server.sample(*params[i % 3]) for i in range(5_000)]
+    scalar_rng = np.random.default_rng(6)
+    expected = [float(scalar_rng.lognormal(*params[i % 3]))
+                for i in range(5_000)]
+    assert served == expected
 
 
 def test_buffered_sampler_rejects_foreign_generator():

@@ -16,7 +16,7 @@ import pytest
 from repro.mac.catalog import testbed_dddu
 from repro.mac.types import AccessMode, Direction
 from repro.net.probes import LatencyProbe
-from repro.net.session import RanConfig, RanSystem
+from repro.net.session import SLOTTED_THRESHOLD, RanConfig, RanSystem
 from repro.radio.interface import usb3
 from repro.radio.os_jitter import none as no_jitter
 from repro.radio.radio_head import RadioHead
@@ -150,12 +150,12 @@ def test_engine_name_is_validated():
 
 
 def test_engine_auto_uses_threshold():
-    assert _system(engine="auto", n_ues=9,
-                   slotted_threshold=10).engine_mode == "scalar"
-    assert _system(engine="auto", n_ues=10,
-                   slotted_threshold=10).engine_mode == "slotted"
+    assert _system(engine="auto",
+                   n_ues=SLOTTED_THRESHOLD - 1).engine_mode == "scalar"
+    assert _system(engine="auto",
+                   n_ues=SLOTTED_THRESHOLD).engine_mode == "slotted"
     # ineligible configs fall back to scalar regardless of size
-    assert _system(engine="auto", n_ues=10, slotted_threshold=10,
+    assert _system(engine="auto", n_ues=SLOTTED_THRESHOLD,
                    gnb_cpu_cores=2).engine_mode == "scalar"
 
 

@@ -148,6 +148,34 @@ def test_pipeline_hop_invariants(rng):
     assert sim.now == sum(hop_tc)
 
 
+def test_pipeline_budgets_and_headers_sum_over_overtaking_packets(rng):
+    """1000 packets through five lognormal layers overtake each other
+    between hops; still one event and one sample per hop, every hop
+    charges its own sampled delay, and every header is complete."""
+    sim, tracer = Simulator(), Tracer(enabled=False)
+    names = ("SDAP", "PDCP", "RLC", "MAC", "PHY")
+    pipeline = LayerPipeline([
+        ProcessingLayer(sim, tracer, name, f"ue1.{name.lower()}",
+                        LogNormal(20.0 + i, 5.0), rng,
+                        adds_header=name != "PHY")
+        for i, name in enumerate(names)])
+    done = []
+    for packet_id in range(1, 1_001):
+        pipeline.process(Packet(PacketKind.DATA, Direction.UL, 32, 0,
+                                packet_id=packet_id), done.append)
+    sim.run_until_idle()
+
+    assert len(done) == 1_000
+    assert sim.events_processed == len(names) * 1_000
+    assert all(len(layer.samples_us) == 1_000
+               for layer in pipeline.layers)
+    assert sum(packet.budget[LatencySource.PROCESSING]
+               for packet in done) == sum(
+        tc_from_us(us) for layer in pipeline.layers
+        for us in layer.samples_us)
+    assert all(packet.header_bytes == 10 for packet in done)
+
+
 def test_pipeline_draws_once_per_hop(rng):
     sim, tracer = Simulator(), Tracer(enabled=False)
     pipeline = lognormal_pipeline(sim, tracer, rng)
