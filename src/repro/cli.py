@@ -277,7 +277,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "retr(y/ies)")
     if payload.get("dispatch"):
         stats = payload["dispatch"]
-        print(f"dispatch: {stats['jobs']} job(s) across "
+        print(f"dispatch: {stats['jobs']} point(s) in "
+              f"{stats['batches']} job(s) across "
               f"{stats['workers']} worker(s), {stats['steals']} "
               f"steal(s), {stats['lease_expirations']} expired "
               f"lease(s), {stats['reclaims']} reclaim(s), "

@@ -1,7 +1,8 @@
 """Work-stealing distributed dispatch for campaigns.
 
-:class:`DispatchCoordinator` turns a campaign into idempotent jobs —
-keyed by the existing point digest — in a shared *queue directory*
+:class:`DispatchCoordinator` cuts a campaign into idempotent jobs —
+contiguous batches of points (:meth:`~repro.runner.lease.Job.key`) — in a
+shared *queue directory*
 (:mod:`repro.runner.lease`), spawns N independent worker processes, and
 merges their journals (:mod:`repro.runner.merge`) into a document that
 is bit-identical to a serial run.  Workers coordinate only through the
@@ -11,26 +12,26 @@ shares the filesystem: ``urllc5g bench --worker <queue-dir>``.
 The safety argument, end to end:
 
 - **Gate.**  Only scenarios certified distributable by ``urllc5g
-  distcheck`` — status ``certified`` or ``baselined-findings`` in
-  ``distcheck-manifest.json`` — may be enqueued.  A campaign touching
+  check --manifest`` — status ``certified`` or ``baselined-findings``
+  in ``distcheck-manifest.json`` — may be enqueued.  A campaign touching
   any other scenario (absent counts as refused) raises
   :class:`DispatchRefusedError` before a single job file is written.
 - **Idempotence.**  Every point payload is a pure function of
   ``(scenario, params, seed)`` plus the source tree, so executing a
   job twice — the worst a falsely reclaimed lease can do — produces
   bit-identical payloads, which the merge layer deduplicates.
-- **Crash windows.**  A worker journals a payload *before* publishing
-  the done marker and releases its lease only after.  Whatever instant
-  a worker dies, either its lease is reclaimed and the point re-run, or
-  the done marker exists and the journal entry is already on disk.
-- **Convergence.**  Every orphaned lease costs its point one attempt;
-  a point that has lost ``max_retries + 1`` workers fails alone.  If
-  every local worker dies (or the queue stalls), the remaining jobs
-  still run: the coordinator executes in-process only points that
-  never lost a worker and hands the others to a stand-in worker
-  process, so a dispatched run always terminates with the full
-  document and a point that crashes or wedges its process never takes
-  the coordinator down.
+- **Crash windows.**  A worker journals each payload as soon as it is
+  computed, publishes the job's done marker after the last and only
+  then releases its lease: whenever it dies, either the lease is
+  reclaimed and its points re-run, or every payload is on disk.
+- **Convergence.**  An orphaned lease costs each of its points one
+  attempt and is split into one-point jobs, so a point that has lost
+  ``max_retries + 1`` workers fails alone.  If every local worker dies
+  (or the queue stalls), the remaining jobs still run: the coordinator
+  executes in-process only jobs whose points never lost a worker and
+  hands the others to a stand-in worker process, so a dispatched run
+  always terminates with the full document and a point that crashes
+  or wedges its process never takes the coordinator down.
 - **Single-writer caches and journals.**  Workers never write the
   shared :class:`~repro.runner.cache.ResultCache` or the campaign
   journal; the coordinator is a
@@ -38,7 +39,7 @@ The safety argument, end to end:
   consults both before enqueueing and records each payload as soon as
   a worker journals it, so the whole-file atomic rewrite can never
   lose concurrent entries and a killed run resumes from every point
-  already done.
+  already journaled, finished job or not.
 
 The queue protocol is entirely stamp-based and clock-free.
 """
@@ -72,6 +73,7 @@ from repro.runner.lease import (
     Job,
     LivenessTracker,
     QueueDir,
+    batches,
     read_queue_manifest,
     write_queue_manifest,
 )
@@ -172,8 +174,11 @@ class DispatchStats:
 
     #: Local worker processes the coordinator spawned.
     workers: int
-    #: Jobs enqueued (campaign points minus warm cache hits).
+    #: Points enqueued (campaign points minus warm cache hits and
+    #: journal replays).
     jobs: int
+    #: Job files the coordinator wrote: how the points were packed.
+    batches: int
     #: Done markers published by a worker other than the job's home.
     steals: int
     #: Leases whose owner was declared dead by the liveness tracker.
@@ -201,7 +206,7 @@ class DispatchStats:
     #: Journal appends that failed (the point still published a done
     #: marker; its payload is recovered at collect).
     journal_drops: int
-    #: Done markers per worker id.
+    #: Points completed per worker id.
     per_worker_points: dict[str, int]
 
     def as_payload(self) -> dict[str, Any]:
@@ -223,21 +228,20 @@ class DispatchStats:
 
 
 def _publish(queue: QueueDir, events: EventLog, job: Job,
-             worker_id: str, *, attempts: int,
-             error: str | None, stolen: bool) -> None:
+             worker_id: str, done: list[tuple[str, int, str | None]],
+             stolen: bool) -> None:
     """Publish the done marker, then drop the lease — fault-tolerantly.
 
     A marker write that fails (ENOSPC/EIO) is retried a bounded number
     of times; if it *keeps* failing the worker requeues its own lease
-    so the point is re-offered to the fleet rather than held hostage
+    so the job is re-offered to the fleet rather than held hostage
     by a host that can no longer write.  If even the requeue rename
     fails, the lease stays put — a worker that cannot write also stops
     heartbeating, so the orphan is reclaimed by a peer.
     """
     for _ in range(3):
         try:
-            queue.mark_done(job.digest, worker_id, attempts=attempts,
-                            error=error, stolen=stolen)
+            queue.mark_done(job.digest, worker_id, done, stolen=stolen)
             queue.release(job.digest, worker_id)
             return
         except OSError:
@@ -254,31 +258,32 @@ def _process_job(queue: QueueDir, journal: CampaignJournal,
                  max_retries: int) -> None:
     """Execute a claimed job through the crash-safe publish sequence.
 
-    Order matters: the journal entry is flushed *before* the done
-    marker is published, and the lease is dropped only after — so a
-    done marker always implies a durable payload, and a crash at any
-    point leaves the job either reclaimable or fully published.  A
-    journal append that fails (ENOSPC/EIO) is dropped and counted:
-    the marker still goes out, and the coordinator recomputes the
-    point at collect from the campaign's own point list.
+    Each point's journal entry is flushed as soon as it is computed, so
+    the coordinator records it (and a resume keeps it) even if the job
+    never finishes; the done marker follows the last point and the
+    lease is dropped only after it.  A journal append that fails
+    (ENOSPC/EIO) is dropped and counted: the marker still goes out,
+    and the coordinator recomputes the point at collect.
     """
     stolen = job.home != worker_id
     if stolen:
         events.emit("steal", digest=job.digest, home=job.home)
-    try:
-        point = job.point()
-    except ValueError as exc:
-        _publish(queue, events, job, worker_id, attempts=1,
-                 error=str(exc), stolen=stolen)
-        return
-    outcome = execute_point(point, max_retries)
-    if outcome.result is not None:
+    done: list[tuple[str, int, str | None]] = []
+    for entry in job.points:
+        digest = entry["digest"]
         try:
-            journal.record(job.digest, outcome.result, outcome.attempts)
-        except OSError:
-            events.emit("journal-drop", digest=job.digest)
-    _publish(queue, events, job, worker_id, attempts=outcome.attempts,
-             error=outcome.error, stolen=stolen)
+            point = Job.point(entry)
+        except ValueError as exc:
+            done.append((digest, 1, str(exc)))
+            continue
+        outcome = execute_point(point, max_retries)
+        if outcome.result is not None:
+            try:
+                journal.record(digest, outcome.result, outcome.attempts)
+            except OSError:
+                events.emit("journal-drop", digest=digest)
+        done.append((digest, outcome.attempts, outcome.error))
+    _publish(queue, events, job, worker_id, done, stolen)
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +299,8 @@ def run_worker(queue_dir: str | Path, worker_id: str, *,
 
     The worker claims own-shard jobs first, steals other shards when
     idle, reclaims orphaned leases of dead peers, and exits 0 once
-    every enqueued digest has a done marker.  Exit 2 means the worker
-    refused to participate: missing/invalid queue manifest, or a
+    every enqueued point appears in a done marker.  Exit 2 means the
+    worker refused to participate: missing/invalid queue manifest, or a
     source fingerprint differing from the coordinator's (mixed code
     versions would silently poison the document — merge-time journal
     rejection is the backstop, this is the front door).
@@ -339,6 +344,7 @@ def run_worker(queue_dir: str | Path, worker_id: str, *,
               "to compute points", file=sys.stderr)
         return 2
     expected = set(manifest.get("enqueued") or manifest["digests"])
+    queue.members = manifest.get("jobs") or {}
     events = EventLog(queue, worker_id)
     journal = CampaignJournal(queue.journals / f"{worker_id}.jsonl",
                               fs=queue.fs)
@@ -360,7 +366,7 @@ def run_worker(queue_dir: str | Path, worker_id: str, *,
                 if job is not None:
                     _process_job(queue, journal, events, job,
                                  worker_id, max_retries)
-                    completed += 1
+                    completed += len(job.points)
                     backoff.reset()
                     continue
                 if expected <= queue.done_markers().keys():
@@ -429,6 +435,8 @@ class DispatchCoordinator(CampaignRunner):
         """Enqueue ``pending``, record outcomes as workers finish them."""
         self._reset_queue()
         worker_ids = [f"w{k + 1}" for k in range(self.workers)]
+        self.queue.members = {Job.key(batch): batch for batch
+                              in batches(list(pending), self.workers)}
         write_queue_manifest(self.queue, {
             "campaign": campaign.name,
             "seed": campaign.seed,
@@ -437,24 +445,27 @@ class DispatchCoordinator(CampaignRunner):
             "digests": digests,
             "enqueued": sorted(pending),
             "workers": worker_ids,
+            "jobs": self.queue.members,
         })
-        for index, (digest, point) in enumerate(pending.items()):
-            self.queue.enqueue(point,
-                               home=worker_ids[index % self.workers],
-                               digest=digest)
+        for index, batch in enumerate(self.queue.members.values()):
+            self.queue.enqueue({d: pending[d] for d in batch},
+                               home=worker_ids[index % self.workers])
+        jobs = len(self.queue.members)
         events = EventLog(self.queue, _COORDINATOR)
-        events.emit("enqueue", jobs=len(pending),
+        events.emit("enqueue", jobs=jobs, points=len(pending),
                     replayed=len(digests) - len(pending))
         merger = JournalMerger(name=campaign.name, seed=campaign.seed,
                                fingerprint=self.fingerprint,
                                digests=set(pending))
 
-        def absorb(final: bool = False) -> None:
-            """Record every payload journaled since the last call."""
+        def absorb(final: bool = False) -> int:
+            """Record every payload journaled since the last call;
+            returns how many points are journaled so far."""
             for entry in merger.read(self.queue.journals.glob("*.jsonl"),
                                      final=final):
                 record(entry.digest,
                        Outcome(entry.result, entry.attempts, None))
+            return len(merger.outcome.entries)
 
         inline_points = 0
         if pending:
@@ -469,8 +480,8 @@ class DispatchCoordinator(CampaignRunner):
                                            inline, absorb, warnings)
         absorb(final=True)
         warnings.extend(merger.outcome.warnings)
-        return self._collect(pending, merger.outcome, inline_points,
-                             record, warnings)
+        return self._collect(pending, jobs, merger.outcome,
+                             inline_points, record, warnings)
 
     # ------------------------------------------------------------------
     def _reset_queue(self) -> None:
@@ -521,19 +532,21 @@ class DispatchCoordinator(CampaignRunner):
     def _wait(self, expected: set[str],
               procs: list[tuple[subprocess.Popen[bytes], str]],
               events: EventLog, inline: CampaignJournal,
-              absorb: Callable[[], None], warnings: list[str]) -> int:
-        """Poll until every ``expected`` digest has a done marker.
+              absorb: Callable[[], int], warnings: list[str]) -> int:
+        """Poll until every ``expected`` point is in a done marker.
 
-        Each poll with new done markers hands the newly journaled
-        payloads to ``absorb``, and every poll reclaims — or, past the
-        retry budget, abandons — the leases of dead workers.  When no
+        Every poll hands the newly journaled payloads to ``absorb`` and
+        reclaims — or, past the retry budget, abandons — the leases of
+        dead workers.  Progress, for the stall detector, is a point
+        journaled or marked done, so a long job is no stall.  When no
         local worker is left alive (the stall detector kills wedged
-        ones), the coordinator takes over the queue: a point that never
-        lost a worker runs in-process (journaled to ``inline``); one
-        that did goes to a *stand-in* worker process with the
-        coordinator's own environment (never ``worker_env``), or is
-        abandoned if the last stand-in made no progress (no done
-        marker, no lost lease) since it was spawned.
+        ones), the coordinator takes over the queue: a job none of
+        whose points lost a worker runs in-process (journaled to
+        ``inline``); one that did goes to a *stand-in* worker process
+        with the coordinator's own environment (never ``worker_env``),
+        or is abandoned if the last stand-in made no progress (no point
+        journaled or done, no lost lease) since it was spawned and left
+        no lease still to reclaim.
         """
         tracker = LivenessTracker(self.queue, strikes=self.strikes,
                                   max_retries=self.max_retries)
@@ -541,16 +554,13 @@ class DispatchCoordinator(CampaignRunner):
         inline_points = 0
         reaped: set[str] = set()
         stall = 0.0
-        last_done = -1
-        #: digest -> workers lost on it, re-read after a change.
-        lost: dict[str, set[str]] | None = None
+        last_progress = -1
         stand_in_progress: tuple[int, int] | None = None
         try:
             while True:
-                done = set(self.queue.done_markers())
-                if len(done) != last_done:
-                    absorb()
-                if expected <= done:
+                done = self.queue.done_markers()
+                progress = len(done) + absorb()
+                if expected <= done.keys():
                     break
                 for proc, worker_id in procs:
                     if proc.poll() is not None \
@@ -561,28 +571,25 @@ class DispatchCoordinator(CampaignRunner):
                                 f"dispatch worker {worker_id} exited "
                                 f"with code {proc.returncode}; its "
                                 "leases will be reclaimed")
-                if tracker.reclaim_dead(tracker.observe(), events):
-                    lost = None
+                tracker.reclaim_dead(tracker.observe(), events)
                 alive = any(proc.returncode is None
                             for proc, _ in procs)
-                if alive:
-                    lost = None
-                else:
+                if not alive:
                     job = self.queue.claim(_COORDINATOR, events)
                     if job is not None:
-                        if lost is None:
-                            lost = EventLog.losses(
-                                EventLog.read_all(self.queue))
-                        if job.digest not in lost:
+                        lost = EventLog.losses(
+                            EventLog.read_all(self.queue))
+                        lost_workers = max(len(lost.get(digest, ()))
+                                           for digest in job.digests)
+                        if not lost_workers:
                             _process_job(self.queue, inline, events, job,
                                          _COORDINATOR, self.max_retries)
-                            inline_points += 1
+                            inline_points += len(job.points)
                             backoff.reset()
                             continue
-                        progress = (len(done),
-                                    sum(map(len, lost.values())))
-                        if progress != stand_in_progress:
-                            stand_in_progress = progress
+                        mark = (progress, sum(map(len, lost.values())))
+                        if mark != stand_in_progress:
+                            stand_in_progress = mark
                             stand_in = \
                                 f"stand-in-{len(procs) - self.workers + 1}"
                             self.queue.requeue(job.digest, _COORDINATOR,
@@ -592,13 +599,19 @@ class DispatchCoordinator(CampaignRunner):
                             stall = 0.0  # its start-up is no stall
                             backoff.reset()
                             continue
-                        self.queue.abandon(job.digest, _COORDINATOR,
-                                           len(lost[job.digest]), events)
-                        continue
-                if len(done) == last_done:
+                        if all(owner == _COORDINATOR for _, owner
+                               in self.queue.active_leases()):
+                            self.queue.abandon(job, _COORDINATOR,
+                                               lost_workers, events)
+                            continue
+                        # A dead stand-in's lease is not reclaimed yet:
+                        # judge once its loss is charged.
+                        self.queue.requeue(job.digest, _COORDINATOR,
+                                           job.home)
+                if progress == last_progress:
                     stall += 1.0
                 else:
-                    last_done, stall = len(done), 0.0
+                    last_progress, stall = progress, 0.0
                     backoff.reset()
                 if stall >= self.stall_polls:
                     if alive:
@@ -638,7 +651,7 @@ class DispatchCoordinator(CampaignRunner):
         return inline_points
 
     # ------------------------------------------------------------------
-    def _collect(self, pending: dict[str, ScenarioPoint],
+    def _collect(self, pending: dict[str, ScenarioPoint], jobs: int,
                  merge: MergeOutcome, inline_points: int,
                  record: Record, warnings: list[str]) -> DispatchStats:
         """Record the points no journal carried, and count."""
@@ -683,7 +696,9 @@ class DispatchCoordinator(CampaignRunner):
         return DispatchStats(
             workers=self.workers,
             jobs=len(pending),
-            steals=sum(1 for m in markers.values() if m.get("stolen")),
+            batches=jobs,
+            steals=len({m.get("job") for m in markers.values()
+                        if m.get("stolen")}),
             lease_expirations=counts["expire"],
             reclaims=counts["reclaim"],
             duplicate_points=merge.duplicate_points,

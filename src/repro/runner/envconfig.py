@@ -10,9 +10,10 @@ start (:meth:`repro.runner.executor.CampaignRunner.run`, and in a
 dispatch worker at attach, :func:`repro.runner.dispatch.run_worker`),
 so one run sees one consistent configuration.
 
-This is also the reviewed ``allow-env`` contract for ``urllc5g
-distcheck``: scenario-reachable code may consult ``URLLC5G_*`` knobs
-only through this snapshot (or, for the sanitizer's own gate,
+This is also the reviewed ``allow-env`` contract behind the
+distributability manifest ``urllc5g check --manifest`` writes:
+scenario-reachable code may consult ``URLLC5G_*`` knobs only through
+this snapshot (or, for the sanitizer's own gate,
 :func:`repro.sim.sanitize.sanitize_active` — kept in :mod:`repro.sim`
 because the core may never import the runner).
 """

@@ -8,20 +8,24 @@ filesystem.  The layout::
     <queue>/queue-manifest.json   campaign identity + enqueued digests
     <queue>/jobs/                 one file per unclaimed job
     <queue>/leases/               one file per in-flight claim
-    <queue>/done/                 one marker per finished point
+    <queue>/done/                 one marker per finished job
     <queue>/hearts/               one liveness stamp file per worker
     <queue>/events/               one append-only event log per actor
     <queue>/journals/             one CampaignJournal per worker
 
-Every protocol transition is a single atomic ``os.replace``:
+A *job* is a contiguous batch of campaign points (:func:`batches`);
+its done marker lists every point, so completion is judged per point.
+Claim and the reclaim of a one-point lease are single atomic
+``os.replace`` calls:
 
-- **claim**: ``jobs/<digest>--<home>.json`` →
-  ``leases/<digest>--<worker>.json``.  Exactly one racing worker wins
+- **claim**: ``jobs/<key>--<home>.json`` →
+  ``leases/<key>--<worker>.json``.  Exactly one racing worker wins
   the rename; losers get ``FileNotFoundError`` and move on.
-- **reclaim**: an orphaned lease is renamed back into ``jobs/`` with
-  its original home shard, so a crashed worker's points are re-run by
-  whoever steals them next — or, once the point has lost
+- **reclaim**: an orphaned one-point lease is renamed back into
+  ``jobs/`` with its original home shard, so a crashed worker's point
+  is re-run by whoever steals it next — or, once the point has lost
   ``max_retries + 1`` workers, *abandoned* with an error done marker.
+  A multi-point lease is split into one-point jobs first.
 
 Every filesystem operation routes through an injectable
 :class:`~repro.runner.fsops.FsOps` seam (passthrough by default), and
@@ -33,7 +37,7 @@ converges to the serial document (docs/ROBUSTNESS.md).
 A corrupt job or lease file (torn write that half-landed, bitrot on a
 shared filesystem) is *quarantined* — renamed to
 ``<name>.corrupt-<content-digest>`` exactly like the ResultCache does —
-and its point recomputed by the coordinator at collect, rather than
+and its points recomputed by the coordinator at collect, rather than
 letting one bad file livelock the claim loop.
 
 Liveness is *stamp-based*, never wall-clock-based: each worker's
@@ -47,7 +51,7 @@ scheduling can never leak into results, which stay pure functions of
 ``(scenario, params, seed)``.
 
 A false-positive reclaim (a live worker briefly starved of heartbeats)
-is *safe*: both workers compute the same pure payload and the merge
+is *safe*: both workers compute the same pure payloads and the merge
 layer (:mod:`repro.runner.merge`) deduplicates identical entries.
 """
 
@@ -57,10 +61,9 @@ import hashlib
 import json
 import re
 import threading
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence, TypeVar
 
 from repro.runner.cache import atomic_write_text
 from repro.runner.campaign import ScenarioPoint, canonical_params
@@ -72,6 +75,7 @@ __all__ = [
     "Job",
     "LivenessTracker",
     "QueueDir",
+    "batches",
     "read_queue_manifest",
     "write_queue_manifest",
 ]
@@ -83,6 +87,13 @@ _WORKER_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 QUEUE_MANIFEST_NAME = "queue-manifest.json"
 
+#: Jobs per local worker.  Tuned on uniform tiny points only (the
+#: ``campaign-sweep`` perf workload); docs/PERFORMANCE.md records what
+#: it costs campaigns whose points are heavier or uneven.
+JOBS_PER_WORKER = 4
+
+_T = TypeVar("_T")
+
 
 def _check_worker_id(worker_id: str) -> str:
     if _SEP in worker_id or not _WORKER_ID_RE.match(worker_id):
@@ -92,31 +103,66 @@ def _check_worker_id(worker_id: str) -> str:
     return worker_id
 
 
+def batches(items: Sequence[_T], workers: int) -> list[Sequence[_T]]:
+    """Cut ``items`` (campaign order) into contiguous jobs of
+    ``ceil(len(items) / (JOBS_PER_WORKER * workers))``: a pure function
+    of the two counts, never of timing."""
+    size = max(1, -(-len(items) // (JOBS_PER_WORKER * workers)))
+    return [items[start:start + size]
+            for start in range(0, len(items), size)]
+
+
 @dataclass(frozen=True)
 class Job:
-    """One unit of queued work: a scenario point plus its home shard."""
+    """A batch of points (each its ``digest``, ``scenario``,
+    ``params`` and ``seed``, as in the job file) and its home shard."""
 
-    digest: str
-    scenario: str
-    params: dict[str, Any]
-    seed: int
     home: str
+    points: tuple[dict[str, Any], ...]
 
-    def point(self) -> ScenarioPoint:
-        """Rebuild the scenario point this job file describes."""
-        point = ScenarioPoint(self.scenario,
-                              canonical_params(self.params),
-                              self.seed)
-        if point.digest() != self.digest:
+    @staticmethod
+    def key(digests: Sequence[str]) -> str:
+        """A job's key: its point's digest, or for a batch the first
+        point's digest and the batch size, so a one-point job split off
+        a batch never shares the batch's key or done marker."""
+        return digests[0] if len(digests) == 1 \
+            else f"{digests[0]}.{len(digests)}"
+
+    @property
+    def digest(self) -> str:
+        return Job.key(self.digests)
+
+    @property
+    def digests(self) -> tuple[str, ...]:
+        return tuple(entry["digest"] for entry in self.points)
+
+    @staticmethod
+    def point(entry: Mapping[str, Any]) -> ScenarioPoint:
+        """Rebuild one point of a job file, checked against its digest."""
+        point = ScenarioPoint(str(entry["scenario"]),
+                              canonical_params(entry["params"]),
+                              int(entry["seed"]))
+        if point.digest() != entry["digest"]:
             raise ValueError(
-                f"job file digest {self.digest[:12]}... does not match "
-                f"its point content (tampered or mixed-version queue)")
+                f"job file digest {str(entry['digest'])[:12]}... does "
+                f"not match its point content (tampered or "
+                f"mixed-version queue)")
         return point
 
-    def payload(self) -> dict[str, Any]:
-        return {"digest": self.digest, "scenario": self.scenario,
-                "params": self.params, "seed": self.seed,
-                "home": self.home}
+    @classmethod
+    def parse(cls, raw: str) -> "Job":
+        """Read a job file; raises ``ValueError``, ``KeyError`` or
+        ``TypeError`` on text that is not a job."""
+        payload = json.loads(raw)
+        points = tuple({"digest": str(entry["digest"]),
+                        "scenario": str(entry["scenario"]),
+                        "params": dict(entry["params"]),
+                        "seed": int(entry["seed"])}
+                       for entry in payload["points"])
+        if not points:
+            raise ValueError("a job holds at least one point")
+        return cls(home=_check_worker_id(str(payload["home"])),
+                   points=points)
 
 
 class QueueDir:
@@ -137,14 +183,13 @@ class QueueDir:
         self.hearts = self.root / "hearts"
         self.events = self.root / "events"
         self.journals = self.root / "journals"
-        #: Unclaimed ``(digest, home)`` candidates left from the last
-        #: ``jobs/`` listing, own shard first (see :meth:`claim`).
-        self._listing: deque[tuple[str, str]] = deque()
-        self._listed_for = ""
         #: Done markers already parsed, and the file names they came
         #: from (see :meth:`done_markers`).
         self._markers: dict[str, dict[str, Any]] = {}
         self._marker_names: set[str] = set()
+        #: Job key -> point digests, as enqueued (the queue manifest's
+        #: ``jobs``), so a corrupt batch is retired with every point.
+        self.members: Mapping[str, Sequence[str]] = {}
 
     def initialise(self) -> None:
         """Create the directory skeleton (idempotent)."""
@@ -155,21 +200,21 @@ class QueueDir:
     # ------------------------------------------------------------------
     # jobs
     # ------------------------------------------------------------------
-    def enqueue(self, point: ScenarioPoint, home: str,
-                digest: str | None = None) -> None:
-        """Publish one job file, atomically, under its home shard.
+    def enqueue(self, points: Mapping[str, ScenarioPoint],
+                home: str) -> None:
+        """Publish one job holding ``points`` (digest -> point, in
+        campaign order), atomically, under its home shard."""
+        job = Job(home=_check_worker_id(home), points=tuple(
+            {"digest": digest, "scenario": point.scenario,
+             "params": point.params_dict(), "seed": point.seed}
+            for digest, point in points.items()))
+        self._publish(job)
 
-        ``digest`` is the point's digest when the caller already has
-        it (it is computed otherwise).
-        """
-        _check_worker_id(home)
-        if digest is None:
-            digest = point.digest()
-        job = Job(digest=digest, scenario=point.scenario,
-                  params=point.params_dict(), seed=point.seed,
-                  home=home)
-        self.fs.write_text(self.jobs / f"{digest}{_SEP}{home}.json",
-                           json.dumps(job.payload(), sort_keys=True))
+    def _publish(self, job: Job) -> None:
+        self.fs.write_text(
+            self.jobs / f"{job.digest}{_SEP}{job.home}.json",
+            json.dumps({"home": job.home, "points": list(job.points)},
+                       sort_keys=True))
 
     def _iter_names(self, directory: Path) -> Iterator[tuple[str, str]]:
         """(digest, id) pairs parsed from a queue directory, sorted."""
@@ -196,46 +241,29 @@ class QueueDir:
               events: "EventLog | None" = None) -> Job | None:
         """Atomically claim the next job for ``worker_id``.
 
-        Own-shard jobs are preferred (in sorted digest order); when the
+        Own-shard jobs are preferred (in sorted key order); when the
         shard is empty the worker *steals* the first other-shard job.
         Returns None when nothing was claimable — either the queue is
-        empty or every candidate was won by a faster worker.
-
-        Candidates come from one cached listing of ``jobs/``, which is
-        re-listed only once it is used up, so a claim costs O(1) file
-        operations instead of a scan of the whole queue.  The listing
-        may be stale by design: an entry a peer claimed since simply
-        loses its rename, exactly like a lost race.  None is returned
-        only after a listing taken during this call had nothing
-        claimable, so a job reclaimed into ``jobs/`` after the cached
-        listing is still found before the caller gives up.
+        empty or every candidate was won by a faster worker.  A claim
+        lists ``jobs/`` once, which holds a few jobs per worker however
+        many points they carry; an entry a peer claimed since the
+        listing simply loses its rename, exactly like a lost race.
 
         A lease whose payload reads but does not parse is *corrupt*
         (not torn — the rename was atomic): it is quarantined and its
-        digest marked done with no payload, so the claim loop cannot
+        points marked done with no payload, so the claim loop cannot
         livelock on one bad file and the coordinator recomputes the
-        point at collect.  A lease whose payload cannot be *read*
+        points at collect.  A lease whose payload cannot be *read*
         (transient EIO) is surrendered back to the queue unchanged.
         """
         _check_worker_id(worker_id)
-        if self._listed_for != worker_id:
-            self._listing.clear()
-            self._listed_for = worker_id
-        relisted = False
-        while True:
-            if not self._listing:
-                if relisted:
-                    return None
-                candidates = self.pending()
-                self._listing.extend(
-                    [c for c in candidates if c[1] == worker_id]
-                    + [c for c in candidates if c[1] != worker_id])
-                relisted = True
-                continue
-            digest, home = self._listing.popleft()
+        candidates = self.pending()
+        for digest, home in sorted(candidates,
+                                   key=lambda c: c[1] != worker_id):
             job = self._claim_one(digest, home, worker_id, events)
             if job is not None:
                 return job
+        return None
 
     def _claim_one(self, digest: str, home: str, worker_id: str,
                    events: "EventLog | None") -> Job | None:
@@ -256,27 +284,31 @@ class QueueDir:
         except OSError:
             return None  # lost the race (or a stale listing entry)
         self.fs.crash_point("claim.post-rename")
-        try:
-            raw = self.fs.read_text(target)
-        except OSError:
-            # Transient read failure: surrender the lease so the job
-            # stays claimable for a later listing.
+        job = self.lease(digest, worker_id, events)
+        if job is None:
+            # Unreadable (transient EIO): surrender the lease so the job
+            # stays claimable.  A corrupt one is quarantined already.
             try:
                 self.fs.replace(target, source)
             except OSError:
                 pass
+        return job
+
+    def lease(self, digest: str, worker_id: str,
+              events: "EventLog | None" = None) -> Job | None:
+        """The job an in-flight lease holds; None if unreadable, and a
+        corrupt lease is quarantined (see :meth:`claim`)."""
+        path = self.leases / f"{digest}{_SEP}{worker_id}.json"
+        try:
+            raw = self.fs.read_text(path)
+        except OSError:
             return None
         try:
-            payload = json.loads(raw)
-            return Job(digest=str(payload["digest"]),
-                       scenario=str(payload["scenario"]),
-                       params=dict(payload["params"]),
-                       seed=int(payload["seed"]),
-                       home=str(payload["home"]))
+            return Job.parse(raw)
         except (ValueError, KeyError, TypeError):
             # The payload read fine but is not a job: the file is
             # corrupt, and re-reading can never heal it.
-            self._quarantine(target, raw, digest, worker=worker_id,
+            self._quarantine(path, raw, digest, worker=worker_id,
                              events=events)
             return None
 
@@ -288,7 +320,7 @@ class QueueDir:
         except OSError:
             pass
 
-    def abandon(self, digest: str, worker_id: str, attempts: int,
+    def abandon(self, job: Job, worker_id: str, attempts: int,
                 events: "EventLog") -> None:
         """Retire an orphaned lease whose point used up its attempts.
 
@@ -297,14 +329,16 @@ class QueueDir:
         abandons again.  A marker that cannot be written leaves the
         lease in place for the same reason.
         """
+        error = (f"lost {attempts} worker process(es) while running "
+                 "this point")
         try:
-            self.mark_done(digest, worker_id, attempts=attempts,
-                           error=f"lost {attempts} worker process(es) "
-                                 "while running this point")
+            self.mark_done(job.digest, worker_id,
+                           [(digest, attempts, error)
+                            for digest in job.digests])
         except OSError:
             return
-        self.release(digest, worker_id)
-        events.emit("abandon", digest=digest, owner=worker_id)
+        self.release(job.digest, worker_id)
+        events.emit("abandon", digest=job.digest, owner=worker_id)
 
     def requeue(self, digest: str, worker_id: str, home: str) -> None:
         """Return a *live* worker's own lease to the job queue.
@@ -318,32 +352,28 @@ class QueueDir:
         self.fs.replace(self.leases / f"{digest}{_SEP}{worker_id}.json",
                         self.jobs / f"{digest}{_SEP}{home}.json")
 
-    def reclaim(self, digest: str, worker_id: str,
-                events: "EventLog | None" = None) -> bool:
-        """Return an orphaned lease to the job queue.
+    def reclaim(self, job: Job, worker_id: str) -> bool:
+        """Return an orphaned lease's points to the job queue.
 
-        The lease file still holds the original job payload (claim is
-        a pure rename), so renaming it back under its *home* shard
-        re-publishes the job unchanged.  Returns False when another
-        reclaimer won the race.  A lease that reads but does not parse
-        is quarantined (see :meth:`claim`) instead of being retried
-        forever by every observer.
+        A one-point lease is renamed back under its *home* shard (it
+        still holds its job).  A multi-point lease is split: every
+        point is published as a one-point job, then the lease dropped,
+        so the point that killed its worker fails alone next time.  A
+        failure or crash in between leaves the lease, and the next
+        reclaim publishes every point again: at worst a finished point
+        re-runs, which only duplicates a pure payload.  False if
+        another reclaimer won.
         """
-        lease = self.leases / f"{digest}{_SEP}{worker_id}.json"
-        try:
-            raw = self.fs.read_text(lease)
-        except OSError:
-            return False
-        try:
-            payload = json.loads(raw)
-            home = _check_worker_id(str(payload["home"]))
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(lease, raw, digest, worker=worker_id,
-                             events=events)
-            return False
+        lease = self.leases / f"{job.digest}{_SEP}{worker_id}.json"
         self.fs.crash_point("reclaim.pre-rename")
         try:
-            self.fs.replace(lease, self.jobs / f"{digest}{_SEP}{home}.json")
+            if len(job.points) == 1:
+                self.fs.replace(
+                    lease, self.jobs / f"{job.digest}{_SEP}{job.home}.json")
+            else:
+                for entry in job.points:
+                    self._publish(Job(home=job.home, points=(entry,)))
+                self.fs.unlink(lease)
         except OSError:
             return False
         self.fs.crash_point("reclaim.post-rename")
@@ -352,15 +382,15 @@ class QueueDir:
     def _quarantine(self, path: Path, raw: str, digest: str, *,
                     worker: str,
                     events: "EventLog | None" = None) -> None:
-        """Sideline one corrupt queue file and retire its digest.
+        """Sideline one corrupt queue file and retire its points.
 
         Mirrors the ResultCache pattern: the file is renamed to
         ``<name>.corrupt-<content-digest>`` (which no scan picks up —
         it no longer ends in ``.json``) so the defect stays on disk
         for forensics.  A done marker *without* an error is published
-        for the digest, which is exactly the shape collect recomputes
-        from the campaign's own point list — so the document stays
-        bit-identical to serial.
+        for every point of the job (:attr:`members` for a batch, else
+        the key's own point), which is exactly the shape collect
+        recomputes from the campaign's own point list.
         """
         content = hashlib.sha256(raw.encode("utf-8")).hexdigest()[:12]
         try:
@@ -372,28 +402,35 @@ class QueueDir:
         if events is not None:
             events.emit("quarantine", digest=digest, file=path.name)
         try:
-            self.mark_done(digest, worker, attempts=1)
+            self.mark_done(digest, worker,
+                           [(member, 1, None) for member
+                            in self.members.get(digest, (digest,))])
         except OSError:
-            pass  # no marker: the stall backstop recovers the point
+            pass  # no marker: the stall backstop recovers the points
 
     # ------------------------------------------------------------------
     # done markers
     # ------------------------------------------------------------------
-    def mark_done(self, digest: str, worker_id: str, attempts: int,
-                  error: str | None = None,
+    def mark_done(self, digest: str, worker_id: str,
+                  points: Sequence[tuple[str, int, str | None]],
                   stolen: bool = False) -> None:
-        """Publish the completion marker for one point, atomically."""
+        """Publish job ``digest``'s completion marker, atomically:
+        ``points`` lists each point's ``(digest, attempts, error)``."""
         self.fs.crash_point("done-marker.pre")
         self.fs.write_text(
             self.done / f"{digest}.json",
-            json.dumps({"digest": digest, "worker": worker_id,
-                        "attempts": attempts, "error": error,
-                        "stolen": stolen}, sort_keys=True))
+            json.dumps({"job": digest, "worker": worker_id,
+                        "stolen": stolen,
+                        "points": [{"digest": point, "attempts": attempts,
+                                    "error": error}
+                                   for point, attempts, error in points]},
+                       sort_keys=True))
         self.fs.crash_point("done-marker.post")
 
     def done_markers(self, fresh: bool = False
                      ) -> dict[str, dict[str, Any]]:
-        """digest -> completion marker, for every finished point.
+        """Point digest -> its job marker's ``job``, ``worker`` and
+        ``stolen`` plus its own ``attempts`` and ``error``.
 
         A marker is never deleted, so each one parsed is remembered
         and only names not seen before are read: a poll costs one
@@ -418,10 +455,16 @@ class QueueDir:
                     self.fs.read_text(self.done / name))
             except (OSError, ValueError):
                 continue  # torn write in progress: next poll sees it
-            if isinstance(payload, dict) \
-                    and isinstance(payload.get("digest"), str):
-                self._markers[payload["digest"]] = payload
-                self._marker_names.add(name)
+            if not isinstance(payload, dict) \
+                    or not isinstance(payload.get("points"), list):
+                continue
+            job = {key: payload.get(key)
+                   for key in ("job", "worker", "stolen")}
+            for point in payload["points"]:
+                if isinstance(point, dict) \
+                        and isinstance(point.get("digest"), str):
+                    self._markers[point["digest"]] = {**job, **point}
+            self._marker_names.add(name)
         return dict(self._markers)
 
 
@@ -562,13 +605,15 @@ class LivenessTracker:
         """Reclaim or abandon every lease held by a dead worker.
 
         Each dead lease is announced with an ``expire`` event *before*
-        anything is renamed, and counts as one lost attempt at its
-        point.  Losses are read back from every actor's ``expire``
-        events as distinct (point, owner) pairs, so the budget holds
-        across the fleet and across observers racing for the same
-        lease: a point that has lost ``max_retries + 1`` workers is
-        abandoned, so one that kills or wedges every process running
-        it fails alone.  Returns the number of dead leases found.
+        anything is renamed, and counts as one lost attempt at every
+        point it held.  Losses are read back from every actor's
+        ``expire`` events as distinct (point, owner) pairs, so the
+        budget holds across the fleet and across racing observers.  A
+        multi-point lease is always split (its loss cannot say which
+        point caused it); a one-point lease whose point has lost
+        ``max_retries + 1`` workers is abandoned, so a point that kills
+        or wedges every process running it fails alone.  Returns the
+        number of dead leases found.
         """
         orphans = [(digest, worker)
                    for digest, worker in self.queue.active_leases()
@@ -577,11 +622,15 @@ class LivenessTracker:
             return 0
         losses = EventLog.losses(EventLog.read_all(self.queue))
         for digest, worker in orphans:
-            events.emit("expire", digest=digest, owner=worker)
+            job = self.queue.lease(digest, worker, events)
+            if job is None:
+                continue
+            events.emit("expire", digest=digest, owner=worker,
+                        points=list(job.digests))
             lost = len(losses.get(digest, set()) | {worker})
-            if lost > self.max_retries:
-                self.queue.abandon(digest, worker, lost, events)
-            elif self.queue.reclaim(digest, worker, events):
+            if len(job.points) == 1 and lost > self.max_retries:
+                self.queue.abandon(job, worker, lost, events)
+            elif self.queue.reclaim(job, worker):
                 events.emit("reclaim", digest=digest, owner=worker)
         return len(orphans)
 
@@ -648,12 +697,14 @@ class EventLog:
 
     @staticmethod
     def losses(records: list[dict[str, Any]]) -> dict[str, set[str]]:
-        """digest -> the workers whose lease on it expired."""
+        """Point digest -> the workers whose lease on it expired."""
         lost: dict[str, set[str]] = {}
         for record in records:
-            if record.get("event") == "expire" \
-                    and isinstance(record.get("digest"), str):
-                lost.setdefault(record["digest"], set()).add(
+            if record.get("event") != "expire" \
+                    or not isinstance(record.get("points"), list):
+                continue
+            for digest in record["points"]:
+                lost.setdefault(str(digest), set()).add(
                     str(record.get("owner")))
         return lost
 

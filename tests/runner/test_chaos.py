@@ -17,7 +17,13 @@ from repro.runner.chaos import (
 )
 from repro.runner.dispatch import _Backoff
 from repro.runner.fsops import CRASH_POINTS, DEFAULT_FS, FsOps
-from repro.runner.lease import EventLog, HeartbeatWriter, QueueDir
+from repro.runner.lease import (
+    EventLog,
+    HeartbeatWriter,
+    LivenessTracker,
+    QueueDir,
+    batches,
+)
 
 REPO_MANIFEST = load_manifest("distcheck-manifest.json")
 
@@ -243,7 +249,8 @@ def test_corrupt_lease_is_quarantined_at_reclaim(tmp_path):
     queue.initialise()
     lease = queue.leases / ("e" * 16 + "--dead.json")
     lease.write_text("{torn", encoding="utf-8")
-    assert queue.reclaim("e" * 16, "dead") is False
+    events = EventLog(queue, "w1")
+    assert LivenessTracker(queue).reclaim_dead({"dead"}, events) == 1
     assert not lease.exists()
     assert list(queue.leases.glob("*.corrupt-*"))
     assert "e" * 16 in queue.done_markers()
@@ -324,15 +331,25 @@ def test_exhaustive_enumeration_rotates_every_worker():
 
 
 def _chaos_campaign():
-    """Small but multi-scenario and RNG-bearing: fast to certify."""
-    specs = [("radio-sweep", {"bus": bus, "samples": 1_000,
+    """Small but multi-scenario and RNG-bearing: fast to certify.
+
+    Ten points, so 2 workers get jobs of two points each and every
+    crash window also opens inside a batch.
+    """
+    specs = [("radio-sweep", {"bus": bus, "samples": samples,
                               "repetitions": 5})
+             for samples in (1_000, 1_500)
              for bus in ("usb2", "usb3", "pcie")]
     specs += [("design-feasibility",
                {"index": index, "mu": 2, "max_period_ms": 1.0,
                 "budget_ms": 0.5, "reliability": 0.99999})
-              for index in (0, 1)]
+              for index in (0, 1, 2, 3)]
     return Campaign.build("chaos-certify", 41, specs)
+
+
+def test_chaos_campaign_makes_multi_point_jobs():
+    assert all(len(job) == 2
+               for job in batches(_chaos_campaign().points, 2))
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ from repro.runner.dispatch import (
     run_worker,
 )
 from repro.runner.fsops import FsOps
-from repro.runner.lease import QueueDir, write_queue_manifest
+from repro.runner.lease import QueueDir, batches, write_queue_manifest
 
 REPO_MANIFEST = load_manifest("distcheck-manifest.json")
 
@@ -368,37 +368,41 @@ class _CountingFs(FsOps):
 
 
 def _enqueue_all(queue, campaign, homes):
+    """Enqueue the coordinator's layout; returns (digests, jobs)."""
     queue.initialise()
     digests = [point.digest() for point in campaign.points]
     write_queue_manifest(queue, {
         "campaign": campaign.name, "seed": campaign.seed,
         "fingerprint": "fp", "points": len(campaign),
         "digests": digests, "enqueued": sorted(digests)})
-    for index, point in enumerate(campaign.points):
-        queue.enqueue(point, home=homes[index % len(homes)])
-    return set(digests)
+    jobs = batches(list(zip(digests, campaign.points)), len(homes))
+    for index, job in enumerate(jobs):
+        queue.enqueue(dict(job), home=homes[index % len(homes)])
+    return set(digests), len(jobs)
 
 
 def test_worker_lists_the_job_queue_a_constant_number_of_times(
         tmp_path):
-    # 238 points over two home shards: the worker drains its own shard
-    # and steals the other from one listing, plus the listing that
-    # finds the queue empty.  Listing per claim would be O(points).
+    # 238 points in jobs for two home shards: the worker lists jobs/
+    # once per claim, and the layout holds at most four jobs per
+    # worker however many points they carry.  Draining its own shard,
+    # stealing the other and finding the queue empty cost one listing
+    # per job plus one, not one per point.
     campaign = build_campaign("sweep")
     assert len(campaign) >= 200
     fs = _CountingFs()
     queue = QueueDir(tmp_path / "queue", fs=fs)
-    expected = _enqueue_all(queue, campaign, ["w1", "w2"])
+    expected, jobs = _enqueue_all(queue, campaign, ["w1", "w2"])
     assert run_worker(queue.root, "w1", fingerprint="fp", fs=fs,
                       attach_polls=1, poll_interval_s=0.0) == 0
     assert set(queue.done_markers()) == expected
-    assert fs.listings["jobs"] <= 3
+    assert fs.listings["jobs"] == jobs + 1 <= 4 * 2 + 1
 
 
 def test_coordinator_reads_each_done_marker_once_while_waiting(
         tmp_path, monkeypatch):
     # The spawned workers exit at once, so the coordinator drains all
-    # 238 points inline, polling the done markers after each one.
+    # 238 points inline, polling the done markers after each job.
     campaign = build_campaign("sweep")
     fs = _CountingFs()
     coordinator = DispatchCoordinator(
@@ -415,12 +419,14 @@ def test_coordinator_reads_each_done_marker_once_while_waiting(
 
     monkeypatch.setattr(coordinator, "_collect", counting_collect)
     dispatched = coordinator.run(campaign)
-    assert dispatched.dispatch is not None
-    assert dispatched.dispatch.inline_points == len(campaign)
+    stats = dispatched.dispatch
+    assert stats is not None
+    assert stats.inline_points == stats.jobs == len(campaign)
+    assert stats.batches == len(batches(campaign.points, 2)) == 8
     marker_reads = [count for path, count in reads_before_collect.items()
                     if path.parent.name == "done"]
-    assert len(marker_reads) == len(campaign)
+    assert len(marker_reads) == stats.batches
     assert max(marker_reads) == 1
-    assert fs.listings["jobs"] <= 3
+    assert fs.listings["jobs"] <= stats.batches + 1
     serial = CampaignRunner(workers=1).run(campaign)
     assert dispatched.results_digest() == serial.results_digest()

@@ -34,6 +34,7 @@ from repro.runner import (
     bench_payload,
     run_point,
 )
+from repro.runner.lease import batches
 
 
 def _ok_point(value):
@@ -130,15 +131,25 @@ def test_killed_worker_fails_only_its_point(tmp_path, monkeypatch):
 
 def test_point_that_always_kills_its_worker_fails_alone(
         tmp_path, monkeypatch):
+    # At 2 workers, 3 ok points make one point per job.
+    _always_kills(tmp_path, monkeypatch, ok_points=3, per_job=1)
+
+
+def test_point_that_always_kills_its_worker_fails_alone_inside_a_job(
+        tmp_path, monkeypatch):
+    # 15 ok points put the poisoned point in a job with another point.
+    _always_kills(tmp_path, monkeypatch, ok_points=15, per_job=2)
+
+
+def _always_kills(tmp_path, monkeypatch, ok_points, per_job):
     monkeypatch.setenv("URLLC5G_CHAOS", "1")
     # An unwritable token: the point kills every process that runs it.
     campaign = Campaign.build("poison", 5, [
         ("chaos-selftest", {"mode": "kill",
                             "token": str(tmp_path / "no-dir" / "m")}),
-        _ok_point(1),
-        _ok_point(2),
-        _ok_point(3),
+        *[_ok_point(index) for index in range(1, ok_points + 1)],
     ])
+    assert len(batches(campaign.points, 2)[0]) == per_job
     journal_path = tmp_path / "j.jsonl"
     with CampaignJournal(journal_path) as journal:
         result = DispatchCoordinator(
@@ -183,13 +194,24 @@ def test_wedged_worker_is_killed_and_its_point_requeued(
 
 
 def test_point_that_always_hangs_fails_alone(tmp_path, monkeypatch):
+    # One worker: 2 ok points make one point per job.
+    _always_hangs(tmp_path, monkeypatch, ok_points=2, per_job=1)
+
+
+def test_point_that_always_hangs_fails_alone_inside_a_job(
+        tmp_path, monkeypatch):
+    # 7 ok points put the stuck point in a job with another point.
+    _always_hangs(tmp_path, monkeypatch, ok_points=7, per_job=2)
+
+
+def _always_hangs(tmp_path, monkeypatch, ok_points, per_job):
     monkeypatch.setenv("URLLC5G_CHAOS", "1")
     campaign = Campaign.build("stuck", 5, [
         ("chaos-selftest", {"mode": "hang",
                             "token": str(tmp_path / "no-dir" / "m")}),
-        _ok_point(1),
-        _ok_point(2),
+        *[_ok_point(index) for index in range(1, ok_points + 1)],
     ])
+    assert len(batches(campaign.points, 1)[0]) == per_job
     # Each stall kills the process running the point: the worker, then
     # two stand-ins.  The third loss fails it; the other points finish.
     result = DispatchCoordinator(
@@ -265,12 +287,27 @@ with CampaignJournal(tmp / "run.journal.jsonl") as journal:
 
 def test_killed_parallel_run_resumes_from_every_finished_point(
         tmp_path, monkeypatch):
+    # At 2 workers, 6 ok points make one point per job.
+    _killed_run_resumes(tmp_path, monkeypatch, ok_points=6, per_job=1)
+
+
+def test_killed_parallel_run_resumes_from_points_of_an_unfinished_job(
+        tmp_path, monkeypatch):
+    # 31 ok points make four per job: the three before the wedging
+    # point share its job, which never finishes, yet they are
+    # journaled and must be replayed.
+    _killed_run_resumes(tmp_path, monkeypatch, ok_points=31, per_job=4)
+
+
+def _killed_run_resumes(tmp_path, monkeypatch, ok_points, per_job):
     monkeypatch.setenv("URLLC5G_CHAOS", "1")
     # One point wedges its worker, so the run cannot finish; the other
-    # worker completes the rest before the whole run is SIGKILLed.
-    specs = [("chaos-selftest", {"mode": "hang",
-                                 "token": str(tmp_path / "marker")})]
-    specs += [_ok_point(index) for index in range(1, 7)]
+    # worker completes the rest before the whole run is SIGKILLed.  The
+    # wedging point comes last.
+    specs = [_ok_point(index) for index in range(1, ok_points + 1)]
+    specs += [("chaos-selftest", {"mode": "hang",
+                                  "token": str(tmp_path / "marker")})]
+    assert len(batches(specs, 2)[-1]) == per_job
     (tmp_path / "specs.json").write_text(json.dumps(specs),
                                          encoding="utf-8")
     manifest = _selftest_manifest(tmp_path)
@@ -284,7 +321,7 @@ def test_killed_parallel_run_resumes_from_every_finished_point(
     try:
         for _ in range(1200):
             if journal_path.exists() and len(journal_path.read_text(
-                    encoding="utf-8").splitlines()) == 1 + 6:
+                    encoding="utf-8").splitlines()) == 1 + ok_points:
                 break
             time.sleep(0.05)
         else:
@@ -299,7 +336,7 @@ def test_killed_parallel_run_resumes_from_every_finished_point(
             workers=2, queue_dir=tmp_path / "queue",
             manifest=manifest).run(campaign, journal=journal,
                                    resume=True)
-    assert resumed.journal_replays == 6
+    assert resumed.journal_replays == ok_points
     assert resumed.dispatch is not None and resumed.dispatch.jobs == 1
     assert not resumed.failures
     for entry in resumed.point_results:
