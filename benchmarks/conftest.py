@@ -10,7 +10,7 @@ exhaustive search) no longer run their sweeps inline: they declare a
 campaign and hand it to the session-wide :data:`campaign_runner`,
 which shares one content-hash result cache across the whole benchmark
 session (see ``docs/CAMPAIGNS.md``).  With more than one worker each
-campaign runs through the dispatch queue, which spawns its worker
+campaign runs through the dispatch queue, which forks its worker
 processes per campaign.  Set ``URLLC5G_BENCH_WORKERS`` to control the
 worker count and ``URLLC5G_BENCH_NO_CACHE=1`` to force recomputation.
 """

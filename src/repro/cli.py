@@ -225,7 +225,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     if args.sanitize:
         # Environment (not a flag threaded through the runner) so
-        # spawned worker processes inherit it; streams are wrapped in
+        # forked worker processes inherit it; streams are wrapped in
         # recording proxies at creation time (see repro.sim.sanitize).
         # Sanitized runs are bit-identical, so cached results stay
         # valid either way.

@@ -15,7 +15,7 @@ Determinism contract (see docs/ROBUSTNESS.md):
   bit-identical to no plan at all;
 - an injector consumes draws only while its window is open and only at
   deterministic decision points, so the same seed replays the same
-  faults serially and under spawn-based parallelism;
+  faults serially and in dispatch workers;
 - every fired fault emits a trace record under the ``fault`` category,
   making faulted runs diffable by :class:`~repro.sim.trace.Tracer`
   digest.

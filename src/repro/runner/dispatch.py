@@ -3,7 +3,7 @@
 :class:`DispatchCoordinator` cuts a campaign into idempotent jobs —
 contiguous batches of points (:meth:`~repro.runner.lease.Job.key`) — in a
 shared *queue directory*
-(:mod:`repro.runner.lease`), spawns N independent worker processes, and
+(:mod:`repro.runner.lease`), forks N independent worker processes, and
 merges their journals (:mod:`repro.runner.merge`) into a document that
 is bit-identical to a serial run.  Workers coordinate only through the
 queue directory, so additional workers can attach from any host that
@@ -46,9 +46,9 @@ The queue protocol is entirely stamp-based and clock-free.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
-import subprocess
 import sys
 import time
 from collections import Counter
@@ -172,7 +172,7 @@ class DispatchStats:
     :meth:`~repro.runner.executor.CampaignResult.results_digest`.
     """
 
-    #: Local worker processes the coordinator spawned.
+    #: Local worker processes the coordinator started.
     workers: int
     #: Points enqueued (campaign points minus warm cache hits and
     #: journal replays).
@@ -394,9 +394,9 @@ class DispatchCoordinator(CampaignRunner):
     :class:`DispatchStats` block, so ``bench_payload`` and baseline
     checking work unchanged on dispatched runs.
 
-    ``spawn_command`` (worker id -> argv) exists for tests; the default
-    spawns ``python -m repro.cli bench --worker <queue> ...`` with the
-    package's source root prepended to ``PYTHONPATH``.
+    Workers ``w<k>`` and stand-ins are forks of this process running
+    :func:`run_worker`; ``spawn_command`` (worker id -> argv) makes each
+    fork exec that argv instead (tests, ``urllc5g chaosdispatch``).
     """
 
     def __init__(self, workers: int, queue_dir: str | Path,
@@ -419,7 +419,7 @@ class DispatchCoordinator(CampaignRunner):
         self.strikes = strikes
         self.stall_polls = stall_polls
         self.spawn_command = spawn_command
-        #: Extra environment for the spawned ``w<k>`` workers only
+        #: Extra environment for the ``w<k>`` workers only
         #: (the chaos explorer plants URLLC5G_CHAOS_PLAN here, so the
         #: coordinator and its stand-ins run the passthrough seam).
         self.worker_env = dict(worker_env or {})
@@ -469,7 +469,7 @@ class DispatchCoordinator(CampaignRunner):
 
         inline_points = 0
         if pending:
-            procs = [(self._spawn(worker_id, self.worker_env), worker_id)
+            procs = [self._spawn(worker_id, self.worker_env)
                      for worker_id in worker_ids]
             with CampaignJournal(self.queue.journals
                                  / f"{_COORDINATOR}.jsonl") as inline:
@@ -509,28 +509,33 @@ class DispatchCoordinator(CampaignRunner):
         self.queue = QueueDir(root, fs=self.queue.fs)
         self.queue.initialise()
 
-    def _default_command(self, worker_id: str) -> list[str]:
-        return [sys.executable, "-m", "repro.cli", "bench",
-                "--worker", str(self.queue.root),
-                "--worker-id", worker_id,
-                "--retries", str(self.max_retries)]
-
     def _spawn(self, worker_id: str, extra_env: Mapping[str, str]
-               ) -> subprocess.Popen[bytes]:
-        env = dict(os.environ)
-        source_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH", "")
-        parts = [p for p in existing.split(os.pathsep) if p]
-        if source_root not in parts:
-            env["PYTHONPATH"] = os.pathsep.join([source_root] + parts)
-        env.update(extra_env)
-        command = (self.spawn_command(worker_id)
-                   if self.spawn_command is not None
-                   else self._default_command(worker_id))
-        return subprocess.Popen(command, env=env)
+               ) -> multiprocessing.process.BaseProcess:
+        """Fork one worker, ``extra_env`` in its own ``os.environ``: it
+        runs :func:`run_worker` with every module already imported, or
+        execs ``spawn_command``'s argv with this source root first on
+        ``PYTHONPATH``."""
+
+        def work() -> None:
+            os.environ.update(extra_env)
+            if self.spawn_command is None:
+                sys.exit(run_worker(self.queue.root, worker_id,
+                                    max_retries=self.max_retries))
+            source_root = str(Path(__file__).resolve().parents[2])
+            path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+            if source_root not in path:
+                os.environ["PYTHONPATH"] = os.pathsep.join(
+                    [source_root, *filter(None, path)])
+            command = self.spawn_command(worker_id)
+            os.execvp(command[0], command)
+
+        process = multiprocessing.get_context("fork").Process(
+            target=work, name=worker_id)
+        process.start()
+        return process
 
     def _wait(self, expected: set[str],
-              procs: list[tuple[subprocess.Popen[bytes], str]],
+              procs: list[multiprocessing.process.BaseProcess],
               events: EventLog, inline: CampaignJournal,
               absorb: Callable[[], int], warnings: list[str]) -> int:
         """Poll until every ``expected`` point is in a done marker.
@@ -562,18 +567,16 @@ class DispatchCoordinator(CampaignRunner):
                 progress = len(done) + absorb()
                 if expected <= done.keys():
                     break
-                for proc, worker_id in procs:
-                    if proc.poll() is not None \
-                            and worker_id not in reaped:
-                        reaped.add(worker_id)
-                        if proc.returncode != 0:
-                            warnings.append(
-                                f"dispatch worker {worker_id} exited "
-                                f"with code {proc.returncode}; its "
-                                "leases will be reclaimed")
+                # Before the warnings, so a worker seen dead is warned.
+                alive = any(proc.is_alive() for proc in procs)
+                for proc in procs:
+                    if proc.exitcode and proc.name not in reaped:
+                        reaped.add(proc.name)
+                        warnings.append(
+                            f"dispatch worker {proc.name} exited with "
+                            f"code {proc.exitcode}; its leases will be "
+                            "reclaimed")
                 tracker.reclaim_dead(tracker.observe(), events)
-                alive = any(proc.returncode is None
-                            for proc, _ in procs)
                 if not alive:
                     job = self.queue.claim(_COORDINATOR, events)
                     if job is not None:
@@ -594,8 +597,7 @@ class DispatchCoordinator(CampaignRunner):
                                 f"stand-in-{len(procs) - self.workers + 1}"
                             self.queue.requeue(job.digest, _COORDINATOR,
                                                job.home)
-                            procs.append((self._spawn(stand_in, {}),
-                                          stand_in))
+                            procs.append(self._spawn(stand_in, {}))
                             stall = 0.0  # its start-up is no stall
                             backoff.reset()
                             continue
@@ -619,7 +621,7 @@ class DispatchCoordinator(CampaignRunner):
                             f"dispatch made no progress for "
                             f"{self.stall_polls} polls; killing local "
                             "workers and taking over the queue")
-                        for proc, _ in procs:
+                        for proc in procs:
                             proc.kill()
                         # Poll briskly again, so their leases expire
                         # long before the next stall verdict.
@@ -641,13 +643,11 @@ class DispatchCoordinator(CampaignRunner):
                         break
                 stall += max(0.0, backoff.sleep() - 1.0)
         finally:
-            for proc, _ in procs:
-                if proc.returncode is None:
-                    try:
-                        proc.wait(timeout=15.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
+            for proc in procs:
+                proc.join(timeout=15.0)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
         return inline_points
 
     # ------------------------------------------------------------------

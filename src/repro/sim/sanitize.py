@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: Environment flag that turns sanitizing on process-wide.  Set by
-#: ``urllc5g bench --sanitize`` before workers spawn so every process
+#: ``urllc5g bench --sanitize`` before workers start so every process
 #: in a parallel campaign records and checks draws.
 ENV_FLAG = "URLLC5G_SANITIZE"
 

@@ -1,6 +1,8 @@
 """Distributed dispatch: bit-identity, crash recovery, the gate."""
 
 import json
+import os
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,6 +18,8 @@ from repro.runner import (
     ResultCache,
     build_campaign,
 )
+from repro.runner import dispatch, envconfig
+from repro.runner.chaos import ChaosPlan
 from repro.runner.dispatch import (
     DispatchCoordinator,
     DispatchRefusedError,
@@ -23,6 +27,8 @@ from repro.runner.dispatch import (
 )
 from repro.runner.fsops import FsOps
 from repro.runner.lease import QueueDir, batches, write_queue_manifest
+from repro.sim.sampling import force_sequential
+from repro.sim.sanitize import sanitizer_session
 
 REPO_MANIFEST = load_manifest("distcheck-manifest.json")
 
@@ -169,6 +175,55 @@ def test_dispatched_run_is_bit_identical_to_serial(tmp_path):
                        for pr in serial.point_results}
 
 
+def test_forked_workers_inherit_no_state_that_changes_a_payload(tmp_path):
+    # A forked worker inherits the coordinator's force_sequential() flag
+    # and sanitizer session log: they change how draws are made and
+    # recorded, never what a point computes.
+    campaign = build_campaign("smoke")
+    serial = CampaignRunner(workers=1).run(campaign)
+    with force_sequential(), sanitizer_session():
+        dispatched = DispatchCoordinator(
+            workers=2, queue_dir=tmp_path / "queue",
+            manifest=REPO_MANIFEST).run(campaign)
+    stats = dispatched.dispatch
+    assert stats is not None and stats.inline_points == 0
+    assert set(stats.per_worker_points) <= {"w1", "w2"}
+    assert _payloads(dispatched) == _payloads(serial)
+    assert dispatched.results_digest() == serial.results_digest()
+
+
+def test_worker_env_reaches_only_the_forked_workers(tmp_path, monkeypatch):
+    # The forks run this stand-in for run_worker: it notes the chaos
+    # plan its environment carries; a w<k> worker then dies holding a
+    # lease, so the points that lost it go to a stand-in worker.
+    plan = ChaosPlan(seed=7).to_json()
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    real_run_worker = dispatch.run_worker
+
+    def noting(queue_root, worker_id, **kwargs):
+        (seen / worker_id).write_text(
+            os.environ.get(envconfig.CHAOS_PLAN, "none"), encoding="utf-8")
+        if worker_id.startswith("stand-in"):
+            return real_run_worker(queue_root, worker_id, **kwargs)
+        assert QueueDir(queue_root).claim(worker_id) is not None
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(dispatch, "run_worker", noting)
+    campaign = _campaign()
+    serial = CampaignRunner(workers=1).run(campaign)
+    environ = dict(os.environ)
+    dispatched = DispatchCoordinator(
+        workers=1, queue_dir=tmp_path / "queue", manifest=REPO_MANIFEST,
+        strikes=3, worker_env={envconfig.CHAOS_PLAN: plan}).run(campaign)
+    assert dict(os.environ) == environ
+    assert (seen / "w1").read_text(encoding="utf-8") == plan
+    assert (seen / "stand-in-1").read_text(encoding="utf-8") == "none"
+    assert dispatched.dispatch is not None
+    assert "stand-in-1" in dispatched.dispatch.per_worker_points
+    assert _payloads(dispatched) == _payloads(serial)
+
+
 def test_failing_point_fails_identically_under_dispatch(tmp_path):
     campaign = Campaign.build("partial", 3, [
         ("radio-sweep", {"bus": "usb2", "samples": 1_000,
@@ -309,6 +364,22 @@ def test_worker_refuses_foreign_fingerprint(tmp_path, capsys):
                       attach_polls=1, poll_interval_s=0.0)
     assert code == 2
     assert "fingerprint" in capsys.readouterr().err
+
+
+def test_forked_workers_check_their_own_fingerprint(tmp_path):
+    # A fork computes the fingerprint of the tree it runs, not the
+    # coordinator's value: against a foreign one both refuse (exit 2)
+    # and the coordinator drains the queue itself.
+    campaign = _campaign()
+    dispatched = DispatchCoordinator(
+        workers=2, queue_dir=tmp_path / "queue", manifest=REPO_MANIFEST,
+        fingerprint="not-this-tree").run(campaign)
+    assert sorted(w.split()[2] for w in dispatched.warnings
+                  if "exited with code 2" in w) == ["w1", "w2"]
+    assert dispatched.dispatch is not None
+    assert dispatched.dispatch.inline_points == len(campaign)
+    assert _payloads(dispatched) == _payloads(
+        CampaignRunner(workers=1).run(campaign))
 
 
 def test_worker_drains_an_already_done_queue(tmp_path):
