@@ -162,9 +162,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             baseline: Baseline | None = Baseline()
         else:
             baseline = load_baseline(args.baseline) if args.baseline else None
-        report = check_paths(paths, config, baseline=baseline,
-                             cache_path=args.cache,
-                             use_cache=not args.no_cache)
+        report = check_paths(paths, config, baseline=baseline)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -428,11 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--write-baseline", default=None, metavar="FILE",
                        help="accept all current findings into FILE and "
                             "exit 0")
-    check.add_argument("--cache", default=None, metavar="FILE",
-                       help="incremental cache location "
-                            "(overrides pyproject)")
-    check.add_argument("--no-cache", action="store_true",
-                       help="re-parse every module")
     check.add_argument("--config", default=None,
                        help="explicit pyproject.toml path")
     check.add_argument("--no-config", action="store_true",

@@ -1,9 +1,9 @@
 """The shared project model and the whole-program unit/purity passes.
 
 :mod:`.loader` parses every module under the checked roots once into a
-project model (symbol table + call graph + per-module summaries, cached
-by content hash in :mod:`.cache`); every ``urllc5g check`` rule family
-runs over that model.  Two of the families live here:
+project model (symbol table + call graph + per-module summaries); every
+``urllc5g check`` rule family runs over that model.  Two of the
+families live here:
 
 - **time-unit inference** (:mod:`.units`): abstract interpretation over
   the unit lattice ``tc | ns | us | ms | s | unitless | unknown``,
@@ -24,13 +24,10 @@ from repro.devtools.analyze.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.devtools.analyze.cache import AnalysisCache
-from repro.devtools.analyze.loader import PARSE_HOOKS, Project, load_project
+from repro.devtools.analyze.loader import Project, load_project
 
 __all__ = [
-    "AnalysisCache",
     "Baseline",
-    "PARSE_HOOKS",
     "Project",
     "load_baseline",
     "load_project",

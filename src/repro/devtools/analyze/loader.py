@@ -2,15 +2,14 @@
 
 The loader walks the analysis roots with the shared
 :func:`repro.devtools.walker.iter_python_files`, parses each module
-once (or restores it from the incremental cache without parsing — see
-:data:`PARSE_HOOKS`), and extracts a :class:`ModuleSummary`: the symbol
-table (functions, methods, classes, module constants), the call edges
+once and extracts a :class:`ModuleSummary`: the symbol table
+(functions, methods, classes, module constants), the call edges
 resolvable from imports/``self``, per-function purity effects, the
 *symbolic* unit facts the global passes resolve later, and the raw
 findings of the file-scope rules, which run on the same AST.
 
-Symbolic unit expressions are plain JSON-able dicts so summaries can be
-cached to disk and whole-program resolution never needs the AST again:
+Symbolic unit expressions are plain dicts, so whole-program resolution
+never needs the AST again:
 
 - ``{"k": "c", "u": "us"}`` — a known lattice element
   (``tc | ns | us | ms | s | unitless | unknown``);
@@ -30,17 +29,15 @@ once return units are known project-wide.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.devtools.lintkit.core import run_file_rules
+from repro.devtools.lintkit.core import Violation, run_file_rules
 from repro.devtools.walker import iter_python_files
 
 __all__ = [
-    "PARSE_HOOKS",
     "UNITS",
     "FunctionSummary",
     "ClassSummary",
@@ -51,11 +48,6 @@ __all__ = [
     "unit_of_name",
     "conversion_units",
 ]
-
-#: Hooks called with the file path on every real ``ast.parse``.  Tests
-#: register a counter here to assert the incremental cache performs
-#: zero re-parses on an unchanged tree.
-PARSE_HOOKS: list[Callable[[str], None]] = []
 
 #: Concrete lattice units (besides ``unitless`` and ``unknown``).
 UNITS = ("tc", "ns", "us", "ms", "s")
@@ -272,7 +264,6 @@ class ClassSummary:
 class ModuleSummary:
     path: str
     qualname: str
-    content_hash: str = ""
     aliases: dict[str, str] = field(default_factory=dict)
     constants: dict[str, dict] = field(default_factory=dict)
     module_checks: list[dict] = field(default_factory=list)
@@ -291,24 +282,8 @@ class ModuleSummary:
     str_constants: dict[str, str] = field(default_factory=dict)
     #: Module-level bindings to mutable containers (dict/list/set/...).
     mutable_globals: list[str] = field(default_factory=list)
-    #: Raw file-scope rule findings (see :func:`run_file_rules`).
-    file_findings: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        # JSON turns the int line_pragmas keys into strings;
-        # from_json turns them back.
-        from dataclasses import asdict
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ModuleSummary":
-        fields = dict(payload)
-        fields["functions"] = [FunctionSummary(**f)
-                               for f in payload["functions"]]
-        fields["classes"] = [ClassSummary(**c) for c in payload["classes"]]
-        fields["line_pragmas"] = {int(line): rules for line, rules
-                                  in payload["line_pragmas"].items()}
-        return cls(**fields)
+    #: Unfiltered file-scope rule findings (see :func:`run_file_rules`).
+    file_findings: list[Violation] = field(default_factory=list)
 
 
 @dataclass
@@ -317,8 +292,6 @@ class Project:
 
     modules: list[ModuleSummary]
     files_checked: int = 0
-    parsed: int = 0
-    from_cache: int = 0
 
     def __post_init__(self) -> None:
         self.by_qualname: dict[str, ModuleSummary] = {}
@@ -438,10 +411,7 @@ class _ModuleExtractor:
             elif isinstance(stmt, ast.ClassDef):
                 self._extract_class(stmt)
         _StreamWalker(self).run()
-        self.summary.file_findings = [
-            {"line": v.line, "col": v.col, "rule": v.rule_id,
-             "severity": str(v.severity), "message": v.message}
-            for v in run_file_rules(self.path, self.tree)]
+        self.summary.file_findings = run_file_rules(self.path, self.tree)
         return self.summary
 
     # -- comments ------------------------------------------------------
@@ -1745,67 +1715,37 @@ def _unordered_reason(node: ast.expr) -> str | None:
 # ----------------------------------------------------------------------
 # loading
 # ----------------------------------------------------------------------
-def _parse_module(path: Path, source: str) -> ast.Module:
-    for hook in PARSE_HOOKS:
-        hook(path.as_posix())
-    return ast.parse(source, filename=path.as_posix())
-
-
 def load_project(paths: Iterable[str | Path], *,
-                 exclude: Callable[[str], bool] | None = None,
-                 cache=None) -> Project:
-    """Parse/extract every module under ``paths`` into a project model.
-
-    ``cache`` is an :class:`repro.devtools.analyze.cache.AnalysisCache`
-    (or None); a cache hit restores the stored summary without calling
-    ``ast.parse`` at all.
-    """
+                 exclude: Callable[[str], bool] | None = None) -> Project:
+    """Parse/extract every module under ``paths`` into a project model."""
     modules: list[ModuleSummary] = []
     files_checked = 0
-    parsed = 0
-    from_cache = 0
     for path in iter_python_files(paths):
         path_str = path.as_posix()
         if exclude is not None and exclude(path_str):
             continue
         files_checked += 1
+        qualname = module_qualname(path)
         try:
             raw = path.read_bytes()
         except OSError as exc:
-            summary = ModuleSummary(
-                path=path_str, qualname=module_qualname(path),
-                parse_error={"line": 1, "col": 0, "message": str(exc)})
-            modules.append(summary)
+            modules.append(ModuleSummary(
+                path=path_str, qualname=qualname,
+                parse_error={"line": 1, "col": 0, "message": str(exc)}))
             continue
-        digest = hashlib.sha256(raw).hexdigest()
-        if cache is not None:
-            hit = cache.lookup(path_str, digest)
-            if hit is not None:
-                modules.append(hit)
-                from_cache += 1
-                continue
-        qualname = module_qualname(path)
         try:
             source = raw.decode("utf-8")
-            tree = _parse_module(path, source)
-            parsed += 1
+            tree = ast.parse(source, filename=path_str)
         except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
             line = getattr(exc, "lineno", 1) or 1
             col = (getattr(exc, "offset", 1) or 1) - 1
             message = (exc.msg if isinstance(exc, SyntaxError) and exc.msg
                        else str(exc))
-            summary = ModuleSummary(
-                path=path_str, qualname=qualname, content_hash=digest,
+            modules.append(ModuleSummary(
+                path=path_str, qualname=qualname,
                 parse_error={"line": line, "col": max(col, 0),
-                             "message": message})
-            modules.append(summary)
-            if cache is not None:
-                cache.store(path_str, digest, summary)
+                             "message": message}))
             continue
-        summary = _ModuleExtractor(path_str, qualname, source, tree).run()
-        summary.content_hash = digest
-        modules.append(summary)
-        if cache is not None:
-            cache.store(path_str, digest, summary)
-    return Project(modules=modules, files_checked=files_checked,
-                   parsed=parsed, from_cache=from_cache)
+        modules.append(
+            _ModuleExtractor(path_str, qualname, source, tree).run())
+    return Project(modules=modules, files_checked=files_checked)

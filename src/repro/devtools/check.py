@@ -1,11 +1,11 @@
 """``urllc5g check``: every static rule in one pass over the project model.
 
-:func:`check_paths` loads the project once (through the incremental
-cache when enabled) and runs the five rule families of :data:`RULES`
-over it: ``file`` (:mod:`repro.devtools.lintkit.rules`, run by the
-loader on the AST it parses anyway and cached with the module
-summary), ``units`` and ``purity`` (:mod:`repro.devtools.analyze`),
-``detsan`` (:mod:`repro.devtools.detsan.ownership`) and ``dist``
+:func:`check_paths` loads the project once and runs the five rule
+families of :data:`RULES` over it: ``file``
+(:mod:`repro.devtools.lintkit.rules`, run by the loader on the AST it
+parses anyway and kept with the module summary), ``units`` and
+``purity`` (:mod:`repro.devtools.analyze`), ``detsan``
+(:mod:`repro.devtools.detsan.ownership`) and ``dist``
 (:mod:`repro.devtools.distcheck.rules`).  Every finding then passes
 one filter chain — the config ``ignore`` list, ``# check:`` pragmas,
 the reviewed baseline — and the surviving ``dist-*`` findings, only
@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.devtools.analyze.baseline import Baseline, load_baseline
-from repro.devtools.analyze.cache import AnalysisCache
 from repro.devtools.analyze.loader import Project, load_project
 from repro.devtools.analyze.purity import purity_violations
 from repro.devtools.analyze.units import resolve_units, unit_violations
@@ -130,8 +129,6 @@ class CheckReport:
     ownership: OwnershipMap
     certifications: list[ScenarioCertification]
     files_checked: int
-    parsed: int = 0
-    from_cache: int = 0
     suppressed: list[Violation] = field(default_factory=list)
     baselined: list[Violation] = field(default_factory=list)
     refused_findings: int = 0
@@ -158,7 +155,7 @@ def _order(violation: Violation) -> tuple:
 
 
 def _module_findings(project: Project) -> list[Violation]:
-    """Syntax errors (once per file) plus the cached file-rule findings."""
+    """Syntax errors (once per file) plus the file-rule findings."""
     found = []
     for module in project.modules:
         error = module.parse_error
@@ -167,35 +164,23 @@ def _module_findings(project: Project) -> list[Violation]:
                 path=module.path, line=error["line"], col=error["col"],
                 rule_id=SYNTAX_ERROR_RULE_ID, severity=Severity.ERROR,
                 message=f"could not parse file: {error['message']}"))
-        found.extend(Violation(
-            path=module.path, line=record["line"], col=record["col"],
-            rule_id=record["rule"], severity=Severity(record["severity"]),
-            message=record["message"]) for record in module.file_findings)
+        found.extend(module.file_findings)
     return found
 
 
 def check_paths(paths: Iterable[str | Path],
                 config: CheckConfig | None = None,
                 *,
-                baseline: Baseline | None = None,
-                cache_path: str | Path | None = None,
-                use_cache: bool = True) -> CheckReport:
+                baseline: Baseline | None = None) -> CheckReport:
     """Run every rule family over ``paths`` and aggregate a report.
 
-    ``baseline`` overrides the config's baseline file; ``cache_path``
-    overrides the config's cache location; ``use_cache=False`` disables
-    the incremental cache entirely (every module is re-parsed).
+    ``baseline`` overrides the config's baseline file.
     """
     config = config or CheckConfig()
     unknown = set(config.ignore) - set(RULES)
     if unknown:
         raise ValueError(f"unknown rule id(s) in ignore: {sorted(unknown)}")
-    location = cache_path if cache_path is not None else config.cache
-    cache = (AnalysisCache(location)
-             if use_cache and location is not None else None)
-    project = load_project(paths, exclude=config.is_excluded, cache=cache)
-    if cache is not None:
-        cache.save()
+    project = load_project(paths, exclude=config.is_excluded)
 
     detsan, ownership = detsan_violations(project)
     cert = certification_map(project)
@@ -257,8 +242,7 @@ def check_paths(paths: Iterable[str | Path],
     return CheckReport(
         violations=kept, unfiltered=unfiltered, ownership=ownership,
         certifications=certifications,
-        files_checked=project.files_checked, parsed=project.parsed,
-        from_cache=project.from_cache, suppressed=suppressed,
+        files_checked=project.files_checked, suppressed=suppressed,
         baselined=baselined, refused_findings=refused_findings,
         attribution=attribution)
 
@@ -289,9 +273,8 @@ def render_text(report: CheckReport) -> str:
             scenarios = sorted(report.scenarios_for(violation))
             lines.append("    reached from: "
                          + (", ".join(scenarios) or "(program-wide)"))
-    summary = (f"{report.files_checked} file(s) checked "
-               f"({report.parsed} parsed, {report.from_cache} from "
-               f"cache), {len(report.violations)} finding(s)")
+    summary = (f"{report.files_checked} file(s) checked, "
+               f"{len(report.violations)} finding(s)")
     extras = [f"{count} {label}" for count, label in (
         (len(report.suppressed), "suppressed"),
         (len(report.baselined), "baselined"),
@@ -309,8 +292,6 @@ def render_json(report: CheckReport) -> str:
     ownership = report.ownership
     payload = {
         "files_checked": report.files_checked,
-        "parsed": report.parsed,
-        "from_cache": report.from_cache,
         "suppressed": len(report.suppressed),
         "baselined": len(report.baselined),
         "refused_findings": report.refused_findings,

@@ -1,14 +1,13 @@
 """Load ``urllc5g check`` configuration from ``pyproject.toml``.
 
 One ``[tool.urllc5g.check]`` table configures every rule family:
-``ignore`` (rule ids), ``exclude`` (path globs), ``baseline`` and
-``cache`` (files), and the distributability contract — ``allow-env``
+``ignore`` (rule ids), ``exclude`` (path globs), ``baseline`` (a
+file), and the distributability contract — ``allow-env``
 (environment-variable name globs), ``refuse-scenarios``,
 ``allow-globals`` and ``sanctioned-writers`` (function qualname
-globs).  Relative ``baseline``/``cache`` paths are anchored at the
-pyproject's directory, so ``--config /elsewhere/pyproject.toml``
-honours the reviewed baseline from any working directory.  See
-docs/ANALYSIS.md.
+globs).  A relative ``baseline`` path is anchored at the pyproject's
+directory, so ``--config /elsewhere/pyproject.toml`` honours the
+reviewed baseline from any working directory.  See docs/ANALYSIS.md.
 
 ``tomllib`` ships with Python 3.11+; on older interpreters (the
 project floor is 3.10) configuration falls back to the defaults rather
@@ -31,7 +30,7 @@ __all__ = ["CheckConfig", "find_pyproject", "glob_match",
 
 _LIST_KEYS = ("ignore", "exclude", "allow-env", "refuse-scenarios",
               "allow-globals", "sanctioned-writers")
-_PATH_KEYS = ("baseline", "cache")
+_PATH_KEYS = ("baseline",)
 
 
 @dataclass
@@ -41,7 +40,6 @@ class CheckConfig:
     ignore: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
     baseline: str | None = None
-    cache: str | None = None
     #: The reviewed env-var contract: runner knobs are snapshot-managed.
     allow_env: tuple[str, ...] = ("URLLC5G_*",)
     refuse_scenarios: tuple[str, ...] = ()

@@ -166,9 +166,9 @@ def registered_rules() -> dict[str, type[Rule]]:
 def run_file_rules(path: str, tree: ast.Module) -> list[Violation]:
     """Every registered file-scope rule over one parsed module, unfiltered.
 
-    The project loader calls this on the AST it already parsed, so the
-    findings are cached with the module summary and pragmas, ignore
-    lists and the baseline apply later, once, to every rule family.
+    The project loader calls this on the AST it already parsed and keeps
+    the findings with the module summary; pragmas, ignore lists and the
+    baseline apply later, once, to every rule family.
     """
     module = ModuleUnderLint(path=path, tree=tree)
     return [violation

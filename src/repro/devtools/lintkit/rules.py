@@ -204,6 +204,7 @@ class RngDisciplineRule(Rule):
                         imports.member_imports.items()
                         if target == "numpy.random"}
 
+        loads_rng = False
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -221,7 +222,12 @@ class RngDisciplineRule(Rule):
             elif isinstance(node, ast.Call):
                 yield from self._check_call(module, node, numpy_aliases,
                                             npr_aliases)
-        yield from self._check_unbound_rng(module)
+            elif (isinstance(node, ast.Name) and node.id == "rng"
+                  and isinstance(node.ctx, ast.Load)):
+                loads_rng = True
+        # Only a load of ``rng`` can be unbound: most modules have none.
+        if loads_rng:
+            yield from self._check_unbound_rng(module)
 
     def _check_call(self, module: ModuleUnderLint, node: ast.Call,
                     numpy_aliases: set[str], npr_aliases: set[str]

@@ -475,13 +475,19 @@ def _count_fires(marker_dir: Path) -> int:
     return sum(1 for line in text.splitlines() if line.strip())
 
 
+#: Retry budget and liveness budgets of a chaos run: workers strike
+#: out faster than the coordinator (see :func:`run_schedule`).
+_MAX_RETRIES = 2
+_WORKER_STRIKES = 4
+_COORDINATOR_STRIKES = 12
+_STALL_POLLS = 600
+
+
 def run_schedule(schedule: ChaosSchedule, campaign: "Campaign",
                  manifest: "DistManifest", *,
                  queue_dir: str | Path, marker_dir: str | Path,
-                 workers: int = 2, seed: int | None = None,
-                 max_retries: int = 2, worker_strikes: int = 4,
-                 coordinator_strikes: int = 12,
-                 stall_polls: int = 600) -> ScheduleOutcome:
+                 workers: int = 2, seed: int | None = None
+                 ) -> ScheduleOutcome:
     """Run one dispatched campaign under one injection schedule.
 
     The plan reaches worker processes through ``URLLC5G_CHAOS_PLAN``
@@ -522,8 +528,8 @@ def run_schedule(schedule: ChaosSchedule, campaign: "Campaign",
     def spawn(worker_id: str) -> list[str]:
         argv = ["bench", "--worker", str(queue_dir),
                 "--worker-id", worker_id,
-                "--retries", str(max_retries),
-                "--strikes", str(worker_strikes)]
+                "--retries", str(_MAX_RETRIES),
+                "--strikes", str(_WORKER_STRIKES)]
         if delayed(worker_id):
             return [sys.executable, "-c",
                     "import sys, time; time.sleep(0.8); "
@@ -533,8 +539,8 @@ def run_schedule(schedule: ChaosSchedule, campaign: "Campaign",
 
     coordinator = DispatchCoordinator(
         workers=workers, queue_dir=queue_dir, manifest=manifest,
-        cache=None, max_retries=max_retries,
-        strikes=coordinator_strikes, stall_polls=stall_polls,
+        cache=None, max_retries=_MAX_RETRIES,
+        strikes=_COORDINATOR_STRIKES, stall_polls=_STALL_POLLS,
         spawn_command=spawn,
         worker_env={envconfig.CHAOS_PLAN: plan.to_json()})
     error = None

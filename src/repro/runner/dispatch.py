@@ -92,6 +92,9 @@ __all__ = [
 #: The coordinator's actor id in event logs, inline journals and claims.
 _COORDINATOR = "coordinator"
 
+#: Base backoff interval of the worker and coordinator polls, in seconds.
+_POLL_INTERVAL_S = 0.05
+
 #: The checked-in certification manifest at the root of the source tree.
 REPO_MANIFEST = Path(__file__).resolve().parents[3] / \
     "distcheck-manifest.json"
@@ -290,8 +293,8 @@ def _process_job(queue: QueueDir, journal: CampaignJournal,
 # worker side
 # ----------------------------------------------------------------------
 def run_worker(queue_dir: str | Path, worker_id: str, *,
-               max_retries: int = 2, poll_interval_s: float = 0.05,
-               strikes: int = 8, heartbeat_interval_s: float = 0.05,
+               max_retries: int = 2, strikes: int = 8,
+               poll_interval_s: float = _POLL_INTERVAL_S,
                fingerprint: str | None = None,
                attach_polls: int = 200,
                fs: FsOps | None = None) -> int:
@@ -357,8 +360,7 @@ def run_worker(queue_dir: str | Path, worker_id: str, *,
                               max_retries=max_retries)
     completed = 0
     try:
-        with HeartbeatWriter(queue, worker_id,
-                             interval_s=heartbeat_interval_s) as heart:
+        with HeartbeatWriter(queue, worker_id) as heart:
             events.emit("start")
             backoff.reset()
             while True:
@@ -404,7 +406,6 @@ class DispatchCoordinator(CampaignRunner):
                  cache: ResultCache | None = None,
                  fingerprint: str | None = None,
                  max_retries: int = 2,
-                 poll_interval_s: float = 0.05,
                  strikes: int = 8,
                  stall_polls: int = 6000,
                  spawn_command: Callable[[str], list[str]] | None = None,
@@ -415,7 +416,6 @@ class DispatchCoordinator(CampaignRunner):
             raise ValueError(f"strikes must be >= 1, got {strikes}")
         self.queue = QueueDir(queue_dir)
         self.manifest = manifest
-        self.poll_interval_s = poll_interval_s
         self.strikes = strikes
         self.stall_polls = stall_polls
         self.spawn_command = spawn_command
@@ -555,7 +555,7 @@ class DispatchCoordinator(CampaignRunner):
         """
         tracker = LivenessTracker(self.queue, strikes=self.strikes,
                                   max_retries=self.max_retries)
-        backoff = _Backoff(self.poll_interval_s, _COORDINATOR)
+        backoff = _Backoff(_POLL_INTERVAL_S, _COORDINATOR)
         inline_points = 0
         reaped: set[str] = set()
         stall = 0.0

@@ -92,6 +92,9 @@ QUEUE_MANIFEST_NAME = "queue-manifest.json"
 #: it costs campaigns whose points are heavier or uneven.
 JOBS_PER_WORKER = 4
 
+#: Seconds between a worker's heartbeat stamps.
+_HEARTBEAT_INTERVAL_S = 0.05
+
 _T = TypeVar("_T")
 
 
@@ -487,11 +490,9 @@ class HeartbeatWriter:
     surfaces the drops in the bench dispatch block.
     """
 
-    def __init__(self, queue: QueueDir, worker_id: str,
-                 interval_s: float = 0.1):
+    def __init__(self, queue: QueueDir, worker_id: str):
         self.path = queue.hearts / f"{_check_worker_id(worker_id)}.json"
         self.worker_id = worker_id
-        self.interval_s = interval_s
         #: Heartbeat stamps lost to write failures (ENOSPC/EIO).
         self.dropped = 0
         self._fs = queue.fs
@@ -514,7 +515,7 @@ class HeartbeatWriter:
 
         def pump() -> None:
             stamp = 1
-            while not self._stop.wait(self.interval_s):
+            while not self._stop.wait(_HEARTBEAT_INTERVAL_S):
                 self.beat(stamp)
                 stamp += 1
 

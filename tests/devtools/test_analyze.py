@@ -1,4 +1,4 @@
-"""Whole-program families (units, purity), the cache, SARIF."""
+"""Whole-program families (units, purity), reporters, SARIF."""
 
 import json
 from pathlib import Path
@@ -8,7 +8,6 @@ import pytest
 from repro.devtools.analyze import load_baseline, write_baseline
 from repro.devtools.analyze.baseline import Baseline, fingerprint
 from repro.devtools.analyze.loader import (
-    PARSE_HOOKS,
     conversion_units,
     load_project,
     module_qualname,
@@ -309,15 +308,13 @@ def test_load_analyze_config_from_pyproject(tmp_path):
         '[tool.urllc5g.check]\n'
         'ignore = ["cross-unit-comparison"]\n'
         'exclude = ["gen/*"]\n'
-        'baseline = "check-baseline.json"\n'
-        'cache = ".cache.json"\n', encoding="utf-8")
+        'baseline = "check-baseline.json"\n', encoding="utf-8")
     config = load_check_config(start=tmp_path)
     assert config.ignore == ("cross-unit-comparison",)
     assert config.exclude == ("gen/*",)
     # Relative paths anchor at the pyproject's directory, so an
     # explicit --config works from any invocation cwd.
     assert config.baseline == str(tmp_path / "check-baseline.json")
-    assert config.cache == str(tmp_path / ".cache.json")
 
 
 def test_load_analyze_config_rejects_bad_types(tmp_path):
@@ -384,59 +381,6 @@ def test_unparseable_file_becomes_error_finding(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the incremental cache
-# ----------------------------------------------------------------------
-def test_cache_rerun_performs_zero_reparses(tmp_path):
-    source_dir = write_tree(tmp_path / "proj", {
-        "pkg/__init__.py": "",
-        "pkg/a.py": "def base_ms():\n    return 2.0\n",
-        "pkg/b.py": ("from pkg.a import base_ms\n"
-                     "import time\n"
-                     "def f(x_us):\n"
-                     "    return x_us + base_ms() + time.time()\n"),
-    })
-    cache_file = tmp_path / "cache.json"
-    parses: list[str] = []
-    PARSE_HOOKS.append(parses.append)
-    try:
-        first = check_paths([source_dir], cache_path=cache_file)
-        assert len(parses) == first.files_checked == 3
-        parses.clear()
-        second = check_paths([source_dir], cache_path=cache_file)
-    finally:
-        PARSE_HOOKS.remove(parses.append)
-    assert parses == []  # zero re-parses on an unchanged tree
-    assert second.from_cache == second.files_checked == 3
-    assert second.parsed == 0
-    # Cached summaries must reproduce the exact findings, the
-    # file-scope rules' included.
-    assert second.violations == first.violations
-    assert rule_ids(second) == {"cross-unit-arithmetic"}
-    assert {v.rule_id for v in family(second.violations, "file")} == {
-        "no-wall-clock", "public-api-exports", "unit-suffix-mixing"}
-
-
-def test_cache_reparses_only_the_changed_file(tmp_path):
-    source_dir = write_tree(tmp_path / "proj", {
-        "a.py": "def f():\n    return 1\n",
-        "b.py": "def g():\n    return 2\n",
-    })
-    cache_file = tmp_path / "cache.json"
-    check_paths([source_dir], cache_path=cache_file)
-    (source_dir / "a.py").write_text("def f():\n    return 3\n",
-                                     encoding="utf-8")
-    parses: list[str] = []
-    PARSE_HOOKS.append(parses.append)
-    try:
-        report = check_paths([source_dir], cache_path=cache_file)
-    finally:
-        PARSE_HOOKS.remove(parses.append)
-    assert [Path(p).name for p in parses] == ["a.py"]
-    assert report.parsed == 1
-    assert report.from_cache == 1
-
-
-# ----------------------------------------------------------------------
 # SARIF 2.1.0 output
 # ----------------------------------------------------------------------
 def test_sarif_document_matches_2_1_0_shape():
@@ -481,11 +425,24 @@ def test_sarif_lists_every_analyzer_rule_even_without_findings(tmp_path):
 # ----------------------------------------------------------------------
 # reporters
 # ----------------------------------------------------------------------
-def test_text_reporter_mentions_cache_split(tmp_path):
-    write_tree(tmp_path, {"mod.py": "def f():\n    return 1\n"})
-    text = render_text(check_paths([tmp_path]))
-    assert "1 file(s) checked" in text
-    assert "1 parsed" in text
+def test_text_reporter_summarises_one_pass(tmp_path):
+    source_dir = write_tree(tmp_path / "proj", {
+        "pkg/__init__.py": "",
+        "pkg/a.py": "def base_ms():\n    return 2.0\n",
+        "pkg/b.py": ("from pkg.a import base_ms\n"
+                     "import time\n"
+                     "def f(x_us):\n"
+                     "    return x_us + base_ms() + time.time()\n"),
+    })
+    report = check_paths([source_dir])
+    assert report.files_checked == 3
+    # One pass yields the program families and the file-scope rules.
+    assert rule_ids(report) == {"cross-unit-arithmetic"}
+    assert {v.rule_id for v in family(report.violations, "file")} == {
+        "no-wall-clock", "public-api-exports", "unit-suffix-mixing"}
+    text = render_text(report)
+    assert (f"3 file(s) checked, {len(report.violations)} finding(s)"
+            in text)
 
 
 def test_json_reporter_round_trips():
@@ -502,7 +459,7 @@ def test_json_reporter_round_trips():
 # ----------------------------------------------------------------------
 def test_src_tree_is_analyze_clean():
     repo_root = Path(__file__).resolve().parents[2]
-    report = check_paths([repo_root / "src"], use_cache=False)
+    report = check_paths([repo_root / "src"])
     assert findings(report) == [], render_text(report)
     # No escapes: pragmas or baseline entries would hide regressions.
     assert findings_of(report.unfiltered) == []

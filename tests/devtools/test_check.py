@@ -31,7 +31,7 @@ def test_findings_parity_with_the_four_former_tools(root, monkeypatch):
     monkeypatch.chdir(REPO)
     config = (load_check_config(start=root) if root == "src"
               else CheckConfig())
-    report = check_paths([root], config, use_cache=False)
+    report = check_paths([root], config)
     assert rows(report.unfiltered) == PARITY[root]["unfiltered"]
     assert rows(report.violations) == PARITY[root]["filtered"]
 
@@ -49,7 +49,7 @@ def test_every_rule_has_a_family_and_scope():
 
 def test_stream_ownership_doc_is_the_generator_output():
     config = load_check_config(pyproject=REPO / "pyproject.toml")
-    report = check_paths([REPO / "src"], config, use_cache=False)
+    report = check_paths([REPO / "src"], config)
     # `urllc5g check src/ --format dot > docs/stream-ownership.dot`
     assert render_dot(report) + "\n" == (
         REPO / "docs" / "stream-ownership.dot").read_text(encoding="utf-8")

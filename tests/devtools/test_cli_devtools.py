@@ -22,7 +22,7 @@ HOST_STATEFUL = (
 
 
 def test_lint_src_is_clean_and_exits_zero(capsys):
-    code = main(["check", str(REPO_ROOT / "src"), "--no-cache",
+    code = main(["check", str(REPO_ROOT / "src"),
                  "--config", str(REPO_ROOT / "pyproject.toml")])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -30,7 +30,7 @@ def test_lint_src_is_clean_and_exits_zero(capsys):
 
 
 def test_lint_fixture_violations_exit_nonzero(capsys):
-    code = main(["check", str(FIXTURES), "--no-config", "--no-cache"])
+    code = main(["check", str(FIXTURES), "--no-config"])
     out = capsys.readouterr().out
     assert code == 1
     assert "no-wall-clock" in out
@@ -39,7 +39,7 @@ def test_lint_fixture_violations_exit_nonzero(capsys):
 
 def test_lint_json_format(capsys):
     code = main(["check", str(FIXTURES / "bad_exports.py"),
-                 "--no-config", "--no-cache", "--format", "json"])
+                 "--no-config", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["exit_code"] == 1
@@ -51,7 +51,7 @@ def test_lint_ignore_disables_rule(tmp_path, capsys):
     pyproject.write_text(
         '[tool.urllc5g.check]\nignore = ["public-api-exports"]\n',
         encoding="utf-8")
-    code = main(["check", str(FIXTURES / "bad_exports.py"), "--no-cache",
+    code = main(["check", str(FIXTURES / "bad_exports.py"),
                  "--config", str(pyproject)])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -59,28 +59,22 @@ def test_lint_ignore_disables_rule(tmp_path, capsys):
 
 def test_lint_sarif_format(capsys):
     code = main(["check", str(FIXTURES / "bad_exports.py"),
-                 "--no-config", "--no-cache", "--format", "sarif"])
+                 "--no-config", "--format", "sarif"])
     document = json.loads(capsys.readouterr().out)
     assert code == 1
     assert document["version"] == "2.1.0"
     assert document["runs"][0]["tool"]["driver"]["name"] == "urllc5g-check"
 
 
-def test_analyze_src_is_clean_and_exits_zero(tmp_path, capsys):
-    # Warm cache: the second run over src/ parses nothing.
-    argv = ["check", str(REPO_ROOT / "src"),
-            "--config", str(REPO_ROOT / "pyproject.toml"),
-            "--cache", str(tmp_path / "cache.json")]
-    main(argv)
-    capsys.readouterr()
-    code = main(argv)
+def test_analyze_src_is_clean_and_exits_zero(capsys):
+    code = main(["check", str(REPO_ROOT / "src"),
+                 "--config", str(REPO_ROOT / "pyproject.toml")])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "(0 parsed," in out
 
 
 def test_analyze_fixture_violations_exit_nonzero(capsys):
-    code = main(["check", str(CROSSMOD), "--no-config", "--no-cache"])
+    code = main(["check", str(CROSSMOD), "--no-config"])
     out = capsys.readouterr().out
     assert code == 1
     assert "cross-unit-arithmetic" in out
@@ -88,7 +82,7 @@ def test_analyze_fixture_violations_exit_nonzero(capsys):
 
 
 def test_analyze_sarif_format(capsys):
-    code = main(["check", str(CROSSMOD), "--no-config", "--no-cache",
+    code = main(["check", str(CROSSMOD), "--no-config",
                  "--format", "sarif"])
     document = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -99,11 +93,11 @@ def test_analyze_sarif_format(capsys):
 
 def test_analyze_write_then_use_baseline(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
-    code = main(["check", str(CROSSMOD), "--no-config", "--no-cache",
+    code = main(["check", str(CROSSMOD), "--no-config",
                  "--write-baseline", str(baseline)])
     assert code == 0
     assert "wrote" in capsys.readouterr().out
-    code = main(["check", str(CROSSMOD), "--no-config", "--no-cache",
+    code = main(["check", str(CROSSMOD), "--no-config",
                  "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -118,7 +112,7 @@ def test_analyze_missing_path_is_an_error(capsys):
 
 def test_distcheck_src_certifies_and_writes_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
-    code = main(["check", str(REPO_ROOT / "src"), "--no-cache",
+    code = main(["check", str(REPO_ROOT / "src"),
                  "--config", str(REPO_ROOT / "pyproject.toml"),
                  "--manifest", str(manifest)])
     out = capsys.readouterr().out
@@ -135,7 +129,7 @@ def test_check_writes_no_manifest_unless_asked(tmp_path, capsys,
                                                monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "probe.py").write_text(HOST_STATEFUL, encoding="utf-8")
-    main(["check", "probe.py", "--no-config", "--no-cache"])
+    main(["check", "probe.py", "--no-config"])
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == [tmp_path / "probe.py"]
 
@@ -144,7 +138,7 @@ def test_distcheck_host_stateful_scenario_exits_one(tmp_path, capsys):
     # The CI regression contract: a scenario reaching undeclared host
     # state must fail certification with exit code 1.
     (tmp_path / "probe.py").write_text(HOST_STATEFUL, encoding="utf-8")
-    code = main(["check", str(tmp_path), "--no-config", "--no-cache"])
+    code = main(["check", str(tmp_path), "--no-config"])
     out = capsys.readouterr().out
     assert code == 1
     assert "dist-host-state" in out
@@ -164,11 +158,11 @@ def test_distcheck_write_then_use_baseline(tmp_path, capsys):
         "    return {\"count\": len(_SEEN)}\n",
         encoding="utf-8")
     baseline = tmp_path / "baseline.json"
-    code = main(["check", str(tmp_path), "--no-config", "--no-cache",
+    code = main(["check", str(tmp_path), "--no-config",
                  "--write-baseline", str(baseline)])
     assert code == 0
     assert "wrote" in capsys.readouterr().out
-    code = main(["check", str(tmp_path), "--no-config", "--no-cache",
+    code = main(["check", str(tmp_path), "--no-config",
                  "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -176,7 +170,7 @@ def test_distcheck_write_then_use_baseline(tmp_path, capsys):
 
 
 def test_sarif_metadata_is_unified_across_all_verbs(capsys):
-    main(["check", str(CROSSMOD), "--no-config", "--no-cache",
+    main(["check", str(CROSSMOD), "--no-config",
           "--format", "sarif"])
     document = json.loads(capsys.readouterr().out)
     (run,) = document["runs"]
@@ -196,7 +190,7 @@ def test_check_all_aggregates_the_four_gates(capsys, monkeypatch):
     # `urllc5g check` from the repo root: src/, the repo config, and
     # every rule family in one pass.
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["check", "--no-cache"])
+    code = main(["check"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "stream ownership map" in out

@@ -217,14 +217,12 @@ def test_config_reads_detsan_table(tmp_path):
     pyproject.write_text(
         "[tool.urllc5g.check]\n"
         'baseline = "accepted.json"\n'
-        'cache = ".cache.json"\n'
         'ignore = ["detsan-unused-stream"]\n',
         encoding="utf-8")
     config = load_check_config(pyproject=pyproject)
     # Relative paths anchor at the pyproject's directory, so an
     # explicit --config works from any invocation cwd.
     assert config.baseline == str(tmp_path / "accepted.json")
-    assert config.cache == str(tmp_path / ".cache.json")
     assert config.ignore == ("detsan-unused-stream",)
 
 
@@ -306,7 +304,7 @@ def test_verify_replay_raises_on_draw_count_divergence():
 # ----------------------------------------------------------------------
 def test_src_tree_is_detsan_clean_against_reviewed_baseline():
     config = load_check_config(pyproject=REPO / "pyproject.toml")
-    report = check_paths([REPO / "src"], config, use_cache=False)
+    report = check_paths([REPO / "src"], config)
     assert report.exit_code == 0, render_text(report)
     # Every acceptance threshold from the determinism contract:
     # >= 95% of stream names resolve statically, and the only accepted
@@ -318,7 +316,7 @@ def test_src_tree_is_detsan_clean_against_reviewed_baseline():
 
 
 def test_src_ownership_map_covers_the_core_streams():
-    report = check_paths([REPO / "src"], use_cache=False)
+    report = check_paths([REPO / "src"])
     by_template = {info.template: info
                    for info in report.ownership.streams}
     assert "upf" in by_template and by_template["upf"].buffered

@@ -359,7 +359,6 @@ def test_config_reads_distcheck_table(tmp_path):
     pyproject.write_text(
         "[tool.urllc5g.check]\n"
         'baseline = "accepted.json"\n'
-        'cache = ".cache.json"\n'
         'allow-env = ["URLLC5G_*", "CI"]\n'
         'refuse-scenarios = ["chaos-selftest"]\n'
         'sanctioned-writers = ["repro.runner.cache.*"]\n',
@@ -367,7 +366,6 @@ def test_config_reads_distcheck_table(tmp_path):
     config = load_check_config(pyproject=pyproject)
     # Relative paths anchor at the pyproject's directory.
     assert config.baseline == str(tmp_path / "accepted.json")
-    assert config.cache == str(tmp_path / ".cache.json")
     assert config.allow_env == ("URLLC5G_*", "CI")
     assert config.refuse_scenarios == ("chaos-selftest",)
     assert config.sanctioned_writers == ("repro.runner.cache.*",)
@@ -436,7 +434,7 @@ def test_manifest_lists_every_scenario_with_verdict(tmp_path):
 # ----------------------------------------------------------------------
 def test_every_registered_scenario_is_certified_or_reviewed():
     config = load_check_config(pyproject=REPO / "pyproject.toml")
-    report = check_paths([REPO / "src"], config, use_cache=False)
+    report = check_paths([REPO / "src"], config)
     assert report.exit_code == 0, render_text(report)
     from repro.runner.scenarios import SCENARIOS
     by_name = cert_by_name(report)
@@ -458,7 +456,7 @@ def test_every_registered_scenario_is_certified_or_reviewed():
 
 def test_src_closures_reach_the_simulation_core():
     config = load_check_config(pyproject=REPO / "pyproject.toml")
-    report = check_paths([REPO / "src"], config, use_cache=False)
+    report = check_paths([REPO / "src"], config)
     sizes = {cert.name: cert.reachable
              for cert in report.certifications}
     # The latency campaigns pull in the full DES core; the analytic

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.devtools.check import (
     RULES,
     check_paths,
@@ -231,14 +232,20 @@ def test_pragma_only_silences_the_named_rule(tmp_path):
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
-def test_select_and_ignore(tmp_path):
-    # Rule selection is gone: every rule runs, and ``ignore`` is the
-    # one switch that turns a rule off.
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.check]\nselect = ["no-wall-clock"]\n',
-        encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown key"):
-        load_check_config(start=tmp_path)
+def test_select_and_ignore(tmp_path, capsys):
+    # Rule selection and the parse cache are gone: every rule runs on
+    # every module, and ``ignore`` is the one switch that turns a rule
+    # off.  A pyproject still naming a removed key is an error (exit 2).
+    pyproject = tmp_path / "pyproject.toml"
+    for stale in ('select = ["no-wall-clock"]',
+                  'cache = ".urllc5g-analyze-cache.json"'):
+        pyproject.write_text(f"[tool.urllc5g.check]\n{stale}\n",
+                             encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown key"):
+            load_check_config(start=tmp_path)
+        assert main(["check", str(tmp_path),
+                     "--config", str(pyproject)]) == 2
+        assert "unknown key" in capsys.readouterr().err
     source = '__all__ = []\nimport random\n'
     assert check_source(tmp_path, source).exit_code == 1
     ignored = check_source(
@@ -339,7 +346,7 @@ def test_clean_report_says_clean(tmp_path):
 # ----------------------------------------------------------------------
 def test_src_tree_is_lint_clean():
     config = load_check_config(pyproject=REPO_ROOT / "pyproject.toml")
-    report = check_paths([REPO_ROOT / "src"], config, use_cache=False)
+    report = check_paths([REPO_ROOT / "src"], config)
     assert report.exit_code == 0, render_text(report)
     # The only suppressions are the three sanctioned host-clock and
     # generator-construction sites, each a line pragma with its reason.
