@@ -330,6 +330,7 @@ def multi_ue(params: Mapping[str, Any],
             uniform_in_horizon(packets_per_ue, horizon_tc,
                                rngs.stream(f"arrivals.ue{ue_id}")),
             ue_id=ue_id)
+        rngs.release(f"arrivals.ue{ue_id}")  # single use, drawn above
     system.run()
     counters = system.gnb.scheduler.counters
     metrics = _probe_metrics(system.ul_probe, keep_samples=False)
@@ -369,6 +370,7 @@ def multi_ue_massive(params: Mapping[str, Any],
             uniform_in_horizon(packets_per_ue, horizon_tc,
                                rngs.stream(f"arrivals.ue{ue_id}")),
             ue_id=ue_id)
+        rngs.release(f"arrivals.ue{ue_id}")  # single use, drawn above
     system.run()
     counters = system.gnb.scheduler.counters
     metrics = _probe_metrics(system.ul_probe, keep_samples=False)

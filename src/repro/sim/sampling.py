@@ -224,7 +224,9 @@ class LogNormalBlockServer:
 
     The ownership contract is the same as :class:`BufferedSampler`'s:
     the server takes exclusive ownership of ``rng``; any other consumer
-    desynchronizes the pre-drawn block.
+    desynchronizes the pre-drawn block.  An owner that knows the block
+    on hand holds every draw it will make can :meth:`release` the
+    generator and keep serving from the block alone.
     """
 
     __slots__ = ("_rng", "_block", "_buf", "_pos", "_owner")
@@ -250,6 +252,8 @@ class LogNormalBlockServer:
         sigma)`` on the owned stream."""
         buf = self._buf
         if buf is None or self._pos >= len(buf):
+            if self._rng is None:
+                self._raise_released()
             if not _BUFFERING_ENABLED:
                 if buf is not None and sanitize_active():
                     raise DeterminismViolation(
@@ -284,6 +288,8 @@ class LogNormalBlockServer:
         if not _BUFFERING_ENABLED:
             return None
         buf = self._buf
+        if self._rng is None and (buf is None or len(buf) - self._pos < n):
+            self._raise_released()
         if buf is None:
             with owner_section(self._rng):
                 buf = self._rng.standard_normal(self._block)
@@ -300,6 +306,21 @@ class LogNormalBlockServer:
     def commit(self, n: int) -> None:
         """Consume ``n`` normals previously returned by :meth:`peek`."""
         self._pos += n
+
+    def release(self) -> None:
+        """Let go of the generator and serve from the block on hand.
+
+        For an owner that knows the drawn block holds every draw it
+        will make: the generator's state is freed, and a draw past the
+        block raises instead of touching the stream.
+        """
+        self._rng = None
+
+    def _raise_released(self) -> None:
+        raise DeterminismViolation(
+            "this block server released its generator; a draw past the "
+            "block on hand would need the stream it let go",
+            owner=self._owner, consumer=caller_qualname(2))
 
 
 class UniformBuffer:

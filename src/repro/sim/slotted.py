@@ -18,8 +18,9 @@ tuples, with
   normals (:class:`~repro.sim.sampling.LogNormalBlockServer`), one
   exclusive server per ``ue<N>`` stream and one for the shared ``gnb``
   stream,
-- pre-queued arrivals kept in a sorted list and merged into the event
-  loop, so the live heap holds only in-flight work,
+- pre-queued arrivals kept as packet row indices sorted by creation
+  time and merged into the event loop, so the live heap holds only
+  in-flight work,
 - window arithmetic answered by the flat
   :class:`~repro.mac.opportunities.WindowIndex` and the memoized
   :meth:`~repro.mac.scheduler.GnbMacScheduler.capacity_for_duration`,
@@ -39,7 +40,13 @@ equivalence suite in ``tests/integration/test_slotted_equivalence.py``):
    the tick at which the scalar engine schedules it, then the
    executor's push counter.  Events pushed ahead of their scalar
    scheduling tick — fused UE chains and folded air landings — take
-   the scalar tick, not the push tick.  So same-tick events execute in
+   the scalar tick, not the push tick.  Arrivals carry no key.  All of
+   them are queued before :meth:`SlottedUplink.run` (later queueing
+   raises), at a clock no later than any arrival, so in the scalar
+   engine each arrival's scheduling tick and sequence number are below
+   those of every event the run schedules.  An arrival therefore wins
+   every same-tick tie against the heap, and arrivals tie among
+   themselves in queue (row) order.  So same-tick events execute in
    the scalar engine's order and every shared RNG stream is consumed
    in the same interleaving.
 2. *Draw-for-draw RNG equivalence.*  Scalar ``Generator.lognormal``
@@ -66,6 +73,17 @@ equivalence suite in ``tests/integration/test_slotted_equivalence.py``):
    read ``sim.now``; with either active the executor moves the
    simulator's clock forward with
    :meth:`~repro.sim.engine.Simulator.advance_to` at every event.
+
+Per-UE memory
+-------------
+A UE's ``ue<N>`` generator and block server live only while a draw on
+the stream is still possible.  On a link that cannot fail, a UE whose
+whole queue fits one block (every packet makes the same draws, and no
+retransmission prep follows) lets go of its generator right after that
+block is drawn, at its first draw.  Otherwise the generator goes when
+the server does: once the UE has no arrival left and no packet that may
+still draw (retransmission preps included), the server is retired and
+the stream released in the registry, which refuses to re-seed it.
 
 Scope: grant-free uplink data only, no radio heads, no gNB CPU
 contention, layer delays drawn from log-normal/constant samplers (the
@@ -245,9 +263,11 @@ class UePopulation:
     by a dense packet row number, per-UE counters indexed by UE id.
     Plain-int appends and in-place ``+=`` beat numpy scalar indexing
     on this access pattern (a ``arr[i] += 1`` on an int64 array costs
-    ~5× a list element update).  100k UEs × a few packets each stay
-    within a few hundred MB — no :class:`Packet`, no timestamp dicts,
-    no per-event closures.
+    ~5× a list element update).  Rows are numbered in queue order,
+    which makes a row index the packet's arrival tie-break too, so
+    pending arrivals need no entry of their own.  No :class:`Packet`,
+    no timestamp dicts, no per-event closures: 100k UEs × 4 packets
+    peak below 300 MB (docs/PERFORMANCE.md, "Memory").
     """
 
     def __init__(self, n_ues: int):
@@ -345,15 +365,18 @@ class SlottedUplink:
                           if self.faults is not None else None)
 
         # Exclusive block-served RNG streams.  Per-UE servers are
-        # created lazily (sized from the UE's queued-packet count); the
-        # gNB server is created on first delivery.
+        # created lazily (sized from the UE's queued-packet count) and
+        # retired once the UE can draw no more (see "Per-UE memory");
+        # the gNB server is created on first delivery.
         self._rngs = system.rngs
         self._ue_servers: dict[int, LogNormalBlockServer] = {}
         self._gnb_server: LogNormalBlockServer | None = None
+        # UE-stream draws of one fault-free packet transit.
+        self._ue_draws = (sum(1 for spec in self._ue_specs if spec[0])
+                          + (1 if self._prep_spec[0] else 0))
+        # Arrivals of each UE not yet merged into the loop (set by run).
+        self._ue_left: list[int] = []
 
-        # Pre-queued arrivals: (time, key, row) tuples, sorted at run
-        # start and merged into the loop so the live heap stays small.
-        self._arrivals: list[tuple[int, int, int]] = []
         # Mirror event heap and the push counter behind its tie keys
         # (see the event codes above).
         self._heap: list[tuple] = []
@@ -386,7 +409,7 @@ class SlottedUplink:
     def queue_uplink(self, arrivals: list[int], payload_bytes: int,
                      ue_id: int) -> None:
         """Buffer UL data arrivals (mirror of ``RanSystem.queue_uplink``
-        — one pending entry per packet, keyed in call order)."""
+        — one packet row per arrival, numbered in call order)."""
         if not 1 <= ue_id <= self.population.n_ues:
             raise ValueError(
                 f"ue_id must be in 1..{self.population.n_ues}, "
@@ -394,15 +417,16 @@ class SlottedUplink:
         if self._ran:
             raise RuntimeError(
                 "slotted engine cannot queue traffic after run()")
+        # As the scalar engine's schedule(): no arrival in the past.
+        # run() relies on it for its arrival tie rule.
+        if arrivals and min(arrivals) < self.sim.now:
+            raise ValueError(
+                f"cannot queue an arrival at {min(arrivals)}; current "
+                f"time is {self.sim.now}")
         packet_ids = self._system._packet_ids
         pop = self.population
-        pending = self._arrivals
-        tick = self.sim.now << 32
         for arrival in arrivals:
-            row = pop.add_packet(ue_id, next(packet_ids),
-                                 payload_bytes, arrival)
-            self._seq = seq = self._seq + 1
-            pending.append((arrival, tick | seq, row))
+            pop.add_packet(ue_id, next(packet_ids), payload_bytes, arrival)
 
     # ------------------------------------------------------------------
     # RNG servers
@@ -418,7 +442,24 @@ class SlottedUplink:
             server = LogNormalBlockServer(
                 self._rngs.stream(f"ue{ue_id}"), block)
             self._ue_servers[ue_id] = server
+            # On a link that cannot fail the UE makes exactly
+            # queued × _ue_draws draws.  If one block holds them all,
+            # draw it now and let go of the generator.  We are at the
+            # UE's first draw, which draws the block anyway; peek(0)
+            # is None when block drawing is off.
+            if (not self._can_fail
+                    and queued * self._ue_draws <= block
+                    and server.peek(0) is not None):
+                server.release()
+                self._rngs.release(f"ue{ue_id}")
         return server
+
+    def _retire_if_spent(self, ue_id: int) -> None:
+        """Free the UE's block server and stream once it can draw no
+        more: no arrival left and no packet that may still draw."""
+        if (self._ue_hot[ue_id] == 0 and self._ue_left[ue_id] == 0
+                and self._ue_servers.pop(ue_id, None) is not None):
+            self._rngs.release(f"ue{ue_id}")
 
     def _gnb_rng_server(self) -> LogNormalBlockServer:
         server = self._gnb_server
@@ -459,21 +500,27 @@ class SlottedUplink:
         fuse_ue = emit is None
         precise = emit is not None or self.faults is not None
 
-        arrivals = sorted(self._arrivals)
+        # Pending arrivals: packet rows in (created, row) order — the
+        # scalar engine's order for them (rule 1 of the module doc).
+        pop = self.population
+        created = pop.created
+        arrivals = sorted(range(len(pop)), key=created.__getitem__)
         n_arr = len(arrivals)
         # Fusion guard input: the next arrival time of the same UE.  A
         # chain ending before it cannot interleave with any other
         # consumer of the UE's stream (given nothing is in flight).
-        pop = self.population
         ue_col = pop.ue
         next_same = [_FAR_FUTURE] * n_arr
         last_seen: dict[int, int] = {}
         for i in range(n_arr):
-            u = ue_col[arrivals[i][2]]
+            row = arrivals[i]
+            u = ue_col[row]
             j = last_seen.get(u)
             if j is not None:
-                next_same[j] = arrivals[i][0]
+                next_same[j] = created[row]
             last_seen[u] = i
+        del last_seen
+        self._ue_left = ue_left = list(pop.queued)
 
         # Local aliases for the hot loop.
         heap = self._heap
@@ -484,7 +531,6 @@ class SlottedUplink:
         TCS = TC_PER_SECOND
         USP = _US_PER_SECOND
         pid_col = pop.packet_id
-        created = pop.created
         bp = pop.budget_processing
         bprot = pop.budget_protocol
         brad = pop.budget_radio
@@ -496,7 +542,7 @@ class SlottedUplink:
         chain_draws = sum(1 for spec in ue_specs if spec[0])
         prep_kind, prep_a, prep_b = self._prep_spec
         prep_const_tc = rnd(prep_a * TCS / USP)
-        peek_n = chain_draws + (1 if prep_kind else 0)
+        peek_n = self._ue_draws
         # Chain-total form of the UE specs: the total transit is a sum,
         # so constant layers collapse to one precomputed term and the
         # lognormal ones zip against the peeked normals (stream order
@@ -601,15 +647,15 @@ class SlottedUplink:
         ai = 0
 
         while True:
-            # Merge: pending arrival vs heap top, in (time, key) order.
-            # Arrival keys carry the queue-time tick, which no runtime
-            # key undercuts, so same-tick ties resolve to the arrival —
-            # as in the scalar engine, where queue-time schedule() calls
-            # get the earliest sequence numbers.
-            if ai < n_arr and (not heap or arrivals[ai] < heap[0]):
-                t, _aseq, row = arrivals[ai]
+            # Merge: pending arrival vs heap top.  Same-tick ties go to
+            # the arrival (rule 1 of the module doc).
+            if ai < n_arr and (not heap
+                               or created[arrivals[ai]] <= heap[0][0]):
+                row = arrivals[ai]
+                t = created[row]
                 ai += 1
                 u = ue_col[row]
+                ue_left[u] -= 1
                 if precise:
                     advance(t)
                 else:
@@ -663,6 +709,8 @@ class SlottedUplink:
                             pop.header[row] = _UE_WIRE_HEADER
                             if can_fail:
                                 ue_hot[u] = 1
+                            elif ue_left[u] == 0:
+                                self._retire_if_spent(u)
                             # Keyed by the MAC-enter tick, where the
                             # scalar engine schedules the MAC exit.
                             mac_enter = end - (term if mac_kind
@@ -865,6 +913,7 @@ class SlottedUplink:
             # link never fails, so no retransmission preps follow): the
             # packet stops blocking chain fusion.
             self._ue_hot[ue_id] -= 1
+            self._retire_if_spent(ue_id)
         start = self._place(row, ue_id, now, tc_from_us(prep_us))
         if self.tracer.enabled:
             self.tracer.emit(now, self._categories(ue_id)[4],
@@ -953,6 +1002,7 @@ class SlottedUplink:
                 # Delivered blocks can no longer trigger retransmission
                 # preps — their packets stop blocking chain fusion.
                 self._ue_hot[ue_id] -= len(rows)
+                self._retire_if_spent(ue_id)
             propagation_tc = link.propagation_tc
             for row in rows:
                 pop.budget_radio[row] += propagation_tc
@@ -975,6 +1025,7 @@ class SlottedUplink:
                 pop.retx[row] += 1
                 survivors.append(row)
         if not survivors:
+            self._retire_if_spent(ue_id)
             return
         feedback = self._system._ul_feedback
         if link.last_fault_fate == "dtx":

@@ -457,9 +457,8 @@ def test_json_reporter_round_trips():
 # ----------------------------------------------------------------------
 # the repository itself is clean in both whole-program families
 # ----------------------------------------------------------------------
-def test_src_tree_is_analyze_clean():
-    repo_root = Path(__file__).resolve().parents[2]
-    report = check_paths([repo_root / "src"])
+def test_src_tree_is_analyze_clean(src_report_unconfigured):
+    report = src_report_unconfigured
     assert findings(report) == [], render_text(report)
     # No escapes: pragmas or baseline entries would hide regressions.
     assert findings_of(report.unfiltered) == []

@@ -47,11 +47,9 @@ def test_every_rule_has_a_family_and_scope():
         assert spec.severity in ("warning", "error")
 
 
-def test_stream_ownership_doc_is_the_generator_output():
-    config = load_check_config(pyproject=REPO / "pyproject.toml")
-    report = check_paths([REPO / "src"], config)
+def test_stream_ownership_doc_is_the_generator_output(src_report):
     # `urllc5g check src/ --format dot > docs/stream-ownership.dot`
-    assert render_dot(report) + "\n" == (
+    assert render_dot(src_report) + "\n" == (
         REPO / "docs" / "stream-ownership.dot").read_text(encoding="utf-8")
 
 

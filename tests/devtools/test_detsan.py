@@ -1,7 +1,6 @@
 """DetSan: the detsan rule family, the ownership map, replay checks."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -17,8 +16,6 @@ from repro.devtools.check import (
 )
 from repro.devtools.config import load_check_config
 from repro.devtools.detsan import DeterminismViolation, verify_replay
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 def write_tree(tmp_path, files):
@@ -302,9 +299,8 @@ def test_verify_replay_raises_on_draw_count_divergence():
 # ----------------------------------------------------------------------
 # acceptance: the repository itself
 # ----------------------------------------------------------------------
-def test_src_tree_is_detsan_clean_against_reviewed_baseline():
-    config = load_check_config(pyproject=REPO / "pyproject.toml")
-    report = check_paths([REPO / "src"], config)
+def test_src_tree_is_detsan_clean_against_reviewed_baseline(src_report):
+    report = src_report
     assert report.exit_code == 0, render_text(report)
     # Every acceptance threshold from the determinism contract:
     # >= 95% of stream names resolve statically, and the only accepted
@@ -315,8 +311,8 @@ def test_src_tree_is_detsan_clean_against_reviewed_baseline():
     assert len(findings_of(report.baselined)) == 1
 
 
-def test_src_ownership_map_covers_the_core_streams():
-    report = check_paths([REPO / "src"])
+def test_src_ownership_map_covers_the_core_streams(src_report_unconfigured):
+    report = src_report_unconfigured
     by_template = {info.template: info
                    for info in report.ownership.streams}
     assert "upf" in by_template and by_template["upf"].buffered

@@ -432,9 +432,8 @@ def test_manifest_lists_every_scenario_with_verdict(tmp_path):
 # ----------------------------------------------------------------------
 # acceptance: the repository itself
 # ----------------------------------------------------------------------
-def test_every_registered_scenario_is_certified_or_reviewed():
-    config = load_check_config(pyproject=REPO / "pyproject.toml")
-    report = check_paths([REPO / "src"], config)
+def test_every_registered_scenario_is_certified_or_reviewed(src_report):
+    report = src_report
     assert report.exit_code == 0, render_text(report)
     from repro.runner.scenarios import SCENARIOS
     by_name = cert_by_name(report)
@@ -454,9 +453,8 @@ def test_every_registered_scenario_is_certified_or_reviewed():
         REPO / "distcheck-manifest.json").read_text(encoding="utf-8")
 
 
-def test_src_closures_reach_the_simulation_core():
-    config = load_check_config(pyproject=REPO / "pyproject.toml")
-    report = check_paths([REPO / "src"], config)
+def test_src_closures_reach_the_simulation_core(src_report):
+    report = src_report
     sizes = {cert.name: cert.reachable
              for cert in report.certifications}
     # The latency campaigns pull in the full DES core; the analytic

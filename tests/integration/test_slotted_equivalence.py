@@ -15,6 +15,8 @@ regime the engine distinguishes internally:
   the per-layer path);
 - dense same-tick ties between UEs, where early-pushed events must sort
   by the tick the scalar engine schedules them at;
+- an arrival on the tick of its own UE's layer exit, which the arrival
+  must win;
 - block-buffered and forced-sequential sampling;
 - packets no configured-grant window can hold, which both planners
   must reject with the same error;
@@ -142,6 +144,35 @@ def test_slotted_matches_scalar_on_same_tick_ties(seed):
     same way, or the landing cohort trades gnb-stream draws."""
     _assert_engines_match(n_ues=400, packets_per_ue=5, horizon_ms=2,
                           seed=seed, cg_share=1.0)
+
+
+def _one_ue_uplink(engine, arrivals, trace=False):
+    system = RanSystem(
+        testbed_dddu(),
+        RanConfig(access=AccessMode.GRANT_FREE, n_ues=1, seed=7,
+                  trace=trace, engine=engine))
+    system.queue_uplink(arrivals, ue_id=1)
+    system.run()
+    return system
+
+
+@pytest.mark.parametrize("layer", ["app", "rlc"])
+def test_arrival_wins_a_same_tick_tie_with_a_layer_exit(layer):
+    """A UE's second packet arrives on the very tick its first packet
+    exits a layer.  Both events draw on the UE's stream next, so their
+    order decides which packet gets which normal.  The scalar engine
+    runs the arrival first (it was scheduled at queue time); the
+    slotted engine must too, though the arrival holds no heap key."""
+    first = 1_000_000
+    lone = _one_ue_uplink("scalar", [first], trace=True)
+    exit_tc = lone.tracer.first(f"ue1.{layer}", "exit").time
+    runs = [_one_ue_uplink(engine, [first, exit_tc])
+            for engine in ("scalar", "slotted")]
+    scalar, slotted = (
+        (system.ul_probe.latencies_tc(), system.ul_probe.budget_means_us())
+        for system in runs)
+    assert runs[1].engine_mode == "slotted"
+    assert scalar == slotted
 
 
 @pytest.mark.parametrize("engine", ["scalar", "slotted"])

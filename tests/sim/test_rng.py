@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.rng import RngRegistry
+from repro.sim.sanitize import DeterminismViolation
 
 
 def test_same_name_returns_same_generator():
@@ -52,6 +53,48 @@ def test_names_reports_created_streams():
     rngs.stream("b")
     rngs.stream("a")
     assert rngs.names() == ["a", "b"]
+
+
+def test_released_stream_raises_instead_of_reseeding():
+    rngs = RngRegistry(5)
+    rngs.stream("a").random(3)
+    rngs.release("a")
+    with pytest.raises(DeterminismViolation, match="released"):
+        rngs.stream("a")
+    # Releasing again, or a name never created, is allowed; the name
+    # is spent either way.
+    rngs.release("a")
+    rngs.release("never")
+    with pytest.raises(DeterminismViolation):
+        rngs.stream("never")
+
+
+def test_release_leaves_other_streams_unaffected():
+    expected = RngRegistry(5).stream("b").random(6)
+    rngs = RngRegistry(5)
+    b = rngs.stream("b")
+    head = b.random(3)
+    rngs.stream("a").random(2)
+    rngs.release("a")
+    assert rngs.stream("b") is b
+    assert list(head) + list(b.random(3)) == list(expected)
+    # A stream created after the release is seeded as always.
+    assert list(rngs.stream("c").random(2)) == list(
+        RngRegistry(5).stream("c").random(2))
+
+
+def test_names_reports_held_streams_only():
+    rngs = RngRegistry(0)
+    rngs.stream("b")
+    rngs.stream("a")
+    rngs.release("a")
+    rngs.release("never")
+    assert rngs.names() == ["b"]
+
+
+def test_release_rejects_empty_name():
+    with pytest.raises(ValueError):
+        RngRegistry(0).release("")
 
 
 def test_invalid_seed_rejected():

@@ -4,11 +4,13 @@ End-to-end bit-identity is pinned by
 tests/integration/test_slotted_equivalence.py; this module covers the
 pieces in isolation: the columnar population store, the compact latency
 probe (vs the packet-holding scalar probe), engine selection and
-eligibility, and the peek/commit contract of the block samplers
-guarded fusion relies on.
+eligibility, the peek/commit contract of the block samplers guarded
+fusion relies on, and the release of each UE's stream and block server
+once the UE can draw no more.
 """
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -17,17 +19,22 @@ from repro.mac.catalog import testbed_dddu
 from repro.mac.types import AccessMode, Direction
 from repro.net.probes import LatencyProbe
 from repro.net.session import SLOTTED_THRESHOLD, RanConfig, RanSystem
+from repro.phy.channel import IidErasureChannel
+from repro.phy.timebase import tc_from_ms
 from repro.radio.interface import usb3
 from repro.radio.os_jitter import none as no_jitter
 from repro.radio.radio_head import RadioHead
 from repro.sim.distributions import Exponential, LogNormal
+from repro.sim.rng import RngRegistry
 from repro.sim.sampling import (
     BufferedSampler,
     LogNormalBlockServer,
     force_sequential,
 )
+from repro.sim.sanitize import DeterminismViolation
 from repro.sim.slotted import ArrayLatencyProbe, UePopulation, ineligibility
 from repro.stack.packets import LatencySource, Packet, PacketKind
+from repro.traffic.generators import uniform_in_horizon
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +230,85 @@ def test_buffered_sampler_peek_is_none_when_sequential():
                               np.random.default_rng(9))
     with force_sequential():
         assert sampler.peek(1) is None
+
+
+def test_block_server_release_serves_the_block_on_hand():
+    kept = LogNormalBlockServer(np.random.default_rng(5), block=8)
+    expected = [kept.sample(1.5, 0.25) for _ in range(8)]
+    released = LogNormalBlockServer(np.random.default_rng(5), block=8)
+    released.peek(0)  # draws the block
+    released.release()
+    assert [released.sample(1.5, 0.25) for _ in range(8)] == expected
+    # A draw past the block would need the generator it let go.
+    with pytest.raises(DeterminismViolation, match="released"):
+        released.sample(1.5, 0.25)
+    with pytest.raises(DeterminismViolation, match="released"):
+        released.peek(1)
+
+
+# ---------------------------------------------------------------------------
+# per-UE memory: streams and servers go once a UE can draw no more
+# ---------------------------------------------------------------------------
+def _uplink(engine, per_ue, bler, horizon_ms=400):
+    """A run where UE ``k`` queues ``per_ue[k - 1]`` packets."""
+    system = RanSystem(
+        testbed_dddu(),
+        RanConfig(access=AccessMode.GRANT_FREE, n_ues=len(per_ue),
+                  cg_share=1.0, seed=11, engine=engine,
+                  channel=IidErasureChannel(bler) if bler else None))
+    arrivals = RngRegistry(12)
+    for ue_id, count in enumerate(per_ue, start=1):
+        system.queue_uplink(
+            uniform_in_horizon(count, tc_from_ms(horizon_ms),
+                               arrivals.stream(f"arrivals.ue{ue_id}")),
+            ue_id=ue_id)
+    system.run()
+    return system
+
+
+def _outputs(system):
+    probe = system.ul_probe
+    return (probe.latencies_tc(), probe.budget_means_us(),
+            system.link.counters.blocks_sent,
+            system.link.counters.blocks_failed,
+            system.link.counters.packets_dropped)
+
+
+def _assert_ue_state_freed(system, n_ues):
+    assert system.slotted._ue_servers == {}
+    assert not [name for name in system.rngs.names()
+                if name.startswith("ue")]
+    # Released, not merely never created: the names are spent.
+    for ue_id in range(1, n_ues + 1):
+        with pytest.raises(DeterminismViolation):
+            system.rngs.stream(f"ue{ue_id}")
+
+
+@pytest.mark.parametrize("bler", [0.0, 0.3], ids=["perfect", "lossy"])
+@pytest.mark.parametrize("sequential", [False, True],
+                         ids=["blocks", "sequential"])
+def test_run_frees_every_ue_stream_and_server(bler, sequential):
+    per_ue = [4, 1, 6, 3, 5, 2]
+    with force_sequential() if sequential else nullcontext():
+        system = _uplink("slotted", per_ue, bler, horizon_ms=40)
+    assert len(system.ul_probe) > 0
+    _assert_ue_state_freed(system, len(per_ue))
+
+
+@pytest.mark.parametrize("bler", [0.0, 0.3], ids=["perfect", "lossy"])
+def test_ue_beyond_one_block_matches_scalar(bler):
+    # 171 packets × 6 draws exceed the 1024-normal block cap, so the
+    # first UE keeps its generator past the first block; the second
+    # fits one block and lets go of it at its first draw.
+    per_ue = [171, 4]
+    slotted = _uplink("slotted", per_ue, bler)
+    assert slotted.engine_mode == "slotted"
+    assert _outputs(slotted) == _outputs(_uplink("scalar", per_ue, bler))
+    _assert_ue_state_freed(slotted, len(per_ue))
+
+
+def test_queue_uplink_rejects_arrivals_in_the_past():
+    system = _system(engine="slotted")
+    system.sim.advance_to(1_000)
+    with pytest.raises(ValueError, match="current time"):
+        system.queue_uplink([2_000, 500], ue_id=1)
