@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.mac.opportunities import OpportunityTimeline, PeriodicInstants
 from repro.mac.scheme import DuplexingScheme
@@ -238,8 +239,10 @@ class LatencyModel:
     # ------------------------------------------------------------------
     # extrema
     # ------------------------------------------------------------------
-    def _critical_arrivals(self) -> list[int]:
-        """Arrival ticks at which any stage function can jump."""
+    @cached_property
+    def _critical_arrivals(self) -> tuple[int, ...]:
+        """Arrival ticks at which any stage function can jump (scheme
+        and timings are fixed, so one enumeration serves the model)."""
         period = self.scheme.period_tc
         timings = self.timings
         if timings.sr_period:
@@ -285,7 +288,7 @@ class LatencyModel:
                         if tick >= 0:
                             candidates.add(tick)
         candidates.add(0)
-        return sorted(candidates)
+        return tuple(sorted(candidates))
 
     def extremes(self, direction: Direction,
                  access: AccessMode = AccessMode.GRANT_FREE
@@ -293,7 +296,7 @@ class LatencyModel:
         """Exact worst and best one-way latency over arrival phases."""
         worst = best = None
         worst_at = best_at = 0
-        for arrival in self._critical_arrivals():
+        for arrival in self._critical_arrivals:
             latency = self.completion(arrival, direction, access) - arrival
             if worst is None or latency > worst:
                 worst, worst_at = latency, arrival
@@ -335,7 +338,7 @@ class LatencyModel:
         if timings.sr_period:
             period = math.lcm(period, timings.sr_period)
         points = sorted(p for p in set(
-            c % period for c in self._critical_arrivals()) if p < period)
+            c % period for c in self._critical_arrivals) if p < period)
         if not points or points[0] != 0:
             points.insert(0, 0)
         points.append(period)
@@ -385,7 +388,7 @@ class LatencyModel:
         """
         worst = best = None
         worst_at = best_at = 0
-        for arrival in self._critical_arrivals():
+        for arrival in self._critical_arrivals:
             rtt = self.rtt_completion(arrival, access,
                                       server_turnaround) - arrival
             if worst is None or rtt > worst:

@@ -72,6 +72,20 @@ def _validated(windows: Iterable[Window], period: int) -> tuple[Window, ...]:
     return ordered
 
 
+def _first_ending_after(ends: tuple[int, ...], period: int,
+                        time: int) -> tuple[int, int]:
+    """``(cycle, base)`` of the first absolute window with end > ``time``
+    (negative ``time`` counts as 0): base window ``base`` of period
+    ``cycle``.  ``ends`` is one non-empty period's sorted window ends."""
+    if time < 0:
+        time = 0
+    cycle, rem = divmod(time, period)
+    base = bisect.bisect_right(ends, rem)
+    if base == len(ends):
+        return cycle + 1, 0
+    return cycle, base
+
+
 class OpportunityTimeline:
     """Periodic windows with absolute-time queries.
 
@@ -84,6 +98,8 @@ class OpportunityTimeline:
             raise ValueError(f"period must be positive, got {period_tc}")
         self.period_tc = int(period_tc)
         self.windows = _validated(windows, self.period_tc)
+        self._starts = tuple(w.start for w in self.windows)
+        self._ends = tuple(w.end for w in self.windows)
         self._index: "WindowIndex | None" = None
 
     def index(self) -> "WindowIndex":
@@ -96,19 +112,18 @@ class OpportunityTimeline:
     # iteration
     # ------------------------------------------------------------------
     def windows_from(self, time: int) -> Iterator[Window]:
-        """Absolute windows whose end is after ``time``, in order."""
-        if time < 0:
-            time = 0
+        """Absolute windows whose end is after ``time``, in order: one
+        :class:`Window` per step, for callers that walk windows."""
         if not self.windows:
             return
-        cycle = time // self.period_tc
+        cycle, base = _first_ending_after(self._ends, self.period_tc, time)
+        offset = cycle * self.period_tc
         while True:
-            offset = cycle * self.period_tc
-            for window in self.windows:
-                shifted = window.shifted(offset)
-                if shifted.end > time:
-                    yield shifted
-            cycle += 1
+            yield self.windows[base].shifted(offset)
+            base += 1
+            if base == len(self.windows):
+                base = 0
+                offset += self.period_tc
 
     # ------------------------------------------------------------------
     # queries
@@ -118,19 +133,19 @@ class OpportunityTimeline:
 
     def window_at(self, time: int) -> Optional[Window]:
         """The absolute window containing ``time``, if any."""
-        for window in self.windows_from(time):
-            if window.contains(time):
-                return window
-            if window.start > time:
-                return None
-        return None
+        if not self.windows:
+            return None
+        cycle, base = _first_ending_after(self._ends, self.period_tc, time)
+        offset = cycle * self.period_tc
+        if self._starts[base] + offset > time:
+            return None
+        return self.windows[base].shifted(offset)
 
     def first_start_at_or_after(self, time: int) -> Window:
         """First window whose start is >= ``time``."""
-        for window in self.windows_from(time):
-            if window.start >= time:
-                return window
-        raise LookupError("timeline has no windows")
+        if not self.windows:
+            raise LookupError("timeline has no windows")
+        return Window(*self._fit(time, 1, joining=False))
 
     def first_start_after(self, time: int) -> Window:
         """First window whose start is strictly after ``time``."""
@@ -139,22 +154,31 @@ class OpportunityTimeline:
     # ------------------------------------------------------------------
     # completion rules (see module docstring)
     # ------------------------------------------------------------------
-    def _usable_windows(self, time: int,
-                        min_duration: int) -> Iterator[Window]:
-        """Windows from ``time``, bounded to one full extra period.
-
-        A requirement no window of the period can satisfy will never be
-        satisfiable later either (the timeline repeats), so scanning
-        past one period of candidates means the demand is impossible —
-        raise instead of looping forever.
-        """
-        scanned = 0
-        limit = max(1, len(self.windows)) + 1
-        for window in self.windows_from(time):
-            yield window
-            scanned += 1
-            if scanned > limit:
-                break
+    def _fit(self, time: int, min_duration: int,
+             joining: bool) -> tuple[int, int]:
+        """``(entry, end)`` of the first window from ``time`` with
+        ``min_duration`` ticks of room after its entry: only the first
+        window ending after ``time`` can contain it (joining enters it
+        at ``time``, aligned skips it); later ones are entered at their
+        start.  A demand no window of the period fits never fits later
+        (the timeline repeats), so n + 2 windows bound the scan."""
+        n = len(self._ends)
+        if n:
+            starts, ends, period = self._starts, self._ends, self.period_tc
+            cycle, base = _first_ending_after(ends, period, time)
+            offset = cycle * period
+            for _ in range(n + 2):
+                start = starts[base] + offset
+                end = ends[base] + offset
+                if start >= time:
+                    if end - start >= min_duration:
+                        return start, end
+                elif joining and end - time >= min_duration:
+                    return time, end
+                base += 1
+                if base == n:
+                    base = 0
+                    offset += period
         raise LookupError(
             f"no window of the timeline can fit {min_duration} ticks")
 
@@ -162,37 +186,23 @@ class OpportunityTimeline:
                                   min_duration: int = 1) -> int:
         """End of the first window starting strictly after ``time``
         with at least ``min_duration`` ticks (DL-data rule)."""
-        for window in self._usable_windows(time + 1, min_duration):
-            if window.start > time and window.duration >= min_duration:
-                return window.end
-        raise LookupError("timeline has no usable windows")
+        return self._fit(time + 1, min_duration, joining=False)[1]
 
     def completion_aligned(self, time: int, min_duration: int = 1) -> int:
         """End of the first window starting at or after ``time`` with at
         least ``min_duration`` ticks (granted-UL-data rule)."""
-        for window in self._usable_windows(time, min_duration):
-            if window.start >= time and window.duration >= min_duration:
-                return window.end
-        raise LookupError("timeline has no usable windows")
+        return self._fit(time, min_duration, joining=False)[1]
 
     def completion_joining(self, time: int, min_duration: int = 1) -> int:
         """End of the first window with ``min_duration`` ticks remaining
         at or after ``time`` (grant-free rule: mid-window entry allowed)."""
-        for window in self._usable_windows(time, min_duration):
-            entry = max(time, window.start)
-            if window.end - entry >= min_duration:
-                return window.end
-        raise LookupError("timeline has no usable windows")
+        return self._fit(time, min_duration, joining=True)[1]
 
     def earliest_entry_joining(self, time: int,
                                min_duration: int = 1) -> int:
         """Earliest instant >= ``time`` at which a transmission of
         ``min_duration`` ticks can *start* under the joining rule."""
-        for window in self._usable_windows(time, min_duration):
-            entry = max(time, window.start)
-            if window.end - entry >= min_duration:
-                return entry
-        raise LookupError("timeline has no usable windows")
+        return self._fit(time, min_duration, joining=True)[0]
 
     # ------------------------------------------------------------------
     # structure
@@ -218,21 +228,21 @@ class OpportunityTimeline:
 class WindowIndex:
     """Flat integer view of a timeline for population-scale queries.
 
-    The generator protocol of :meth:`OpportunityTimeline.windows_from`
-    is exact but allocates a :class:`Window` per step — fine for one
-    UE, ruinous for 100k.  This index exposes the same timeline as
-    arrays plus a *global window number* ``k``: window ``k`` is base
-    window ``k % n`` of cycle ``k // n``.  All queries are defined to
-    agree exactly with the generator/scalar methods they shadow (pinned
-    by ``tests/mac/test_opportunities.py``).
+    The scalar queries of :class:`OpportunityTimeline` answer one time
+    at a time; the slotted engine tracks a whole population by window
+    *number*.  This index exposes the same timeline as arrays plus a
+    *global window number* ``k``: window ``k`` is base window ``k % n``
+    of cycle ``k // n``.  All queries are defined to agree exactly with
+    the scalar methods they shadow (pinned by
+    ``tests/mac/test_opportunities.py``).
     """
 
     def __init__(self, timeline: "OpportunityTimeline"):
         if timeline.is_empty():
             raise ValueError("cannot index an empty timeline")
         self.period_tc = timeline.period_tc
-        self.starts = tuple(w.start for w in timeline.windows)
-        self.ends = tuple(w.end for w in timeline.windows)
+        self.starts = timeline._starts
+        self.ends = timeline._ends
         self.durations = tuple(w.duration for w in timeline.windows)
         self.n_windows = len(self.starts)
         self._ends_arr = np.asarray(self.ends, dtype=np.int64)
@@ -250,13 +260,7 @@ class WindowIndex:
     def first_ending_after(self, time: int) -> int:
         """Global number of the first window with ``end > time`` — the
         window :meth:`OpportunityTimeline.windows_from` yields first."""
-        if time < 0:
-            time = 0
-        cycle, rem = divmod(time, self.period_tc)
-        base = bisect.bisect_right(self.ends, rem)
-        if base == self.n_windows:
-            cycle += 1
-            base = 0
+        cycle, base = _first_ending_after(self.ends, self.period_tc, time)
         return cycle * self.n_windows + base
 
     def earliest_entries_joining(self, times: np.ndarray,

@@ -46,7 +46,6 @@ The queue protocol is entirely stamp-based and clock-free.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import sys
@@ -54,7 +53,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.devtools.distcheck.manifest import (DistManifest,
                                                ManifestError,
@@ -79,6 +78,9 @@ from repro.runner.lease import (
 )
 from repro.runner.merge import JournalMerger, MergeOutcome
 from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "DispatchCoordinator",
@@ -510,7 +512,7 @@ class DispatchCoordinator(CampaignRunner):
         self.queue.initialise()
 
     def _spawn(self, worker_id: str, extra_env: Mapping[str, str]
-               ) -> multiprocessing.process.BaseProcess:
+               ) -> BaseProcess:
         """Fork one worker, ``extra_env`` in its own ``os.environ``: it
         runs :func:`run_worker` with every module already imported, or
         execs ``spawn_command``'s argv with this source root first on
@@ -529,13 +531,15 @@ class DispatchCoordinator(CampaignRunner):
             command = self.spawn_command(worker_id)
             os.execvp(command[0], command)
 
+        import multiprocessing  # here: a serial run never forks
+
         process = multiprocessing.get_context("fork").Process(
             target=work, name=worker_id)
         process.start()
         return process
 
     def _wait(self, expected: set[str],
-              procs: list[multiprocessing.process.BaseProcess],
+              procs: list[BaseProcess],
               events: EventLog, inline: CampaignJournal,
               absorb: Callable[[], int], warnings: list[str]) -> int:
         """Poll until every ``expected`` point is in a done marker.

@@ -40,6 +40,20 @@ def test_dm_grant_based_ul_violates_and_reaches_one_ms():
     assert extremes.worst_tc == pytest.approx(tc_from_ms(1.0), rel=0.01)
 
 
+@pytest.mark.parametrize("scheme, direction, access, worst_tc, worst_us", [
+    (minimal_dm, Direction.DL, AccessMode.GRANT_FREE, 983_040, 500.0),
+    (minimal_dm, Direction.UL, AccessMode.GRANT_FREE, 983_040, 500.0),
+    (minimal_dm, Direction.UL, AccessMode.GRANT_BASED, 1_966_080, 1000.0),
+    (minimal_du, Direction.DL, AccessMode.GRANT_FREE, 1_475_072, 750.3),
+], ids=["dm-dl", "dm-ul-grant-free", "dm-ul-grant-based", "du-dl"])
+def test_fig4_worst_cases_exact_in_tc(scheme, direction, access, worst_tc,
+                                      worst_us):
+    """Fig 4's analytic numbers, pinned exactly in integer Tc."""
+    extremes = LatencyModel(scheme()).extremes(direction, access)
+    assert extremes.worst_tc == worst_tc
+    assert round(us_from_tc(extremes.worst_tc), 1) == worst_us
+
+
 def test_dm_grant_chain_stage_order():
     model = LatencyModel(minimal_dm())
     trace = model.ul_grant_based_chain(arrival=0)

@@ -501,3 +501,21 @@ def test_coordinator_reads_each_done_marker_once_while_waiting(
     assert fs.listings["jobs"] <= stats.batches + 1
     serial = CampaignRunner(workers=1).run(campaign)
     assert dispatched.results_digest() == serial.results_digest()
+
+
+def test_importing_the_runner_leaves_multiprocessing_unloaded():
+    """Only a fork needs `multiprocessing`; a serial run never loads it."""
+    import subprocess
+
+    import repro
+
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, env.get("PYTHONPATH")]))
+    probe = ("import sys, repro.runner; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
