@@ -6,7 +6,11 @@ once and extracts a :class:`ModuleSummary`: the symbol table
 (functions, methods, classes, module constants), the call edges
 resolvable from imports/``self``, per-function purity effects, the
 *symbolic* unit facts the global passes resolve later, and the raw
-findings of the file-scope rules, which run on the same AST.
+findings of the file-scope rules, which read this summary and the same
+AST.  The extraction is the one place a wall-clock read, a legacy
+``numpy.random`` call or an unordered loop that schedules is
+recognised: it evaluates every expression a module runs, including
+lambda bodies, decorators, default values and class bodies.
 
 Symbolic unit expressions are plain dicts, so whole-program resolution
 never needs the AST again:
@@ -32,13 +36,16 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.devtools.lintkit.core import Violation, run_file_rules
 from repro.devtools.walker import iter_python_files
+
+if TYPE_CHECKING:
+    from repro.devtools.lintkit.core import Violation
 
 __all__ = [
     "UNITS",
+    "GLOBAL_NP_RANDOM",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
@@ -47,6 +54,7 @@ __all__ = [
     "module_qualname",
     "unit_of_name",
     "conversion_units",
+    "dotted_name",
 ]
 
 #: Concrete lattice units (besides ``unitless`` and ``unknown``).
@@ -77,7 +85,9 @@ _WALL_CLOCK_TIME_FUNCS = frozenset({
     "monotonic_ns", "process_time", "process_time_ns",
 })
 _WALL_CLOCK_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-_GLOBAL_NP_RANDOM = frozenset({
+#: The legacy ``numpy.random`` functions that draw from (or seed) the
+#: process-global generator.
+GLOBAL_NP_RANDOM = frozenset({
     "seed", "random", "rand", "randn", "randint", "random_sample",
     "normal", "uniform", "exponential", "lognormal", "poisson",
     "binomial", "choice", "shuffle", "permutation", "standard_normal",
@@ -103,6 +113,8 @@ _DETSAN_SHARED_RE = re.compile(r"#\s*detsan:\s*shared\b")
 _PASSTHROUGH_CALLS = frozenset({"float", "int", "round", "abs"})
 _JOIN_CALLS = frozenset({"min", "max"})
 _BUILTIN_NAMES = frozenset(dir(__import__("builtins")))
+_TRY_STATEMENTS = (ast.Try, ast.TryStar) if hasattr(ast, "TryStar") \
+    else (ast.Try,)
 
 # -- distributability extraction (consumed by repro.devtools.distcheck) --
 #: Calls that read (or mutate) the process environment.
@@ -282,8 +294,28 @@ class ModuleSummary:
     str_constants: dict[str, str] = field(default_factory=dict)
     #: Module-level bindings to mutable containers (dict/list/set/...).
     mutable_globals: list[str] = field(default_factory=list)
+    #: Wall-clock reads and unordered loops outside every function: the
+    #: module body, class bodies, and the decorators and defaults they
+    #: evaluate.  Each function keeps its own in its summary.
+    wall_clock: list[dict] = field(default_factory=list)
+    unordered_loops: list[dict] = field(default_factory=list)
     #: Unfiltered file-scope rule findings (see :func:`run_file_rules`).
     file_findings: list[Violation] = field(default_factory=list)
+
+    def resolve_dotted(self, dotted: str) -> str:
+        """Rewrite a local dotted name through the import table."""
+        head, _, tail = dotted.partition(".")
+        target = self.aliases.get(head)
+        if target is None:
+            return dotted
+        return f"{target}.{tail}" if tail else target
+
+    def records(self, kind: str) -> Iterator[dict]:
+        """Every ``kind`` record of the module (``"wall_clock"`` or
+        ``"unordered_loops"``): the body's, then each function's."""
+        yield from getattr(self, kind)
+        for function in self.functions:
+            yield from getattr(function, kind)
 
 
 @dataclass
@@ -404,14 +436,21 @@ class _ModuleExtractor:
         for name, expr in module_fn.env.items():
             self.summary.constants[name] = expr
         self._collect_module_bindings()
+        # Definitions come after the whole body: function bodies read the
+        # module constants and bindings collected above.
         for stmt in self.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                module_fn.eval_definition_time(stmt)
                 self._extract_function(stmt, parent=self.qualname,
-                                       class_name=None)
+                                       class_name=None, loops=[])
             elif isinstance(stmt, ast.ClassDef):
-                self._extract_class(stmt)
+                self._extract_class(stmt, self.qualname, module_fn)
+        self.summary.wall_clock = module_fn.wall_clock
+        self.summary.unordered_loops = module_fn.unordered_loops
         _StreamWalker(self).run()
-        self.summary.file_findings = run_file_rules(self.path, self.tree)
+        # Imported here: the file rules import this module's tables.
+        from repro.devtools.lintkit.core import run_file_rules
+        self.summary.file_findings = run_file_rules(self.summary, self.tree)
         return self.summary
 
     # -- comments ------------------------------------------------------
@@ -492,17 +531,10 @@ class _ModuleExtractor:
                     local = alias.asname or alias.name
                     self.summary.aliases[local] = f"{prefix}.{alias.name}"
 
-    def resolve_dotted(self, dotted: str) -> str:
-        """Rewrite a local dotted name through the import table."""
-        head, _, tail = dotted.partition(".")
-        target = self.summary.aliases.get(head)
-        if target is None:
-            return dotted
-        return f"{target}.{tail}" if tail else target
-
     # -- definitions ---------------------------------------------------
     def _extract_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
-                          parent: str, class_name: str | None) -> None:
+                          parent: str, class_name: str | None,
+                          loops: list[dict]) -> None:
         qualname = f"{parent}.{node.name}"
         args = node.args
         params = [a.arg for a in (list(args.posonlyargs) + list(args.args))]
@@ -516,7 +548,7 @@ class _ModuleExtractor:
             self, qualname=qualname, name=node.name, params=params,
             lineno=node.lineno, declared_unit=declared,
             class_name=class_name, module_level=False,
-            is_converter=conversion is not None)
+            is_converter=conversion is not None, loops=loops)
         extractor.decorators = self._decorator_records(node)
         extractor.exec_block(node.body)
         self.summary.functions.append(extractor.finish(self.path))
@@ -532,12 +564,12 @@ class _ModuleExtractor:
         records: list[dict] = []
         for dec in node.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
-            dotted = _dotted(target)
+            dotted = dotted_name(target)
             if dotted is None:
                 continue
             head = dotted.split(".")[0]
             if head in self.summary.aliases:
-                name = self.resolve_dotted(dotted)
+                name = self.summary.resolve_dotted(dotted)
             elif "." not in dotted and dotted not in _BUILTIN_NAMES:
                 name = f"{self.qualname}.{dotted}"
             else:
@@ -550,35 +582,49 @@ class _ModuleExtractor:
             records.append({"name": name, "arg": arg})
         return records
 
-    def _extract_class(self, node: ast.ClassDef) -> None:
-        qualname = f"{self.qualname}.{node.name}"
+    def _extract_class(self, node: ast.ClassDef, parent: str,
+                       enclosing: _FunctionExtractor) -> None:
+        """Summarise a class; its body runs in the ``enclosing`` scope.
+
+        The class body's checks, wall-clock reads and unordered loops
+        are the enclosing scope's: the module body's for a top-level
+        class, the function's for a local one.
+        """
+        enclosing.eval_definition_time(node)
+        qualname = f"{parent}.{node.name}"
         klass = ClassSummary(qualname=qualname, name=node.name,
                              path=self.path, line=node.lineno)
         init_params: list[str] | None = None
         class_fn = _FunctionExtractor(
             self, qualname=f"{qualname}.<class>", name="<class>",
             params=[], lineno=node.lineno, declared_unit=None,
-            class_name=node.name, module_level=False)
+            class_name=node.name, module_level=False,
+            loops=enclosing._loop_stack)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 klass.methods.append(stmt.name)
+                class_fn.eval_definition_time(stmt)
                 self._extract_function(stmt, parent=qualname,
-                                       class_name=node.name)
+                                       class_name=node.name,
+                                       loops=class_fn._loop_stack)
                 if stmt.name == "__init__":
                     args = stmt.args
                     init_params = [
                         a.arg for a in (list(args.posonlyargs)
                                         + list(args.args))][1:]
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name):
-                klass.fields.append(stmt.target.id)
-                class_fn.exec_stmt(stmt)
-            elif isinstance(stmt, ast.Assign):
+            elif isinstance(stmt, ast.ClassDef):
+                self._extract_class(stmt, qualname, class_fn)
+            else:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(
+                        stmt.target, ast.Name):
+                    klass.fields.append(stmt.target.id)
                 class_fn.exec_stmt(stmt)
         # Dataclass-style classes take their fields as __init__ params.
         klass.fields = init_params if init_params is not None \
             else klass.fields
-        self.summary.module_checks.extend(class_fn.checks)
+        enclosing.checks.extend(class_fn.checks)
+        enclosing.wall_clock.extend(class_fn.wall_clock)
+        enclosing.unordered_loops.extend(class_fn.unordered_loops)
         self.summary.classes.append(klass)
 
 
@@ -588,7 +634,8 @@ class _FunctionExtractor:
     def __init__(self, module: _ModuleExtractor, *, qualname: str,
                  name: str, params: list[str], lineno: int,
                  declared_unit: str | None, class_name: str | None,
-                 module_level: bool, is_converter: bool = False):
+                 module_level: bool, is_converter: bool = False,
+                 loops: list[dict] = ()):
         self.module = module
         self.qualname = qualname
         self.name = name
@@ -621,7 +668,10 @@ class _FunctionExtractor:
         self.digest_hazards: list[dict] = []
         self._lambda_names: set[str] = set()
         self.local_classes: set[str] = set()
-        self._loop_stack: list[dict] = []
+        # The unordered loops this code sits in, the enclosing scopes'
+        # included: a call written inside a loop's body belongs to the
+        # loop even from a nested def, class or lambda.
+        self._loop_stack: list[dict] = list(loops)
         self._lineno = lineno
 
     def finish(self, path: str) -> FunctionSummary:
@@ -659,14 +709,18 @@ class _FunctionExtractor:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested functions get their own summary; bare-name calls to
             # them resolve through local_defs, so taint still flows.
+            self.eval_definition_time(stmt)
             self.local_defs[stmt.name] = f"{self.qualname}.{stmt.name}"
             self.module._extract_function(stmt, parent=self.qualname,
-                                          class_name=self.class_name)
+                                          class_name=self.class_name,
+                                          loops=self._loop_stack)
         elif isinstance(stmt, ast.ClassDef):
             self.local_classes.add(stmt.name)
+            self.module._extract_class(stmt, self.qualname, self)
         elif isinstance(stmt, ast.Assign):
             value = self.eval_expr(stmt.value)
             for target in stmt.targets:
+                self._eval_target(target)
                 self._assign(target, value, stmt)
                 if isinstance(target, ast.Subscript):
                     self._module_mutation(target.value, stmt,
@@ -678,10 +732,12 @@ class _FunctionExtractor:
         elif isinstance(stmt, ast.AnnAssign):
             value = (self.eval_expr(stmt.value)
                      if stmt.value is not None else None)
+            self._eval_target(stmt.target)
             if value is not None:
                 self._assign(stmt.target, value, stmt)
         elif isinstance(stmt, ast.AugAssign):
             value = self.eval_expr(stmt.value)
+            self._eval_target(stmt.target)
             if isinstance(stmt.target, ast.Subscript):
                 self._module_mutation(stmt.target.value, stmt,
                                       "augmented item assignment")
@@ -711,10 +767,14 @@ class _FunctionExtractor:
         elif isinstance(stmt, ast.With) or isinstance(stmt, ast.AsyncWith):
             for item in stmt.items:
                 self.eval_expr(item.context_expr)
+                if item.optional_vars is not None:
+                    self._eval_target(item.optional_vars)
             self.exec_block(stmt.body)
-        elif isinstance(stmt, ast.Try):
+        elif isinstance(stmt, _TRY_STATEMENTS):
             blocks = [stmt.body]
             for handler in stmt.handlers:
+                if handler.type is not None:
+                    self.eval_expr(handler.type)
                 blocks.append(handler.body)
             self._branches(stmt, blocks)
             self.exec_block(stmt.orelse)
@@ -727,8 +787,15 @@ class _FunctionExtractor:
                     self.eval_expr(child)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
+                self._eval_target(target)
                 if isinstance(target, ast.Name):
                     self.env.pop(target.id, None)
+        elif isinstance(stmt, ast.Match):
+            self.eval_expr(stmt.subject)
+            for case in stmt.cases:
+                if case.guard is not None:
+                    self.eval_expr(case.guard)
+            self._branches(stmt, [case.body for case in stmt.cases])
         elif isinstance(stmt, ast.Global):
             # A ``global`` declaration inside a function announces a
             # rebind of module state — the canonical relocation hazard.
@@ -748,7 +815,7 @@ class _FunctionExtractor:
             self.env = dict(before)
             self.exec_block(block)
             outcomes.append(self.env)
-        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)) \
+        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor, ast.Match)) \
                 or (isinstance(stmt, ast.If) and not stmt.orelse):
             outcomes.append(before)
         merged: dict[str, dict] = {}
@@ -761,8 +828,23 @@ class _FunctionExtractor:
                 for outcome in outcomes])
         self.env = merged
 
+    def eval_definition_time(self, node: ast.FunctionDef
+                             | ast.AsyncFunctionDef
+                             | ast.ClassDef) -> None:
+        """Evaluate what a ``def`` or ``class`` statement runs in this
+        scope: decorators, default values, base classes."""
+        exprs = list(node.decorator_list)
+        if isinstance(node, ast.ClassDef):
+            exprs += node.bases + [kw.value for kw in node.keywords]
+        else:
+            exprs += node.args.defaults + node.args.kw_defaults
+        for expr in exprs:
+            if expr is not None:
+                self.eval_expr(expr)
+
     def _exec_for(self, stmt: ast.For | ast.AsyncFor) -> None:
         self.eval_expr(stmt.iter)
+        self._eval_target(stmt.target)
         if isinstance(stmt.target, ast.Name):
             unit = unit_of_name(stmt.target.id)
             self.env[stmt.target.id] = u_const(unit or "unknown")
@@ -784,6 +866,19 @@ class _FunctionExtractor:
                 self.unordered_loops.append(loop_record)
 
     # -- assignments ---------------------------------------------------
+    def _eval_target(self, target: ast.expr) -> None:
+        """Evaluate what a store target reads (``d[key()] = v``)."""
+        if isinstance(target, ast.Subscript):
+            self.eval_expr(target.value)
+            self.eval_expr(target.slice)
+        elif isinstance(target, ast.Attribute):
+            self.eval_expr(target.value)
+        elif isinstance(target, ast.Starred):
+            self._eval_target(target.value)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._eval_target(element)
+
     def _target_unit(self, target: ast.expr, stmt: ast.stmt
                      ) -> str | None:
         annotated = self.module.unit_annotation(stmt.lineno)
@@ -823,9 +918,9 @@ class _FunctionExtractor:
             return self._name_unit(node.id)
         if isinstance(node, ast.Attribute):
             self.eval_expr(node.value)
-            dotted = _dotted(node)
+            dotted = dotted_name(node)
             if dotted is not None:
-                resolved = self.module.resolve_dotted(dotted)
+                resolved = self.module.summary.resolve_dotted(dotted)
                 constant = u_const_for_qualname(resolved)
                 if constant is not None:
                     return constant
@@ -882,6 +977,21 @@ class _FunctionExtractor:
                 self.eval_expr(node.elt)
             return U_UNKNOWN
         if isinstance(node, ast.Lambda):
+            # The body runs later, but it is this scope's code: its
+            # calls, reads and schedules are recorded here.
+            args = node.args
+            for default in (*args.defaults, *args.kw_defaults):
+                if default is not None:
+                    self.eval_expr(default)
+            outer = self.env
+            self.env = dict(outer)
+            for arg in (*args.posonlyargs, *args.args, args.vararg,
+                        *args.kwonlyargs, args.kwarg):
+                if arg is not None:
+                    self.env[arg.arg] = u_const(
+                        unit_of_name(arg.arg) or "unknown")
+            self.eval_expr(node.body)
+            self.env = outer
             return U_UNKNOWN
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
@@ -948,7 +1058,7 @@ class _FunctionExtractor:
             if func.attr in _GENERATOR_DRAW_METHODS:
                 self.draws.append({
                     "line": node.lineno, "col": node.col_offset,
-                    "recv": _dotted(func.value), "method": func.attr})
+                    "recv": dotted_name(func.value), "method": func.attr})
                 for loop in self._loop_stack:
                     loop["draws"] = True
             if func.attr in _MUTATING_METHODS:
@@ -956,6 +1066,8 @@ class _FunctionExtractor:
                                       f".{func.attr}() call")
             if func.attr in _POOL_SUBMIT_METHODS:
                 self._detect_boundary(func, node)
+        else:
+            self.eval_expr(func)
         self._detect_impurity(func, node)
         self._detect_host_state(func, node)
         self._detect_fs_write(func, node)
@@ -1021,7 +1133,7 @@ class _FunctionExtractor:
         return [f"{self.module.qualname}.{name}"]
 
     def _resolve_attr_call(self, func: ast.Attribute) -> list[str]:
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return []
         head = dotted.split(".")[0]
@@ -1031,7 +1143,7 @@ class _FunctionExtractor:
                 return [f"{self.module.qualname}.{self.class_name}.{tail}"]
             return []
         if head in self.module.summary.aliases:
-            return [self.module.resolve_dotted(dotted)]
+            return [self.module.summary.resolve_dotted(dotted)]
         return []
 
     # -- purity --------------------------------------------------------
@@ -1043,41 +1155,41 @@ class _FunctionExtractor:
                 loop["direct"] = True
 
     def _detect_impurity(self, func: ast.expr, node: ast.Call) -> None:
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return
-        resolved = self.module.resolve_dotted(dotted)
+        resolved = self.module.summary.resolve_dotted(dotted)
         parts = resolved.split(".")
         if parts[0] == "time" and len(parts) == 2 \
                 and parts[1] in _WALL_CLOCK_TIME_FUNCS:
-            self._effect(self.wall_clock, node, resolved)
+            self._effect(self.wall_clock, node, resolved, dotted)
         elif resolved in {f"time.{f}" for f in _WALL_CLOCK_TIME_FUNCS}:
-            self._effect(self.wall_clock, node, resolved)
+            self._effect(self.wall_clock, node, resolved, dotted)
         elif parts[0] == "datetime" and parts[-1] in \
                 _WALL_CLOCK_DATETIME_FUNCS:
-            self._effect(self.wall_clock, node, resolved)
+            self._effect(self.wall_clock, node, resolved, dotted)
         elif parts[0] == "random" and len(parts) == 2:
-            self._effect(self.global_rng, node, resolved)
+            self._effect(self.global_rng, node, resolved, dotted)
         elif len(parts) >= 2 and parts[-2] == "random" \
                 and parts[0] in ("numpy",) and (
-                    parts[-1] in _GLOBAL_NP_RANDOM):
-            self._effect(self.global_rng, node, resolved)
+                    parts[-1] in GLOBAL_NP_RANDOM):
+            self._effect(self.global_rng, node, resolved, dotted)
 
     def _effect(self, sink: list[dict], node: ast.Call,
-                what: str) -> None:
+                what: str, local: str) -> None:
         sink.append({"line": node.lineno, "col": node.col_offset,
-                     "what": what})
+                     "what": what, "local": local})
 
     # -- distributability ----------------------------------------------
     def _detect_host_state(self, func: ast.expr,
                            node: ast.Call) -> None:
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return
         head = dotted.split(".")[0]
         if head in self.env or head in self.local_defs:
             return
-        resolved = self.module.resolve_dotted(dotted)
+        resolved = self.module.summary.resolve_dotted(dotted)
         if resolved in _ENV_READ_CALLS:
             key = node.args[0] if node.args else None
             var, ref, expr = (self._env_var(key) if key is not None
@@ -1103,10 +1215,10 @@ class _FunctionExtractor:
             "expr": expr})
 
     def _subscript_host_state(self, node: ast.Subscript) -> None:
-        dotted = _dotted(node.value)
+        dotted = dotted_name(node.value)
         if dotted is None:
             return
-        if self.module.resolve_dotted(dotted) != "os.environ":
+        if self.module.summary.resolve_dotted(dotted) != "os.environ":
             return
         var, ref, expr = self._env_var(node.slice)
         self._host(node, "env", "os.environ[...]", var=var, ref=ref,
@@ -1131,10 +1243,10 @@ class _FunctionExtractor:
             if node.id in self.module.summary.aliases:
                 return None, self.module.summary.aliases[node.id], expr
         elif isinstance(node, ast.Attribute):
-            dotted = _dotted(node)
+            dotted = dotted_name(node)
             if dotted is not None \
                     and dotted.split(".")[0] in self.module.summary.aliases:
-                return None, self.module.resolve_dotted(dotted), expr
+                return None, self.module.summary.resolve_dotted(dotted), expr
         return None, None, expr
 
     def _module_mutation(self, base: ast.expr, node: ast.AST,
@@ -1169,13 +1281,13 @@ class _FunctionExtractor:
         if func.attr in _FS_WRITE_METHODS:
             self._fs(node, f".{func.attr}()")
             return
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return
         head = dotted.split(".")[0]
         if head in self.env or head in self.local_defs:
             return
-        resolved = self.module.resolve_dotted(dotted)
+        resolved = self.module.summary.resolve_dotted(dotted)
         if resolved in _FS_WRITE_CALLS or resolved.split(".")[0] in (
                 "shutil", "tempfile"):
             self._fs(node, f"{resolved}()")
@@ -1234,10 +1346,10 @@ class _FunctionExtractor:
                     "line": node.lineno, "col": node.col_offset,
                     "what": what})
             return
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return
-        if self.module.resolve_dotted(dotted) == "json.dumps":
+        if self.module.summary.resolve_dotted(dotted) == "json.dumps":
             sort_ok = any(
                 keyword.arg == "sort_keys"
                 and isinstance(keyword.value, ast.Constant)
@@ -1357,7 +1469,7 @@ class _StreamWalker:
         plain locals by the enclosing function, and a fresh
         ``RngRegistry(...)``/``fork(...)`` receiver by its call site.
         """
-        dotted = _dotted(recv)
+        dotted = dotted_name(recv)
         if dotted is not None:
             last = dotted.rpartition(".")[2].lower()
             if "rng" not in last and last != "registry":
@@ -1369,9 +1481,9 @@ class _StreamWalker:
             if isinstance(recv.func, ast.Attribute) \
                     and recv.func.attr == "fork":
                 return f"{func}:{line}"
-            callee = _dotted(recv.func)
+            callee = dotted_name(recv.func)
             if callee is not None:
-                resolved = self.module.resolve_dotted(callee)
+                resolved = self.module.summary.resolve_dotted(callee)
                 if resolved.rpartition(".")[2] == "RngRegistry":
                     return f"{func}:{line}"
         return None
@@ -1429,14 +1541,14 @@ class _StreamWalker:
             if name in _BUILTIN_NAMES:
                 return []
             return [f"{self.module.qualname}.{name}"]
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return []
         head, _, tail = dotted.partition(".")
         if head in ("self", "cls") and class_qualname and "." not in tail:
             return [f"{class_qualname}.{tail}"]
         if head in self.module.summary.aliases:
-            return [self.module.resolve_dotted(dotted)]
+            return [self.module.summary.resolve_dotted(dotted)]
         return []
 
     # -- use analysis ---------------------------------------------------
@@ -1561,7 +1673,7 @@ class _StreamWalker:
                                      ast.unparse(rng_node))
                 dotted = None
             else:
-                dotted = _dotted(rng_node)
+                dotted = dotted_name(rng_node)
                 descr = dotted or ast.unparse(rng_node)
             self.module.summary.rng_buffers.append({
                 "line": node.lineno, "col": node.col_offset,
@@ -1597,7 +1709,7 @@ class _StreamWalker:
                             and isinstance(node.value, ast.Name) \
                             and node.value.id == dotted:
                         for target in node.targets:
-                            target_dotted = _dotted(target)
+                            target_dotted = dotted_name(target)
                             if target_dotted \
                                     and target_dotted.startswith("self."):
                                 names.add(target_dotted)
@@ -1613,7 +1725,7 @@ class _StreamWalker:
         for node in nodes:
             if not isinstance(node, (ast.Name, ast.Attribute)):
                 continue
-            node_dotted = _dotted(node)
+            node_dotted = dotted_name(node)
             if node_dotted not in names or id(node) in claim_args:
                 continue
             if not isinstance(getattr(node, "ctx", None), ast.Load):
@@ -1668,11 +1780,12 @@ def _target_name(target: ast.expr) -> str | None:
     if isinstance(target, ast.Name):
         return target.id
     if isinstance(target, ast.Attribute):
-        return _dotted(target)
+        return dotted_name(target)
     return None
 
 
-def _dotted(node: ast.expr) -> str | None:
+def dotted_name(node: ast.expr) -> str | None:
+    """Render an attribute chain like ``np.random.seed`` as a string."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)

@@ -15,7 +15,11 @@ pass propagates three taints over the whole-program call graph:
 
 Only *indirectly acquired* taint is reported: a function that calls
 ``time.time()`` itself is the file rule ``no-wall-clock``'s business,
-so the two families never double-report one line.
+so the two families never double-report one line.  Both read one
+record per use: ``no-wall-clock`` reports each ``wall_clock`` record,
+``unordered-iteration-before-schedule`` each ``unordered_loops``
+record with ``direct`` set, and this pass seeds its wall-clock
+taint and skips direct schedule loops from the same records.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """File-scope rules for ``urllc5g check``: one parsed module at a time.
 
 The framework (:mod:`.core`) defines :class:`Rule`, :class:`Violation`
-and the rule registry; the seven domain rules live in :mod:`.rules`,
-and importing this package registers them all.  The rules run on the
-AST the project loader already parsed (see docs/ANALYSIS.md).
+and the rule registry; the six domain rules live in :mod:`.rules`,
+and importing this package registers them all.  The rules read the
+project loader's summary of a module and the AST it already parsed
+(see docs/ANALYSIS.md).
 """
 
 from repro.devtools.lintkit.core import (

@@ -1,12 +1,14 @@
 """File-scope rule framework: severities, findings, the rule registry.
 
-A :class:`Rule` inspects one parsed module and yields
-:class:`Violation` objects.  Rules register themselves with
-:func:`register`; ``urllc5g check`` runs every registered rule through
-:func:`run_file_rules` while the project loader has the module's AST in
-hand (see :mod:`repro.devtools.check`).  Suppression — ``# check:``
-pragmas, the ``ignore`` list and the reviewed baseline — is applied
-afterwards by the shared pipeline, the same way for every rule family.
+A :class:`Rule` inspects one module and yields :class:`Violation`
+objects.  Rules register themselves with :func:`register`; the project
+loader runs every registered rule through :func:`run_file_rules` once
+it has summarised the module, so a rule reads the summary's import
+table and extraction records (wall-clock reads, unordered loops) and
+walks the AST only for what the summary does not record (see
+:mod:`repro.devtools.check`).  Suppression — ``# check:`` pragmas, the
+``ignore`` list and the reviewed baseline — is applied afterwards by
+the shared pipeline, the same way for every rule family.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import ast
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from repro.devtools.analyze.loader import ModuleSummary
 
 __all__ = [
     "Severity",
@@ -108,10 +113,15 @@ class Violation:
 
 @dataclass
 class ModuleUnderLint:
-    """A parsed module as the file-scope rules see it."""
+    """A module as the file-scope rules see it: its loader summary and
+    its AST."""
 
-    path: str
+    summary: ModuleSummary
     tree: ast.Module
+
+    @property
+    def path(self) -> str:
+        return self.summary.path
 
     @property
     def is_package_init(self) -> bool:
@@ -132,12 +142,18 @@ class Rule:
     def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
         raise NotImplementedError
 
-    def violation(self, module: ModuleUnderLint, node: ast.AST,
+    def violation(self, module: ModuleUnderLint, node: ast.AST | dict,
                   message: str, severity: str | None = None) -> Violation:
+        """A finding at an AST node or at a loader record's line/col."""
+        if isinstance(node, dict):
+            line, col = node["line"], node["col"]
+        else:
+            line = getattr(node, "lineno", 1)
+            col = getattr(node, "col_offset", 0)
         return Violation(
             path=module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
+            line=line,
+            col=col,
             rule_id=self.rule_id,
             severity=severity or self.severity,
             message=message,
@@ -163,14 +179,16 @@ def registered_rules() -> dict[str, type[Rule]]:
     return dict(_REGISTRY)
 
 
-def run_file_rules(path: str, tree: ast.Module) -> list[Violation]:
-    """Every registered file-scope rule over one parsed module, unfiltered.
+def run_file_rules(summary: ModuleSummary,
+                   tree: ast.Module) -> list[Violation]:
+    """Every registered file-scope rule over one module, unfiltered.
 
-    The project loader calls this on the AST it already parsed and keeps
-    the findings with the module summary; pragmas, ignore lists and the
-    baseline apply later, once, to every rule family.
+    The project loader calls this with the module's summary and the AST
+    it already parsed, and keeps the findings with the summary;
+    pragmas, ignore lists and the baseline apply later, once, to every
+    rule family.
     """
-    module = ModuleUnderLint(path=path, tree=tree)
+    module = ModuleUnderLint(summary=summary, tree=tree)
     return [violation
             for _, rule_cls in sorted(registered_rules().items())
             for violation in rule_cls().check(module)]

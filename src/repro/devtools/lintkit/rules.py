@@ -2,6 +2,10 @@
 
 Each rule encodes one invariant the paper's results depend on; see
 docs/ANALYSIS.md for worked examples and the suppression syntax.
+Wall-clock reads, legacy ``numpy.random`` calls and unordered loops
+that schedule are recognised once, by the project loader's extraction
+(:mod:`repro.devtools.analyze.loader`); the rules here report its
+records and resolve names through its import table.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.devtools.analyze.loader import GLOBAL_NP_RANDOM, dotted_name
 from repro.devtools.lintkit.core import (
     ModuleUnderLint,
     Rule,
@@ -20,7 +25,6 @@ from repro.devtools.lintkit.core import (
 __all__ = [
     "NoWallClockRule",
     "RngDisciplineRule",
-    "UnitSuffixMixingRule",
     "NoFloatTickEqualityRule",
     "UnorderedIterationBeforeScheduleRule",
     "PublicApiExportsRule",
@@ -74,37 +78,6 @@ def _expr_unit(node: ast.expr) -> str | None:
     return None
 
 
-def _dotted(node: ast.expr) -> str | None:
-    """Render an attribute chain like ``np.random.seed`` as a string."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class _ImportTracker(ast.NodeVisitor):
-    """Maps local aliases back to the modules they name."""
-
-    def __init__(self) -> None:
-        self.module_aliases: dict[str, str] = {}   # alias -> module
-        self.member_imports: dict[str, str] = {}   # alias -> module.member
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.module_aliases[alias.asname or alias.name] = alias.name
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None:
-            return
-        for alias in node.names:
-            self.member_imports[alias.asname or alias.name] = (
-                f"{node.module}.{alias.name}")
-
-
 @register
 class NoWallClockRule(Rule):
     """Simulated time is the only clock: wall-clock reads are banned.
@@ -120,54 +93,20 @@ class NoWallClockRule(Rule):
     description = ("wall-clock reads (time.time, perf_counter, "
                    "datetime.now, ...) are banned in simulation code")
 
-    _TIME_FUNCS = frozenset({
-        "time", "time_ns", "perf_counter", "perf_counter_ns",
-        "monotonic", "monotonic_ns", "process_time", "process_time_ns",
-    })
-    _DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-
     def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
-        imports = _ImportTracker()
-        imports.visit(module.tree)
-        time_aliases = {alias for alias, mod in
-                        imports.module_aliases.items() if mod == "time"}
-        datetime_mod_aliases = {
-            alias for alias, mod in imports.module_aliases.items()
-            if mod == "datetime"}
-        datetime_cls_aliases = {
-            alias for alias, target in imports.member_imports.items()
-            if target in ("datetime.datetime", "datetime.date")}
-        banned_members = {
-            alias for alias, target in imports.member_imports.items()
-            if target in {f"time.{f}" for f in self._TIME_FUNCS}}
-
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in banned_members:
-                yield self.violation(
-                    module, node,
-                    f"wall-clock call {func.id}(); simulated components "
-                    "must read Simulator.now (Tc ticks) instead")
-            elif isinstance(func, ast.Attribute):
-                dotted = _dotted(func)
-                if dotted is None:
-                    continue
-                head, _, tail = dotted.partition(".")
-                if head in time_aliases and tail in self._TIME_FUNCS:
-                    yield self.violation(
-                        module, node,
-                        f"wall-clock call {dotted}(); simulated "
-                        "components must read Simulator.now instead")
-                elif (tail.split(".")[-1] in self._DATETIME_FUNCS
-                      and (head in datetime_mod_aliases
-                           or head in datetime_cls_aliases)):
-                    yield self.violation(
-                        module, node,
-                        f"wall-clock call {dotted}(); timestamps in "
-                        "simulation output must derive from the "
-                        "simulated clock")
+        for record in module.summary.records("wall_clock"):
+            local = record["local"]
+            if not record["what"].startswith("time."):
+                advice = ("timestamps in simulation output must derive "
+                          "from the simulated clock")
+            elif "." in local:
+                advice = ("simulated components must read Simulator.now "
+                          "instead")
+            else:
+                advice = ("simulated components must read Simulator.now "
+                          "(Tc ticks) instead")
+            yield self.violation(module, record,
+                                 f"wall-clock call {local}(); {advice}")
 
 
 @register
@@ -186,24 +125,7 @@ class RngDisciplineRule(Rule):
     description = ("no stdlib random, no np.random global state; "
                    "stochastic code takes an explicit Generator")
 
-    _LEGACY_NP = frozenset({
-        "seed", "random", "rand", "randn", "randint", "random_sample",
-        "normal", "uniform", "exponential", "lognormal", "poisson",
-        "binomial", "choice", "shuffle", "permutation", "standard_normal",
-    })
-
     def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
-        imports = _ImportTracker()
-        imports.visit(module.tree)
-        numpy_aliases = {alias for alias, mod in
-                         imports.module_aliases.items() if mod == "numpy"}
-        npr_aliases = {alias for alias, mod in
-                       imports.module_aliases.items()
-                       if mod == "numpy.random"}
-        npr_aliases |= {alias for alias, target in
-                        imports.member_imports.items()
-                        if target == "numpy.random"}
-
         loads_rng = False
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
@@ -220,8 +142,7 @@ class RngDisciplineRule(Rule):
                         "stdlib 'random' is process-global state; "
                         "thread an np.random.Generator instead")
             elif isinstance(node, ast.Call):
-                yield from self._check_call(module, node, numpy_aliases,
-                                            npr_aliases)
+                yield from self._check_call(module, node)
             elif (isinstance(node, ast.Name) and node.id == "rng"
                   and isinstance(node.ctx, ast.Load)):
                 loads_rng = True
@@ -229,26 +150,21 @@ class RngDisciplineRule(Rule):
         if loads_rng:
             yield from self._check_unbound_rng(module)
 
-    def _check_call(self, module: ModuleUnderLint, node: ast.Call,
-                    numpy_aliases: set[str], npr_aliases: set[str]
+    def _check_call(self, module: ModuleUnderLint, node: ast.Call
                     ) -> Iterator[Violation]:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return
-        parts = dotted.split(".")
-        is_np_random = (
-            (len(parts) == 3 and parts[0] in numpy_aliases
-             and parts[1] == "random")
-            or (len(parts) == 2 and parts[0] in npr_aliases))
-        if not is_np_random:
+        package, _, tail = module.summary.resolve_dotted(
+            dotted).rpartition(".")
+        if package != "numpy.random":
             return
-        tail = parts[-1]
         if tail == "seed":
             yield self.violation(
                 module, node,
                 "np.random.seed mutates the process-global generator; "
                 "seed an RngRegistry instead")
-        elif tail in self._LEGACY_NP:
+        elif tail in GLOBAL_NP_RANDOM:
             yield self.violation(
                 module, node,
                 f"np.random.{tail} draws from the process-global "
@@ -333,48 +249,6 @@ def _bound_names(node: ast.AST) -> set[str]:
 
 
 @register
-class UnitSuffixMixingRule(Rule):
-    """Additive arithmetic must not mix ``_tc``/``_us``/``_ms`` units.
-
-    ``slot_tc + margin_us`` silently adds ticks to microseconds.  Convert
-    at the boundary with :mod:`repro.phy.timebase`
-    (``slot_tc + tc_from_us(margin_us)``), which this rule recognises
-    because conversion calls carry the *target* unit.  Multiplicative
-    operators are exempt (scaling by dimensionless factors is fine).
-    """
-
-    rule_id = "unit-suffix-mixing"
-    severity = Severity.ERROR
-    description = ("additive/comparison arithmetic mixing _tc/_us/_ms "
-                   "suffixed names without a timebase conversion")
-
-    _ADDITIVE = (ast.Add, ast.Sub, ast.Mod, ast.FloorDiv)
-
-    def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.BinOp)
-                    and isinstance(node.op, self._ADDITIVE)):
-                left = _expr_unit(node.left)
-                right = _expr_unit(node.right)
-                if left and right and left != right:
-                    yield self.violation(
-                        module, node,
-                        f"mixes units _{left} and _{right}; convert via "
-                        "repro.phy.timebase (e.g. "
-                        f"{left}_from_{right}(...)) before combining")
-            elif isinstance(node, ast.Compare):
-                units = [_expr_unit(node.left)]
-                units.extend(_expr_unit(c) for c in node.comparators)
-                present = [u for u in units if u]
-                if len(set(present)) > 1:
-                    mixed = " and ".join(f"_{u}" for u in sorted(set(present)))
-                    yield self.violation(
-                        module, node,
-                        f"compares values in different units ({mixed}); "
-                        "convert to a common unit via repro.phy.timebase")
-
-
-@register
 class NoFloatTickEqualityRule(Rule):
     """No ``==``/``!=`` between time quantities and floats.
 
@@ -440,51 +314,14 @@ class UnorderedIterationBeforeScheduleRule(Rule):
     description = ("iterating a set/.keys() view and scheduling "
                    "simulator events in the loop body")
 
-    _SCHEDULE_METHODS = frozenset({"schedule", "call_in"})
-
     def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            reason = self._unordered_reason(node.iter)
-            if reason is None:
-                continue
-            if self._body_schedules(node.body + node.orelse):
+        for loop in module.summary.records("unordered_loops"):
+            if loop["direct"]:
                 yield self.violation(
-                    module, node,
-                    f"iterates {reason} and schedules simulator events "
-                    "in the loop body; iterate sorted(...) so the event "
-                    "order is deterministic")
-
-    def _unordered_reason(self, node: ast.expr) -> str | None:
-        if isinstance(node, ast.Set):
-            return "a set literal"
-        if isinstance(node, ast.SetComp):
-            return "a set comprehension"
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in ("set",
-                                                          "frozenset"):
-                return f"{func.id}(...)"
-            if isinstance(func, ast.Attribute) and func.attr == "keys":
-                return "a .keys() view"
-        if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
-            left = self._unordered_reason(node.left)
-            right = self._unordered_reason(node.right)
-            if left or right:
-                return left or right
-        return None
-
-    def _body_schedules(self, body: list[ast.stmt]) -> bool:
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if (isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in self._SCHEDULE_METHODS):
-                    return True
-        return False
-
+                    module, loop,
+                    f"iterates {loop['reason']} and schedules simulator "
+                    "events in the loop body; iterate sorted(...) so the "
+                    "event order is deterministic")
 
 @register
 class PublicApiExportsRule(Rule):
@@ -587,19 +424,6 @@ class FaultStreamsNamedRule(Rule):
     def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
         if not self._applies(module):
             return
-        imports = _ImportTracker()
-        imports.visit(module.tree)
-        numpy_aliases = {alias for alias, mod in
-                         imports.module_aliases.items() if mod == "numpy"}
-        npr_aliases = {alias for alias, mod in
-                       imports.module_aliases.items()
-                       if mod == "numpy.random"}
-        npr_aliases |= {alias for alias, target in
-                        imports.member_imports.items()
-                        if target == "numpy.random"}
-        npr_members = {alias for alias, target in
-                       imports.member_imports.items()
-                       if target.startswith("numpy.random.")}
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -617,16 +441,9 @@ class FaultStreamsNamedRule(Rule):
                     if found is not None:
                         yield found
                 continue
-            dotted = _dotted(func)
-            if dotted is None:
-                continue
-            parts = dotted.split(".")
-            from_np_random = (
-                (len(parts) >= 3 and parts[0] in numpy_aliases
-                 and parts[1] == "random")
-                or (len(parts) >= 2 and parts[0] in npr_aliases)
-                or (len(parts) == 1 and parts[0] in npr_members))
-            if from_np_random:
+            dotted = dotted_name(func)
+            if dotted is not None and module.summary.resolve_dotted(
+                    dotted).startswith("numpy.random."):
                 yield self.violation(
                     module, node,
                     f"direct numpy.random use ({dotted}) in fault code "

@@ -9,9 +9,7 @@ hash over every ``.py`` file of the ``repro`` package except
 ``devtools`` (tooling cannot change simulation results).  A lookup
 hits only when both match, so editing any simulation module invalidates
 every cached point at once while re-running an unchanged tree replays
-entirely from disk.  Same idea as the analyzer's incremental cache
-(:mod:`repro.devtools.analyze.cache`), applied to results instead of
-parse summaries.
+entirely from disk.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent campaign
 runs sharing one cache file can never observe a torn payload.

@@ -1,4 +1,4 @@
-"""Fixture: mixed time-unit arithmetic (unit-suffix-mixing)."""
+"""Fixture: mixed time-unit arithmetic (the units family)."""
 
 __all__ = ["total_latency", "deadline_missed"]
 

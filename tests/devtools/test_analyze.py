@@ -439,7 +439,7 @@ def test_text_reporter_summarises_one_pass(tmp_path):
     # One pass yields the program families and the file-scope rules.
     assert rule_ids(report) == {"cross-unit-arithmetic"}
     assert {v.rule_id for v in family(report.violations, "file")} == {
-        "no-wall-clock", "public-api-exports", "unit-suffix-mixing"}
+        "no-wall-clock", "public-api-exports"}
     text = render_text(report)
     assert (f"3 file(s) checked, {len(report.violations)} finding(s)"
             in text)

@@ -1,7 +1,7 @@
 """The file-scope rule family: rules, suppressions, config, reporters."""
 
-import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,6 @@ from repro.devtools.lintkit import (
     SYNTAX_ERROR_RULE_ID,
     Severity,
     registered_rules,
-    run_file_rules,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -28,7 +27,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 EXPECTED_RULES = {
     "no-wall-clock",
     "rng-discipline",
-    "unit-suffix-mixing",
     "no-float-tick-equality",
     "unordered-iteration-before-schedule",
     "public-api-exports",
@@ -36,12 +34,21 @@ EXPECTED_RULES = {
 }
 
 
-def rule_ids_in(source: str, path: str = "mod.py") -> set[str]:
-    return {v.rule_id for v in run_file_rules(path, ast.parse(source))}
-
-
 def file_family(violations):
     return [v for v in violations if RULES[v.rule_id].family == "file"]
+
+
+def file_findings_in(tmp_path, source: str, path: str = "mod.py"):
+    """The unfiltered file-rule findings of one module written at
+    ``tmp_path / path``."""
+    target = tmp_path / path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(source, encoding="utf-8")
+    return file_family(check_paths([tmp_path]).unfiltered)
+
+
+def rule_ids_in(tmp_path, source: str, path: str = "mod.py") -> set[str]:
+    return {v.rule_id for v in file_findings_in(tmp_path, source, path)}
 
 
 def check_source(tmp_path, source, config=None):
@@ -59,10 +66,17 @@ def test_all_domain_rules_are_registered():
 # ----------------------------------------------------------------------
 # the fixture files each trip exactly their intended rule
 # ----------------------------------------------------------------------
+#: Fixture lines that break a second file rule as well.
+ALSO_TRIPPED = {
+    # The ad-hoc ``default_rng(0)`` (imported from numpy.random) breaks
+    # the fault-stream contract and RNG discipline alike.
+    "bad_fault_stream_names.py": {"rng-discipline": 1},
+}
+
+
 @pytest.mark.parametrize("fixture, expected_rule, expected_count", [
     ("bad_wall_clock.py", "no-wall-clock", 3),
     ("bad_rng.py", "rng-discipline", 5),
-    ("bad_units.py", "unit-suffix-mixing", 2),
     ("bad_float_equality.py", "no-float-tick-equality", 2),
     ("bad_iteration.py", "unordered-iteration-before-schedule", 2),
     ("bad_exports.py", "public-api-exports", 1),
@@ -72,11 +86,75 @@ def test_fixture_caught_by_correct_rule(fixture, expected_rule,
                                         expected_count):
     report = check_paths([FIXTURES / fixture])
     assert report.suppressed == []
-    violations = file_family(report.violations)
-    by_rule = {v.rule_id for v in violations}
-    assert by_rule == {expected_rule}, (
-        f"{fixture}: expected only {expected_rule}, got {sorted(by_rule)}")
-    assert len(violations) == expected_count
+    counts = Counter(v.rule_id for v in file_family(report.violations))
+    assert counts == {expected_rule: expected_count,
+                      **ALSO_TRIPPED.get(fixture, {})}
+
+
+def test_units_fixture_caught_by_the_units_family():
+    # Mixed-unit arithmetic and comparisons are the units family's:
+    # its inference covers every line a suffix-only file rule saw.
+    report = check_paths([FIXTURES / "bad_units.py"])
+    assert sorted((v.rule_id, v.line) for v in report.violations) == [
+        ("cross-unit-arithmetic", 7), ("cross-unit-comparison", 11)]
+
+
+# ----------------------------------------------------------------------
+# the file rules read the loader's records: every place a direct use
+# can be written is seen
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("source, rule, line, col", [
+    ("import time\nSTART = time.time()\n", "no-wall-clock", 2, 8),
+    ("import time\nstamp = lambda: time.time()\n", "no-wall-clock", 2, 16),
+    ("import time\ndef f(t=time.time()):\n    return t\n",
+     "no-wall-clock", 2, 8),
+    ("import time\ndef deco(x):\n    return lambda fn: fn\n"
+     "@deco(time.time())\ndef f():\n    pass\n", "no-wall-clock", 4, 6),
+    ("from time import perf_counter\nclass C:\n"
+     "    created = perf_counter()\n", "no-wall-clock", 3, 14),
+    ("for h in set(HANDLERS):\n    SIM.schedule(0, h)\n",
+     "unordered-iteration-before-schedule", 1, 0),
+    ("class C:\n    for h in set(HANDLERS):\n"
+     "        SIM.call_in(1, h)\n",
+     "unordered-iteration-before-schedule", 2, 4),
+    ("def kick(sim, handlers, run):\n    for h in set(handlers):\n"
+     "        run(lambda: sim.schedule(0, h))\n",
+     "unordered-iteration-before-schedule", 2, 4),
+], ids=["module-level", "lambda-body", "default-argument",
+        "decorator-argument", "class-body", "set-loop-module-level",
+        "set-loop-class-body", "schedule-in-lambda"])
+def test_direct_use_reported_wherever_it_is_written(tmp_path, source, rule,
+                                                    line, col):
+    found = [(v.line, v.col) for v in file_findings_in(tmp_path, source)
+             if v.rule_id == rule]
+    assert found == [(line, col)]
+
+
+def test_rng_discipline_resolves_every_numpy_spelling(tmp_path):
+    source = ("import random\n"
+              "import numpy.random\n"
+              "from numpy.random import seed, default_rng\n"
+              "numpy.random.seed(1)\n"
+              "X = numpy.random.normal()\n"
+              "seed(1)\n"
+              "G = default_rng()\n"
+              "Y = random.random()\n")
+    found = [(v.line, v.message.split(";")[0])
+             for v in file_findings_in(tmp_path, source)
+             if v.rule_id == "rng-discipline"]
+    # stdlib random is reported at its import, not at each call
+    assert found == [
+        (1, "stdlib 'random' is process-global state"),
+        (4, "np.random.seed mutates the process-global generator"),
+        (5, "np.random.normal draws from the process-global generator"),
+        (6, "np.random.seed mutates the process-global generator"),
+        (7, "ad-hoc default_rng() construction"),
+    ]
+    fault = [v.line for v in file_findings_in(
+        tmp_path / "fault", "import numpy.random\n"
+        "G = numpy.random.default_rng(0)\n", "faults/inject.py")
+        if v.rule_id == "fault-streams-named"]
+    assert fault == [2]
 
 
 def test_fixture_directory_linted_as_a_tree():
@@ -133,7 +211,8 @@ def test_severity_orders_by_rank_not_lexicographically():
 
 
 def test_severity_compares_against_plain_strings():
-    # Cached findings hold plain strings; ranking must still apply.
+    # Config files name severities as plain strings; ranking must
+    # still apply.
     assert Severity.ERROR >= "warning"
     assert Severity.NOTE < "warning"
     assert Severity.WARNING == "warning"
@@ -150,7 +229,7 @@ def test_severity_renders_as_its_bare_value():
 # ----------------------------------------------------------------------
 # clean code stays clean
 # ----------------------------------------------------------------------
-def test_clean_simulation_code_passes():
+def test_clean_simulation_code_passes(tmp_path):
     source = '''"""A well-behaved component."""
 import numpy as np
 
@@ -169,31 +248,31 @@ class Component:
     def _on_fire(self) -> None:
         pass
 '''
-    assert rule_ids_in(source) == set()
+    assert rule_ids_in(tmp_path, source) == set()
 
 
-def test_conversion_calls_reconcile_units():
+def test_conversion_calls_reconcile_units(tmp_path):
     source = ('__all__ = []\n'
               'def f(slot_tc, margin_us, tc_from_us):\n'
               '    return slot_tc + tc_from_us(margin_us)\n')
-    assert rule_ids_in(source) == set()
+    assert rule_ids_in(tmp_path, source) == set()
 
 
-def test_sorted_set_iteration_is_fine():
+def test_sorted_set_iteration_is_fine(tmp_path):
     source = ('__all__ = []\n'
               'def f(sim, ues):\n'
               '    for ue in sorted(set(ues)):\n'
               '        sim.schedule(0, ue)\n')
-    assert rule_ids_in(source) == set()
+    assert rule_ids_in(tmp_path, source) == set()
 
 
-def test_rng_parameter_and_closure_are_fine():
+def test_rng_parameter_and_closure_are_fine(tmp_path):
     source = ('__all__ = []\n'
               'def outer(rng):\n'
               '    def inner():\n'
               '        return rng.normal()\n'
               '    return inner\n')
-    assert rule_ids_in(source) == set()
+    assert rule_ids_in(tmp_path, source) == set()
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +383,7 @@ def test_repo_config_names_only_known_rules():
 def test_text_reporter_lists_violations_and_summary():
     report = check_paths([FIXTURES / "bad_units.py"])
     text = render_text(report)
-    assert "unit-suffix-mixing" in text
+    assert "cross-unit-arithmetic" in text
     assert "bad_units.py:" in text
     assert "1 file(s) checked" in text
 
@@ -329,9 +408,8 @@ def test_sarif_reporter_shares_the_common_writer():
     # Every registered rule appears, found or not.
     assert listed == set(RULES)
     results = document["runs"][0]["results"]
-    assert {r["ruleId"] for r in results
-            if RULES[r["ruleId"]].family == "file"} == {
-        "unit-suffix-mixing"}
+    assert {r["ruleId"] for r in results} == {
+        "cross-unit-arithmetic", "cross-unit-comparison"}
 
 
 def test_clean_report_says_clean(tmp_path):
@@ -360,34 +438,34 @@ def test_src_tree_is_lint_clean(src_report):
 # ----------------------------------------------------------------------
 # fault-streams-named delegates name resolution to the detsan resolver
 # ----------------------------------------------------------------------
-def test_fault_stream_fstring_with_literal_prefix_is_clean():
+def test_fault_stream_fstring_with_literal_prefix_is_clean(tmp_path):
     source = (
         "class Injector:\n"
         "    def __init__(self, rngs, kind, index):\n"
         "        self.rng = rngs.stream(f\"fault.{kind}.{index}\")\n"
     )
     assert "fault-streams-named" not in rule_ids_in(
-        source, "faults/injectors.py")
+        tmp_path, source, "faults/injectors.py")
 
 
-def test_fault_stream_dynamic_name_reported_as_unresolvable():
+def test_fault_stream_dynamic_name_reported_as_unresolvable(tmp_path):
     source = (
         "def acquire(rngs, name):\n"
         "    return rngs.stream(name)\n"
     )
-    violations = run_file_rules("faults/dynamic.py", ast.parse(source))
+    violations = file_findings_in(tmp_path, source, "faults/dynamic.py")
     hits = [v for v in violations if v.rule_id == "fault-streams-named"]
     assert len(hits) == 1
     assert "resolved statically" in hits[0].message
 
 
-def test_fault_stream_resolved_template_in_message():
+def test_fault_stream_resolved_template_in_message(tmp_path):
     source = (
         "def acquire(rngs, index):\n"
         "    return rngs.stream(f\"link.{index}\")\n"
     )
-    violations = run_file_rules("faults/wrongprefix.py",
-                                ast.parse(source))
+    violations = file_findings_in(tmp_path, source,
+                                  "faults/wrongprefix.py")
     hits = [v for v in violations if v.rule_id == "fault-streams-named"]
     assert len(hits) == 1
     assert "'link.{*}'" in hits[0].message
