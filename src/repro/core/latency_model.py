@@ -225,7 +225,16 @@ class LatencyModel:
         )
 
     def ul_grant_based_completion(self, arrival: int) -> int:
-        return self.ul_grant_based_chain(arrival).completion
+        """:meth:`ul_grant_based_chain`'s completion, without the trace:
+        one scan of the UL timeline instead of two."""
+        timings = self.timings
+        sr_received = (self._next_sr_occasion(arrival + timings.ul_lead)
+                       + timings.sr_duration + timings.sr_decode)
+        grant_tx = self._control.next_at_or_after(
+            self._scheduling.next_after(sr_received))
+        return self._ul.completion_aligned(
+            grant_tx + timings.grant_duration + timings.ue_grant_processing,
+            timings.min_tx_duration)
 
     def completion(self, arrival: int, direction: Direction,
                    access: AccessMode = AccessMode.GRANT_FREE) -> int:

@@ -646,6 +646,11 @@ class _FunctionExtractor:
         self.is_converter = is_converter
         self.class_name = class_name
         self.module_level = module_level
+        # Where the definitions of this body are named: a def in a
+        # module-level (or class-body) ``if``/``try`` is the module's
+        # (the class's), not a local of the synthetic body.
+        self.scope = (qualname.rpartition(".")[0]
+                      if name in ("<module>", "<class>") else qualname)
         self.env: dict[str, dict] = {
             param: u_const(unit_of_name(param) or "unknown")
             for param in params
@@ -710,13 +715,13 @@ class _FunctionExtractor:
             # Nested functions get their own summary; bare-name calls to
             # them resolve through local_defs, so taint still flows.
             self.eval_definition_time(stmt)
-            self.local_defs[stmt.name] = f"{self.qualname}.{stmt.name}"
-            self.module._extract_function(stmt, parent=self.qualname,
+            self.local_defs[stmt.name] = f"{self.scope}.{stmt.name}"
+            self.module._extract_function(stmt, parent=self.scope,
                                           class_name=self.class_name,
                                           loops=self._loop_stack)
         elif isinstance(stmt, ast.ClassDef):
             self.local_classes.add(stmt.name)
-            self.module._extract_class(stmt, self.qualname, self)
+            self.module._extract_class(stmt, self.scope, self)
         elif isinstance(stmt, ast.Assign):
             value = self.eval_expr(stmt.value)
             for target in stmt.targets:

@@ -109,6 +109,14 @@ class NoWallClockRule(Rule):
                                  f"wall-clock call {local}(); {advice}")
 
 
+#: ``numpy.random`` callables that seed a generator: every stream must
+#: come from :class:`repro.sim.rng.RngRegistry` instead.
+_SEEDING_CONSTRUCTORS = frozenset({
+    "default_rng", "Generator", "SeedSequence", "PCG64", "PCG64DXSM",
+    "Philox", "SFC64", "MT19937",
+})
+
+
 @register
 class RngDisciplineRule(Rule):
     """All randomness flows through explicitly threaded generators.
@@ -157,9 +165,16 @@ class RngDisciplineRule(Rule):
             return
         package, _, tail = module.summary.resolve_dotted(
             dotted).rpartition(".")
-        if package != "numpy.random":
+        if tail in _SEEDING_CONSTRUCTORS and (
+                package == "numpy.random"
+                or package.startswith("numpy.random.")):
+            yield self.violation(
+                module, node,
+                f"ad-hoc {tail}() construction; derive streams from "
+                "repro.sim.rng.RngRegistry so seeds stay coherent")
+        elif package != "numpy.random":
             return
-        if tail == "seed":
+        elif tail == "seed":
             yield self.violation(
                 module, node,
                 "np.random.seed mutates the process-global generator; "
@@ -169,12 +184,6 @@ class RngDisciplineRule(Rule):
                 module, node,
                 f"np.random.{tail} draws from the process-global "
                 "generator; draw from an explicit np.random.Generator")
-        elif tail == "default_rng":
-            yield self.violation(
-                module, node,
-                "ad-hoc default_rng() construction; derive streams from "
-                "repro.sim.rng.RngRegistry so seeds stay coherent",
-                severity=self.severity)
 
     def _check_unbound_rng(self, module: ModuleUnderLint
                            ) -> Iterator[Violation]:

@@ -325,6 +325,7 @@ def multi_ue(params: Mapping[str, Any],
         RanConfig(access=AccessMode.GRANT_FREE, n_ues=n_ues,
                   seed=rngs.fork("system").seed))
     horizon_tc = tc_from_ms(float(params["horizon_ms"]))
+    rngs.prepare([f"arrivals.ue{ue_id}" for ue_id in range(1, n_ues + 1)])
     for ue_id in range(1, n_ues + 1):
         system.queue_uplink(
             uniform_in_horizon(packets_per_ue, horizon_tc,
@@ -365,6 +366,7 @@ def multi_ue_massive(params: Mapping[str, Any],
                   cg_share=1.0, engine=engine,
                   seed=rngs.fork("system").seed))
     horizon_tc = tc_from_ms(float(params["horizon_ms"]))
+    rngs.prepare([f"arrivals.ue{ue_id}" for ue_id in range(1, n_ues + 1)])
     for ue_id in range(1, n_ues + 1):
         system.queue_uplink(
             uniform_in_horizon(packets_per_ue, horizon_tc,

@@ -521,6 +521,10 @@ class SlottedUplink:
             last_seen[u] = i
         del last_seen
         self._ue_left = ue_left = list(pop.queued)
+        if self._ue_draws:
+            # Seed every UE stream the run opens in one vectorised pass.
+            self._rngs.prepare([f"ue{u}" for u, left in enumerate(ue_left)
+                                if left])
 
         # Local aliases for the hot loop.
         heap = self._heap

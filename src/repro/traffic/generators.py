@@ -29,7 +29,7 @@ def uniform_in_horizon(n_packets: int, horizon_tc: int,
     if horizon_tc <= 0:
         raise ValueError(f"horizon must be positive, got {horizon_tc}")
     arrivals = start_tc + rng.integers(0, horizon_tc, size=n_packets)
-    return sorted(int(a) for a in arrivals)
+    return sorted(arrivals.tolist())
 
 
 def periodic(n_packets: int, period_tc: int, start_tc: int = 0,

@@ -190,3 +190,17 @@ def test_no_sampled_latency_exceeds_reported_worst(scheme_index,
     for arrival in arrivals:
         latency = completion(arrival) - arrival
         assert extremes.best_tc <= latency <= extremes.worst_tc
+
+
+@given(
+    scheme_index=st.integers(0, len(SCHEMES) - 1),
+    arrivals=st.lists(st.integers(0, 4 * tc_from_ms(2)), min_size=1,
+                      max_size=40),
+)
+@settings(max_examples=120, deadline=None)
+def test_grant_based_completion_is_the_chain_completion(scheme_index,
+                                                        arrivals):
+    model = LatencyModel(SCHEMES[scheme_index]())
+    for arrival in arrivals:
+        assert model.ul_grant_based_completion(arrival) == \
+            model.ul_grant_based_chain(arrival).completion

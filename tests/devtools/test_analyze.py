@@ -240,6 +240,36 @@ def test_transitive_global_rng(tmp_path):
     assert "random.random()" in leaks[0].message
 
 
+@pytest.mark.parametrize("opener", ["if True:", "try:"])
+def test_def_nested_in_module_level_block_keeps_its_call_edge(
+        tmp_path, opener):
+    closer = "" if opener == "if True:" else "except ImportError:\n    pass\n"
+    write_tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/probe.py": ("import time\n"
+                         f"{opener}\n"
+                         "    def f():\n"
+                         "        return time.time()\n"
+                         f"{closer}"
+                         "def g():\n"
+                         "    return f()\n"
+                         "def k():\n"
+                         "    return time.time()\n"
+                         "def h():\n"
+                         "    return k()\n"),
+    })
+    report = check_paths([tmp_path / "pkg"])
+    lines = (tmp_path / "pkg/probe.py").read_text().splitlines()
+
+    def reported(rule_id):
+        return sorted(lines[v.line - 1].strip() for v in report.violations
+                      if v.rule_id == rule_id)
+
+    assert reported("no-wall-clock") == ["return time.time()"] * 2
+    assert reported("transitive-wall-clock") == ["return f()",
+                                                 "return k()"]
+
+
 def test_default_rng_is_not_a_taint_source(tmp_path):
     write_tree(tmp_path, {
         "pkg/__init__.py": "",

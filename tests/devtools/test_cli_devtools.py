@@ -26,7 +26,7 @@ def test_lint_src_is_clean_and_exits_zero(capsys):
                  "--config", str(REPO_ROOT / "pyproject.toml")])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "0 finding(s) (3 suppressed, 3 baselined" in out
+    assert "0 finding(s) (4 suppressed, 3 baselined" in out
 
 
 def test_lint_fixture_violations_exit_nonzero(capsys):

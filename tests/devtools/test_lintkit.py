@@ -157,6 +157,39 @@ def test_rng_discipline_resolves_every_numpy_spelling(tmp_path):
     assert fault == [2]
 
 
+def test_rng_discipline_flags_every_seeding_construction(tmp_path):
+    source = ("import numpy as np\n"
+              "from numpy.random import PCG64, Generator\n"
+              "from numpy.random.bit_generator import SeedSequence\n"
+              "A = np.random.Generator(np.random.PCG64(1))\n"
+              "B = Generator(PCG64(2))\n"
+              "C = np.random.Generator(np.random.PCG64DXSM(3))\n"
+              "D = np.random.Philox(4), np.random.SFC64(5)\n"
+              "E = np.random.MT19937(6)\n"
+              "F = np.random.SeedSequence(7), SeedSequence(8)\n"
+              "G = np.random.bit_generator.SeedSequence(9)\n"
+              "H = np.random.default_rng(10)\n"
+              "I = np.random.Generator  # a reference, not a construction\n")
+    found = [(v.line, v.message.split(";")[0])
+             for v in file_findings_in(tmp_path, source)
+             if v.rule_id == "rng-discipline"]
+    assert found == [
+        (4, "ad-hoc Generator() construction"),
+        (4, "ad-hoc PCG64() construction"),
+        (5, "ad-hoc Generator() construction"),
+        (5, "ad-hoc PCG64() construction"),
+        (6, "ad-hoc Generator() construction"),
+        (6, "ad-hoc PCG64DXSM() construction"),
+        (7, "ad-hoc Philox() construction"),
+        (7, "ad-hoc SFC64() construction"),
+        (8, "ad-hoc MT19937() construction"),
+        (9, "ad-hoc SeedSequence() construction"),
+        (9, "ad-hoc SeedSequence() construction"),
+        (10, "ad-hoc SeedSequence() construction"),
+        (11, "ad-hoc default_rng() construction"),
+    ]
+
+
 def test_fixture_directory_linted_as_a_tree():
     report = check_paths([FIXTURES])
     assert report.files_checked == 8
@@ -425,13 +458,14 @@ def test_clean_report_says_clean(tmp_path):
 def test_src_tree_is_lint_clean(src_report):
     report = src_report
     assert report.exit_code == 0, render_text(report)
-    # The only suppressions are the three sanctioned host-clock and
+    # The only suppressions are the sanctioned host-clock and
     # generator-construction sites, each a line pragma with its reason.
     assert sorted((v.rule_id, Path(v.path).name, v.line)
                   for v in report.suppressed) == [
         ("no-wall-clock", "executor.py", 237),
         ("no-wall-clock", "executor.py", 301),
-        ("rng-discipline", "rng.py", 62),
+        ("rng-discipline", "rng.py", 159),
+        ("rng-discipline", "rng.py", 163),
     ]
 
 

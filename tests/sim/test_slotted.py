@@ -25,7 +25,8 @@ from repro.radio.interface import usb3
 from repro.radio.os_jitter import none as no_jitter
 from repro.radio.radio_head import RadioHead
 from repro.sim.distributions import Exponential, LogNormal
-from repro.sim.rng import RngRegistry
+from repro.sim import rng as rng_module
+from repro.sim.rng import RngRegistry, seed_words
 from repro.sim.sampling import (
     BufferedSampler,
     LogNormalBlockServer,
@@ -304,6 +305,27 @@ def test_ue_beyond_one_block_matches_scalar(bler):
     slotted = _uplink("slotted", per_ue, bler)
     assert slotted.engine_mode == "slotted"
     assert _outputs(slotted) == _outputs(_uplink("scalar", per_ue, bler))
+    _assert_ue_state_freed(slotted, len(per_ue))
+
+
+@pytest.mark.parametrize("bler", [0.0, 0.3], ids=["perfect", "lossy"])
+def test_run_seeds_ue_streams_in_one_batch(bler, monkeypatch):
+    # 40 UEs with traffic: enough for run() to prepare their ue<N>
+    # streams in one batch; the draws stay the scalar engine's.
+    batches = []
+
+    def spy(entropy):
+        batches.append(len(entropy))
+        return seed_words(entropy)
+
+    monkeypatch.setattr(rng_module, "seed_words", spy)
+    per_ue = [1 + ue_id % 3 for ue_id in range(40)]
+    slotted = _uplink("slotted", per_ue, bler, horizon_ms=40)
+    assert batches == [40]
+    assert _outputs(slotted) == _outputs(
+        _uplink("scalar", per_ue, bler, horizon_ms=40))
+    # A prepared name whose words were never used would be re-seeded
+    # here instead of raising.
     _assert_ue_state_freed(slotted, len(per_ue))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.phy.timebase import tc_from_ms, tc_from_us
+from repro.sim.rng import RngRegistry
 from repro.traffic.generators import periodic, poisson, uniform_in_horizon
 
 
@@ -23,6 +24,19 @@ def test_uniform_covers_the_pattern(rng):
     phases = np.array(arrivals) / horizon
     counts, _ = np.histogram(phases, bins=4, range=(0, 1))
     assert counts.min() > 350  # roughly even quarters
+
+
+@pytest.mark.parametrize("start_tc", [0, 12_345])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_uniform_returns_the_drawn_ints(seed, start_tc):
+    horizon = tc_from_ms(2_000)
+    arrivals = uniform_in_horizon(64, horizon,
+                                  RngRegistry(seed).stream("arrivals"),
+                                  start_tc=start_tc)
+    drawn = start_tc + RngRegistry(seed).stream("arrivals").integers(
+        0, horizon, size=64)
+    assert arrivals == sorted(int(a) for a in drawn)
+    assert all(type(a) is int for a in arrivals)
 
 
 def test_uniform_validation(rng):
