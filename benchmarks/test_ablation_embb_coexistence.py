@@ -38,11 +38,11 @@ def run_scenario(prioritise: bool, seed: int):
             uniform_arrivals(EMBB_PACKETS, HORIZON_MS, seed=300 + ue_id),
             payload_bytes=EMBB_PAYLOAD, ue_id=ue_id)
     system.run()
-    urllc = [p for p in system.dl_probe.packets
-             if p.ue_id == URLLC_UE]
+    probe = system.dl_probe
     from repro.net.probes import summarize_us
-    from repro.phy.timebase import us_from_tc
-    latencies = [us_from_tc(p.latency_tc) for p in urllc]
+    latencies = [lat for ue_id, lat in zip(probe.ue_id,
+                                           probe.latencies_us())
+                 if ue_id == URLLC_UE]
     return summarize_us(latencies)
 
 

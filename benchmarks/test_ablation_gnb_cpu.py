@@ -16,7 +16,6 @@ from repro.analysis.report import render_table
 from repro.mac.catalog import testbed_dddu
 from repro.mac.types import AccessMode
 from repro.net.session import RanConfig, RanSystem
-from repro.stack.packets import LatencySource
 from repro.phy.timebase import us_from_tc
 
 UE_COUNTS = [1, 8, 32]
@@ -30,7 +29,7 @@ def run_sweep():
         system = RanSystem(
             testbed_dddu(),
             RanConfig(access=AccessMode.GRANT_FREE, n_ues=n_ues,
-                      gnb_cpu_cores=1, seed=70 + n_ues))
+                      gnb_cpu_cores=1, seed=70 + n_ues, trace=True))
         for ue_id in range(1, n_ues + 1):
             system.queue_uplink(
                 uniform_arrivals(PACKETS_PER_UE, HORIZON_MS,
@@ -39,13 +38,17 @@ def run_sweep():
         system.run()
         # Isolate the gNB-side processing: subtract the UE-side stack
         # (identical distribution across sweeps) by measuring only the
-        # gNB pipeline's span per packet.
-        spans_us = []
-        for packet in system.ul_probe.packets:
-            enter = packet.timestamps.get("gnb.up.phy.enter")
-            exit_ = packet.timestamps.get("gnb.up.sdap.exit")
-            if enter is not None and exit_ is not None:
-                spans_us.append(us_from_tc(exit_ - enter))
+        # gNB pipeline's span per packet, from its first PHY entry to
+        # its first SDAP exit in the trace (tracing draws nothing).
+        enters: dict[int, int] = {}
+        exits: dict[int, int] = {}
+        for record in system.tracer.records("gnb.up.phy", "enter"):
+            enters.setdefault(record.fields["packet_id"], record.time)
+        for record in system.tracer.records("gnb.up.sdap", "exit"):
+            exits.setdefault(record.fields["packet_id"], record.time)
+        spans_us = [us_from_tc(exits[pid] - enters[pid])
+                    for pid in system.ul_probe.packet_id
+                    if pid in enters and pid in exits]
         results[n_ues] = {
             "delivered": len(system.ul_probe),
             "gnb_processing_us": float(np.mean(spans_us)),

@@ -33,7 +33,7 @@ def run_sweep():
                       seed=81))
         probe = system.run_downlink(
             uniform_arrivals(N_PACKETS, HORIZON_MS, seed=82))
-        retx = [p.harq_retransmissions for p in probe.packets]
+        retx = probe.harq_retx
         results[bler] = {
             "probe": probe,
             "mean_us": probe.summary().mean_us,
@@ -64,12 +64,12 @@ def test_ablation_harq(benchmark):
     # one pattern per HARQ round.  [33] reports 0.5 ms steps on a
     # dedicated FDD-like deployment; on DDDU the step is pattern-sized.
     probe = results[0.3]["probe"]
-    first_shot = [lat for p, lat in zip(probe.packets,
-                                        probe.latencies_us())
-                  if p.harq_retransmissions == 0]
-    retransmitted = [lat for p, lat in zip(probe.packets,
+    first_shot = [lat for retx, lat in zip(probe.harq_retx,
                                            probe.latencies_us())
-                     if p.harq_retransmissions == 1]
+                  if retx == 0]
+    retransmitted = [lat for retx, lat in zip(probe.harq_retx,
+                                              probe.latencies_us())
+                     if retx == 1]
     assert retransmitted, "expected some single-retransmission packets"
     step = float(np.mean(retransmitted)) - float(np.mean(first_shot))
     assert 1_200.0 <= step <= 2_800.0  # ≈ one DDDU pattern

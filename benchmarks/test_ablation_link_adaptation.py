@@ -34,8 +34,7 @@ def run_sweep():
                       channel=IidErasureChannel(bler), seed=111))
         probe = system.run_downlink(
             uniform_arrivals(N_PACKETS, HORIZON_MS, seed=112))
-        retx = float(np.mean([p.harq_retransmissions
-                              for p in probe.packets]))
+        retx = float(np.mean(probe.harq_retx))
         results[mcs_index] = {
             "bler": bler,
             "mean_us": probe.summary().mean_us,

@@ -18,40 +18,30 @@ from typing import Mapping, Sequence
 
 from repro.analysis.stats import Histogram
 from repro.net.probes import LatencyProbe
-from repro.stack.packets import LatencySource
 from repro.phy.timebase import us_from_tc
 
 __all__ = ["export_probe", "export_histogram", "export_series"]
 
 
 def export_probe(probe: LatencyProbe, path: str | Path) -> int:
-    """Write one row per delivered packet; returns the row count."""
+    """Write one row per delivered packet, in delivery order; returns
+    the row count."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow((
-            "packet_id", "ue_id", "kind", "direction",
-            "created_tc", "delivered_tc", "latency_us",
+            "packet_id", "ue_id", "latency_us",
             "protocol_us", "processing_us", "radio_us",
-            "harq_retransmissions", "payload_bytes",
+            "harq_retransmissions",
         ))
-        for packet in probe.packets:
-            assert packet.latency_tc is not None
-            writer.writerow((
-                packet.packet_id,
-                packet.ue_id,
-                packet.kind.value,
-                packet.direction.value,
-                packet.created_tc,
-                packet.delivered_tc,
-                f"{us_from_tc(packet.latency_tc):.3f}",
-                f"{us_from_tc(packet.budget[LatencySource.PROTOCOL]):.3f}",
-                f"{us_from_tc(packet.budget[LatencySource.PROCESSING]):.3f}",
-                f"{us_from_tc(packet.budget[LatencySource.RADIO]):.3f}",
-                packet.harq_retransmissions,
-                packet.payload_bytes,
-            ))
-    return len(probe.packets)
+        for row in zip(probe.packet_id, probe.ue_id, probe.latency_tc,
+                       probe.protocol_tc, probe.processing_tc,
+                       probe.radio_tc, probe.harq_retx):
+            packet_id, ue_id, *times_tc, retx = row
+            writer.writerow((packet_id, ue_id,
+                             *(f"{us_from_tc(tc):.3f}" for tc in times_tc),
+                             retx))
+    return len(probe)
 
 
 def export_histogram(histogram: Histogram, path: str | Path,

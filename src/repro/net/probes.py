@@ -1,7 +1,8 @@
-"""Latency probes: collect delivered packets and summarise them."""
+"""Latency probes: record delivered packets as columns and summarise them."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,27 +50,49 @@ def summarize_us(samples_us: list[float]) -> LatencySummary:
 
 
 class LatencyProbe:
-    """Collects delivered packets for one measurement direction."""
+    """Delivered packets of one measurement direction, as columns.
+
+    Seven ``array('q')`` columns in delivery order, one entry per
+    delivered packet: ``latency_tc``, the three §4 source totals
+    ``processing_tc``/``protocol_tc``/``radio_tc``, ``harq_retx``,
+    ``ue_id`` and ``packet_id``.  The scalar engine fills them through
+    :meth:`record`; the slotted engine appends to them directly.  No
+    :class:`Packet` is kept, and every float the read API returns comes
+    from exact integer columns through ``us_from_tc``.
+    """
 
     def __init__(self, name: str = "probe"):
         self.name = name
-        self.packets: list[Packet] = []
+        self.latency_tc = array("q")
+        self.processing_tc = array("q")
+        self.protocol_tc = array("q")
+        self.radio_tc = array("q")
+        self.harq_retx = array("q")
+        self.ue_id = array("q")
+        self.packet_id = array("q")
 
     def record(self, packet: Packet) -> None:
         if packet.delivered_tc is None:
             raise ValueError(
                 f"packet {packet.packet_id} recorded before delivery")
-        self.packets.append(packet)
+        budget = packet.budget
+        self.latency_tc.append(packet.delivered_tc - packet.created_tc)
+        self.processing_tc.append(budget[LatencySource.PROCESSING])
+        self.protocol_tc.append(budget[LatencySource.PROTOCOL])
+        self.radio_tc.append(budget[LatencySource.RADIO])
+        self.harq_retx.append(packet.harq_retransmissions)
+        self.ue_id.append(packet.ue_id)
+        self.packet_id.append(packet.packet_id)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.packets)
+        return len(self.latency_tc)
 
     def latencies_tc(self) -> list[int]:
-        return [p.latency_tc for p in self.packets]  # type: ignore
+        return self.latency_tc.tolist()
 
     def latencies_us(self) -> list[float]:
-        return [us_from_tc(lat) for lat in self.latencies_tc()]
+        return [us_from_tc(lat) for lat in self.latency_tc]
 
     def latencies_ms(self) -> list[float]:
         return [lat / 1000.0 for lat in self.latencies_us()]
@@ -79,18 +102,19 @@ class LatencyProbe:
 
     def budget_means_us(self) -> dict[str, float]:
         """Mean per-source latency decomposition (§4's three sources)."""
-        if not self.packets:
+        count = len(self.latency_tc)
+        if not count:
             return {source.value: 0.0 for source in LatencySource}
-        means: dict[str, float] = {}
-        for source in LatencySource:
-            total = sum(p.budget[source] for p in self.packets)
-            means[source.value] = us_from_tc(total / len(self.packets))
-        return means
+        return {source.value: us_from_tc(sum(column) / count)
+                for source, column in (
+                    (LatencySource.PROCESSING, self.processing_tc),
+                    (LatencySource.PROTOCOL, self.protocol_tc),
+                    (LatencySource.RADIO, self.radio_tc))}
 
     def fraction_within(self, budget_us: float) -> float:
         """Fraction of packets delivered within a latency budget —
         the reliability metric of §6."""
-        if not self.packets:
+        if not self.latency_tc:
             return 0.0
         within = sum(1 for lat in self.latencies_us() if lat <= budget_us)
-        return within / len(self.packets)
+        return within / len(self.latency_tc)

@@ -218,9 +218,8 @@ class RanSystem:
         self.ues: dict[int, Ue] = {}
         if self._use_slotted():
             # Population mode: no per-UE objects at all — the mirror
-            # executor owns the ue<N> streams and the UL probe.
+            # executor owns the ue<N> streams and fills the UL probe.
             self.slotted = SlottedUplink(self)
-            self.ul_probe = self.slotted.probe
         else:
             # Samplers are immutable and every UE draws from its own
             # stream, so one calibrated set serves all UEs.

@@ -24,9 +24,9 @@ tuples, with
 - window arithmetic answered by the flat
   :class:`~repro.mac.opportunities.WindowIndex` and the memoized
   :meth:`~repro.mac.scheduler.GnbMacScheduler.capacity_for_duration`,
-- delivered latencies recorded in delivery order by
-  :class:`ArrayLatencyProbe`, which duck-types the read API of
-  :class:`~repro.net.probes.LatencyProbe`.
+- each delivery appended in delivery order to the system's UL
+  :class:`~repro.net.probes.LatencyProbe` columns, the probe the
+  scalar engine fills from its packets.
 
 Bit-identity contract
 ---------------------
@@ -100,18 +100,16 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.mac.types import AccessMode
-from repro.net.probes import LatencySummary, summarize_us
 from repro.phy.channel import IidErasureChannel, PerfectChannel
-from repro.phy.timebase import TC_PER_SECOND, tc_from_us, us_from_tc
+from repro.phy.timebase import TC_PER_SECOND, tc_from_us
 from repro.sim.distributions import Constant, DelaySampler, LogNormal
 from repro.sim.sampling import DEFAULT_BLOCK, LogNormalBlockServer
-from repro.stack.packets import HEADER_BYTES, LatencySource
+from repro.stack.packets import HEADER_BYTES
 
 if TYPE_CHECKING:
     from repro.net.session import RanSystem
 
-__all__ = ["ArrayLatencyProbe", "UePopulation", "SlottedUplink",
-           "ineligibility"]
+__all__ = ["UePopulation", "SlottedUplink", "ineligibility"]
 
 #: UE transmit layers in traversal order (mirrors ``repro.net.ue``).
 _UE_LAYERS = ("APP", "SDAP", "PDCP", "RLC", "MAC")
@@ -193,69 +191,6 @@ def ineligibility(system: "RanSystem") -> str | None:
     return None
 
 
-class ArrayLatencyProbe:
-    """Delivery-order latency recorder with compact storage.
-
-    Exposes the read API of :class:`~repro.net.probes.LatencyProbe`
-    (``len``, ``latencies_*``, ``summary``, ``budget_means_us``,
-    ``fraction_within``) without holding a :class:`Packet` per
-    delivery: one int latency per packet plus three running budget
-    totals.  Float summaries are computed through the same
-    ``us_from_tc``/``summarize_us`` path as the scalar probe, so the
-    numbers are bitwise those of the scalar run.
-    """
-
-    def __init__(self, name: str = "probe"):
-        self.name = name
-        self._latencies_tc: list[int] = []
-        self._budget_totals: dict[LatencySource, int] = {
-            source: 0 for source in LatencySource}
-
-    def record_tc(self, latency_tc: int, processing_tc: int,
-                  protocol_tc: int, radio_tc: int) -> None:
-        """Record one delivery (call in delivery order)."""
-        self._latencies_tc.append(latency_tc)
-        totals = self._budget_totals
-        totals[LatencySource.PROCESSING] += processing_tc
-        totals[LatencySource.PROTOCOL] += protocol_tc
-        totals[LatencySource.RADIO] += radio_tc
-
-    # ------------------------------------------------------------------
-    # LatencyProbe read API
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._latencies_tc)
-
-    def latencies_tc(self) -> list[int]:
-        return list(self._latencies_tc)
-
-    def latencies_us(self) -> list[float]:
-        return [us_from_tc(lat) for lat in self._latencies_tc]
-
-    def latencies_ms(self) -> list[float]:
-        return [lat / 1000.0 for lat in self.latencies_us()]
-
-    def summary(self) -> LatencySummary:
-        return summarize_us(self.latencies_us())
-
-    def budget_means_us(self) -> dict[str, float]:
-        """Mean per-source latency decomposition (§4's three sources)."""
-        if not self._latencies_tc:
-            return {source.value: 0.0 for source in LatencySource}
-        count = len(self._latencies_tc)
-        return {source.value: us_from_tc(total / count)
-                for source, total in self._budget_totals.items()}
-
-    def fraction_within(self, budget_us: float) -> float:
-        """Fraction of packets delivered within a latency budget —
-        the reliability metric of §6."""
-        if not self._latencies_tc:
-            return 0.0
-        within = sum(1 for lat in self.latencies_us()
-                     if lat <= budget_us)
-        return within / len(self._latencies_tc)
-
-
 class UePopulation:
     """Columnar per-packet and per-UE state for the slotted engine.
 
@@ -284,11 +219,9 @@ class UePopulation:
         self.header: list[int] = []
         self.created: list[int] = []
         self.retx: list[int] = []
-        self.dropped: list[bool] = []
         self.budget_processing: list[int] = []
         self.budget_protocol: list[int] = []
         self.budget_radio: list[int] = []
-        self.delivered_tc: list[int] = []
 
     def add_packet(self, ue_id: int, packet_id: int, payload_bytes: int,
                    created_tc: int) -> int:
@@ -304,11 +237,9 @@ class UePopulation:
         self.header.append(0)
         self.created.append(created_tc)
         self.retx.append(0)
-        self.dropped.append(False)
         self.budget_processing.append(0)
         self.budget_protocol.append(0)
         self.budget_radio.append(0)
-        self.delivered_tc.append(-1)
         self.queued[ue_id] += 1
         return len(self.ue) - 1
 
@@ -336,7 +267,6 @@ class SlottedUplink:
         self.upf = system.upf
         self.scheduler = system.gnb.scheduler
         self.faults = system.faults
-        self.probe = ArrayLatencyProbe("ul")
         self.population = UePopulation(system.config.n_ues)
         self.cg_share = system.cg_share
 
@@ -538,7 +468,7 @@ class SlottedUplink:
         bp = pop.budget_processing
         bprot = pop.budget_protocol
         brad = pop.budget_radio
-        delivered_col = pop.delivered_tc
+        retx_col = pop.retx
         ue_hot = self._ue_hot
         can_fail = self._can_fail
         ue_specs = self._ue_specs
@@ -612,9 +542,14 @@ class SlottedUplink:
             return ubuf[0]
 
         gnb_counters = self._system.gnb.counters
-        probe = self.probe
-        lat_append = probe._latencies_tc.append
-        tot_proc = tot_prot = tot_rad = 0
+        probe = self._system.ul_probe
+        lat_append = probe.latency_tc.append
+        proc_append = probe.processing_tc.append
+        prot_append = probe.protocol_tc.append
+        rad_append = probe.radio_tc.append
+        retx_append = probe.harq_retx.append
+        ue_append = probe.ue_id.append
+        pid_append = probe.packet_id.append
         # Pure-sum counters accumulate in locals and flush once after
         # the loop (attribute += on the dataclasses costs real time at
         # one-per-block rates).
@@ -789,13 +724,13 @@ class SlottedUplink:
                                     _UPF_DONE, row, t))
             elif code == _UPF_DONE:
                 row = event[3]
-                proc = bp[row] + (t - event[4])
-                bp[row] = proc
-                delivered_col[row] = t
                 lat_append(t - created[row])
-                tot_proc += proc
-                tot_prot += bprot[row]
-                tot_rad += brad[row]
+                proc_append(bp[row] + (t - event[4]))
+                prot_append(bprot[row])
+                rad_append(brad[row])
+                retx_append(retx_col[row])
+                ue_append(ue_col[row])
+                pid_append(pid_col[row])
             elif code == _AIR or code == _DELIVER:
                 if code == _AIR:
                     # Landing of a folded transmission: pop the plan
@@ -859,10 +794,6 @@ class SlottedUplink:
         sched_counters.cg_allocated_bytes += cg_alloc_acc
         sched_counters.cg_used_bytes += cg_used_acc
         gnb_counters.ul_packets_out += out_acc
-        totals = probe._budget_totals
-        totals[LatencySource.PROCESSING] += tot_proc
-        totals[LatencySource.RADIO] += tot_rad
-        totals[LatencySource.PROTOCOL] += tot_prot
         if not precise and last_t > sim.now:
             advance(last_t)
 
@@ -1022,7 +953,6 @@ class SlottedUplink:
         survivors: list[int] = []
         for row in rows:
             if pop.retx[row] >= max_harq:
-                pop.dropped[row] = True
                 link.counters.packets_dropped += 1
                 self._ue_hot[ue_id] -= 1
             else:

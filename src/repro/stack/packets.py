@@ -139,11 +139,3 @@ class Packet:
         if self.delivered_tc is None:
             return None
         return self.delivered_tc - self.created_tc
-
-    def unattributed_tc(self) -> int | None:
-        """Latency not charged to any source (should be ~0; the
-        integration tests assert the decomposition is complete)."""
-        latency = self.latency_tc
-        if latency is None:
-            return None
-        return latency - sum(self.budget.values())

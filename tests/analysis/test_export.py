@@ -10,9 +10,14 @@ from repro.analysis.export import (
     export_series,
 )
 from repro.analysis.stats import histogram
-from repro.mac.types import Direction
+from repro.mac.catalog import testbed_dddu
+from repro.mac.types import AccessMode, Direction
 from repro.net.probes import LatencyProbe
-from repro.phy.timebase import tc_from_us
+from repro.net.session import RanConfig, RanSystem
+from repro.phy.channel import IidErasureChannel
+from repro.phy.timebase import tc_from_ms, tc_from_us
+from repro.sim.rng import RngRegistry
+from repro.traffic.generators import uniform_in_horizon
 from repro.stack.packets import LatencySource, Packet, PacketKind
 
 
@@ -36,11 +41,12 @@ def test_export_probe_rows(tmp_path):
     path = tmp_path / "probe.csv"
     assert export_probe(probe, path) == 3
     rows = read_csv(path)
-    assert rows[0][0] == "packet_id"
+    assert rows[0] == ["packet_id", "ue_id", "latency_us", "protocol_us",
+                       "processing_us", "radio_us", "harq_retransmissions"]
     assert len(rows) == 4
-    latency = float(rows[1][6])
+    latency = float(rows[1][2])
     assert latency == pytest.approx(100.0, abs=0.01)
-    protocol = float(rows[1][7])
+    protocol = float(rows[1][3])
     assert protocol == pytest.approx(100.0, abs=0.01)
 
 
@@ -50,6 +56,31 @@ def test_export_probe_decomposition_columns(tmp_path):
     header = read_csv(path)[0]
     for column in ("protocol_us", "processing_us", "radio_us"):
         assert column in header
+
+
+def _uplink_export(engine, path):
+    system = RanSystem(
+        testbed_dddu(),
+        RanConfig(access=AccessMode.GRANT_FREE, n_ues=3, seed=5,
+                  channel=IidErasureChannel(0.2), engine=engine))
+    rngs = RngRegistry(6)
+    for ue_id in (1, 2, 3):
+        system.queue_uplink(
+            uniform_in_horizon(8, tc_from_ms(30),
+                               rngs.stream(f"arrivals.ue{ue_id}")),
+            ue_id=ue_id)
+    system.run()
+    assert system.engine_mode == engine
+    return export_probe(system.ul_probe, path)
+
+
+def test_export_probe_is_engine_independent(tmp_path):
+    scalar, slotted = tmp_path / "scalar.csv", tmp_path / "slotted.csv"
+    assert _uplink_export("scalar", scalar) == 24
+    assert _uplink_export("slotted", slotted) == 24
+    assert scalar.read_bytes() == slotted.read_bytes()
+    # the lossy channel retransmitted some packets
+    assert any(row[-1] != "0" for row in read_csv(scalar)[1:])
 
 
 def test_export_histogram(tmp_path):

@@ -51,9 +51,8 @@ def test_des_latency_bounded_by_analytic_worst_plus_processing(access):
     model = LatencyModel(scheme)
     extremes = model.extremes(Direction.UL, access)
     worst_us = us_from_tc(extremes.worst_tc)
-    for packet in probe.packets:
-        from repro.stack.packets import LatencySource
-        protocol_us = us_from_tc(packet.budget[LatencySource.PROTOCOL])
+    for protocol_tc in probe.protocol_tc:
+        protocol_us = us_from_tc(protocol_tc)
         # The analytic model covers a lone packet; in the DES a packet
         # can additionally queue behind an earlier burst whose
         # BSR-sized grant did not cover it, costing one extra SR/grant
@@ -68,9 +67,8 @@ def test_dl_des_within_analytic_worst():
     probe = system.run_downlink(arrivals(120, seed=19))
     worst_us = us_from_tc(
         LatencyModel(scheme).extremes(Direction.DL).worst_tc)
-    from repro.stack.packets import LatencySource
-    for packet in probe.packets:
-        protocol_us = us_from_tc(packet.budget[LatencySource.PROTOCOL])
+    for protocol_tc in probe.protocol_tc:
+        protocol_us = us_from_tc(protocol_tc)
         assert protocol_us <= worst_us * 1.10 + 300.0
 
 
@@ -88,7 +86,7 @@ def test_no_packet_is_lost_on_a_perfect_channel(seed):
     system = RanSystem(testbed_dddu(), RanConfig(seed=seed))
     probe = system.run_downlink(arrivals(25, seed=seed))
     assert len(probe) == 25
-    assert not any(p.dropped for p in probe.packets)
+    assert system.link.counters.packets_dropped == 0
 
 
 @given(seed=st.integers(0, 10_000))
@@ -96,8 +94,10 @@ def test_no_packet_is_lost_on_a_perfect_channel(seed):
 def test_budget_decomposition_always_complete(seed):
     system = RanSystem(minimal_dm(), RanConfig(seed=seed))
     probe = system.run_uplink(arrivals(25, seed=seed, horizon_ms=100))
-    for packet in probe.packets:
-        assert packet.unattributed_tc() == 0
+    # every Tc of every packet's latency is charged to one §4 source
+    assert [sum(parts) for parts in zip(
+        probe.processing_tc, probe.protocol_tc, probe.radio_tc)] \
+        == probe.latencies_tc()
 
 
 def test_latencies_are_strictly_positive_everywhere():

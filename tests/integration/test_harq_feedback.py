@@ -113,5 +113,7 @@ def test_budget_stays_complete_with_harq_losses():
         RanConfig(channel=IidErasureChannel(0.25), seed=58))
     probe = system.run_downlink(arrivals(150, seed=59))
     assert len(probe) == 150
-    for packet in probe.packets:
-        assert packet.unattributed_tc() == 0
+    # every Tc of every packet's latency is charged to one §4 source
+    assert [sum(parts) for parts in zip(
+        probe.processing_tc, probe.protocol_tc, probe.radio_tc)] \
+        == probe.latencies_tc()

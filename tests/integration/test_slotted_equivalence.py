@@ -1,10 +1,12 @@
 """Golden equivalence suite: slotted engine ≡ scalar engine, bitwise.
 
 The slotted executor's contract (repro.sim.slotted, "Bit-identity
-contract") is not statistical agreement but exact equality: same
-latency integers, same budget decomposition, same counters, same
-tracer digest.  This suite pins the contract across every execution
-regime the engine distinguishes internally:
+contract") is not statistical agreement but exact equality: the same
+UL probe, column for column and packet for packet (latency, the three
+budget sources, HARQ retransmissions, UE and packet ids), the same
+budget means, same counters, same tracer digest.  This suite pins the
+contract across every execution regime the engine distinguishes
+internally:
 
 - channel families (perfect / IID erasure / zero-BLER IID /
   Gilbert-Elliott) — the zero-BLER case draws uniforms without ever
@@ -56,6 +58,11 @@ def _make_channel(kind):
     return None
 
 
+#: Every per-packet column of the UL probe.
+_PROBE_COLUMNS = ("latency_tc", "processing_tc", "protocol_tc", "radio_tc",
+                  "harq_retx", "ue_id", "packet_id")
+
+
 def _run(engine, channel_kind="perfect", intensity=0.0, trace=False,
          n_ues=4, packets_per_ue=5, horizon_ms=40, seed=None,
          cg_share=None, plan=None):
@@ -76,7 +83,8 @@ def _run(engine, channel_kind="perfect", intensity=0.0, trace=False,
             ue_id=ue_id)
     system.run()
     out = {
-        "latencies": tuple(system.ul_probe.latencies_tc()),
+        **{column: getattr(system.ul_probe, column).tolist()
+           for column in _PROBE_COLUMNS},
         "budgets": tuple(sorted(
             system.ul_probe.budget_means_us().items())),
         "delivered": len(system.ul_probe),

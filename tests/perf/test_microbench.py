@@ -74,6 +74,7 @@ def test_tracer_emit_disabled():
 
 
 def test_population_state_update():
+    from repro.net.probes import LatencyProbe
     from repro.sim.slotted import UePopulation
 
     n_ues = 500
@@ -81,12 +82,26 @@ def test_population_state_update():
     add = population.add_packet
     for i in range(N_EVENTS):
         add(1 + i % n_ues, i, 32, i * 100)
-    # the engine's post-transit accounting pattern: in-place list
-    # element updates, one per delivered packet
+    # the engine's delivery pattern: in-place list element updates in
+    # transit, then one append per probe column per delivered packet
     bp = population.budget_processing
-    delivered = population.delivered_tc
+    probe = LatencyProbe("ul")
+    lat_append = probe.latency_tc.append
+    proc_append = probe.processing_tc.append
+    prot_append = probe.protocol_tc.append
+    rad_append = probe.radio_tc.append
+    retx_append = probe.harq_retx.append
+    ue_append = probe.ue_id.append
+    pid_append = probe.packet_id.append
     for row in range(N_EVENTS):
         bp[row] += 1_000
-        delivered[row] = row * 100 + 5_000
-    assert len(population) == N_EVENTS
+        lat_append(5_000)
+        proc_append(bp[row] + 200)
+        prot_append(population.budget_protocol[row])
+        rad_append(population.budget_radio[row])
+        retx_append(population.retx[row])
+        ue_append(population.ue[row])
+        pid_append(population.packet_id[row])
+    assert len(population) == len(probe) == N_EVENTS
     assert sum(population.queued) == N_EVENTS
+    assert probe.budget_means_us()["processing"] > 0

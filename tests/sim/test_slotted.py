@@ -2,8 +2,8 @@
 
 End-to-end bit-identity is pinned by
 tests/integration/test_slotted_equivalence.py; this module covers the
-pieces in isolation: the columnar population store, the compact latency
-probe (vs the packet-holding scalar probe), engine selection and
+pieces in isolation: the columnar population store, the per-packet
+budget decomposition the engine records, engine selection and
 eligibility, the peek/commit contract of the block samplers guarded
 fusion relies on, and the release of each UE's stream and block server
 once the UE can draw no more.
@@ -15,9 +15,9 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan
 from repro.mac.catalog import testbed_dddu
-from repro.mac.types import AccessMode, Direction
-from repro.net.probes import LatencyProbe
+from repro.mac.types import AccessMode
 from repro.net.session import SLOTTED_THRESHOLD, RanConfig, RanSystem
 from repro.phy.channel import IidErasureChannel
 from repro.phy.timebase import tc_from_ms
@@ -33,8 +33,7 @@ from repro.sim.sampling import (
     force_sequential,
 )
 from repro.sim.sanitize import DeterminismViolation
-from repro.sim.slotted import ArrayLatencyProbe, UePopulation, ineligibility
-from repro.stack.packets import LatencySource, Packet, PacketKind
+from repro.sim.slotted import UePopulation, ineligibility
 from repro.traffic.generators import uniform_in_horizon
 
 
@@ -66,55 +65,9 @@ def test_population_rows_are_dense_and_parallel():
     # every per-packet column grew in lockstep
     for column in (population.packet_id, population.payload,
                    population.header, population.retx,
-                   population.dropped, population.budget_processing,
-                   population.budget_protocol, population.budget_radio,
-                   population.delivered_tc):
+                   population.budget_processing,
+                   population.budget_protocol, population.budget_radio):
         assert len(column) == 4
-
-
-# ---------------------------------------------------------------------------
-# ArrayLatencyProbe — read API must be bitwise the scalar probe's
-# ---------------------------------------------------------------------------
-def _delivered_packet(created_tc, delivered_tc, budgets):
-    packet = Packet(PacketKind.DATA, Direction.UL, 32,
-                    created_tc=created_tc)
-    packet.delivered_tc = delivered_tc
-    processing, protocol, radio = budgets
-    packet.budget[LatencySource.PROCESSING] = processing
-    packet.budget[LatencySource.PROTOCOL] = protocol
-    packet.budget[LatencySource.RADIO] = radio
-    return packet
-
-
-def test_array_probe_matches_scalar_probe_bitwise():
-    deliveries = [
-        (0, 150_000, (50_000, 60_000, 40_000)),
-        (10_000, 400_123, (100_000, 200_123, 90_000)),
-        (20_000, 90_021, (20_021, 30_000, 20_000)),
-    ]
-    scalar = LatencyProbe("ul")
-    compact = ArrayLatencyProbe("ul")
-    for created, delivered, budgets in deliveries:
-        scalar.record(_delivered_packet(created, delivered, budgets))
-        compact.record_tc(delivered - created, *budgets)
-    assert len(compact) == len(scalar)
-    assert compact.latencies_tc() == scalar.latencies_tc()
-    assert compact.latencies_us() == scalar.latencies_us()
-    assert compact.latencies_ms() == scalar.latencies_ms()
-    assert compact.summary() == scalar.summary()
-    assert compact.budget_means_us() == scalar.budget_means_us()
-    for budget_us in (0.0, 60.0, 500.0):
-        assert compact.fraction_within(budget_us) == \
-            scalar.fraction_within(budget_us)
-
-
-def test_array_probe_empty_edge_cases():
-    probe = ArrayLatencyProbe()
-    assert len(probe) == 0
-    assert probe.fraction_within(1e9) == 0.0
-    assert set(probe.budget_means_us().values()) == {0.0}
-    with pytest.raises(ValueError):
-        probe.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +203,14 @@ def test_block_server_release_serves_the_block_on_hand():
 # ---------------------------------------------------------------------------
 # per-UE memory: streams and servers go once a UE can draw no more
 # ---------------------------------------------------------------------------
-def _uplink(engine, per_ue, bler, horizon_ms=400):
+def _uplink(engine, per_ue, bler, horizon_ms=400, fault_plan=None):
     """A run where UE ``k`` queues ``per_ue[k - 1]`` packets."""
     system = RanSystem(
         testbed_dddu(),
         RanConfig(access=AccessMode.GRANT_FREE, n_ues=len(per_ue),
                   cg_share=1.0, seed=11, engine=engine,
-                  channel=IidErasureChannel(bler) if bler else None))
+                  channel=IidErasureChannel(bler) if bler else None,
+                  fault_plan=fault_plan))
     arrivals = RngRegistry(12)
     for ue_id, count in enumerate(per_ue, start=1):
         system.queue_uplink(
@@ -327,6 +281,30 @@ def test_run_seeds_ue_streams_in_one_batch(bler, monkeypatch):
     # A prepared name whose words were never used would be re-seeded
     # here instead of raising.
     _assert_ue_state_freed(slotted, len(per_ue))
+
+
+# ---------------------------------------------------------------------------
+# the recorded budget decomposition
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("lossy", [False, True], ids=["perfect", "lossy"])
+def test_budget_decomposition_is_complete_per_packet(lossy):
+    # Every Tc of every delivered packet's latency is charged to one of
+    # the three §4 sources, also through HARQ retransmissions, fault
+    # dilation and UPF holds (1 % BLER plus the standard fault plan).
+    plan = FaultPlan.resolve("standard") if lossy else None
+    system = _uplink("slotted", [12] * 30, 0.01 if lossy else 0.0,
+                     horizon_ms=600, fault_plan=plan)
+    assert system.engine_mode == "slotted"
+    probe = system.ul_probe
+    assert len(probe) > 300
+    assert [sum(parts) for parts in zip(
+        probe.processing_tc, probe.protocol_tc, probe.radio_tc)] \
+        == probe.latencies_tc()
+    assert (max(probe.harq_retx) > 0) == lossy
+    if lossy:
+        fired = system.faults.counters.as_metrics()
+        assert fired["fault_dilated_jobs"] > 0
+        assert fired["fault_upf_holds"] > 0
 
 
 def test_queue_uplink_rejects_arrivals_in_the_past():

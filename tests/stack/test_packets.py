@@ -61,14 +61,11 @@ def test_budget_charging():
         packet.charge(LatencySource.RADIO, -1)
 
 
-def test_latency_and_unattributed():
+def test_latency_is_set_by_delivery():
     packet = make_packet(created_tc=100)
     assert packet.latency_tc is None
-    assert packet.unattributed_tc() is None
-    packet.charge(LatencySource.PROCESSING, 40)
     packet.mark_delivered(200)
     assert packet.latency_tc == 100
-    assert packet.unattributed_tc() == 60
 
 
 def test_drop_marking():
