@@ -111,8 +111,8 @@ def reconstruct_ping_journey(result: PingResult,
                                  ul_tx_start, ul_block_rx))
     steps.append(JourneyStep(7, "gNB MAC↑ processing to UPF (⑦)",
                              ul_block_rx, request_done))
-    dl_enqueue = _first_stamp(stamps_rep, "gnb.rlcq")
-    dl_dequeue = _first_stamp(stamps_rep, "gnb.rlcq", ".dequeue")
+    dl_enqueue = stamps_rep.get(f"gnb.rlcq.{ue}.enqueue")
+    dl_dequeue = stamps_rep.get(f"gnb.rlcq.{ue}.dequeue")
     steps.append(JourneyStep(8, "server + SDAP↓ processing (⑧)",
                              reply.created_tc,
                              dl_enqueue if dl_enqueue is not None
@@ -126,11 +126,3 @@ def reconstruct_ping_journey(result: PingResult,
         steps.append(JourneyStep(11, "UE PHY↑ to APP (⑪)",
                                  dl_rx, t_end))
     return PingJourney(steps=tuple(steps), rtt_tc=t_end - t0)
-
-
-def _first_stamp(stamps: dict[str, int], prefix: str,
-                 suffix: str = ".enqueue") -> int | None:
-    for key, value in stamps.items():
-        if key.startswith(prefix) and key.endswith(suffix):
-            return value
-    return None

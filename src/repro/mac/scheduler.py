@@ -319,7 +319,6 @@ class GnbMacScheduler:
             packet.charge(LatencySource.RADIO, radio_tc)
             packet.charge(LatencySource.PROTOCOL,
                           window.end - decision_time - prep_tc - radio_tc)
-            packet.stamp("gnb.mac.dl_allocated", decision_time)
         if self.tracer.enabled:
             self.tracer.emit(decision_time, "gnb.mac", "dl_allocation",
                              window_start=window.start,

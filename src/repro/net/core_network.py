@@ -78,20 +78,16 @@ class Upf:
         if self.outage is not None:
             delay_tc += self.outage()
         submitted = self.sim.now
-        packet.stamp(f"upf.{event}", submitted)
         if self.tracer.enabled:  # lazy fields: skip kwargs when disabled
             self.tracer.emit(submitted, "upf", event,
                              packet_id=packet.packet_id)
+        run = self.sim.call_in if self.cpu is None else self.cpu.execute
+        run(delay_tc, self._done, packet, submitted, deliver)
 
-        def done() -> None:
-            packet.charge(LatencySource.PROCESSING,
-                          self.sim.now - submitted)
-            deliver(packet)
-
-        if self.cpu is not None:
-            self.cpu.execute(delay_tc, done)
-        else:
-            self.sim.call_in(delay_tc, done)
+    def _done(self, packet: Packet, submitted: int,
+              deliver: Callable[[Packet], None]) -> None:
+        packet.charge(LatencySource.PROCESSING, self.sim.now - submitted)
+        deliver(packet)
 
 
 class PingServer:
@@ -121,23 +117,24 @@ class PingServer:
             self.tracer.emit(self.sim.now, "server", "request_received",
                              packet_id=request.packet_id)
 
-        def reply() -> None:
-            extra = ({} if self._packet_ids is None
-                     else {"packet_id": next(self._packet_ids)})
-            response = Packet(
-                kind=PacketKind.PING_REPLY,
-                direction=Direction.DL,
-                payload_bytes=request.payload_bytes,
-                created_tc=self.sim.now,
-                ue_id=request.ue_id,
-                related_id=request.packet_id,
-                **extra,
-            )
-            response.stamp("server.reply_created", self.sim.now)
-            if self.tracer.enabled:
-                self.tracer.emit(self.sim.now, "server", "reply_sent",
-                                 packet_id=response.packet_id,
-                                 request_id=request.packet_id)
-            send_reply(response)
+        self.sim.call_in(self.turnaround_tc, self._reply, request,
+                         send_reply)
 
-        self.sim.call_in(self.turnaround_tc, reply)
+    def _reply(self, request: Packet,
+               send_reply: Callable[[Packet], None]) -> None:
+        extra = ({} if self._packet_ids is None
+                 else {"packet_id": next(self._packet_ids)})
+        response = Packet(
+            kind=PacketKind.PING_REPLY,
+            direction=Direction.DL,
+            payload_bytes=request.payload_bytes,
+            created_tc=self.sim.now,
+            ue_id=request.ue_id,
+            related_id=request.packet_id,
+            **extra,
+        )
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, "server", "reply_sent",
+                             packet_id=response.packet_id,
+                             request_id=request.packet_id)
+        send_reply(response)

@@ -145,7 +145,6 @@ class Gnb:
     def send_downlink(self, packet: Packet) -> None:
         """DL user data enters the gNB stack (Fig 3 ⑧)."""
         self.counters.dl_packets_in += 1
-        packet.stamp("gnb.dl.in", self.sim.now)
         if self.tracer.enabled:  # lazy fields: skip kwargs when disabled
             self.tracer.emit(self.sim.now, "gnb.dl", "in",
                              packet_id=packet.packet_id)
@@ -168,16 +167,14 @@ class Gnb:
         for packet in packets:
             packet.charge(LatencySource.RADIO, rx_radio_tc)
             packet.stamp("gnb.ul.block_rx", self.sim.now)
+        self.sim.call_in(rx_radio_tc, self._climb_ul_block, packets)
 
-        def after_radio(block: list[Packet]) -> None:
-            for packet in block:
-                self.up_pipeline.process(packet, self._ul_done)
-
-        self.sim.call_in(rx_radio_tc, after_radio, packets)
+    def _climb_ul_block(self, packets: list[Packet]) -> None:
+        for packet in packets:  # past the radio head: up the stack
+            self.up_pipeline.process(packet, self._ul_done)
 
     def _ul_done(self, packet: Packet) -> None:
         self.counters.ul_packets_out += 1
-        packet.stamp("gnb.ul.out", self.sim.now)
         self.on_ul_delivered(packet)
 
     # ------------------------------------------------------------------

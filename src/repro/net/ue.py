@@ -137,7 +137,6 @@ class Ue:
     # ------------------------------------------------------------------
     def send_uplink(self, packet: Packet) -> None:
         """APP hands a packet to the stack (Fig 3 ①)."""
-        packet.stamp("ue.app.send", self.sim.now)
         if self.tracer.enabled:  # lazy fields: skip kwargs when disabled
             self.tracer.emit(self.sim.now, f"ue{self.ue_id}.app", "send",
                              packet_id=packet.packet_id)
@@ -312,16 +311,14 @@ class Ue:
         for packet in packets:
             packet.charge(LatencySource.RADIO, rx_radio_tc)
             packet.stamp("ue.phy.block_rx", self.sim.now)
+        self.sim.call_in(rx_radio_tc, self._climb_dl_block, packets)
 
-        def after_radio(block: list[Packet]) -> None:
-            for packet in block:
-                self.up_pipeline.process(packet, self._dl_delivered)
-
-        self.sim.call_in(rx_radio_tc, after_radio, packets)
+    def _climb_dl_block(self, packets: list[Packet]) -> None:
+        for packet in packets:  # past the radio: up the stack
+            self.up_pipeline.process(packet, self._dl_delivered)
 
     def _dl_delivered(self, packet: Packet) -> None:
         packet.mark_delivered(self.sim.now)
-        packet.stamp("ue.app.delivered", self.sim.now)
         self.counters.packets_delivered += 1
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, f"ue{self.ue_id}.app",

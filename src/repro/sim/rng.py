@@ -133,6 +133,9 @@ class RngRegistry:
         # A released name maps to None: it stays spent, never re-seeded.
         # A prepared one maps to its seed words until it is created.
         self._streams: dict[str, np.random.Generator | bytes | None] = {}
+        # Read once: activate the sanitizer before building a registry.
+        self._sanitize_log = (sanitize.current_log()
+                              if sanitize.sanitize_active() else None)
 
     @property
     def seed(self) -> int:
@@ -161,14 +164,14 @@ class RngRegistry:
         else:
             return entry
         generator = np.random.default_rng(seed)  # check: disable=rng-discipline
-        if sanitize.sanitize_active():
+        if self._sanitize_log is not None:
             # Under the determinism sanitizer, vend a recording proxy
             # instead.  The proxy forwards every draw to the real
             # generator (bit-identical results) and is cached like any
             # stream, so identity checks — e.g. BufferedSampler's
             # ownership guard — keep working.
             generator = sanitize.RecordingGenerator(
-                generator, name, sanitize.current_log())
+                generator, name, self._sanitize_log)
         self._streams[name] = generator
         return generator
 

@@ -181,8 +181,8 @@ def current_log() -> SanitizeLog:
 def sanitizer_session() -> Iterator[SanitizeLog]:
     """Activate sanitizing with a fresh log for the duration of the context.
 
-    Streams must be *created* inside the context to be wrapped; activate
-    before constructing the registry / system under test.  Yields the
+    A registry reads the flag once, when it is built: activate before
+    constructing the registry / system under test.  Yields the
     log for post-run inspection (draw counts, consumer maps).
     """
     global _session_log

@@ -2,18 +2,19 @@
 
 Each :class:`ProcessingLayer` models one layer of the 5G stack as a
 stochastic processing delay (calibrated per :mod:`repro.calibration`)
-plus optional header overhead.  Layers chain into a
-:class:`LayerPipeline`; packets flow through asynchronously on the
+plus optional header overhead.  A :class:`LayerPipeline` chains each
+layer to the next; packets flow through asynchronously on the
 simulator, so concurrent packets interleave naturally.
 
-Processing time is charged to the ``PROCESSING`` budget category and
-recorded per layer, which is how the Table 2 reproduction measures what
-each layer cost.
+A layer crossing (a *hop*) is one delay sample, one engine event and
+two plain calls.  Its time is charged to ``PROCESSING`` and sampled per
+layer, which is how the Table 2 reproduction measures what each layer
+cost (docs/PERFORMANCE.md "Layer transit").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from repro.sim.engine import Simulator
 from repro.sim.resources import CpuResource
 from repro.sim.trace import Tracer
 from repro.stack.packets import HEADER_BYTES, LatencySource, Packet
-from repro.phy.timebase import tc_from_us
+from repro.phy.timebase import TC_PER_SECOND
+
+_PROCESSING = LatencySource.PROCESSING
 
 
 class ProcessingLayer:
@@ -49,12 +52,12 @@ class ProcessingLayer:
         # Fault hook (repro.faults): delay factor >= 1 during overload.
         self.dilation = dilation
         self.samples_us: list[float] = []
-        self._enter_key = f"{category}.enter"
-        self._exit_key = f"{category}.exit"
+        self._chained = False  # joined a LayerPipeline (at most one)
+        self._next: ProcessingLayer | None = None
 
-    def process(self, packet: Packet, on_done: Callable[..., None],
-                *args: Any) -> None:
-        """Process the packet, then call ``on_done(packet, *args)``.
+    def process(self, packet: Packet,
+                on_done: Callable[[Packet], None]) -> None:
+        """Process the packet; after the last layer, ``on_done(packet)``.
 
         With a shared :class:`~repro.sim.resources.CpuResource` the
         intrinsic delay is a CPU job: contention queueing inflates the
@@ -63,29 +66,34 @@ class ProcessingLayer:
         delay_us = self.delay.sample(self.rng)
         if self.dilation is not None:
             delay_us = delay_us * self.dilation(self.category)
-        delay_tc = tc_from_us(delay_us)
+        if delay_us < 0:
+            raise ValueError(f"duration must be >= 0, got {delay_us} us")
+        # tc_from_us, inlined: one hop per layer per packet.
+        delay_tc = round(delay_us * TC_PER_SECOND / 1_000_000)
         self.samples_us.append(delay_us)
-        submitted = self.sim.now
         if self.tracer.enabled:  # lazy fields: skip kwargs when disabled
-            self.tracer.emit(submitted, self.category, "enter",
+            self.tracer.emit(self.sim.now, self.category, "enter",
                              packet_id=packet.packet_id, layer=self.name)
-        packet.stamp(self._enter_key, submitted)
         # One event per hop, no closure (docs/PERFORMANCE.md "Layer transit")
-        run = self.sim.call_in if self.cpu is None else self.cpu.execute
-        run(delay_tc, self._finish, packet, submitted, delay_us, on_done,
-            args)
+        if self.cpu is None:
+            self.sim.call_in(delay_tc, self._finish, packet, delay_tc,
+                             delay_us, on_done)
+        else:  # the wait for a free core is processing time too
+            packet.budget[_PROCESSING] += self.cpu.execute(
+                delay_tc, self._finish, packet, delay_tc, delay_us, on_done)
 
-    def _finish(self, packet: Packet, submitted: int, delay_us: float,
-                on_done: Callable[..., None], args: tuple) -> None:
-        now = self.sim.now
-        packet.charge(LatencySource.PROCESSING, now - submitted)
-        packet.stamp(self._exit_key, now)
+    def _finish(self, packet: Packet, delay_tc: int, delay_us: float,
+                on_done: Callable[[Packet], None]) -> None:
+        packet.budget[_PROCESSING] += delay_tc
         packet.header_bytes += self.header_bytes
         if self.tracer.enabled:
-            self.tracer.emit(now, self.category, "exit",
+            self.tracer.emit(self.sim.now, self.category, "exit",
                              packet_id=packet.packet_id, layer=self.name,
                              delay_us=delay_us)
-        on_done(packet, *args)
+        if self._next is None:
+            on_done(packet)
+        else:  # looked up per hop, so instance-attribute wrappers apply
+            self._next.process(packet, on_done)
 
 
 class LayerPipeline:
@@ -95,19 +103,16 @@ class LayerPipeline:
         if not layers:
             raise ValueError("pipeline needs at least one layer")
         self.layers = tuple(layers)
+        for layer, following in zip(self.layers, self.layers[1:] + (None,)):
+            if layer._chained:
+                raise ValueError(
+                    f"layer {layer.name!r} already belongs to a pipeline")
+            layer._chained, layer._next = True, following
 
     def process(self, packet: Packet,
                 on_done: Callable[[Packet], None]) -> None:
         """Send the packet through every layer, then ``on_done``."""
-        self._advance(packet, 0, on_done)
-
-    def _advance(self, packet: Packet, index: int, on_done: Callable) -> None:
-        # Looks up ``process`` per hop, so instance-attribute wrappers apply.
-        if index == len(self.layers):
-            on_done(packet)
-        else:
-            self.layers[index].process(packet, self._advance, index + 1,
-                                       on_done)
+        self.layers[0].process(packet, on_done)
 
     def layer(self, name: str) -> ProcessingLayer:
         """Look up a layer by name."""

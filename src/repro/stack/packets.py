@@ -4,8 +4,10 @@ A :class:`Packet` travels the Fig 2 path (APP → SDAP → PDCP → RLC → MAC
 → PHY → radio → ... → UPF).  Besides payload and header sizes it carries
 two pieces of bookkeeping the analysis needs:
 
-- ``timestamps`` — when the packet passed each named stage (used by the
-  packet-journey reconstruction, Fig 3);
+- ``timestamps`` — when the packet first passed each stage the Fig 3
+  journey reconstruction (:mod:`repro.core.journey`) reads:
+  ``ue.mac.cg_planned``/``ue.mac.granted_tx``, ``gnb.ul.block_rx``, the
+  RLC queues' ``.enqueue``/``.dequeue`` and ``ue.phy.block_rx``;
 - ``budget`` — Tc charged to each of the paper's three latency sources
   (processing / protocol / radio), so every delivered packet can report
   its own latency decomposition (§4).
@@ -74,6 +76,8 @@ class Packet:
     packet_id: int = field(
         default_factory=lambda: next(_fallback_packet_ids))
     header_bytes: int = 0
+    #: First Tc at each journey stage: ``ue.mac.{cg_planned,granted_tx}``,
+    #: ``gnb.ul.block_rx``, ``<rlcq>.{enqueue,dequeue}``, ``ue.phy.block_rx``.
     timestamps: dict[str, int] = field(default_factory=dict)
     budget: dict[LatencySource, int] = field(
         default_factory=lambda: {source: 0 for source in LatencySource})

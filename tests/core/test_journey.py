@@ -64,3 +64,44 @@ def test_step_lookup():
     assert journey.step(9).label.startswith("RLC queue")
     with pytest.raises(KeyError):
         journey.step(12)
+
+
+#: Every Fig 3 step as ``(index, start_tc, end_tc)`` and the RTT of the
+#: seed-21 testbed ping, pinned exactly: the journey is built from the
+#: trace and the stamps that ``core.journey`` reads, and nothing else.
+_PINNED_JOURNEYS = {
+    AccessMode.GRANT_BASED: (
+        [(1, 1000, 931538), (2, 931538, 3932160), (3, 931538, 3932160),
+         (4, 3932160, 3932160), (5, 3932160, 4002377),
+         (6, 4002377, 7864976), (7, 7864976, 8077405),
+         (8, 8116727, 8157884), (9, 8157884, 8683979),
+         (10, 8683979, 9831056), (11, 9831056, 10314185)],
+        10313185),
+    AccessMode.GRANT_FREE: (
+        [(1, 1000, 931538), (6, 931538, 3932816), (7, 3932816, 4124264),
+         (8, 4163586, 4220961), (9, 4220961, 4751819),
+         (10, 4751819, 5898896), (11, 5898896, 6382025)],
+        6381025),
+}
+
+
+@pytest.mark.parametrize("access", list(_PINNED_JOURNEYS),
+                         ids=lambda access: access.name.lower())
+def test_journey_steps_are_pinned_exactly(access):
+    result, tracer = run_one_ping(access)
+    journey = reconstruct_ping_journey(result, tracer)
+    steps, rtt_tc = _PINNED_JOURNEYS[access]
+    assert [(step.index, step.start_tc, step.end_tc)
+            for step in journey.steps] == steps
+    assert journey.rtt_tc == rtt_tc
+
+
+def test_packets_carry_only_the_journey_stamps():
+    # The stamps are the stages reconstruct_ping_journey reads; the
+    # per-layer enter/exit times live in the trace only.
+    result, _tracer = run_one_ping(AccessMode.GRANT_BASED)
+    assert set(result.request.timestamps) == {
+        "ue.mac.granted_tx", "ue1.rlcq.enqueue", "ue1.rlcq.dequeue",
+        "gnb.ul.block_rx"}
+    assert set(result.reply.timestamps) == {
+        "gnb.rlcq.ue1.enqueue", "gnb.rlcq.ue1.dequeue", "ue.phy.block_rx"}

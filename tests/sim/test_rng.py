@@ -190,13 +190,32 @@ def test_prepare_rejects_empty_name():
 
 
 def test_sanitizer_wraps_prepared_streams():
-    rngs = RngRegistry(4)
-    rngs.prepare(_names(40))
     with sanitizer_session():
+        rngs = RngRegistry(4)
+        rngs.prepare(_names(40))
         generator = rngs.stream("ue7")
         assert isinstance(generator, RecordingGenerator)
         draws = generator.random(3).tolist()
     assert draws == RngRegistry(4).stream("ue7").random(3).tolist()
+
+
+def test_sanitizer_flag_is_read_when_the_registry_is_built(monkeypatch):
+    monkeypatch.delenv("URLLC5G_SANITIZE", raising=False)
+    before = RngRegistry(4)
+    with sanitizer_session() as log:
+        inside = RngRegistry(4)
+        assert not isinstance(before.stream("a"), RecordingGenerator)
+    # Streams vended after the session still record into its log.
+    assert isinstance(inside.stream("a"), RecordingGenerator)
+    inside.stream("a").random(2)
+    assert log.streams["a"].draws == 1
+
+
+def test_sanitizer_env_flag_wraps_streams(monkeypatch):
+    monkeypatch.setenv("URLLC5G_SANITIZE", "1")
+    rngs = RngRegistry(4)
+    monkeypatch.delenv("URLLC5G_SANITIZE")
+    assert isinstance(rngs.stream("a"), RecordingGenerator)
 
 
 def test_prepared_seed_words_serve_pcg64_only():

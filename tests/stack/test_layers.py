@@ -57,20 +57,29 @@ def test_layer_adds_header_when_configured(rng):
 
 
 def test_pipeline_runs_layers_in_order(rng):
-    sim, tracer = Simulator(), Tracer()
+    sim, tracer = Simulator(), Tracer(enabled=True)
     pipeline = LayerPipeline([
         make_layer(sim, tracer, rng, name="SDAP", delay_us=5.0),
         make_layer(sim, tracer, rng, name="PDCP", delay_us=7.0),
         make_layer(sim, tracer, rng, name="RLC", delay_us=9.0),
     ])
     done = []
-    pipeline.process(make_packet(), done.append)
+    packet = make_packet()
+    pipeline.process(packet, done.append)
     sim.run_until_idle()
     assert sim.now == tc_from_us(21.0)
-    packet = done[0]
-    enters = [k for k in packet.timestamps if k.endswith(".enter")]
-    assert enters == ["test.sdap.enter", "test.pdcp.enter",
-                      "test.rlc.enter"]
+    assert done == [packet]
+    sdap, pdcp = tc_from_us(5.0), tc_from_us(5.0) + tc_from_us(7.0)
+    rlc = pdcp + tc_from_us(9.0)
+    assert [(record.time, record.category, record.name,
+             record.fields["packet_id"]) for record in tracer] == [
+        (0, "test.sdap", "enter", packet.packet_id),
+        (sdap, "test.sdap", "exit", packet.packet_id),
+        (sdap, "test.pdcp", "enter", packet.packet_id),
+        (pdcp, "test.pdcp", "exit", packet.packet_id),
+        (pdcp, "test.rlc", "enter", packet.packet_id),
+        (rlc, "test.rlc", "exit", packet.packet_id),
+    ]
 
 
 def test_pipeline_mean_total(rng):
@@ -124,13 +133,11 @@ def lognormal_pipeline(sim, tracer, rng):
 
 
 def test_pipeline_hop_invariants(rng):
-    """Per hop: one engine event, one draw and one sample, one enter and
-    one exit stamp; the PROCESSING budget is the sum of the hops' Tc."""
+    """Per hop of an untraced transit: one engine event and one sample,
+    and no stamp; the PROCESSING budget is the sum of the hops' Tc."""
     sim, tracer = Simulator(), Tracer(enabled=False)
     pipeline = lognormal_pipeline(sim, tracer, rng)
     packet = make_packet()
-    stamps = []
-    packet.stamp = lambda stage, now: stamps.append(stage)
     done = []
     pipeline.process(packet, done.append)
     sim.run_until_idle()
@@ -140,9 +147,8 @@ def test_pipeline_hop_invariants(rng):
     assert sim.events_processed == n_layers
     assert [len(layer.samples_us) for layer in pipeline.layers] \
         == [1] * n_layers
-    assert stamps == [f"{layer.category}.{edge}"
-                      for layer in pipeline.layers
-                      for edge in ("enter", "exit")]
+    assert packet.timestamps == {}
+    assert len(tracer) == 0
     hop_tc = [tc_from_us(layer.samples_us[0]) for layer in pipeline.layers]
     assert packet.budget[LatencySource.PROCESSING] == sum(hop_tc)
     assert sim.now == sum(hop_tc)
@@ -186,13 +192,27 @@ def test_pipeline_draws_once_per_hop(rng):
         layer.delay.sample(replay) for layer in pipeline.layers]
 
 
-def test_layer_passes_extra_arguments_to_on_done(rng):
+def test_layer_calls_on_done_with_the_packet_only(rng):
     sim, tracer = Simulator(), Tracer()
     layer = make_layer(sim, tracer, rng)
+    packet = make_packet()
     done = []
-    layer.process(make_packet(), lambda *args: done.append(args), "x", 2)
+    layer.process(packet, lambda *args: done.append(args))
     sim.run_until_idle()
-    assert len(done) == 1 and done[0][1:] == ("x", 2)
+    assert done == [(packet,)]
+    with pytest.raises(TypeError):
+        layer.process(make_packet(), done.append, "x", 2)
+
+
+def test_layer_belongs_to_one_pipeline(rng):
+    sim, tracer = Simulator(), Tracer()
+    shared = make_layer(sim, tracer, rng, name="RLC")
+    LayerPipeline([make_layer(sim, tracer, rng), shared])
+    with pytest.raises(ValueError, match="already belongs"):
+        LayerPipeline([shared])
+    twice = make_layer(sim, tracer, rng, name="MAC")
+    with pytest.raises(ValueError, match="already belongs"):
+        LayerPipeline([twice, twice])
 
 
 def test_concurrent_packets_interleave_in_event_order(rng):
@@ -236,7 +256,7 @@ def test_concurrent_packets_interleave_in_event_order(rng):
 def test_cpu_contention_queues_hops(rng):
     """Layers sharing one core: a hop that waits for the core charges
     the wait as processing time, still in one event per hop."""
-    sim, tracer = Simulator(), Tracer()
+    sim, tracer = Simulator(), Tracer(enabled=True)
     cpu = CpuResource(sim, n_cores=1)
     pipeline = LayerPipeline([
         ProcessingLayer(sim, tracer, name, f"test.{name.lower()}",
@@ -256,7 +276,14 @@ def test_cpu_contention_queues_hops(rng):
     assert first.budget[LatencySource.PROCESSING] == 3 * job
     # second: PDCP waits [0, 1], runs [1, 2]; RLC waits [2, 3], runs [3, 4]
     assert second.budget[LatencySource.PROCESSING] == 4 * job
-    assert second.timestamps["test.pdcp.exit"] == 2 * job
+    exits = [(record.time, record.category, record.fields["packet_id"])
+             for record in tracer.records(name="exit")]
+    assert exits == [
+        (job, "test.pdcp", first.packet_id),
+        (2 * job, "test.pdcp", second.packet_id),
+        (3 * job, "test.rlc", first.packet_id),
+        (4 * job, "test.rlc", second.packet_id),
+    ]
     assert sim.now == 4 * job
     assert [layer.samples_us for layer in pipeline.layers] \
         == [[10.0, 10.0], [10.0, 10.0]]
