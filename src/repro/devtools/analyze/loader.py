@@ -107,8 +107,8 @@ _GENERATOR_DRAW_METHODS = frozenset({
 _BUFFER_CLASSES = frozenset({"BufferedSampler", "UniformBuffer",
                              "LogNormalBlockServer"})
 #: The sanctioned way to draw through a claimed generator: passing it
-#: back to the buffered sampler (plus the ``owns`` identity probe).
-_BUFFER_DRAW_METHODS = frozenset({"sample", "sample_batch", "next", "owns"})
+#: back to the buffer that claimed it.
+_BUFFER_DRAW_METHODS = frozenset({"sample", "next"})
 _DETSAN_SHARED_RE = re.compile(r"#\s*detsan:\s*shared\b")
 _PASSTHROUGH_CALLS = frozenset({"float", "int", "round", "abs"})
 _JOIN_CALLS = frozenset({"min", "max"})
@@ -270,6 +270,8 @@ class ClassSummary:
     line: int
     fields: list[str] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
+    #: Base classes, as dotted names resolved through the import table.
+    bases: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -594,6 +596,12 @@ class _ModuleExtractor:
         qualname = f"{parent}.{node.name}"
         klass = ClassSummary(qualname=qualname, name=node.name,
                              path=self.path, line=node.lineno)
+        for base in map(dotted_name, node.bases):
+            if base is not None:
+                klass.bases.append(
+                    self.summary.resolve_dotted(base)
+                    if base.partition(".")[0] in self.summary.aliases
+                    else f"{self.summary.qualname}.{base}")
         init_params: list[str] | None = None
         class_fn = _FunctionExtractor(
             self, qualname=f"{qualname}.<class>", name="<class>",
@@ -1695,7 +1703,7 @@ class _StreamWalker:
         """Uses of a claimed generator outside the buffered idiom.
 
         The claimed rng may only flow back into the claiming sampler
-        (``.sample(rng)`` / ``.sample_batch`` / ``.next`` / ``.owns``);
+        (``.sample(rng)`` / ``.next``);
         a direct draw or a hand-off to any other callee desynchronizes
         the pre-drawn block from the scalar bit-stream, so it is
         recorded as an escape even when it sits on a conditional path.

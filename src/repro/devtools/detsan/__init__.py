@@ -10,8 +10,8 @@ it from both sides:
   stream → component ownership map, and reports sharing, dead streams,
   unresolvable names, buffered-stream escapes, and draws reachable from
   unordered iteration.
-- **Dynamic** (:mod:`repro.sim.sanitize`, re-exported here, plus
-  :mod:`.runtime`): ``URLLC5G_SANITIZE=1`` wraps vended generators in
+- **Dynamic** (:mod:`repro.sim.sanitize`, re-exported here):
+  ``URLLC5G_SANITIZE=1`` wraps vended generators in
   recording proxies that enforce exclusive claims at runtime and stay
   bit-identical to unsanitized runs.
 """
@@ -23,7 +23,6 @@ from repro.devtools.detsan.ownership import (DETSAN_RULES, OwnershipMap,
                                              StreamInfo, stream_ownership)
 from repro.devtools.detsan.resolver import (DYNAMIC, is_resolved,
                                             resolve_stream_name)
-from repro.devtools.detsan.runtime import compare_draw_logs, verify_replay
 
 __all__ = [
     "DETSAN_RULES",
@@ -33,11 +32,9 @@ __all__ = [
     "RecordingGenerator",
     "SanitizeLog",
     "StreamInfo",
-    "compare_draw_logs",
     "is_resolved",
     "resolve_stream_name",
     "sanitize_active",
     "sanitizer_session",
     "stream_ownership",
-    "verify_replay",
 ]

@@ -114,8 +114,9 @@ def _reachable(project: Project, roots: list[str]) -> set[str]:
     """Transitive call closure, with constructed-class closure.
 
     A resolved call to a class means the scenario constructs it, so
-    *every* method of that class is conservatively reachable — this
-    covers dynamic receivers (``self.probe.summary()``) that the call
+    *every* method of that class and of its project-defined bases is
+    conservatively reachable — this covers dynamic receivers
+    (``self.probe.summary()``) and inherited methods that the call
     resolver cannot follow.
     """
     seen: set[str] = set()
@@ -132,12 +133,29 @@ def _reachable(project: Project, roots: list[str]) -> set[str]:
                 if target.qualname not in seen:
                     work.append(target.qualname)
             elif isinstance(target, ClassSummary):
-                for method in target.methods:
-                    method_qualname = f"{target.qualname}.{method}"
-                    if method_qualname in project.functions \
-                            and method_qualname not in seen:
-                        work.append(method_qualname)
+                for klass in _lineage(project, target):
+                    for method in klass.methods:
+                        method_qualname = f"{klass.qualname}.{method}"
+                        if method_qualname in project.functions \
+                                and method_qualname not in seen:
+                            work.append(method_qualname)
     return seen
+
+
+def _lineage(project: Project, klass: ClassSummary) -> list[ClassSummary]:
+    """``klass`` and every base class of it the project defines."""
+    lineage: dict[str, ClassSummary] = {}
+    work = [klass]
+    while work:
+        current = work.pop()
+        if current.qualname in lineage:
+            continue
+        lineage[current.qualname] = current
+        for base in current.bases:
+            target = project.resolve_callable(base)
+            if isinstance(target, ClassSummary):
+                work.append(target)
+    return list(lineage.values())
 
 
 def certification_map(project: Project) -> CertificationMap:

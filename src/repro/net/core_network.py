@@ -57,7 +57,7 @@ class Upf:
         # RanSystem), so its per-packet draws may be served from
         # pre-drawn blocks without changing the bit-stream (see
         # docs/PERFORMANCE.md for the ownership rule).
-        self.delay: DelaySampler = BufferedSampler(
+        self.delay = BufferedSampler(
             delay or from_mean_std(*DEFAULT_UPF_DELAY_US), rng)
         self.cpu = cpu
 

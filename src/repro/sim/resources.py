@@ -36,7 +36,8 @@ class CpuResource:
         self.name = name
         self._core_free_at = [0] * n_cores
         self.jobs_executed = 0
-        self.queueing_samples_us: list[float] = []
+        #: Total wait for a core across all executed jobs (ticks).
+        self.queueing_tc = 0
 
     def execute(self, duration_tc: int, callback: Callable[..., None],
                 *args: Any) -> int:
@@ -45,14 +46,15 @@ class CpuResource:
         if duration_tc < 0:
             raise ValueError(f"duration must be >= 0, got {duration_tc}")
         now = self.sim.now
-        core = min(range(self.n_cores),
-                   key=lambda i: self._core_free_at[i])
-        start = max(now, self._core_free_at[core])
+        free_at = self._core_free_at
+        earliest = min(free_at)
+        core = free_at.index(earliest)
+        start = max(now, earliest)
         finish = start + duration_tc
-        self._core_free_at[core] = finish
+        free_at[core] = finish
         queueing = start - now
         self.jobs_executed += 1
-        self.queueing_samples_us.append(us_from_tc(queueing))
+        self.queueing_tc += queueing
         self.sim.schedule(finish, callback, *args)
         return queueing
 
@@ -66,6 +68,6 @@ class CpuResource:
 
     def mean_queueing_us(self) -> float:
         """Average wait for a core across all executed jobs."""
-        if not self.queueing_samples_us:
+        if not self.jobs_executed:
             return 0.0
-        return sum(self.queueing_samples_us) / len(self.queueing_samples_us)
+        return us_from_tc(self.queueing_tc) / self.jobs_executed

@@ -52,23 +52,29 @@ equivalence suite in ``tests/integration/test_slotted_equivalence.py``):
 2. *Draw-for-draw RNG equivalence.*  Scalar ``Generator.lognormal``
    consumes exactly one ziggurat standard normal per call;
    :class:`~repro.sim.sampling.LogNormalBlockServer` serves the same
-   normals from blocks and reconstructs the value with scalar
+   normals from blocks and the value is reconstructed with scalar
    ``math.exp`` (the vectorized ``np.exp`` differs by up to 1 ulp).
-   Stateful objects — the link's channel and uniform buffer, the UPF's
-   buffered sampler, the fault injectors — are *shared* with the scalar
-   wiring rather than reimplemented.
+   The engine draws only through the block buffers' public API:
+   ``sample`` one value at a time, or ``take(n)`` for a committed chunk
+   of the ``gnb`` normals and the UPF's delay values, indexed inline.
+   Every refill lands on the buffer's whole-block grid either way, so
+   the served sequence is the same.  Stateful objects — the link's
+   channel and uniform buffer, the UPF's buffered sampler, the fault
+   injectors — are *shared* with the scalar wiring rather than
+   reimplemented.
 3. *Guarded fusion.*  The per-packet UE draw chain (five transit draws
-   plus the PHY-prep draw) is evaluated speculatively via
-   ``LogNormalBlockServer.peek`` and committed as one MAC-exit event,
-   keyed by its MAC-enter tick, **only** when no other event of the
-   same UE — the sole other consumer of that stream — can fall inside
-   the chain's time span (no packet of the UE in flight, next arrival
-   strictly after the chain end).  When the guard fails, the peeked
-   normals are left unconsumed and the per-layer event path serves
-   them one at a time, so both paths produce the identical value
-   sequence.  The gNB side has no fused path: every landing enters
-   gNB PHY on the per-layer event path.  Fusion is disabled entirely
-   when tracing, because the trace stream must interleave per-layer.
+   plus the PHY-prep draw) is evaluated speculatively from the normals
+   ``peek(n)`` returns and committed (``commit(n)``) as one MAC-exit
+   event, keyed by its MAC-enter tick, **only** when no other event of
+   the same UE — the sole other consumer of that stream — can fall
+   inside the chain's time span (no packet of the UE in flight, next
+   arrival strictly after the chain end).  When the guard fails, the
+   peeked normals are left unconsumed and the per-layer event path
+   serves them one at a time, so both paths produce the identical
+   value sequence.  The gNB side has no fused path: every landing
+   enters gNB PHY on the per-layer event path.  Fusion is disabled
+   entirely when tracing, because the trace stream must interleave
+   per-layer.
 4. *A real clock for the side effects.*  Fault hooks and the tracer
    read ``sim.now``; with either active the executor moves the
    simulator's clock forward with
@@ -144,6 +150,9 @@ _AIR = 9            # (t, key, code, ue, window_start) — transmit+fly
 # lognormal draw with fixed (mu, sigma).
 _KIND_CONST = 0
 _KIND_LOGNORMAL = 1
+
+#: Values taken per chunk from the gnb and upf block buffers.
+_CHUNK = 1024
 
 #: Sentinel "no further arrival" time for the fusion guard.
 _FAR_FUTURE = 1 << 62
@@ -491,55 +500,41 @@ class SlottedUplink:
         servers = self._ue_servers
         dilation = self._dilation
         gserver = self._gnb_rng_server()
-        gsample = gserver.sample
         # The gnb stream is drawn 5× per packet in data-dependent
-        # order; serving those draws through sample() costs a method
-        # call each.  Instead, normals are pulled from the server in
-        # committed chunks into a plain list and indexed inline — the
-        # refills happen on the server's whole-block grid either way,
-        # so the served sequence is unchanged.  When block drawing is
-        # disabled (force_sequential) the chunk pull reports failure
-        # and every draw falls back to the scalar sample() path.
-        gchunk = 1024
+        # order, and the upf stream once; serving those draws through
+        # sample() costs a method call each.  Instead, values are taken
+        # from the servers in committed chunks into plain lists and
+        # indexed inline: the gnb chunks hold normals, the upf chunks
+        # delay values (its BufferedSampler pre-transforms).  Refills
+        # happen on the servers' whole-block grid either way, so the
+        # served sequences are unchanged.  With block drawing off
+        # (force_sequential) take() is None and every draw falls back
+        # to the scalar sample() path.
         gbuf: list[float] = []
-        gi = 0
-        gn = 0
+        gi = gn = 0
 
         def _gdraw(a: float, b: float) -> float:
             nonlocal gbuf, gi, gn
-            fresh = gserver.peek(gchunk)
-            if fresh is None:
-                return gsample(a, b)
-            gserver.commit(gchunk)
-            gbuf = fresh.tolist()
-            gn = len(gbuf)
-            gi = 1
-            return exp(a + b * gbuf[0])
+            chunk = gserver.take(_CHUNK)
+            if chunk is None:
+                return gserver.sample(a, b)
+            gbuf, gi, gn = chunk, 1, _CHUNK
+            return exp(a + b * chunk[0])
 
         upf = self.upf
-        upf_sample = upf.delay.sample
+        upf_delay = upf.delay
         upf_rng = upf.rng
         upf_outage = upf.outage
-        # The upf stream gets the same committed-chunk treatment as the
-        # gnb stream; its BufferedSampler serves *transformed* delay
-        # values, so the chunks hold microseconds, not normals.
-        upf_peek = getattr(upf.delay, "peek", None)
-        upf_commit = getattr(upf.delay, "commit", None)
-        uchunk = 1024
         ubuf: list[float] = []
-        ui = 0
-        un = 0
+        ui = un = 0
 
         def _udraw() -> float:
             nonlocal ubuf, ui, un
-            fresh = upf_peek(uchunk) if upf_peek is not None else None
-            if fresh is None:
-                return upf_sample(upf_rng)
-            upf_commit(uchunk)
-            ubuf = fresh.tolist()
-            un = len(ubuf)
-            ui = 1
-            return ubuf[0]
+            chunk = upf_delay.take(_CHUNK)
+            if chunk is None:
+                return upf_delay.sample(upf_rng)
+            ubuf, ui, un = chunk, 1, _CHUNK
+            return chunk[0]
 
         gnb_counters = self._system.gnb.counters
         probe = self._system.ul_probe
@@ -606,23 +601,9 @@ class SlottedUplink:
                     server = servers.get(u)
                     if server is None:
                         server = self._ue_server(u)
-                    # Serve the peek straight off the server's block
-                    # buffer when it holds enough normals (the common
-                    # case — blocks are sized to the UE's whole queue);
-                    # peek() itself only runs on refills.  The consume
-                    # below advances _pos exactly as commit() would.
-                    zs = None
-                    buf = server._buf
-                    if buf is not None:
-                        pos = server._pos
-                        if len(buf) - pos >= peek_n:
-                            zs = buf[pos:pos + peek_n].tolist()
-                    if zs is None:
-                        peeked = server.peek(peek_n)
-                        if peeked is not None:
-                            # Python-float math: np.float64 scalar ops
-                            # cost ~4× (same IEEE results either way).
-                            zs = peeked.tolist()
+                    # peek() hands out Python floats: np.float64 scalar
+                    # ops cost ~4× (same IEEE results either way).
+                    zs = server.peek(peek_n)
                     if zs is not None:
                         total = ue_const_tc
                         term = 0
@@ -640,10 +621,9 @@ class SlottedUplink:
                                                   + prep_b
                                                   * zs[chain_draws])
                                               * TCS / USP)
-                                server._pos += peek_n
                             else:
                                 prep_tc = prep_const_tc
-                                server._pos += chain_draws
+                            server.commit(peek_n)
                             bp[row] += total
                             pop.header[row] = _UE_WIRE_HEADER
                             if can_fail:

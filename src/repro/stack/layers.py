@@ -121,8 +121,3 @@ class LayerPipeline:
                 return candidate
         known = ", ".join(l.name for l in self.layers)
         raise KeyError(f"no layer {name!r} in pipeline ({known})")
-
-    def mean_total_us(self) -> float:
-        """Sum of the layers' configured mean delays — the value the MAC
-        scheduling margin must cover (§4 interdependency)."""
-        return sum(layer.delay.mean_us for layer in self.layers)

@@ -1,4 +1,4 @@
-"""DetSan: the detsan rule family, the ownership map, replay checks."""
+"""DetSan: the detsan rule family and the ownership map."""
 
 import json
 
@@ -15,7 +15,6 @@ from repro.devtools.check import (
     render_text,
 )
 from repro.devtools.config import load_check_config
-from repro.devtools.detsan import DeterminismViolation, verify_replay
 
 
 def write_tree(tmp_path, files):
@@ -265,35 +264,6 @@ def test_dot_graph_is_deterministic_and_marks_buffering(tmp_path):
     assert dot.startswith("// Generated by")
     assert "digraph stream_ownership" in dot
     assert "shape=box" in dot  # consumer components
-
-
-# ----------------------------------------------------------------------
-# dynamic side: replay verification over the sanitizer log
-# ----------------------------------------------------------------------
-def test_verify_replay_passes_for_deterministic_workload():
-    from repro.sim.rng import RngRegistry
-
-    def workload():
-        rng = RngRegistry(11).stream("replay")
-        return [rng.random() for _ in range(5)]
-
-    result, log = verify_replay(workload, label="unit workload")
-    assert len(result) == 5
-    assert log.draw_counts() == {"replay": 5}
-
-
-def test_verify_replay_raises_on_draw_count_divergence():
-    from repro.sim.rng import RngRegistry
-
-    calls = []
-
-    def workload():
-        calls.append(None)
-        rng = RngRegistry(11).stream("replay")
-        return [rng.random() for _ in range(len(calls))]
-
-    with pytest.raises(DeterminismViolation, match="divergence"):
-        verify_replay(workload, label="drifting workload")
 
 
 # ----------------------------------------------------------------------

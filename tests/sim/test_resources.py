@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.phy.timebase import us_from_tc
 from repro.sim.engine import Simulator
 from repro.sim.resources import CpuResource
 
@@ -10,12 +11,13 @@ def test_single_core_serialises_jobs():
     sim = Simulator()
     cpu = CpuResource(sim, n_cores=1)
     finished = []
-    cpu.execute(100, lambda: finished.append(sim.now))
-    cpu.execute(100, lambda: finished.append(sim.now))
+    assert cpu.execute(100, lambda: finished.append(sim.now)) == 0
+    assert cpu.execute(100, lambda: finished.append(sim.now)) == 100
     sim.run_until_idle()
     assert finished == [100, 200]
     assert cpu.jobs_executed == 2
-    assert cpu.queueing_samples_us[1] > 0.0
+    assert cpu.queueing_tc == 100
+    assert cpu.mean_queueing_us() == us_from_tc(100) / 2
 
 
 def test_two_cores_run_in_parallel():
@@ -36,11 +38,12 @@ def test_idle_gaps_do_not_accumulate():
     cpu.execute(50, lambda: finished.append(sim.now))
     sim.run_until_idle()
     # Submit long after the first job finished: no queueing.
-    sim.schedule(1_000, lambda: cpu.execute(
-        50, lambda: finished.append(sim.now)))
+    waits = []
+    sim.schedule(1_000, lambda: waits.append(cpu.execute(
+        50, lambda: finished.append(sim.now))))
     sim.run_until_idle()
     assert finished == [50, 1_050]
-    assert cpu.queueing_samples_us[-1] == 0.0
+    assert waits == [0]
 
 
 def test_zero_duration_job_allowed():

@@ -84,7 +84,6 @@ def test_buffered_sampler_exposes_mean_and_wrapped_sampler():
     inner = LogNormal(55.21, 16.31)
     buffered = BufferedSampler(inner, np.random.default_rng(0))
     assert buffered.mean_us == inner.mean_us
-    assert buffered.sampler is inner
 
 
 def test_buffered_sampler_rejects_empty_block():
@@ -113,8 +112,6 @@ def test_uniform_buffer_matches_scalar_stream():
     uniforms = UniformBuffer(buffered_rng, block=8)
     assert [uniforms.next() for _ in range(20)] == \
         [float(scalar_rng.random()) for _ in range(20)]
-    assert uniforms.owns(buffered_rng)
-    assert not uniforms.owns(scalar_rng)
 
 
 def test_uniform_buffer_force_sequential():

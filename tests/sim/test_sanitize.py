@@ -100,12 +100,20 @@ def test_direct_draw_on_claimed_stream_raises():
         "test_direct_draw_on_claimed_stream_raises")
 
 
-def test_double_claim_of_one_stream_raises():
-    with sanitizer_session():
-        rng = RngRegistry(3).stream("link")
-        BufferedSampler(Exponential(1.0), rng, block=8)
-        with pytest.raises(DeterminismViolation, match="two buffers"):
-            UniformBuffer(rng, block=8)
+def test_double_claim_of_one_stream_raises(block_buffers, subtests):
+    for first, claimant in block_buffers.items():
+        for second, rival in block_buffers.items():
+            if second == first:
+                continue
+            with subtests.test(first=first, second=second):
+                with sanitizer_session():
+                    rng = RngRegistry(3).stream("link")
+                    claimant.make(rng, 8)
+                    with pytest.raises(DeterminismViolation,
+                                       match="two buffers") as err:
+                        rival.make(rng, 8)
+                assert first in err.value.owner
+                assert second in err.value.consumer
 
 
 def test_uniform_buffer_claim_blocks_direct_draws():
@@ -128,16 +136,26 @@ def test_force_sequential_whole_run_is_fine_under_sanitizer():
             assert [buffered.sample(rng) for _ in range(6)] == reference
 
 
-def test_force_sequential_mid_run_raises_under_sanitizer():
-    with sanitizer_session():
-        rng = RngRegistry(6).stream("mid")
-        buffered = BufferedSampler(Exponential(5.0), rng, block=4)
-        for _ in range(6):  # crosses a block boundary: a block exists
-            buffered.sample(rng)
-        with force_sequential():
-            with pytest.raises(DeterminismViolation, match="mid-run"):
-                for _ in range(8):
-                    buffered.sample(rng)
+def test_force_sequential_mid_run_raises_under_sanitizer(block_buffers,
+                                                         subtests):
+    for name, case in block_buffers.items():
+        with subtests.test(buffer=name):
+            with sanitizer_session():
+                rng = RngRegistry(6).stream("mid")
+                buffer = case.make(rng, 4)
+                for _ in range(6):  # crosses a block boundary
+                    case.serve(buffer, rng)
+                with force_sequential():
+                    # the two values on hand are still served; the
+                    # refill after them raises
+                    case.serve(buffer, rng)
+                    case.serve(buffer, rng)
+                    with pytest.raises(DeterminismViolation,
+                                       match="mid-run") as err:
+                        case.serve(buffer, rng)
+            assert err.value.stream == "mid"
+            assert name in err.value.owner
+            assert err.value.consumer.endswith("<lambda>")
 
 
 def test_foreign_generator_violation_names_both_sides():

@@ -4,12 +4,11 @@ End-to-end bit-identity is pinned by
 tests/integration/test_slotted_equivalence.py; this module covers the
 pieces in isolation: the columnar population store, the per-packet
 budget decomposition the engine records, engine selection and
-eligibility, the peek/commit contract of the block samplers guarded
-fusion relies on, and the release of each UE's stream and block server
+eligibility, the peek/commit/take contract of the block buffers the
+engine draws through, and the release of each UE's stream and block server
 once the UE can draw no more.
 """
 
-import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -27,11 +26,7 @@ from repro.radio.radio_head import RadioHead
 from repro.sim.distributions import Exponential, LogNormal
 from repro.sim import rng as rng_module
 from repro.sim.rng import RngRegistry, seed_words
-from repro.sim.sampling import (
-    BufferedSampler,
-    LogNormalBlockServer,
-    force_sequential,
-)
+from repro.sim.sampling import BufferedSampler, force_sequential
 from repro.sim.sanitize import DeterminismViolation
 from repro.sim.slotted import UePopulation, ineligibility
 from repro.traffic.generators import uniform_in_horizon
@@ -129,39 +124,47 @@ def test_engine_slotted_is_uplink_only():
 
 
 # ---------------------------------------------------------------------------
-# peek/commit — the guarded-fusion primitive
+# peek/commit/take/release — the block buffers' public API the engine
+# draws through, run over each of the three buffers
 # ---------------------------------------------------------------------------
-def test_block_server_peek_does_not_consume():
-    server = LogNormalBlockServer(np.random.default_rng(5), block=8)
-    first = server.peek(4)
-    again = server.peek(4)
-    assert np.array_equal(first, again)
-    # a larger peek extends the view but keeps the prefix
-    assert np.array_equal(server.peek(10)[:4], first)
+def test_block_server_peek_does_not_consume(block_buffers, subtests):
+    for name, case in block_buffers.items():
+        with subtests.test(buffer=name):
+            buffer = case.make(np.random.default_rng(5), 8)
+            first = buffer.peek(4)
+            assert buffer.peek(4) == first
+            # a larger peek extends the view but keeps the prefix
+            assert buffer.peek(10)[:4] == first
 
 
-def test_block_server_peek_commit_equals_serving():
-    served = LogNormalBlockServer(np.random.default_rng(5), block=8)
-    expected = [served.sample(1.5, 0.25) for _ in range(20)]
-    peeked = LogNormalBlockServer(np.random.default_rng(5), block=8)
-    values = []
-    consumed = 0
-    while consumed < 20:
-        take = min(7, 20 - consumed)
-        block = peeked.peek(take)
-        # reconstruct through scalar math.exp, as the engine does
-        values += [math.exp(1.5 + 0.25 * z) for z in block.tolist()]
-        peeked.commit(take)
-        consumed += take
-    assert values == expected
+def test_block_server_peek_commit_equals_serving(block_buffers, subtests):
+    for name, case in block_buffers.items():
+        with subtests.test(buffer=name):
+            rng = np.random.default_rng(5)
+            served = case.make(rng, 8)
+            expected = [case.serve(served, rng) for _ in range(20)]
+            peeked = case.make(np.random.default_rng(5), 8)
+            # reconstruct each value as the engine does (scalar math.exp
+            # for the normals)
+            raw = peeked.peek(7)
+            peeked.commit(7)
+            raw += peeked.take(7)
+            raw += peeked.peek(6)
+            peeked.commit(6)
+            assert [case.value(v) for v in raw] == expected
 
 
-def test_block_server_peek_is_none_when_sequential():
-    server = LogNormalBlockServer(np.random.default_rng(5))
-    with force_sequential():
-        assert server.peek(1) is None
-        # the scalar fallback still serves the stream
-        assert server.sample(1.0, 0.1) > 0
+def test_block_server_peek_is_none_when_sequential(block_buffers, subtests):
+    for name, case in block_buffers.items():
+        with subtests.test(buffer=name):
+            rng = np.random.default_rng(5)
+            buffer = case.make(rng, 8)
+            with force_sequential():
+                assert buffer.peek(1) is None
+                assert buffer.take(1) is None
+                # the scalar fallback still serves the stream
+                served = case.serve(buffer, rng)
+            assert served == case.scalar(np.random.default_rng(5))
 
 
 def test_buffered_sampler_peek_commit_equals_serving():
@@ -172,6 +175,7 @@ def test_buffered_sampler_peek_commit_equals_serving():
     expected = [served.sample(rng_a) for _ in range(12)]
     peeked = BufferedSampler(sampler, rng_b, block=8)
     values = []
+    # the second chunk crosses the block boundary
     for take in (5, 7):
         chunk = peeked.peek(take)
         values += [float(v) for v in chunk]
@@ -186,18 +190,23 @@ def test_buffered_sampler_peek_is_none_when_sequential():
         assert sampler.peek(1) is None
 
 
-def test_block_server_release_serves_the_block_on_hand():
-    kept = LogNormalBlockServer(np.random.default_rng(5), block=8)
-    expected = [kept.sample(1.5, 0.25) for _ in range(8)]
-    released = LogNormalBlockServer(np.random.default_rng(5), block=8)
-    released.peek(0)  # draws the block
-    released.release()
-    assert [released.sample(1.5, 0.25) for _ in range(8)] == expected
-    # A draw past the block would need the generator it let go.
-    with pytest.raises(DeterminismViolation, match="released"):
-        released.sample(1.5, 0.25)
-    with pytest.raises(DeterminismViolation, match="released"):
-        released.peek(1)
+def test_block_server_release_serves_the_block_on_hand(block_buffers,
+                                                       subtests):
+    for name, case in block_buffers.items():
+        with subtests.test(buffer=name):
+            rng = np.random.default_rng(5)
+            kept = case.make(rng, 8)
+            expected = [case.serve(kept, rng) for _ in range(8)]
+            rng = np.random.default_rng(5)
+            released = case.make(rng, 8)
+            assert released.peek(0) == []  # draws the block
+            released.release()
+            assert [case.serve(released, rng) for _ in range(8)] == expected
+            # A draw past the block would need the generator it let go.
+            with pytest.raises(DeterminismViolation, match="released"):
+                case.serve(released, rng)
+            with pytest.raises(DeterminismViolation, match="released"):
+                released.peek(1)
 
 
 # ---------------------------------------------------------------------------

@@ -82,15 +82,6 @@ def test_pipeline_runs_layers_in_order(rng):
     ]
 
 
-def test_pipeline_mean_total(rng):
-    sim, tracer = Simulator(), Tracer()
-    pipeline = LayerPipeline([
-        make_layer(sim, tracer, rng, delay_us=5.0),
-        make_layer(sim, tracer, rng, name="RLC", delay_us=10.0),
-    ])
-    assert pipeline.mean_total_us() == 15.0
-
-
 def test_pipeline_lookup(rng):
     sim, tracer = Simulator(), Tracer()
     pipeline = LayerPipeline([make_layer(sim, tracer, rng, name="MAC")])
