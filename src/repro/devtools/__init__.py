@@ -2,7 +2,7 @@
 
 - :mod:`repro.devtools.check` — ``urllc5g check``: one static pass over
   the shared project model (:mod:`repro.devtools.analyze.loader`) that
-  runs every rule family — per-file AST rules (:mod:`.lintkit`),
+  runs every rule family — per-file rules (:mod:`.lintkit`),
   cross-module time units and transitive purity (:mod:`.analyze`), RNG
   stream ownership (:mod:`.detsan`) and scenario distributability
   (:mod:`.distcheck`) — configured by one ``[tool.urllc5g.check]``

@@ -6,11 +6,12 @@ once and extracts a :class:`ModuleSummary`: the symbol table
 (functions, methods, classes, module constants), the call edges
 resolvable from imports/``self``, per-function purity effects, the
 *symbolic* unit facts the global passes resolve later, and the raw
-findings of the file-scope rules, which read this summary and the same
-AST.  The extraction is the one place a wall-clock read, a legacy
-``numpy.random`` call or an unordered loop that schedules is
-recognised: it evaluates every expression a module runs, including
-lambda bodies, decorators, default values and class bodies.
+findings of the file-scope rules, which read only this summary.  The
+extraction is the one place a wall-clock read, a ``numpy.random`` call,
+a ``random`` import, an unbound ``rng``, an equality between time
+values or an unordered loop that schedules is recognised: it evaluates
+every expression a module runs, including lambda bodies, decorators,
+default values and class bodies.
 
 Symbolic unit expressions are plain dicts, so whole-program resolution
 never needs the AST again:
@@ -301,6 +302,17 @@ class ModuleSummary:
     #: evaluate.  Each function keeps its own in its summary.
     wall_clock: list[dict] = field(default_factory=list)
     unordered_loops: list[dict] = field(default_factory=list)
+    #: What the file-scope rules read besides those: ``import random``
+    #: statements, calls that resolve into ``numpy.random``,
+    #: ``.stream(...)`` calls with their name templates, ``==``/``!=``
+    #: operand pairs with their units, reads of an unbound ``rng``, and
+    #: whether the module body binds ``__all__``.
+    random_imports: list[dict] = field(default_factory=list)
+    numpy_random: list[dict] = field(default_factory=list)
+    stream_calls: list[dict] = field(default_factory=list)
+    equalities: list[dict] = field(default_factory=list)
+    unbound_rng: list[dict] = field(default_factory=list)
+    binds_all: bool = False
     #: Unfiltered file-scope rule findings (see :func:`run_file_rules`).
     file_findings: list[Violation] = field(default_factory=list)
 
@@ -347,25 +359,46 @@ class Project:
     # symbol resolution across re-export chains
     # ------------------------------------------------------------------
     def resolve_function(self, qualname: str) -> FunctionSummary | None:
-        resolved = self._resolve(qualname)
-        if resolved is None:
-            return None
-        summary = self.functions.get(resolved)
-        if summary is not None:
-            return summary
-        # A class used as a callable resolves to its __init__.
-        klass = self.classes.get(resolved)
-        if klass is not None:
-            return self.functions.get(f"{resolved}.__init__")
-        return None
+        target = self.resolve_callable(qualname)
+        if isinstance(target, ClassSummary):
+            # A class used as a callable resolves to its __init__.
+            return self.resolve_callable(f"{target.qualname}.__init__")
+        return target
 
     def resolve_callable(self, qualname: str
                          ) -> FunctionSummary | ClassSummary | None:
+        """The function or class ``qualname`` names; a method the class
+        does not define resolves to the first base that does."""
         resolved = self._resolve(qualname)
         if resolved is None:
             return None
-        return (self.functions.get(resolved)
-                or self.classes.get(resolved))
+        target = self.functions.get(resolved) or self.classes.get(resolved)
+        if target is not None:
+            return target
+        owner, _, method = resolved.rpartition(".")
+        klass = self.classes.get(owner)
+        if klass is None:
+            return None
+        return next((self.functions[f"{base.qualname}.{method}"]
+                     for base in self.lineage(klass)[1:]
+                     if f"{base.qualname}.{method}" in self.functions),
+                    None)
+
+    def lineage(self, klass: ClassSummary) -> list[ClassSummary]:
+        """``klass`` and every base class of it the project defines,
+        nearest first."""
+        lineage: dict[str, ClassSummary] = {}
+        work = [klass]
+        while work:
+            current = work.pop(0)
+            if current.qualname in lineage:
+                continue
+            lineage[current.qualname] = current
+            for base in current.bases:
+                target = self.classes.get(self._resolve(base))
+                if target is not None:
+                    work.append(target)
+        return list(lineage.values())
 
     def _resolve(self, qualname: str, depth: int = 0) -> str | None:
         """Follow import/re-export links until a definition is found."""
@@ -421,6 +454,11 @@ class _ModuleExtractor:
         self.tree = tree
         self.summary = ModuleSummary(path=path, qualname=qualname)
         self.is_package = Path(path).name == "__init__.py"
+        #: Names some function declares ``global``: module bindings.
+        self.declared_globals: set[str] = set()
+        #: First reads of ``rng`` unbound where they were read, with
+        #: their scope: a later binding in an enclosing body clears one.
+        self.rng_reads: list[tuple[_FunctionExtractor, dict]] = []
 
     def run(self) -> ModuleSummary:
         self._collect_pragmas()
@@ -428,7 +466,7 @@ class _ModuleExtractor:
         module_fn = _FunctionExtractor(
             self, qualname=f"{self.qualname}.<module>", name="<module>",
             params=[], lineno=1, declared_unit=None, class_name=None,
-            module_level=True)
+            module_level=True, enclosing=None)
         module_fn.exec_block(
             [stmt for stmt in self.tree.body
              if not isinstance(stmt, (ast.FunctionDef,
@@ -444,15 +482,17 @@ class _ModuleExtractor:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 module_fn.eval_definition_time(stmt)
                 self._extract_function(stmt, parent=self.qualname,
-                                       class_name=None, loops=[])
+                                       class_name=None, enclosing=module_fn)
             elif isinstance(stmt, ast.ClassDef):
                 self._extract_class(stmt, self.qualname, module_fn)
         self.summary.wall_clock = module_fn.wall_clock
         self.summary.unordered_loops = module_fn.unordered_loops
+        self.summary.unbound_rng = [read for scope, read in self.rng_reads
+                                    if not scope._binds("rng")]
         _StreamWalker(self).run()
         # Imported here: the file rules import this module's tables.
         from repro.devtools.lintkit.core import run_file_rules
-        self.summary.file_findings = run_file_rules(self.summary, self.tree)
+        self.summary.file_findings = run_file_rules(self.summary)
         return self.summary
 
     # -- comments ------------------------------------------------------
@@ -469,22 +509,28 @@ class _ModuleExtractor:
                     r.strip() for r in match.group(1).split(","))
 
     def _collect_module_bindings(self) -> None:
-        """Index module-level string constants and mutable containers.
+        """Index module-level string constants and mutable containers,
+        and note whether ``__all__`` is bound.
 
-        Both feed the distributability pass: string constants resolve
-        indirect env-var names (``os.environ.get(ENV_FLAG)``), mutable
-        bindings anchor the dist-mutable-global rule.  Only top-level
-        statements count — anything created inside a function is local.
+        Constants and containers feed the distributability pass: string
+        constants resolve indirect env-var names
+        (``os.environ.get(ENV_FLAG)``), mutable bindings anchor the
+        dist-mutable-global rule.  Only top-level statements count —
+        anything created inside a function is local.
         """
         for stmt in self.tree.body:
             if isinstance(stmt, ast.Assign):
                 value, targets = stmt.value, stmt.targets
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            elif isinstance(stmt, ast.AnnAssign):
                 value, targets = stmt.value, [stmt.target]
+            elif isinstance(stmt, ast.AugAssign):
+                value, targets = None, [stmt.target]
             else:
                 continue
             names = [t.id for t in targets if isinstance(t, ast.Name)]
-            if not names:
+            if "__all__" in names:
+                self.summary.binds_all = True
+            if not names or value is None:
                 continue
             if isinstance(value, ast.Constant) and isinstance(
                     value.value, str):
@@ -504,6 +550,8 @@ class _ModuleExtractor:
 
     # -- imports -------------------------------------------------------
     def _collect_imports(self) -> None:
+        """Every import, wherever it is written, into the alias table;
+        ``random`` imports and ``global`` declarations are noted too."""
         package_parts = self.qualname.split(".")
         if not self.is_package:
             package_parts = package_parts[:-1]
@@ -514,7 +562,13 @@ class _ModuleExtractor:
                     target = (alias.name if alias.asname
                               else alias.name.split(".")[0])
                     self.summary.aliases[local] = target
+                    if alias.name == "random":
+                        self.summary.random_imports.append(_at(node))
+            elif isinstance(node, ast.Global):
+                self.declared_globals.update(node.names)
             elif isinstance(node, ast.ImportFrom):
+                if node.module == "random":
+                    self.summary.random_imports.append(_at(node))
                 base_parts = list(package_parts)
                 if node.level:
                     cut = node.level - 1
@@ -536,7 +590,7 @@ class _ModuleExtractor:
     # -- definitions ---------------------------------------------------
     def _extract_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
                           parent: str, class_name: str | None,
-                          loops: list[dict]) -> None:
+                          enclosing: _FunctionExtractor) -> None:
         qualname = f"{parent}.{node.name}"
         args = node.args
         params = [a.arg for a in (list(args.posonlyargs) + list(args.args))]
@@ -550,7 +604,10 @@ class _ModuleExtractor:
             self, qualname=qualname, name=node.name, params=params,
             lineno=node.lineno, declared_unit=declared,
             class_name=class_name, module_level=False,
-            is_converter=conversion is not None, loops=loops)
+            is_converter=conversion is not None, enclosing=enclosing)
+        # Every parameter binds: ``self``, keyword-only and starred too.
+        extractor.env.update((name, _bound_unit(name))
+                             for name in _arg_names(args))
         extractor.decorators = self._decorator_records(node)
         extractor.exec_block(node.body)
         self.summary.functions.append(extractor.finish(self.path))
@@ -607,14 +664,14 @@ class _ModuleExtractor:
             self, qualname=f"{qualname}.<class>", name="<class>",
             params=[], lineno=node.lineno, declared_unit=None,
             class_name=node.name, module_level=False,
-            loops=enclosing._loop_stack)
+            enclosing=enclosing)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 klass.methods.append(stmt.name)
                 class_fn.eval_definition_time(stmt)
                 self._extract_function(stmt, parent=qualname,
                                        class_name=node.name,
-                                       loops=class_fn._loop_stack)
+                                       enclosing=class_fn)
                 if stmt.name == "__init__":
                     args = stmt.args
                     init_params = [
@@ -642,9 +699,11 @@ class _FunctionExtractor:
     def __init__(self, module: _ModuleExtractor, *, qualname: str,
                  name: str, params: list[str], lineno: int,
                  declared_unit: str | None, class_name: str | None,
-                 module_level: bool, is_converter: bool = False,
-                 loops: list[dict] = ()):
+                 module_level: bool, enclosing: _FunctionExtractor | None,
+                 is_converter: bool = False):
         self.module = module
+        #: The scope this code is written in: its names are visible here.
+        self.enclosing = enclosing
         self.qualname = qualname
         self.name = name
         self.params = params
@@ -659,10 +718,7 @@ class _FunctionExtractor:
         # (the class's), not a local of the synthetic body.
         self.scope = (qualname.rpartition(".")[0]
                       if name in ("<module>", "<class>") else qualname)
-        self.env: dict[str, dict] = {
-            param: u_const(unit_of_name(param) or "unknown")
-            for param in params
-        }
+        self.env: dict[str, dict] = {}
         self.local_defs: dict[str, str] = {}
         self.checks: list[dict] = []
         self.calls: list[str] = []
@@ -684,7 +740,12 @@ class _FunctionExtractor:
         # The unordered loops this code sits in, the enclosing scopes'
         # included: a call written inside a loop's body belongs to the
         # loop even from a nested def, class or lambda.
-        self._loop_stack: list[dict] = list(loops)
+        self._loop_stack: list[dict] = (list(enclosing._loop_stack)
+                                        if enclosing is not None else [])
+        # The def or lambda whose unbound ``rng`` read is reported next;
+        # None in a module or class body, and once one is reported.
+        self._reader: str | None = (None if name in ("<module>", "<class>")
+                                    else name)
         self._lineno = lineno
 
     def finish(self, path: str) -> FunctionSummary:
@@ -726,7 +787,7 @@ class _FunctionExtractor:
             self.local_defs[stmt.name] = f"{self.scope}.{stmt.name}"
             self.module._extract_function(stmt, parent=self.scope,
                                           class_name=self.class_name,
-                                          loops=self._loop_stack)
+                                          enclosing=self)
         elif isinstance(stmt, ast.ClassDef):
             self.local_classes.add(stmt.name)
             self.module._extract_class(stmt, self.scope, self)
@@ -781,7 +842,7 @@ class _FunctionExtractor:
             for item in stmt.items:
                 self.eval_expr(item.context_expr)
                 if item.optional_vars is not None:
-                    self._eval_target(item.optional_vars)
+                    self._bind(item.optional_vars)
             self.exec_block(stmt.body)
         elif isinstance(stmt, _TRY_STATEMENTS):
             blocks = [stmt.body]
@@ -857,10 +918,7 @@ class _FunctionExtractor:
 
     def _exec_for(self, stmt: ast.For | ast.AsyncFor) -> None:
         self.eval_expr(stmt.iter)
-        self._eval_target(stmt.target)
-        if isinstance(stmt.target, ast.Name):
-            unit = unit_of_name(stmt.target.id)
-            self.env[stmt.target.id] = u_const(unit or "unknown")
+        self._bind(stmt.target)
         reason = _unordered_reason(stmt.iter)
         loop_record = None
         if reason is not None:
@@ -879,6 +937,15 @@ class _FunctionExtractor:
                 self.unordered_loops.append(loop_record)
 
     # -- assignments ---------------------------------------------------
+    def _bind(self, target: ast.expr) -> None:
+        """Evaluate a loop, ``with`` or comprehension target and bind
+        the names it stores."""
+        self._eval_target(target)
+        for node in ast.walk(target):
+            if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                         ast.Store):
+                self.env[node.id] = _bound_unit(node.id)
+
     def _eval_target(self, target: ast.expr) -> None:
         """Evaluate what a store target reads (``d[key()] = v``)."""
         if isinstance(target, ast.Subscript):
@@ -928,6 +995,12 @@ class _FunctionExtractor:
                     "line": node.lineno, "col": node.col_offset,
                     "kind": "file", "what": "__file__",
                     "var": None, "ref": None, "expr": "__file__"})
+            elif node.id == "rng" and self._reader is not None \
+                    and not self._binds("rng"):
+                # Stochastic code takes its generator as a parameter.
+                self.module.rng_reads.append(
+                    (self, {**_at(node), "func": self._reader}))
+                self._reader = None
             return self._name_unit(node.id)
         if isinstance(node, ast.Attribute):
             self.eval_expr(node.value)
@@ -979,8 +1052,11 @@ class _FunctionExtractor:
             return U_UNKNOWN
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
                              ast.DictComp)):
+            outer = self.env
+            self.env = dict(outer)
             for generator in node.generators:
                 self.eval_expr(generator.iter)
+                self._bind(generator.target)
                 for condition in generator.ifs:
                     self.eval_expr(condition)
             if isinstance(node, ast.DictComp):
@@ -988,6 +1064,11 @@ class _FunctionExtractor:
                 self.eval_expr(node.value)
             else:
                 self.eval_expr(node.elt)
+            self.env = outer
+            return U_UNKNOWN
+        if isinstance(node, ast.NamedExpr):
+            self.eval_expr(node.value)
+            self._bind(node.target)
             return U_UNKNOWN
         if isinstance(node, ast.Lambda):
             # The body runs later, but it is this scope's code: its
@@ -996,20 +1077,29 @@ class _FunctionExtractor:
             for default in (*args.defaults, *args.kw_defaults):
                 if default is not None:
                     self.eval_expr(default)
-            outer = self.env
+            outer, reader = self.env, self._reader
             self.env = dict(outer)
-            for arg in (*args.posonlyargs, *args.args, args.vararg,
-                        *args.kwonlyargs, args.kwarg):
-                if arg is not None:
-                    self.env[arg.arg] = u_const(
-                        unit_of_name(arg.arg) or "unknown")
+            self.env.update((name, _bound_unit(name))
+                            for name in _arg_names(args))
+            self._reader = "<lambda>"
             self.eval_expr(node.body)
-            self.env = outer
+            self.env, self._reader = outer, reader
             return U_UNKNOWN
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 self.eval_expr(child)
         return U_UNKNOWN
+
+    def _binds(self, name: str) -> bool:
+        """Whether ``name`` is bound here: in this scope or an enclosing
+        one (the module body last), by an import, or as a global."""
+        scope = self
+        while scope is not None:
+            if name in scope.env or name in scope.local_defs:
+                return True
+            scope = scope.enclosing
+        return (name in self.module.summary.aliases
+                or name in self.module.declared_globals)
 
     def _name_unit(self, name: str) -> dict:
         if name in self.env:
@@ -1046,6 +1136,14 @@ class _FunctionExtractor:
         if any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE,
                                ast.Eq, ast.NotEq)) for op in node.ops):
             self._record("cross-unit-comparison", node, {"xs": operands})
+        exprs = [node.left, *node.comparators]
+        for index, op in enumerate(node.ops):
+            if isinstance(op, (ast.Eq, ast.NotEq)):
+                pair = (index, index + 1)
+                self.module.summary.equalities.append({
+                    **_at(node),
+                    "units": [_time_unit(operands[i]) for i in pair],
+                    "floats": [_is_float_literal(exprs[i]) for i in pair]})
         return U_UNKNOWN
 
     def _call(self, node: ast.Call) -> dict:
@@ -1068,6 +1166,8 @@ class _FunctionExtractor:
             callee_name = func.attr
             candidates = self._resolve_attr_call(func)
             self._detect_schedule(func, node)
+            if func.attr == "stream":
+                self._stream_call(node)
             if func.attr in _GENERATOR_DRAW_METHODS:
                 self.draws.append({
                     "line": node.lineno, "col": node.col_offset,
@@ -1159,6 +1259,14 @@ class _FunctionExtractor:
             return [self.module.summary.resolve_dotted(dotted)]
         return []
 
+    def _stream_call(self, node: ast.Call) -> None:
+        """A ``.stream(...)`` call and the template of its name."""
+        from repro.devtools.detsan.resolver import resolve_stream_name
+        self.module.summary.stream_calls.append({
+            **_at(node), "arg": bool(node.args),
+            "template": (resolve_stream_name(node.args[0]) if node.args
+                         else None)})
+
     # -- purity --------------------------------------------------------
     def _detect_schedule(self, func: ast.Attribute,
                          node: ast.Call) -> None:
@@ -1172,6 +1280,9 @@ class _FunctionExtractor:
         if dotted is None:
             return
         resolved = self.module.summary.resolve_dotted(dotted)
+        if resolved.startswith("numpy.random."):
+            self.module.summary.numpy_random.append(
+                {**_at(node), "what": resolved, "local": dotted})
         parts = resolved.split(".")
         if parts[0] == "time" and len(parts) == 2 \
                 and parts[1] in _WALL_CLOCK_TIME_FUNCS:
@@ -1782,6 +1893,34 @@ class _StreamWalker:
             "buffer": buffer, "stream_expr": expr, "func": func,
             "detail": detail,
         })
+
+
+def _at(node: ast.AST) -> dict:
+    """A record's anchor: the node's line and column."""
+    return {"line": node.lineno, "col": node.col_offset}
+
+
+def _arg_names(args: ast.arguments) -> list[str]:
+    """Every name a parameter list binds."""
+    return [arg.arg for arg in (*args.posonlyargs, *args.args, args.vararg,
+                                *args.kwonlyargs, args.kwarg)
+            if arg is not None]
+
+
+def _bound_unit(name: str) -> dict:
+    """The unit of a freshly bound parameter or loop variable."""
+    return u_const(unit_of_name(name) or "unknown")
+
+
+def _time_unit(expr: dict) -> str | None:
+    """The concrete time unit of a unit expression, if it has one."""
+    return expr["u"] if expr["k"] == "c" and expr["u"] in UNITS else None
+
+
+def _is_float_literal(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        return _is_float_literal(node.operand)
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
 def u_const_for_qualname(qualname: str) -> dict | None:

@@ -2,8 +2,8 @@
 
 :func:`check_paths` loads the project once and runs the five rule
 families of :data:`RULES` over it: ``file``
-(:mod:`repro.devtools.lintkit.rules`, run by the loader on the AST it
-parses anyway and kept with the module summary), ``units`` and
+(:mod:`repro.devtools.lintkit.rules`, run by the loader on each
+module's summary and kept with it), ``units`` and
 ``purity`` (:mod:`repro.devtools.analyze`), ``detsan``
 (:mod:`repro.devtools.detsan.ownership`) and ``dist``
 (:mod:`repro.devtools.distcheck.rules`).  Every finding then passes

@@ -116,8 +116,8 @@ def _reachable(project: Project, roots: list[str]) -> set[str]:
     A resolved call to a class means the scenario constructs it, so
     *every* method of that class and of its project-defined bases is
     conservatively reachable — this covers dynamic receivers
-    (``self.probe.summary()``) and inherited methods that the call
-    resolver cannot follow.
+    (``self.probe.summary()``, a base method called on an instance)
+    that the call resolver cannot follow.
     """
     seen: set[str] = set()
     work = [q for q in roots if q in project.functions]
@@ -133,29 +133,13 @@ def _reachable(project: Project, roots: list[str]) -> set[str]:
                 if target.qualname not in seen:
                     work.append(target.qualname)
             elif isinstance(target, ClassSummary):
-                for klass in _lineage(project, target):
+                for klass in project.lineage(target):
                     for method in klass.methods:
                         method_qualname = f"{klass.qualname}.{method}"
                         if method_qualname in project.functions \
                                 and method_qualname not in seen:
                             work.append(method_qualname)
     return seen
-
-
-def _lineage(project: Project, klass: ClassSummary) -> list[ClassSummary]:
-    """``klass`` and every base class of it the project defines."""
-    lineage: dict[str, ClassSummary] = {}
-    work = [klass]
-    while work:
-        current = work.pop()
-        if current.qualname in lineage:
-            continue
-        lineage[current.qualname] = current
-        for base in current.bases:
-            target = project.resolve_callable(base)
-            if isinstance(target, ClassSummary):
-                work.append(target)
-    return list(lineage.values())
 
 
 def certification_map(project: Project) -> CertificationMap:

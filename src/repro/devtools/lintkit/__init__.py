@@ -2,14 +2,12 @@
 
 The framework (:mod:`.core`) defines :class:`Rule`, :class:`Violation`
 and the rule registry; the six domain rules live in :mod:`.rules`,
-and importing this package registers them all.  The rules read the
-project loader's summary of a module and the AST it already parsed
-(see docs/ANALYSIS.md).
+and importing this package registers them all.  The rules read only
+the project loader's summary of a module (see docs/ANALYSIS.md).
 """
 
 from repro.devtools.lintkit.core import (
     SYNTAX_ERROR_RULE_ID,
-    ModuleUnderLint,
     Rule,
     Severity,
     Violation,
@@ -20,7 +18,6 @@ from repro.devtools.lintkit.core import (
 from repro.devtools.lintkit import rules  # noqa: F401  (registers rules)
 
 __all__ = [
-    "ModuleUnderLint",
     "Rule",
     "SYNTAX_ERROR_RULE_ID",
     "Severity",

@@ -3,20 +3,17 @@
 A :class:`Rule` inspects one module and yields :class:`Violation`
 objects.  Rules register themselves with :func:`register`; the project
 loader runs every registered rule through :func:`run_file_rules` once
-it has summarised the module, so a rule reads the summary's import
-table and extraction records (wall-clock reads, unordered loops) and
-walks the AST only for what the summary does not record (see
-:mod:`repro.devtools.check`).  Suppression — ``# check:`` pragmas, the
+it has summarised the module, so a rule reads only the summary: its
+import table and the extraction's records (see
+:mod:`repro.devtools.analyze.loader`).  Suppression — ``# check:`` pragmas, the
 ``ignore`` list and the reviewed baseline — is applied afterwards by
 the shared pipeline, the same way for every rule family.
 """
 
 from __future__ import annotations
 
-import ast
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -26,7 +23,6 @@ __all__ = [
     "Severity",
     "SYNTAX_ERROR_RULE_ID",
     "Violation",
-    "ModuleUnderLint",
     "Rule",
     "register",
     "registered_rules",
@@ -111,23 +107,6 @@ class Violation:
                 f"{self.severity}[{self.rule_id}] {self.message}")
 
 
-@dataclass
-class ModuleUnderLint:
-    """A module as the file-scope rules see it: its loader summary and
-    its AST."""
-
-    summary: ModuleSummary
-    tree: ast.Module
-
-    @property
-    def path(self) -> str:
-        return self.summary.path
-
-    @property
-    def is_package_init(self) -> bool:
-        return Path(self.path).name == "__init__.py"
-
-
 class Rule:
     """Base class for lint rules.
 
@@ -139,23 +118,18 @@ class Rule:
     severity: str = Severity.ERROR
     description: str = ""
 
-    def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
+    def check(self, summary: ModuleSummary) -> Iterator[Violation]:
         raise NotImplementedError
 
-    def violation(self, module: ModuleUnderLint, node: ast.AST | dict,
-                  message: str, severity: str | None = None) -> Violation:
-        """A finding at an AST node or at a loader record's line/col."""
-        if isinstance(node, dict):
-            line, col = node["line"], node["col"]
-        else:
-            line = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0)
+    def violation(self, summary: ModuleSummary, record: dict,
+                  message: str) -> Violation:
+        """A finding at a loader record's line and column."""
         return Violation(
-            path=module.path,
-            line=line,
-            col=col,
+            path=summary.path,
+            line=record["line"],
+            col=record["col"],
             rule_id=self.rule_id,
-            severity=severity or self.severity,
+            severity=self.severity,
             message=message,
         )
 
@@ -179,16 +153,13 @@ def registered_rules() -> dict[str, type[Rule]]:
     return dict(_REGISTRY)
 
 
-def run_file_rules(summary: ModuleSummary,
-                   tree: ast.Module) -> list[Violation]:
+def run_file_rules(summary: ModuleSummary) -> list[Violation]:
     """Every registered file-scope rule over one module, unfiltered.
 
-    The project loader calls this with the module's summary and the AST
-    it already parsed, and keeps the findings with the summary;
-    pragmas, ignore lists and the baseline apply later, once, to every
-    rule family.
+    The project loader calls this with the module's summary and keeps
+    the findings with it; pragmas, ignore lists and the baseline apply
+    later, once, to every rule family.
     """
-    module = ModuleUnderLint(summary=summary, tree=tree)
     return [violation
             for _, rule_cls in sorted(registered_rules().items())
-            for violation in rule_cls().check(module)]
+            for violation in rule_cls().check(summary)]

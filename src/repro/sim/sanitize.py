@@ -110,8 +110,8 @@ class StreamLog:
     #: consumer qualname -> draw count (insertion-ordered).
     consumers: dict[str, int] = field(default_factory=dict)
     recent: deque = field(default_factory=lambda: deque(maxlen=RECENT_DRAWS))
-    #: Qualname of the buffered sampler's constructor when the stream
-    #: has been claimed exclusively; ``None`` for unclaimed streams.
+    #: Owner label of the last buffer to claim a generator of this
+    #: stream; ``None`` for unclaimed streams.
     exclusive_owner: str | None = None
 
 
@@ -128,20 +128,20 @@ class SanitizeLog:
             self.streams[name] = log
         return log
 
-    def claim(self, name: str, owner: str) -> None:
-        """Mark ``name`` as exclusively owned by ``owner``.
+    def claim(self, rng: RecordingGenerator, owner: str) -> None:
+        """Mark the generator ``rng`` as exclusively owned by ``owner``.
 
-        A second claim by a *different* owner is itself a violation:
-        two buffered samplers over one stream each believe they see the
-        full bit-stream, and neither does.
+        The claim is the generator's, not its name's: a second claim on
+        it raises whoever makes it, and another registry's stream of
+        the same name is free.
         """
-        log = self.stream(name)
-        if log.exclusive_owner is not None and log.exclusive_owner != owner:
+        if rng._owner is not None:
             raise DeterminismViolation(
-                f"stream {name!r} claimed exclusively by two buffers: "
-                f"{log.exclusive_owner} and {owner}",
-                stream=name, owner=log.exclusive_owner, consumer=owner)
-        log.exclusive_owner = owner
+                f"stream {rng._stream!r} claimed exclusively by two "
+                f"buffers: {rng._owner} and {owner}",
+                stream=rng._stream, owner=rng._owner, consumer=owner)
+        rng._owner = owner
+        self.stream(rng._stream).exclusive_owner = owner
 
     def draw_counts(self) -> dict[str, int]:
         """Snapshot of per-stream draw counts, for replay comparison."""
@@ -243,12 +243,14 @@ class RecordingGenerator:
     run.
     """
 
-    __slots__ = ("_generator", "_stream", "_log", "_owner_depth")
+    __slots__ = ("_generator", "_stream", "_log", "_owner", "_owner_depth")
 
     def __init__(self, generator: Any, stream: str, log: SanitizeLog):
         self._generator = generator
         self._stream = stream
         self._log = log
+        #: The label of the buffer that claimed this generator, if any.
+        self._owner: str | None = None
         #: >0 while the claiming buffer itself is refilling; draws made
         #: inside an :func:`owner_section` are the sanctioned ones.
         self._owner_depth = 0
@@ -283,13 +285,13 @@ class RecordingGenerator:
         # _record <- draw <- the consumer making the draw.
         consumer = caller_qualname(2)
         log = self._log.stream(self._stream)
-        if log.exclusive_owner is not None and self._owner_depth == 0:
+        if self._owner is not None and self._owner_depth == 0:
             raise DeterminismViolation(
                 f"stream {self._stream!r} is exclusively owned by "
-                f"{log.exclusive_owner} (buffered), but {consumer} drew "
+                f"{self._owner} (buffered), but {consumer} drew "
                 f"from it directly; interleaved draws desynchronize the "
                 f"pre-drawn block from the scalar bit-stream",
-                stream=self._stream, owner=log.exclusive_owner,
+                stream=self._stream, owner=self._owner,
                 consumer=consumer)
         record = DrawRecord(self._stream, consumer, method,
                             _sim_now(), log.draws)
@@ -299,13 +301,13 @@ class RecordingGenerator:
 
 
 def claim_exclusive(rng: Any, owner: str) -> None:
-    """Declare that ``owner`` (a buffered sampler) owns ``rng``'s stream.
+    """Declare that ``owner`` (a buffered sampler) owns ``rng``.
 
     No-op unless ``rng`` is a :class:`RecordingGenerator` — plain
     Generators (sanitizing off) carry no stream identity to claim.
     """
     if isinstance(rng, RecordingGenerator):
-        rng._log.claim(rng._stream, owner)
+        rng._log.claim(rng, owner)
 
 
 @contextmanager

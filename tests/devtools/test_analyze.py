@@ -24,6 +24,8 @@ from repro.devtools.check import (
 from repro.devtools.config import CheckConfig, load_check_config
 
 CROSSMOD = Path(__file__).parent / "fixtures_analyze" / "crossmod"
+SAMPLING = (Path(__file__).resolve().parents[2]
+            / "src" / "repro" / "sim" / "sampling.py")
 
 
 def write_tree(tmp_path, files):
@@ -268,6 +270,35 @@ def test_def_nested_in_module_level_block_keeps_its_call_edge(
     assert reported("no-wall-clock") == ["return time.time()"] * 2
     assert reported("transitive-wall-clock") == ["return f()",
                                                  "return k()"]
+
+
+def test_inherited_method_resolves_to_the_defining_base():
+    project = load_project([SAMPLING])
+    target = project.resolve_callable(
+        "repro.sim.sampling.BufferedSampler._next")
+    assert target.qualname == "repro.sim.sampling._BlockBuffer._next"
+    sample = project.functions["repro.sim.sampling.BufferedSampler.sample"]
+    assert target in [project.resolve_function(candidate)
+                      for edge in sample.call_edges
+                      for candidate in edge["f"]]
+
+
+def test_taint_flows_through_an_inherited_method(tmp_path):
+    write_tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/base.py": ("import time\n"
+                        "class Base:\n"
+                        "    def _stamp(self):\n"
+                        "        return time.time()\n"),
+        "pkg/child.py": ("from pkg.base import Base\n"
+                         "class Child(Base):\n"
+                         "    def run(self):\n"
+                         "        return self._stamp()\n"),
+    })
+    report = check_paths([tmp_path / "pkg"])
+    leaks = [(Path(v.path).name, v.line) for v in report.violations
+             if v.rule_id == "transitive-wall-clock"]
+    assert leaks == [("child.py", 4)]
 
 
 def test_default_rng_is_not_a_taint_source(tmp_path):

@@ -120,9 +120,10 @@ def test_units_fixture_caught_by_the_units_family():
     ("def kick(sim, handlers, run):\n    for h in set(handlers):\n"
      "        run(lambda: sim.schedule(0, h))\n",
      "unordered-iteration-before-schedule", 2, 4),
+    ("draw = lambda: rng.random()\n", "rng-discipline", 1, 15),
 ], ids=["module-level", "lambda-body", "default-argument",
         "decorator-argument", "class-body", "set-loop-module-level",
-        "set-loop-class-body", "schedule-in-lambda"])
+        "set-loop-class-body", "schedule-in-lambda", "unbound-rng-in-lambda"])
 def test_direct_use_reported_wherever_it_is_written(tmp_path, source, rule,
                                                     line, col):
     found = [(v.line, v.col) for v in file_findings_in(tmp_path, source)
@@ -306,6 +307,32 @@ def test_rng_parameter_and_closure_are_fine(tmp_path):
               '        return rng.normal()\n'
               '    return inner\n')
     assert rule_ids_in(tmp_path, source) == set()
+
+
+@pytest.mark.parametrize("source", [
+    "rng = make()\ndef draw():\n    return rng.random()\n",
+    "draw = lambda rng: rng.random()\n",
+    "def seed(registry):\n    global rng\n    rng = registry.stream('x')\n"
+    "def draw():\n    return rng.random()\n",
+    "def draw(*, rng):\n    return rng.random()\n",
+    "def draw(gens):\n    return [rng.random() for rng in gens]\n",
+    "def outer(registry):\n    def inner():\n        return rng.random()\n"
+    "    rng = registry.stream('x')\n    return inner\n",
+], ids=["module-level", "lambda-parameter", "global", "keyword-only",
+        "comprehension-target", "later-in-enclosing-def"])
+def test_rng_bound_in_any_visible_scope_is_fine(tmp_path, source):
+    assert "rng-discipline" not in rule_ids_in(tmp_path, source)
+
+
+def test_unbound_rng_in_nested_def_is_reported(tmp_path):
+    source = ("def outer():\n"
+              "    def inner():\n"
+              "        return rng.random()\n"
+              "    return inner\n")
+    found = [v for v in file_findings_in(tmp_path, source)
+             if v.rule_id == "rng-discipline"]
+    assert {(v.line, v.col) for v in found} == {(3, 15)}
+    assert any(v.message.startswith("'inner' uses 'rng'") for v in found)
 
 
 # ----------------------------------------------------------------------

@@ -101,10 +101,10 @@ def test_direct_draw_on_claimed_stream_raises():
 
 
 def test_double_claim_of_one_stream_raises(block_buffers, subtests):
+    # Two buffers of one class built by one frame share an owner label;
+    # the claim is the generator's, so the second still raises.
     for first, claimant in block_buffers.items():
         for second, rival in block_buffers.items():
-            if second == first:
-                continue
             with subtests.test(first=first, second=second):
                 with sanitizer_session():
                     rng = RngRegistry(3).stream("link")
@@ -114,6 +114,17 @@ def test_double_claim_of_one_stream_raises(block_buffers, subtests):
                         rival.make(rng, 8)
                 assert first in err.value.owner
                 assert second in err.value.consumer
+
+
+def test_same_named_streams_of_two_registries_do_not_collide(
+        block_buffers):
+    with sanitizer_session():
+        runs = [RngRegistry(seed).stream("link") for seed in (3, 4, 5)]
+        block_buffers["UniformBuffer"].make(runs[0], 8)
+        block_buffers["LogNormalBlockServer"].make(runs[1], 8)
+        assert 0.0 <= runs[2].random() < 1.0
+        with pytest.raises(DeterminismViolation, match="exclusively owned"):
+            runs[0].random()
 
 
 def test_uniform_buffer_claim_blocks_direct_draws():
