@@ -180,6 +180,133 @@ def test_acquired_but_never_drawn_stream_is_flagged(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# classification: one case per owner kind and per escape path
+# ----------------------------------------------------------------------
+KIND_HEADER = """\
+from repro.sim.rng import RngRegistry
+from repro.sim.sampling import LogNormalBlockServer, UniformBuffer
+
+
+def consume(rng):
+    return rng.random()
+
+
+"""
+SHARED_BY = "consumed by 2 components ('mod.run', 'mod.consume')"
+
+# (case, body after KIND_HEADER, owners per template, detsan findings as
+# (rule, line, message fragment)); the body starts on line 9.
+KINDS = [
+    ("argument", """\
+def run():
+    return consume(RngRegistry(0).stream("s"))
+""", {"s": ["mod.consume"]}, []),
+    ("inline", """\
+def run(registry):
+    return registry.stream("s").random()
+""", {"s": ["mod.run"]}, []),
+    ("local", """\
+def run(registry):
+    rng = registry.stream("s")
+    return rng.random() + rng.normal()
+""", {"s": ["mod.run"]}, []),
+    ("local-drawn-and-handed-off", """\
+def run(registry):
+    rng = registry.stream("s")
+    return rng.random() + consume(rng)
+""", {"s": ["mod.run", "mod.consume"]},
+     [("detsan-shared-stream", 10, SHARED_BY)]),
+    ("discarded", """\
+def run(registry):
+    registry.stream("s")
+""", {"s": ["mod.run"]},
+     [("detsan-unused-stream", 10, "acquired in 'mod.run'")]),
+    ("local-arg", """\
+def run(registry):
+    rng = registry.stream("s")
+    return consume(rng)
+""", {"s": ["mod.consume"]}, []),
+    ("other", """\
+def run(registry):
+    return registry.stream("s")
+""", {"s": ["mod.run"]}, []),
+    ("attribute", """\
+class Node:
+    def __init__(self, registry):
+        self.rng = registry.stream("s")
+
+    def step(self):
+        return self.rng.random()
+""", {"s": ["mod.Node"]}, []),
+    ("attribute-never-drawn", """\
+class Node:
+    def __init__(self, registry):
+        self.rng = registry.stream("s")
+""", {"s": ["mod.Node"]},
+     [("detsan-unused-stream", 11, "acquired in 'Node.__init__'")]),
+    ("escape-drawn-directly", """\
+def run(registry):
+    rng = registry.stream("s")
+    uniforms = UniformBuffer(rng)
+    return uniforms.next() + rng.random()
+""", {"s": ["mod.run"]},
+     [("detsan-buffered-escape", 12,
+       "'rng' is claimed by a UniformBuffer in 'mod.run' but drawn "
+       "directly via .random();")]),
+    ("escape-passed-on", """\
+def run(registry):
+    rng = registry.stream("s")
+    uniforms = UniformBuffer(rng)
+    return uniforms.next() + consume(rng)
+""", {"s": ["mod.run", "mod.consume"]},
+     [("detsan-buffered-escape", 12,
+       "'rng' is claimed by a UniformBuffer in 'mod.run' but passed to "
+       "mod.consume();"),
+      ("detsan-shared-stream", 10, SHARED_BY)]),
+    ("escape-second-claim", """\
+def run(registry):
+    rng = registry.stream("s")
+    return UniformBuffer(rng), LogNormalBlockServer(rng)
+""", {"s": ["mod.run"]},
+     [("detsan-buffered-escape", 11,
+       "claimed by a LogNormalBlockServer in 'mod.run' but also claimed "
+       "by a second UniformBuffer;"),
+      ("detsan-buffered-escape", 11,
+       "claimed by a UniformBuffer in 'mod.run' but also claimed by a "
+       "second LogNormalBlockServer;")]),
+    ("escape-through-self-alias", """\
+class Node:
+    def __init__(self, rng):
+        self.rng = rng
+        self.uniforms = UniformBuffer(rng)
+
+    def step(self):
+        return self.uniforms.next() + self.rng.normal()
+""", {},
+     [("detsan-buffered-escape", 15,
+       "'self.rng' is claimed by a UniformBuffer in 'Node.__init__' but "
+       "drawn directly via .normal();")]),
+]
+
+
+@pytest.mark.parametrize("body, owners, expected",
+                         [case[1:] for case in KINDS],
+                         ids=[case[0] for case in KINDS])
+def test_owner_kinds_and_escapes(tmp_path, body, owners, expected):
+    write_tree(tmp_path, {"mod.py": KIND_HEADER + body})
+    report = check_paths([tmp_path])
+    assert {info.template: info.owners
+            for info in report.ownership.streams} == owners
+    found = sorted((v.rule_id, v.line, v.message)
+                   for v in findings(report))
+    assert len(found) == len(expected)
+    for (rule, line, message), (want_rule, want_line, fragment) in zip(
+            found, sorted(expected)):
+        assert (rule, line) == (want_rule, want_line)
+        assert fragment in message
+
+
+# ----------------------------------------------------------------------
 # suppression mechanics: pragmas and the reviewed baseline
 # ----------------------------------------------------------------------
 def test_analyze_pragma_suppresses_detsan_rules(tmp_path):
