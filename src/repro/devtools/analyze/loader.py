@@ -5,13 +5,15 @@ The loader walks the analysis roots with the shared
 once and extracts a :class:`ModuleSummary`: the symbol table
 (functions, methods, classes, module constants), the call edges
 resolvable from imports/``self``, per-function purity effects, the
-*symbolic* unit facts the global passes resolve later, and the raw
-findings of the file-scope rules, which read only this summary.  The
-extraction is the one place a wall-clock read, a ``numpy.random`` call,
-a ``random`` import, an unbound ``rng``, an equality between time
-values or an unordered loop that schedules is recognised: it evaluates
-every expression a module runs, including lambda bodies, decorators,
-default values and class bodies.
+*symbolic* unit facts the global passes resolve later, the RNG stream
+facts of the ``detsan`` pass, and the raw findings of the file-scope
+rules, which read only this summary.  The extraction is the one place a
+wall-clock read, a ``numpy.random`` call, a ``random`` import, an
+unbound ``rng``, an equality between time values, an unordered loop
+that schedules, a ``.stream(...)`` call and how its generator is held,
+or a buffer's claim of a generator is recognised: it evaluates every
+expression a module runs, including lambda bodies, decorators, default
+values and class bodies.
 
 Symbolic unit expressions are plain dicts, so whole-program resolution
 never needs the AST again:
@@ -287,7 +289,10 @@ class ModuleSummary:
     line_pragmas: dict[int, list[str]] = field(default_factory=dict)
     file_pragmas: list[str] = field(default_factory=list)
     parse_error: dict | None = None
-    #: RngRegistry stream acquisitions (see :class:`_StreamWalker`).
+    #: Every ``.stream(...)`` call with its name template; detsan
+    #: reads those with a registry ``scope``, each with how it is held
+    #: (``owner_kind``), its consumers and whether it is drawn, claimed
+    #: by a buffer or declared ``# detsan: shared``.
     streams: list[dict] = field(default_factory=list)
     #: BufferedSampler/UniformBuffer constructions and their rng args.
     rng_buffers: list[dict] = field(default_factory=list)
@@ -302,14 +307,13 @@ class ModuleSummary:
     #: evaluate.  Each function keeps its own in its summary.
     wall_clock: list[dict] = field(default_factory=list)
     unordered_loops: list[dict] = field(default_factory=list)
-    #: What the file-scope rules read besides those: ``import random``
-    #: statements, calls that resolve into ``numpy.random``,
-    #: ``.stream(...)`` calls with their name templates, ``==``/``!=``
-    #: operand pairs with their units, reads of an unbound ``rng``, and
-    #: whether the module body binds ``__all__``.
+    #: What the file-scope rules read besides those and ``streams``:
+    #: ``import random`` statements, calls that resolve into
+    #: ``numpy.random``, ``==``/``!=`` operand pairs with their units,
+    #: reads of an unbound ``rng``, and whether the module body binds
+    #: ``__all__``.
     random_imports: list[dict] = field(default_factory=list)
     numpy_random: list[dict] = field(default_factory=list)
-    stream_calls: list[dict] = field(default_factory=list)
     equalities: list[dict] = field(default_factory=list)
     unbound_rng: list[dict] = field(default_factory=list)
     binds_all: bool = False
@@ -459,6 +463,12 @@ class _ModuleExtractor:
         #: First reads of ``rng`` unbound where they were read, with
         #: their scope: a later binding in an enclosing body clears one.
         self.rng_reads: list[tuple[_FunctionExtractor, dict]] = []
+        #: Lines that carry a ``# detsan: shared`` contract.
+        self.shared_lines: set[int] = set()
+        #: The record of every ``.stream(...)`` call, by call node: the
+        #: code around the call says how the generator is held.
+        self.acquisitions: dict[ast.Call, dict] = {}
+        self.homes: list[_StreamHome] = []
 
     def run(self) -> ModuleSummary:
         self._collect_pragmas()
@@ -466,7 +476,8 @@ class _ModuleExtractor:
         module_fn = _FunctionExtractor(
             self, qualname=f"{self.qualname}.<module>", name="<module>",
             params=[], lineno=1, declared_unit=None, class_name=None,
-            module_level=True, enclosing=None)
+            module_level=True, enclosing=None,
+            home=self._home(f"{self.qualname}.<module>", None))
         module_fn.exec_block(
             [stmt for stmt in self.tree.body
              if not isinstance(stmt, (ast.FunctionDef,
@@ -489,7 +500,7 @@ class _ModuleExtractor:
         self.summary.unordered_loops = module_fn.unordered_loops
         self.summary.unbound_rng = [read for scope, read in self.rng_reads
                                     if not scope._binds("rng")]
-        _StreamWalker(self).run()
+        self._settle_streams()
         # Imported here: the file rules import this module's tables.
         from repro.devtools.lintkit.core import run_file_rules
         self.summary.file_findings = run_file_rules(self.summary)
@@ -498,6 +509,10 @@ class _ModuleExtractor:
     # -- comments ------------------------------------------------------
     def _collect_pragmas(self) -> None:
         for lineno, line in enumerate(self.lines, start=1):
+            if "#" not in line:
+                continue
+            if _DETSAN_SHARED_RE.search(line):
+                self.shared_lines.add(lineno)
             match = _PRAGMA_RE.search(line)
             if match:
                 rules = [r.strip() for r in match.group(1).split(",")]
@@ -604,7 +619,9 @@ class _ModuleExtractor:
             self, qualname=qualname, name=node.name, params=params,
             lineno=node.lineno, declared_unit=declared,
             class_name=class_name, module_level=False,
-            is_converter=conversion is not None, enclosing=enclosing)
+            is_converter=conversion is not None, enclosing=enclosing,
+            home=(self._home(qualname, parent if class_name else None)
+                  if enclosing.hosts_homes else enclosing.home))
         # Every parameter binds: ``self``, keyword-only and starred too.
         extractor.env.update((name, _bound_unit(name))
                              for name in _arg_names(args))
@@ -647,7 +664,8 @@ class _ModuleExtractor:
 
         The class body's checks, wall-clock reads and unordered loops
         are the enclosing scope's: the module body's for a top-level
-        class, the function's for a local one.
+        class, the function's for a local one.  So are its stream facts,
+        but a method not written inside a def is a stream home of its own.
         """
         enclosing.eval_definition_time(node)
         qualname = f"{parent}.{node.name}"
@@ -664,7 +682,7 @@ class _ModuleExtractor:
             self, qualname=f"{qualname}.<class>", name="<class>",
             params=[], lineno=node.lineno, declared_unit=None,
             class_name=node.name, module_level=False,
-            enclosing=enclosing)
+            enclosing=enclosing, home=enclosing.home)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 klass.methods.append(stmt.name)
@@ -692,6 +710,45 @@ class _ModuleExtractor:
         enclosing.unordered_loops.extend(class_fn.unordered_loops)
         self.summary.classes.append(klass)
 
+    # -- stream ownership ----------------------------------------------
+    def _home(self, func: str, klass: str | None) -> _StreamHome:
+        home = _StreamHome(func, klass)
+        self.homes.append(home)
+        return home
+
+    def _settle_streams(self) -> None:
+        """Derive what the acquisitions and claims need from the facts
+        the extraction recorded; no AST is walked.
+
+        A local's uses are its home's.  A ``self.X`` field is read, and
+        a method's claim escapes, anywhere in the class's methods.
+        """
+        classes: dict[str, list[_StreamHome]] = {}
+        for home in self.homes:
+            if home.klass is not None:
+                classes.setdefault(home.klass, []).append(home)
+        for home in self.homes:
+            region = classes[home.klass] if home.klass else [home]
+            for record in home.streams:
+                if record["owner_kind"] == "local":
+                    _apply_uses(record, [home])
+                    handoffs = sorted(set(record["handoffs"]))
+                    if handoffs and not record["drawn"]:
+                        record["owner_kind"] = "local-arg"
+                        record["owner"] = handoffs
+                    elif handoffs:
+                        # Drawn here *and* handed off: the sharing rule
+                        # sees both consumers of the one acquisition.
+                        record["owner"] = [home.func] + handoffs
+                elif record["owner_kind"] == "attribute":
+                    _apply_uses(record, region)
+            for claim, name, call in home.claims:
+                for anchor, expr, detail in _escapes(name, call, region):
+                    self.summary.rng_escapes.append({
+                        **anchor, "buffer": claim["buffer"],
+                        "stream_expr": expr, "func": home.func,
+                        "detail": detail})
+
 
 class _FunctionExtractor:
     """Flow-sensitive abstract interpretation of one function body."""
@@ -700,10 +757,16 @@ class _FunctionExtractor:
                  name: str, params: list[str], lineno: int,
                  declared_unit: str | None, class_name: str | None,
                  module_level: bool, enclosing: _FunctionExtractor | None,
-                 is_converter: bool = False):
+                 home: _StreamHome, is_converter: bool = False):
         self.module = module
         #: The scope this code is written in: its names are visible here.
         self.enclosing = enclosing
+        #: Where this code's stream facts go.
+        self.home = home
+        #: Whether a def written here is a stream home of its own: it is
+        #: unless it is written inside another def.
+        self.hosts_homes = module_level or (
+            name == "<class>" and enclosing.hosts_homes)
         self.qualname = qualname
         self.name = name
         self.params = params
@@ -803,12 +866,14 @@ class _FunctionExtractor:
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         self._lambda_names.add(target.id)
+            self._hold(stmt.value, stmt.targets)
         elif isinstance(stmt, ast.AnnAssign):
             value = (self.eval_expr(stmt.value)
                      if stmt.value is not None else None)
             self._eval_target(stmt.target)
             if value is not None:
                 self._assign(stmt.target, value, stmt)
+                self._hold(stmt.value, [stmt.target])
         elif isinstance(stmt, ast.AugAssign):
             value = self.eval_expr(stmt.value)
             self._eval_target(stmt.target)
@@ -855,6 +920,9 @@ class _FunctionExtractor:
             self.exec_block(stmt.finalbody)
         elif isinstance(stmt, ast.Expr):
             self.eval_expr(stmt.value)
+            acquired = self.module.acquisitions.get(stmt.value)
+            if acquired is not None:
+                acquired.update(owner_kind="discarded", uses=0)
         elif isinstance(stmt, (ast.Raise, ast.Assert)):
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
@@ -990,6 +1058,7 @@ class _FunctionExtractor:
             return (U_UNITLESS if isinstance(node.value, (int, float))
                     and not isinstance(node.value, bool) else U_UNKNOWN)
         if isinstance(node, ast.Name):
+            self.home.load(node.id)
             if node.id == "__file__" and "__file__" not in self.env:
                 self.host_state.append({
                     "line": node.lineno, "col": node.col_offset,
@@ -1004,6 +1073,7 @@ class _FunctionExtractor:
             return self._name_unit(node.id)
         if isinstance(node, ast.Attribute):
             self.eval_expr(node.value)
+            self._receiver(node.value, node.attr, call=False)
             dotted = dotted_name(node)
             if dotted is not None:
                 resolved = self.module.summary.resolve_dotted(dotted)
@@ -1166,12 +1236,14 @@ class _FunctionExtractor:
             callee_name = func.attr
             candidates = self._resolve_attr_call(func)
             self._detect_schedule(func, node)
+            self._receiver(func.value, func.attr, call=True)
             if func.attr == "stream":
                 self._stream_call(node)
             if func.attr in _GENERATOR_DRAW_METHODS:
-                self.draws.append({
-                    "line": node.lineno, "col": node.col_offset,
-                    "recv": dotted_name(func.value), "method": func.attr})
+                draw = {"line": node.lineno, "col": node.col_offset,
+                        "recv": dotted_name(func.value), "method": func.attr}
+                self.draws.append(draw)
+                self.home.draws.append(draw)
                 for loop in self._loop_stack:
                     loop["draws"] = True
             if func.attr in _MUTATING_METHODS:
@@ -1199,6 +1271,7 @@ class _FunctionExtractor:
             if self._loop_stack:
                 for loop in self._loop_stack:
                     loop["calls"].extend(candidates)
+        self._hand_over(node, candidates)
         if candidates or conversion is not None:
             for index, value in enumerate(arg_units):
                 if isinstance(node.args[index], ast.Starred):
@@ -1259,13 +1332,129 @@ class _FunctionExtractor:
             return [self.module.summary.resolve_dotted(dotted)]
         return []
 
+    # -- stream ownership ----------------------------------------------
     def _stream_call(self, node: ast.Call) -> None:
-        """A ``.stream(...)`` call and the template of its name."""
-        from repro.devtools.detsan.resolver import resolve_stream_name
-        self.module.summary.stream_calls.append({
-            **_at(node), "arg": bool(node.args),
-            "template": (resolve_stream_name(node.args[0]) if node.args
-                         else None)})
+        """A ``.stream(...)`` call: the one record of it, read by the
+        fault-streams-named rule and, if it has a registry ``scope``,
+        by detsan.  The code around the call fills in how it is held."""
+        from repro.devtools.detsan.resolver import (is_resolved,
+                                                    resolve_stream_name)
+        name = node.args[0] if node.args else None
+        template = resolve_stream_name(name) if name is not None else None
+        scope = (self._registry_scope(node.func.value, node.lineno)
+                 if name is not None else None)
+        func = self.home.func
+        record = {
+            **_at(node),
+            "arg": ast.unparse(name) if name is not None else None,
+            "template": template, "resolved": is_resolved(template),
+            "scope": scope, "func": func,
+            "owner_kind": "other", "owner": [func], "holder": None,
+            "uses": 1, "drawn": False, "buffered": False, "handoffs": [],
+            "shared": node.lineno in self.module.shared_lines,
+        }
+        self.module.summary.streams.append(record)
+        self.module.acquisitions[node] = record
+        if scope is not None:
+            self.home.streams.append(record)
+
+    def _registry_scope(self, recv: ast.expr, line: int) -> str | None:
+        """Registry-scope key for an acquisition, or None if the
+        receiver does not look like an RngRegistry.
+
+        Scoping keeps independent registries (one per run/system) from
+        being conflated: ``self.rngs`` streams key by the owning class,
+        plain locals by the home, and a fresh ``RngRegistry(...)`` /
+        ``fork(...)`` receiver by its call site.
+        """
+        home = self.home
+        dotted = dotted_name(recv)
+        if dotted is not None:
+            last = dotted.rpartition(".")[2].lower()
+            if "rng" not in last and last != "registry":
+                return None
+            if dotted.startswith("self.") and home.klass:
+                return home.klass
+            return home.func
+        if isinstance(recv, ast.Call):
+            if isinstance(recv.func, ast.Attribute) \
+                    and recv.func.attr == "fork":
+                return f"{home.func}:{line}"
+            callee = dotted_name(recv.func)
+            if callee is not None and self.module.summary.resolve_dotted(
+                    callee).rpartition(".")[2] == "RngRegistry":
+                return f"{home.func}:{line}"
+        return None
+
+    def _receiver(self, value: ast.expr, attr: str, call: bool) -> None:
+        """``value.attr``: a load of a ``self.X`` field, or a stream
+        used inline (drawn, if ``call`` and ``attr`` draws)."""
+        if isinstance(value, ast.Name) and value.id == "self":
+            self.home.load(f"self.{attr}")
+        acquired = self.module.acquisitions.get(value)
+        if acquired is not None:
+            acquired.update(owner_kind="inline",
+                            drawn=call and attr in _GENERATOR_DRAW_METHODS)
+
+    def _hold(self, value: ast.expr, targets: list[ast.expr]) -> None:
+        """An assignment of an acquired stream (who holds it) or of a
+        name to ``self.X`` (an alias a claim follows)."""
+        acquired = self.module.acquisitions.get(value)
+        if acquired is not None:
+            target = targets[0] if len(targets) == 1 else None
+            if isinstance(target, ast.Name):
+                acquired.update(owner_kind="local", holder=target.id)
+            elif isinstance(target, ast.Attribute) \
+                    and isinstance(target.value, ast.Name) \
+                    and target.value.id == "self" and self.home.klass:
+                acquired.update(owner_kind="attribute",
+                                holder=f"self.{target.attr}",
+                                owner=[self.home.klass])
+        elif isinstance(value, ast.Name):
+            for target in targets:
+                dotted = dotted_name(target)
+                if dotted is not None and dotted.startswith("self."):
+                    self.home.aliases.append((value.id, dotted))
+
+    def _hand_over(self, node: ast.Call, candidates: list[str]) -> None:
+        """The generators a call is handed: a stream acquired in its
+        arguments, each name or attribute passed, a buffer's claim."""
+        home = self.home
+        for arg in (*node.args, *(kw.value for kw in node.keywords)):
+            acquired = self.module.acquisitions.get(arg)
+            if acquired is not None:
+                acquired.update(owner_kind="argument",
+                                owner=candidates or [home.func])
+            elif isinstance(arg, (ast.Name, ast.Attribute)):
+                dotted = dotted_name(arg)
+                if dotted is not None:
+                    home.handed.append((dotted, node, candidates))
+        buffer = candidates[0].rpartition(".")[2] if candidates else None
+        if buffer not in _BUFFER_CLASSES:
+            return
+        kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
+        if buffer == "BufferedSampler":
+            rng = node.args[1] if len(node.args) > 1 else kwargs.get("rng")
+        else:
+            rng = node.args[0] if node.args else kwargs.get("rng")
+        if rng is None:
+            return
+        acquired = self.module.acquisitions.get(rng)
+        name = None
+        if acquired is not None and acquired["arg"] is not None:
+            if acquired["scope"] is not None:
+                acquired.update(buffered=True, drawn=True)
+            descr = "stream:" + (
+                acquired["template"] if acquired["scope"] is not None
+                and acquired["template"] else ast.unparse(rng))
+        else:
+            name = dotted_name(rng)
+            descr = name or ast.unparse(rng)
+        claim = {**_at(node), "buffer": buffer, "rng": descr,
+                 "func": home.func}
+        self.module.summary.rng_buffers.append(claim)
+        if name is not None:
+            home.claims.append((claim, name, node))
 
     # -- purity --------------------------------------------------------
     def _detect_schedule(self, func: ast.Attribute,
@@ -1493,406 +1682,93 @@ class _FunctionExtractor:
         self.checks.append(check)
 
 
-class _StreamWalker:
-    """Collect RNG stream acquisitions, buffer claims, and escapes.
+class _StreamHome:
+    """Where detsan attributes stream facts: the module body, or a def
+    not written inside another def, each with the class bodies, defs and
+    lambdas written in it (a closure's uses are its maker's)."""
 
-    A separate, parent-aware pass (rather than more state inside the
-    flow-sensitive :class:`_FunctionExtractor`) because classifying an
-    acquisition depends on its *syntactic context* — the assignment
-    target, the enclosing call, the chained attribute — which the
-    bottom-up expression evaluator never sees.  Records land on the
-    module summary for the project-level ``detsan`` pass.
-    """
+    def __init__(self, func: str, klass: str | None):
+        self.func = func
+        #: A method's class: its fields and claims are read class-wide.
+        self.klass = klass
+        #: The draws written here, each also in its function's summary.
+        self.draws: list[dict] = []
+        #: The registry-stream acquisitions made here.
+        self.streams: list[dict] = []
+        #: Claims of a named generator: ``(claim, name, call)``.
+        self.claims: list[tuple[dict, str, ast.Call]] = []
+        #: How often each name and ``self.X`` field is loaded.
+        self.loads: dict[str, int] = {}
+        #: Names and attributes passed to a call: ``(name, call,
+        #: candidates)``.
+        self.handed: list[tuple[str, ast.Call, list[str]]] = []
+        #: ``self.X = name`` assignments: ``(name, "self.X")``.
+        self.aliases: list[tuple[str, str]] = []
 
-    def __init__(self, module: _ModuleExtractor):
-        self.module = module
-        self.shared_lines = {
-            lineno for lineno, line in enumerate(module.lines, start=1)
-            if _DETSAN_SHARED_RE.search(line)}
+    def load(self, name: str) -> None:
+        self.loads[name] = self.loads.get(name, 0) + 1
 
-    def run(self) -> None:
-        top = [stmt for stmt in self.module.tree.body
-               if not isinstance(stmt, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef,
-                                        ast.ClassDef))]
-        if top:
-            self._scan(top, f"{self.module.qualname}.<module>", None, top)
-        self._walk_body(self.module.tree.body, self.module.qualname,
-                        None, None)
 
-    def _walk_body(self, stmts: list[ast.stmt], scope: str,
-                   class_qualname: str | None,
-                   class_node: ast.ClassDef | None) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # Nested defs are scanned as part of the enclosing
-                # function's subtree (attributed to the outer scope).
-                region = [class_node] if class_node is not None \
-                    else stmt.body
-                self._scan(stmt.body, f"{scope}.{stmt.name}",
-                           class_qualname, region)
-            elif isinstance(stmt, ast.ClassDef):
-                qualname = f"{scope}.{stmt.name}"
-                self._walk_body(stmt.body, qualname, qualname, stmt)
+def _method(call: ast.Call) -> str | None:
+    return call.func.attr if isinstance(call.func, ast.Attribute) else None
 
-    # -- one function (or the module body) ------------------------------
-    def _scan(self, stmts: list[ast.stmt], func: str,
-              class_qualname: str | None,
-              region: list[ast.AST] | ast.ClassDef | None) -> None:
-        from repro.devtools.detsan.resolver import (is_resolved,
-                                                    is_stream_acquisition,
-                                                    resolve_stream_name)
-        parents: dict[ast.AST, ast.AST] = {}
-        nodes: list[ast.AST] = []
-        for stmt in stmts:
-            for parent in ast.walk(stmt):
-                nodes.append(parent)
-                for child in ast.iter_child_nodes(parent):
-                    parents[child] = parent
-        by_node: dict[int, dict] = {}
-        for node in nodes:
-            if not (isinstance(node, ast.Call)
-                    and is_stream_acquisition(node)):
+
+def _apply_uses(record: dict, region: list[_StreamHome]) -> None:
+    """Count the loads of a stream's holder in ``region`` and note which
+    draw it, claim it for a buffer, or hand it to another callee."""
+    holder = record["holder"]
+    record["uses"] = sum(home.loads.get(holder, 0) for home in region)
+    for home in region:
+        if any(draw["recv"] == holder for draw in home.draws):
+            record["drawn"] = True
+        for name, call, candidates in home.handed:
+            if name != holder:
                 continue
-            scope = self._receiver_scope(node.func.value, func,
-                                         class_qualname, node.lineno)
-            if scope is None:
-                continue
-            template = resolve_stream_name(node.args[0])
-            record = {
-                "line": node.lineno, "col": node.col_offset,
-                "template": template, "resolved": is_resolved(template),
-                "arg": ast.unparse(node.args[0]),
-                "scope": scope, "func": func,
-                "owner_kind": "other", "owner": [func],
-                "attr": None, "local": None,
-                "drawn": False, "uses": 1, "handoffs": [],
-                "buffered": False,
-                "shared": node.lineno in self.shared_lines,
-            }
-            self._classify(node, record, parents, func, class_qualname)
-            by_node[id(node)] = record
-            self.module.summary.streams.append(record)
-        for record in by_node.values():
-            if record["owner_kind"] == "local":
-                self._refine_local(record, nodes, parents, func,
-                                   class_qualname)
-            elif record["owner_kind"] == "attribute":
-                self._refine_attribute(record, func, class_qualname)
-        self._scan_buffers(nodes, parents, func, class_qualname,
-                           region, by_node)
-
-    def _receiver_scope(self, recv: ast.expr, func: str,
-                        class_qualname: str | None,
-                        line: int) -> str | None:
-        """Registry-scope key for an acquisition, or None if the
-        receiver does not look like an RngRegistry.
-
-        Scoping keeps independent registries (one per run/system) from
-        being conflated: ``self.rngs`` streams key by the owning class,
-        plain locals by the enclosing function, and a fresh
-        ``RngRegistry(...)``/``fork(...)`` receiver by its call site.
-        """
-        dotted = dotted_name(recv)
-        if dotted is not None:
-            last = dotted.rpartition(".")[2].lower()
-            if "rng" not in last and last != "registry":
-                return None
-            if dotted.startswith("self.") and class_qualname:
-                return class_qualname
-            return func
-        if isinstance(recv, ast.Call):
-            if isinstance(recv.func, ast.Attribute) \
-                    and recv.func.attr == "fork":
-                return f"{func}:{line}"
-            callee = dotted_name(recv.func)
-            if callee is not None:
-                resolved = self.module.summary.resolve_dotted(callee)
-                if resolved.rpartition(".")[2] == "RngRegistry":
-                    return f"{func}:{line}"
-        return None
-
-    def _classify(self, node: ast.Call, record: dict,
-                  parents: dict[ast.AST, ast.AST], func: str,
-                  class_qualname: str | None) -> None:
-        parent = parents.get(node)
-        if isinstance(parent, ast.keyword):
-            parent = parents.get(parent)
-        if isinstance(parent, ast.Call) and node is not parent.func:
-            record["owner_kind"] = "argument"
-            record["owner"] = (self._callee_candidates(
-                parent, class_qualname) or [func])
-            return
-        if isinstance(parent, (ast.Assign, ast.AnnAssign)):
-            targets = (parent.targets
-                       if isinstance(parent, ast.Assign)
-                       else [parent.target])
-            if len(targets) == 1:
-                target = targets[0]
-                if isinstance(target, ast.Attribute) and isinstance(
-                        target.value, ast.Name) \
-                        and target.value.id == "self" and class_qualname:
-                    record["owner_kind"] = "attribute"
-                    record["owner"] = [class_qualname]
-                    record["attr"] = target.attr
-                    return
-                if isinstance(target, ast.Name):
-                    record["owner_kind"] = "local"
-                    record["local"] = target.id
-                    return
-            record["owner_kind"] = "other"
-            return
-        if isinstance(parent, ast.Attribute) and parent.value is node:
-            grand = parents.get(parent)
-            record["owner_kind"] = "inline"
-            if parent.attr in _GENERATOR_DRAW_METHODS and isinstance(
-                    grand, ast.Call) and grand.func is parent:
+            last = candidates[0].rpartition(".")[2] if candidates else None
+            if last in _BUFFER_CLASSES:
+                # Claimed by a buffered sampler: consumed, but the
+                # buffer is machinery, not a second owner.
+                record["buffered"] = record["drawn"] = True
+            elif _method(call) in _BUFFER_DRAW_METHODS:
+                # The sanctioned sampler.sample(rng) idiom.
                 record["drawn"] = True
-            return
-        if isinstance(parent, ast.Expr):
-            record["owner_kind"] = "discarded"
-            record["uses"] = 0
-            return
-
-    def _callee_candidates(self, call: ast.Call,
-                           class_qualname: str | None) -> list[str]:
-        func = call.func
-        if isinstance(func, ast.Name):
-            name = func.id
-            aliases = self.module.summary.aliases
-            if name in aliases:
-                return [aliases[name]]
-            if name in _BUILTIN_NAMES:
-                return []
-            return [f"{self.module.qualname}.{name}"]
-        dotted = dotted_name(func)
-        if dotted is None:
-            return []
-        head, _, tail = dotted.partition(".")
-        if head in ("self", "cls") and class_qualname and "." not in tail:
-            return [f"{class_qualname}.{tail}"]
-        if head in self.module.summary.aliases:
-            return [self.module.summary.resolve_dotted(dotted)]
-        return []
-
-    # -- use analysis ---------------------------------------------------
-    def _refine_local(self, record: dict, nodes: list[ast.AST],
-                      parents: dict[ast.AST, ast.AST], func: str,
-                      class_qualname: str | None) -> None:
-        name = record["local"]
-        uses = [node for node in nodes
-                if isinstance(node, ast.Name) and node.id == name
-                and isinstance(node.ctx, ast.Load)]
-        self._apply_uses(record, uses, parents, class_qualname)
-        handoffs = sorted(set(record["handoffs"]))
-        if record["uses"] == 0:
-            record["owner"] = [func]
-        elif handoffs and not record["drawn"]:
-            record["owner_kind"] = "local-arg"
-            record["owner"] = handoffs
-        elif handoffs:
-            # Drawn locally *and* handed off: multiple consumers from
-            # one acquisition; the sharing rule sees both owners.
-            record["owner"] = [func] + handoffs
-        else:
-            record["owner"] = [func]
-
-    def _refine_attribute(self, record: dict, func: str,
-                          class_qualname: str | None) -> None:
-        """Class-wide uses of a ``self.<attr> = rngs.stream(...)`` field."""
-        class_node = self._class_node(class_qualname)
-        if class_node is None:
-            return
-        parents: dict[ast.AST, ast.AST] = {}
-        nodes: list[ast.AST] = []
-        for parent in ast.walk(class_node):
-            nodes.append(parent)
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
-        attr = record["attr"]
-        uses = [node for node in nodes
-                if isinstance(node, ast.Attribute) and node.attr == attr
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and isinstance(node.ctx, ast.Load)]
-        self._apply_uses(record, uses, parents, class_qualname)
-        record["owner"] = [class_qualname]
-
-    def _apply_uses(self, record: dict, uses: list[ast.AST],
-                    parents: dict[ast.AST, ast.AST],
-                    class_qualname: str | None) -> None:
-        record["uses"] = len(uses)
-        for use in uses:
-            parent = parents.get(use)
-            if isinstance(parent, ast.Attribute) and parent.value is use:
-                grand = parents.get(parent)
-                if parent.attr in _GENERATOR_DRAW_METHODS and isinstance(
-                        grand, ast.Call) and grand.func is parent:
-                    record["drawn"] = True
-                continue
-            if isinstance(parent, ast.keyword):
-                parent = parents.get(parent)
-            if isinstance(parent, ast.Call) and use is not parent.func:
-                candidates = self._callee_candidates(parent,
-                                                     class_qualname)
-                last = candidates[0].rpartition(".")[2] if candidates \
-                    else None
-                callee_attr = (parent.func.attr
-                               if isinstance(parent.func, ast.Attribute)
-                               else None)
-                if last in _BUFFER_CLASSES:
-                    # Claimed by a buffered sampler: consumed, but the
-                    # buffer is machinery, not a second owner.
-                    record["buffered"] = True
-                    record["drawn"] = True
-                elif callee_attr in _BUFFER_DRAW_METHODS:
-                    # The sanctioned sampler.sample(rng) idiom.
-                    record["drawn"] = True
-                else:
-                    record["handoffs"].extend(
-                        candidates or [ast.unparse(parent.func)])
-
-    def _class_node(self, class_qualname: str | None
-                    ) -> ast.ClassDef | None:
-        if class_qualname is None:
-            return None
-        name = class_qualname.rpartition(".")[2]
-        for node in ast.walk(self.module.tree):
-            if isinstance(node, ast.ClassDef) and node.name == name:
-                return node
-        return None
-
-    # -- buffer claims and escapes --------------------------------------
-    def _scan_buffers(self, nodes: list[ast.AST],
-                      parents: dict[ast.AST, ast.AST], func: str,
-                      class_qualname: str | None,
-                      region: list[ast.AST] | ast.ClassDef | None,
-                      by_node: dict[int, dict]) -> None:
-        from repro.devtools.detsan.resolver import is_stream_acquisition
-        for node in nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            candidates = self._callee_candidates(node, class_qualname)
-            buffer = candidates[0].rpartition(".")[2] if candidates \
-                else None
-            if buffer not in _BUFFER_CLASSES:
-                continue
-            kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
-            if buffer == "BufferedSampler":
-                rng_node = (node.args[1] if len(node.args) > 1
-                            else kwargs.get("rng"))
             else:
-                rng_node = (node.args[0] if node.args
-                            else kwargs.get("rng"))
-            if rng_node is None:
+                record["handoffs"].extend(
+                    candidates or [ast.unparse(call.func)])
+
+
+def _escapes(name: str, claim: ast.Call, region: list[_StreamHome]
+             ) -> Iterator[tuple[dict, str, str]]:
+    """Uses of a claimed generator outside the buffered idiom.
+
+    The claimed rng may only flow back into the claiming sampler
+    (``.sample(rng)`` / ``.next``); a direct draw or a hand-off to any
+    other callee desynchronizes the pre-drawn block from the scalar
+    bit-stream, so it is an escape even on a conditional path.  A claim
+    of a bare name follows its ``self.X = name`` aliases.
+    """
+    names = {name}
+    if "." not in name:
+        names.update(alias for home in region
+                     for value, alias in home.aliases if value == name)
+    for home in region:
+        for draw in home.draws:
+            if draw["recv"] in names:
+                yield ({"line": draw["line"], "col": draw["col"]},
+                       draw["recv"],
+                       f"drawn directly via .{draw['method']}()")
+        for used, call, candidates in home.handed:
+            if used not in names or call is claim \
+                    or _method(call) in _BUFFER_DRAW_METHODS:
                 continue
-            if isinstance(rng_node, ast.Call) \
-                    and is_stream_acquisition(rng_node):
-                acq = by_node.get(id(rng_node))
-                if acq is not None:
-                    acq["buffered"] = True
-                    acq["drawn"] = True
-                descr = "stream:" + (acq["template"] if acq
-                                     and acq["template"] else
-                                     ast.unparse(rng_node))
-                dotted = None
+            last = candidates[0].rpartition(".")[2] if candidates else None
+            if last in _BUFFER_CLASSES:
+                detail = f"also claimed by a second {last}"
             else:
-                dotted = dotted_name(rng_node)
-                descr = dotted or ast.unparse(rng_node)
-            self.module.summary.rng_buffers.append({
-                "line": node.lineno, "col": node.col_offset,
-                "buffer": buffer, "rng": descr, "func": func,
-            })
-            if dotted is not None:
-                self._scan_escapes(node, dotted, buffer, func,
-                                   class_qualname, region)
-
-    def _scan_escapes(self, claim: ast.Call, dotted: str, buffer: str,
-                      func: str, class_qualname: str | None,
-                      region: list[ast.AST] | ast.ClassDef | None
-                      ) -> None:
-        """Uses of a claimed generator outside the buffered idiom.
-
-        The claimed rng may only flow back into the claiming sampler
-        (``.sample(rng)`` / ``.next``);
-        a direct draw or a hand-off to any other callee desynchronizes
-        the pre-drawn block from the scalar bit-stream, so it is
-        recorded as an escape even when it sits on a conditional path.
-        """
-        if region is None:
-            return
-        roots: list[ast.AST] = (region if isinstance(region, list)
-                                else [region])
-        names = {dotted}
-        if "." not in dotted:
-            # The claim took a bare local/param; its `self.X = rng`
-            # aliases share the stream.
-            for root in roots:
-                for node in ast.walk(root):
-                    if isinstance(node, ast.Assign) \
-                            and isinstance(node.value, ast.Name) \
-                            and node.value.id == dotted:
-                        for target in node.targets:
-                            target_dotted = dotted_name(target)
-                            if target_dotted \
-                                    and target_dotted.startswith("self."):
-                                names.add(target_dotted)
-        parents: dict[ast.AST, ast.AST] = {}
-        nodes: list[ast.AST] = []
-        for root in roots:
-            for parent in ast.walk(root):
-                nodes.append(parent)
-                for child in ast.iter_child_nodes(parent):
-                    parents[child] = parent
-        claim_args = set(map(id, claim.args)) | {
-            id(kw.value) for kw in claim.keywords}
-        for node in nodes:
-            if not isinstance(node, (ast.Name, ast.Attribute)):
-                continue
-            node_dotted = dotted_name(node)
-            if node_dotted not in names or id(node) in claim_args:
-                continue
-            if not isinstance(getattr(node, "ctx", None), ast.Load):
-                continue
-            parent = parents.get(node)
-            if isinstance(parent, ast.Attribute) and parent.value is node:
-                grand = parents.get(parent)
-                if parent.attr in _GENERATOR_DRAW_METHODS and isinstance(
-                        grand, ast.Call) and grand.func is parent:
-                    self._record_escape(grand, buffer, node_dotted, func,
-                                        f"drawn directly via "
-                                        f".{parent.attr}()")
-                continue
-            if isinstance(parent, ast.keyword):
-                parent = parents.get(parent)
-            if isinstance(parent, ast.Call) and node is not parent.func:
-                callee_attr = (parent.func.attr
-                               if isinstance(parent.func, ast.Attribute)
-                               else None)
-                if callee_attr in _BUFFER_DRAW_METHODS:
-                    continue
-                candidates = self._callee_candidates(parent,
-                                                     class_qualname)
-                last = candidates[0].rpartition(".")[2] if candidates \
-                    else None
-                if last in _BUFFER_CLASSES:
-                    self._record_escape(
-                        parent, buffer, node_dotted, func,
-                        f"also claimed by a second {last}")
-                    continue
                 callee = (candidates[0] if candidates
-                          else ast.unparse(parent.func))
-                self._record_escape(parent, buffer, node_dotted, func,
-                                    f"passed to {callee}()")
-
-    def _record_escape(self, node: ast.AST, buffer: str, expr: str,
-                       func: str, detail: str) -> None:
-        self.module.summary.rng_escapes.append({
-            "line": getattr(node, "lineno", 1),
-            "col": getattr(node, "col_offset", 0),
-            "buffer": buffer, "stream_expr": expr, "func": func,
-            "detail": detail,
-        })
+                          else ast.unparse(call.func))
+                detail = f"passed to {callee}()"
+            yield _at(call), used, detail
 
 
 def _at(node: ast.AST) -> dict:

@@ -1,8 +1,9 @@
 """Stream → consumer-component ownership map and the detsan rules.
 
 Consumes the acquisition/buffer/escape records the project loader
-extracts per module (:class:`repro.devtools.analyze.loader
-._StreamWalker`) and the per-function draw sites, and produces
+records per module in its one extraction pass
+(``ModuleSummary.streams``, ``rng_buffers`` and ``rng_escapes``) and
+the per-function draw sites, and produces
 
 - the whole-program **ownership map**: every ``RngRegistry`` stream
   keyed by (registry scope, name template) with its resolved consumer
@@ -103,6 +104,8 @@ def stream_ownership(project: Project) -> OwnershipMap:
             claiming.add(buf["func"].rpartition(".")[0])
     for module in project.modules:
         for record in module.streams:
+            if record["scope"] is None:
+                continue
             ownership.acquisitions += 1
             if not record["resolved"]:
                 continue
@@ -155,6 +158,8 @@ def detsan_violations(project: Project
     unused_kinds = {"discarded", "local", "attribute"}
     for module in project.modules:
         for record in module.streams:
+            if record["scope"] is None:
+                continue
             if not record["resolved"]:
                 violations.append(Violation(
                     path=module.path, line=record["line"],

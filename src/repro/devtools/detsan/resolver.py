@@ -21,14 +21,10 @@ __all__ = [
     "DYNAMIC",
     "resolve_stream_name",
     "is_resolved",
-    "is_stream_acquisition",
 ]
 
 #: Placeholder substituted for every non-literal fragment of a name.
 DYNAMIC = "{*}"
-
-#: Registry method names whose first argument is a stream name.
-STREAM_METHODS = frozenset({"stream"})
 
 
 def resolve_stream_name(node: ast.expr) -> str | None:
@@ -70,14 +66,3 @@ def is_resolved(template: str | None) -> bool:
     """
     return (template is not None and template != ""
             and not template.startswith(DYNAMIC))
-
-
-def is_stream_acquisition(node: ast.Call) -> bool:
-    """Whether a call is shaped like ``<registry>.stream(name)``.
-
-    Purely syntactic; callers decide whether the receiver is actually
-    an ``RngRegistry`` (see the loader's receiver heuristics).
-    """
-    return (isinstance(node.func, ast.Attribute)
-            and node.func.attr in STREAM_METHODS
-            and bool(node.args))

@@ -254,7 +254,7 @@ class FaultStreamsNamedRule(Rule):
     def check(self, summary: ModuleSummary) -> Iterator[Violation]:
         if not self._applies(summary):
             return
-        for call in summary.stream_calls:
+        for call in summary.streams:
             template = call["template"]
             if not call["arg"]:
                 yield self.violation(
