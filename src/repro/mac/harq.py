@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 
 from repro.mac.opportunities import OpportunityTimeline
 from repro.mac.scheme import DuplexingScheme
@@ -107,15 +106,6 @@ class HarqFeedbackModel:
     def feedback_time(self, completion_tc: int) -> int:
         """Shorthand: just the feedback arrival tick."""
         return self.timing(completion_tc).feedback_tc
-
-    def feedback_times(self, completions_tc: np.ndarray) -> np.ndarray:
-        """Population-level :meth:`feedback_time`: one vectorized pass
-        over an array of completion ticks, elementwise equal to the
-        scalar path (pinned by ``tests/mac/test_harq.py``)."""
-        completions = np.asarray(completions_tc, dtype=np.int64)
-        pucch = self._occasions.index().earliest_entries_joining(
-            completions + self.k1_tc, self.pucch_tc)
-        return pucch + self.pucch_tc + self.decode_tc
 
     def dtx_detection_time(self, completion_tc: int) -> int:
         """When the transmitter gives up waiting for lost feedback.

@@ -29,7 +29,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
 
 __all__ = ["Window", "WindowIndex", "OpportunityTimeline",
            "PeriodicInstants"]
@@ -230,7 +229,7 @@ class WindowIndex:
 
     The scalar queries of :class:`OpportunityTimeline` answer one time
     at a time; the slotted engine tracks a whole population by window
-    *number*.  This index exposes the same timeline as arrays plus a
+    *number*.  This index exposes the same timeline as tuples plus a
     *global window number* ``k``: window ``k`` is base window ``k % n``
     of cycle ``k // n``.  All queries are defined to agree exactly with
     the scalar methods they shadow (pinned by
@@ -245,8 +244,6 @@ class WindowIndex:
         self.ends = timeline._ends
         self.durations = tuple(w.duration for w in timeline.windows)
         self.n_windows = len(self.starts)
-        self._ends_arr = np.asarray(self.ends, dtype=np.int64)
-        self._starts_arr = np.asarray(self.starts, dtype=np.int64)
 
     def bounds(self, k: int) -> tuple[int, int]:
         """``(start, end)`` of global window ``k`` in absolute Tc."""
@@ -262,48 +259,6 @@ class WindowIndex:
         window :meth:`OpportunityTimeline.windows_from` yields first."""
         cycle, base = _first_ending_after(self.ends, self.period_tc, time)
         return cycle * self.n_windows + base
-
-    def earliest_entries_joining(self, times: np.ndarray,
-                                 min_duration: int = 1) -> np.ndarray:
-        """Vectorized :meth:`OpportunityTimeline.earliest_entry_joining`.
-
-        One call answers the joining-rule entry instant for a whole
-        population of candidate times; elementwise equal to the scalar
-        method.  Raises :class:`LookupError` when no window of the
-        period fits ``min_duration`` (the scalar method's bounded-scan
-        rule: a demand the period cannot satisfy never becomes
-        satisfiable).
-        """
-        fits = [i for i, d in enumerate(self.durations)
-                if d >= min_duration]
-        if not fits:
-            raise LookupError(
-                f"no window of the timeline can fit {min_duration} ticks")
-        times = np.asarray(times, dtype=np.int64)
-        clipped = np.maximum(times, 0)
-        cycle, rem = np.divmod(clipped, self.period_tc)
-        base = np.searchsorted(self._ends_arr, rem, side="right")
-        wrap = base == self.n_windows
-        cycle = cycle + wrap
-        base = np.where(wrap, 0, base)
-        offset = cycle * self.period_tc
-        start = self._starts_arr[base] + offset
-        end = self._ends_arr[base] + offset
-        entry = np.maximum(clipped, start)
-        ok = (end - entry) >= min_duration
-        if bool(np.all(ok)):
-            return entry
-        # First candidate too full: the next fitting window is entered
-        # at its start (every later window starts after `time`).
-        fit_next = np.asarray(
-            [min((j for j in fits if j > i),
-                 default=fits[0] + self.n_windows)
-             for i in range(self.n_windows)], dtype=np.int64)
-        k = cycle * self.n_windows + base
-        k_next = (k - base) + fit_next[base]
-        cyc2, base2 = np.divmod(k_next, self.n_windows)
-        start2 = self._starts_arr[base2] + cyc2 * self.period_tc
-        return np.where(ok, entry, start2)
 
 
 class PeriodicInstants:

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
 from repro.mac.opportunities import (
     OpportunityTimeline,
     PeriodicInstants,
@@ -265,33 +263,7 @@ def test_index_bounds_and_duration_are_periodic(k):
     assert end - start == index.duration(k)
 
 
-@given(times=st.lists(st.integers(-5, 1000), min_size=1, max_size=20),
-       min_duration=st.integers(1, 20))
-@settings(max_examples=200, deadline=None)
-def test_index_entries_joining_match_scalar(times, min_duration):
-    timeline = make_timeline()
-    index = timeline.index()
-    entries = index.earliest_entries_joining(np.asarray(times),
-                                             min_duration)
-    for t, entry in zip(times, entries.tolist()):
-        assert entry == timeline.earliest_entry_joining(t, min_duration)
-
-
-def test_index_entries_joining_match_scalar_on_testbed():
-    """The batch rule on the Fig 6 testbed timeline, over 50 periods."""
-    from repro.mac.catalog import testbed_dddu
-
-    timeline = testbed_dddu().ul_timeline()
-    times = np.arange(0, 50 * timeline.period_tc, 9_973, dtype=np.int64)
-    entries = timeline.index().earliest_entries_joining(times, 2_000)
-    assert entries.tolist() == [
-        timeline.earliest_entry_joining(t, 2_000) for t in times.tolist()]
-
-
 def test_index_entries_joining_unsatisfiable_raises():
-    index = make_timeline().index()
-    with pytest.raises(LookupError):
-        index.earliest_entries_joining(np.asarray([0]), 21)
     with pytest.raises(LookupError):
         make_timeline().earliest_entry_joining(0, 21)
 
