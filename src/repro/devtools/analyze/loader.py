@@ -1402,7 +1402,8 @@ class _FunctionExtractor:
         acquired = self.module.acquisitions.get(value)
         if acquired is not None:
             target = targets[0] if len(targets) == 1 else None
-            if isinstance(target, ast.Name):
+            # A name a class body binds is a class attribute, no local.
+            if isinstance(target, ast.Name) and self.name != "<class>":
                 acquired.update(owner_kind="local", holder=target.id)
             elif isinstance(target, ast.Attribute) \
                     and isinstance(target.value, ast.Name) \

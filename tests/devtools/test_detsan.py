@@ -230,6 +230,14 @@ def run(registry):
 def run(registry):
     return registry.stream("s")
 """, {"s": ["mod.run"]}, []),
+    ("closure", """\
+def run(registry):
+    rng = registry.stream("s")
+
+    def step():
+        return rng.random()
+    return step
+""", {"s": ["mod.run"]}, []),
     ("attribute", """\
 class Node:
     def __init__(self, registry):
@@ -304,6 +312,33 @@ def test_owner_kinds_and_escapes(tmp_path, body, owners, expected):
             found, sorted(expected)):
         assert (rule, line) == (want_rule, want_line)
         assert fragment in message
+
+
+@pytest.mark.parametrize("body, owners", [
+    # A class body runs in the enclosing code, as its other records do.
+    ("class Config:\n"
+     "    noise = RngRegistry(0).stream('s').random()\n",
+     {"s": ["mod.<module>"]}),
+    # A def in a module-level block is a module function of its own.
+    ("if RngRegistry:\n"
+     "    def run(registry):\n"
+     "        return registry.stream('s').random()\n",
+     {"s": ["mod.run"]}),
+    # A class attribute is no local of the module: never "unused".
+    ("class Config:\n"
+     "    rng = RngRegistry(0).stream('s')\n"
+     "\n"
+     "    def draw(self):\n"
+     "        return self.rng.random()\n",
+     {"s": ["mod.<module>"]}),
+], ids=["class-body", "def-in-module-block", "class-attribute"])
+def test_stream_facts_belong_to_the_extractors_scopes(tmp_path, body,
+                                                       owners):
+    write_tree(tmp_path, {"mod.py": KIND_HEADER + body})
+    report = check_paths([tmp_path])
+    assert {info.template: info.owners
+            for info in report.ownership.streams} == owners
+    assert findings(report) == []
 
 
 # ----------------------------------------------------------------------
