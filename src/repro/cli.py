@@ -142,8 +142,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(report.render())
         return 0 if report.ok else 1
     # Imported lazily so the simulation commands stay import-light.
-    from repro.devtools.analyze.baseline import (Baseline, load_baseline,
-                                                 write_baseline)
     from repro.devtools.check import (RENDERERS, check_paths,
                                       render_manifest)
     from repro.devtools.config import CheckConfig, load_check_config
@@ -157,12 +155,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         config = (CheckConfig() if args.no_config else
                   load_check_config(pyproject=args.config, start=paths[0]))
-        if args.write_baseline:
-            # Capture the findings the baseline would otherwise hide.
-            baseline: Baseline | None = Baseline()
-        else:
-            baseline = load_baseline(args.baseline) if args.baseline else None
-        report = check_paths(paths, config, baseline=baseline)
+        report = check_paths(paths, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -170,11 +163,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"error: no Python files to check under: {', '.join(paths)}",
               file=sys.stderr)
         return 2
-    if args.write_baseline:
-        write_baseline(args.write_baseline, report.violations)
-        print(f"wrote {len(report.violations)} finding(s) to "
-              f"{args.write_baseline}")
-        return 0
     print(RENDERERS[args.format](report))
     if args.manifest:
         Path(args.manifest).write_text(render_manifest(report),
@@ -421,11 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("text", "json", "sarif", "dot"),
                        default="text",
                        help="dot emits the stream->owner graph")
-    check.add_argument("--baseline", default=None, metavar="FILE",
-                       help="accepted-findings file (overrides pyproject)")
-    check.add_argument("--write-baseline", default=None, metavar="FILE",
-                       help="accept all current findings into FILE and "
-                            "exit 0")
     check.add_argument("--config", default=None,
                        help="explicit pyproject.toml path")
     check.add_argument("--no-config", action="store_true",

@@ -10,26 +10,16 @@ families live here:
   seeded from name suffixes, the :mod:`repro.phy.timebase` converter
   signatures and ``# unit:`` annotations, propagated through
   assignments, returns and call boundaries;
-- **transitive purity** (:mod:`.purity`): wall-clock, global-RNG and
-  unordered-iteration-before-scheduling taint propagated through the
-  call graph, catching the helper-indirection cases the file-scope
-  rules are blind to.
+- **transitive purity** (:mod:`.purity`): a ``set`` loop that calls a
+  function which schedules simulator events, found through the call
+  graph where the file-scope rule sees no ``.schedule(...)`` call.
 
-:mod:`.baseline` holds the reviewed-findings file shared by every
-family.  See docs/ANALYSIS.md.
+See docs/ANALYSIS.md.
 """
 
-from repro.devtools.analyze.baseline import (
-    Baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.devtools.analyze.loader import Project, load_project
 
 __all__ = [
-    "Baseline",
     "Project",
-    "load_baseline",
     "load_project",
-    "write_baseline",
 ]

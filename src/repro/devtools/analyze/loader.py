@@ -237,7 +237,6 @@ class FunctionSummary:
     calls: list[str] = field(default_factory=list)
     call_edges: list[dict] = field(default_factory=list)
     wall_clock: list[dict] = field(default_factory=list)
-    global_rng: list[dict] = field(default_factory=list)
     schedules: bool = False
     unordered_loops: list[dict] = field(default_factory=list)
     draws: list[dict] = field(default_factory=list)
@@ -788,7 +787,6 @@ class _FunctionExtractor:
         self.call_edges: list[dict] = []
         self.return_exprs: list[dict] = []
         self.wall_clock: list[dict] = []
-        self.global_rng: list[dict] = []
         self.schedules = False
         self.unordered_loops: list[dict] = []
         self.draws: list[dict] = []
@@ -825,7 +823,6 @@ class _FunctionExtractor:
             calls=sorted(set(self.calls)),
             call_edges=self.call_edges,
             wall_clock=self.wall_clock,
-            global_rng=self.global_rng,
             schedules=self.schedules,
             unordered_loops=self.unordered_loops,
             draws=self.draws,
@@ -1445,14 +1442,9 @@ class _FunctionExtractor:
         if acquired is not None and acquired["arg"] is not None:
             if acquired["scope"] is not None:
                 acquired.update(buffered=True, drawn=True)
-            descr = "stream:" + (
-                acquired["template"] if acquired["scope"] is not None
-                and acquired["template"] else ast.unparse(rng))
         else:
             name = dotted_name(rng)
-            descr = name or ast.unparse(rng)
-        claim = {**_at(node), "buffer": buffer, "rng": descr,
-                 "func": home.func}
+        claim = {**_at(node), "buffer": buffer, "func": home.func}
         self.module.summary.rng_buffers.append(claim)
         if name is not None:
             home.claims.append((claim, name, node))
@@ -1474,25 +1466,12 @@ class _FunctionExtractor:
             self.module.summary.numpy_random.append(
                 {**_at(node), "what": resolved, "local": dotted})
         parts = resolved.split(".")
-        if parts[0] == "time" and len(parts) == 2 \
-                and parts[1] in _WALL_CLOCK_TIME_FUNCS:
-            self._effect(self.wall_clock, node, resolved, dotted)
-        elif resolved in {f"time.{f}" for f in _WALL_CLOCK_TIME_FUNCS}:
-            self._effect(self.wall_clock, node, resolved, dotted)
-        elif parts[0] == "datetime" and parts[-1] in \
-                _WALL_CLOCK_DATETIME_FUNCS:
-            self._effect(self.wall_clock, node, resolved, dotted)
-        elif parts[0] == "random" and len(parts) == 2:
-            self._effect(self.global_rng, node, resolved, dotted)
-        elif len(parts) >= 2 and parts[-2] == "random" \
-                and parts[0] in ("numpy",) and (
-                    parts[-1] in GLOBAL_NP_RANDOM):
-            self._effect(self.global_rng, node, resolved, dotted)
-
-    def _effect(self, sink: list[dict], node: ast.Call,
-                what: str, local: str) -> None:
-        sink.append({"line": node.lineno, "col": node.col_offset,
-                     "what": what, "local": local})
+        if (parts[0] == "time" and len(parts) == 2
+                and parts[1] in _WALL_CLOCK_TIME_FUNCS) or (
+                    parts[0] == "datetime"
+                    and parts[-1] in _WALL_CLOCK_DATETIME_FUNCS):
+            self.wall_clock.append(
+                {**_at(node), "what": resolved, "local": dotted})
 
     # -- distributability ----------------------------------------------
     def _detect_host_state(self, func: ast.expr,

@@ -1,55 +1,40 @@
-"""Transitive purity: taint propagation through the call graph.
+"""Transitive purity: schedule taint propagated through the call graph.
 
-The file-scope rules catch ``time.time()`` *in the function you are
-reading*.  They cannot see that an innocuous helper three calls away
-reaches the wall clock, seeds the process-global RNG, or schedules
-simulator events from inside an unordered ``set`` iteration.  This
-pass propagates three taints over the whole-program call graph:
+The file rule ``unordered-iteration-before-schedule`` catches a
+``.schedule(...)`` call written inside a ``set`` loop.  It cannot see
+that a helper called from the loop schedules simulator events three
+calls away.  This pass propagates one taint, **schedules** (calls to
+``.schedule(...)`` / ``.call_in(...)``), over the whole-program call
+graph and reports each ``unordered_loops`` record whose calls reach
+it.  A loop with ``direct`` set is the file rule's finding, so the two
+never double-report one loop.
 
-- **wall-clock** — ``time.*`` / ``datetime.now`` family;
-- **global-RNG** — stdlib ``random.*`` and legacy ``numpy.random.*``
-  module-level state (``default_rng`` constructs an independent
-  generator and is deliberately *not* a source, so
-  :class:`repro.sim.rng.RngRegistry` stays clean);
-- **schedules** — calls to ``.schedule(...)`` / ``.call_in(...)``.
-
-Only *indirectly acquired* taint is reported: a function that calls
-``time.time()`` itself is the file rule ``no-wall-clock``'s business,
-so the two families never double-report one line.  Both read one
-record per use: ``no-wall-clock`` reports each ``wall_clock`` record,
-``unordered-iteration-before-schedule`` each ``unordered_loops``
-record with ``direct`` set, and this pass seeds its wall-clock
-taint and skips direct schedule loops from the same records.
+A wall-clock read or a process-global RNG draw is reported where it is
+written, by ``no-wall-clock`` and ``rng-discipline``; a caller of it is
+not reported again.  The call-graph helpers are shared with the detsan
+draw-order pass.
 """
 
 from __future__ import annotations
 
-from repro.devtools.lintkit.core import Severity, Violation
-from repro.devtools.analyze.loader import FunctionSummary, Project
+from typing import TYPE_CHECKING
+
+from repro.devtools.analyze.loader import Project
+
+if TYPE_CHECKING:
+    from repro.devtools.lintkit.core import Violation
 
 __all__ = ["purity_violations"]
 
-_ADVICE = {
-    "transitive-wall-clock":
-        "take timestamps from the simulator clock instead",
-    "transitive-global-rng":
-        "draw from a repro.sim.rng.RngRegistry stream instead",
-}
 
-
-def _resolved_edges(project: Project, summary: FunctionSummary
-                    ) -> list[tuple[dict, list[str]]]:
-    """Each call edge with its candidates resolved to known functions."""
-    edges = []
-    for edge in summary.call_edges:
-        resolved = []
-        for candidate in edge["f"]:
-            target = project.resolve_function(candidate)
-            if target is not None:
-                resolved.append(target.qualname)
-        if resolved:
-            edges.append((edge, resolved))
-    return edges
+def _callees(project: Project) -> dict[str, set[str]]:
+    """qualname -> the known functions its call edges resolve to."""
+    callees: dict[str, set[str]] = {}
+    for qualname, summary in project.functions.items():
+        targets = (project.resolve_function(candidate)
+                   for edge in summary.call_edges for candidate in edge["f"])
+        callees[qualname] = {t.qualname for t in targets if t is not None}
+    return callees
 
 
 def _propagate(direct: dict[str, str],
@@ -95,45 +80,16 @@ def _short(qualname: str) -> str:
 
 
 def purity_violations(project: Project) -> list[Violation]:
-    """Report taint a function acquires only through its callees."""
-    edges_by_fn = {
-        summary.qualname: _resolved_edges(project, summary)
-        for summary in project.functions.values()}
-    callees = {
-        qualname: {target for _, resolved in edges for target in resolved}
-        for qualname, edges in edges_by_fn.items()}
-
-    wall = _propagate(
-        {q: s.wall_clock[0]["what"] for q, s in project.functions.items()
-         if s.wall_clock}, callees)
-    rng = _propagate(
-        {q: s.global_rng[0]["what"] for q, s in project.functions.items()
-         if s.global_rng}, callees)
+    """Report unordered loops that schedule only through a callee."""
+    # Imported here: the file rules import the detsan pass, which
+    # imports this module's call-graph helpers.
+    from repro.devtools.lintkit.core import Severity, Violation
     sched = _propagate(
         {q: "schedule" for q, s in project.functions.items()
-         if s.schedules}, callees)
+         if s.schedules}, _callees(project))
 
     violations: list[Violation] = []
     for qualname, summary in project.functions.items():
-        for rule, tainted, directly in (
-                ("transitive-wall-clock", wall, bool(summary.wall_clock)),
-                ("transitive-global-rng", rng, bool(summary.global_rng))):
-            if directly:
-                continue  # the direct use is a file rule's finding
-            seen_lines: set[int] = set()
-            for edge, resolved in edges_by_fn[qualname]:
-                hit = next((t for t in resolved if t in tainted), None)
-                if hit is None or edge["line"] in seen_lines:
-                    continue
-                seen_lines.add(edge["line"])
-                what = _chain(tainted, hit)
-                violations.append(Violation(
-                    path=summary.path, line=edge["line"],
-                    col=edge["col"], rule_id=rule,
-                    severity=Severity.ERROR,
-                    message=(f"'{_short(qualname)}' calls "
-                             f"'{edge['name']}' which transitively "
-                             f"reaches {what}; {_ADVICE[rule]}")))
         for loop in summary.unordered_loops:
             if loop["direct"]:
                 continue  # literal schedule-in-loop: a file rule's finding

@@ -6,14 +6,13 @@ families of :data:`RULES` over it: ``file``
 module's summary and kept with it), ``units`` and
 ``purity`` (:mod:`repro.devtools.analyze`), ``detsan``
 (:mod:`repro.devtools.detsan.ownership`) and ``dist``
-(:mod:`repro.devtools.distcheck.rules`).  Every finding then passes
-one filter chain — the config ``ignore`` list, ``# check:`` pragmas,
-the reviewed baseline — and the surviving ``dist-*`` findings, only
-those, fold into per-scenario verdicts:
+(:mod:`repro.devtools.distcheck.rules`).  A ``# check:
+disable=<rule>`` pragma on a finding's line or file is the only way to
+review it.  The ``dist-*`` findings, only those, fold into per-scenario
+verdicts:
 
 - ``certified``: no finding in the scenario's reachability closure;
-- ``baselined-findings``: every finding is reviewed (ignore, pragma,
-  baseline);
+- ``baselined-findings``: every finding is pragma'd;
 - ``failed``: at least one unreviewed finding survives;
 - ``refused``: listed in ``refuse-scenarios``; its findings are
   dropped and a dispatcher must never ship its points off-host.
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.analyze.baseline import Baseline, load_baseline
 from repro.devtools.analyze.loader import Project, load_project
 from repro.devtools.analyze.purity import purity_violations
 from repro.devtools.analyze.units import resolve_units, unit_violations
@@ -74,10 +72,6 @@ _UNIT_RULES = {
         "argument's unit contradicts the callee parameter's declared unit",
 }
 _PURITY_RULES = {
-    "transitive-wall-clock":
-        "callee transitively reads the wall clock",
-    "transitive-global-rng":
-        "callee transitively draws from process-global RNG state",
     "transitive-unordered-schedule":
         "unordered iteration transitively schedules simulator events",
 }
@@ -114,23 +108,22 @@ class ScenarioCertification:
     entry: str
     status: str  # certified | baselined-findings | failed | refused
     reachable: int = 0
-    findings: int = 0  # unreviewed findings surviving all filters
-    reviewed: int = 0  # findings removed by ignore/pragma/baseline
+    findings: int = 0  # findings no pragma reviews
+    reviewed: int = 0  # findings a pragma reviews
 
 
 @dataclass
 class CheckReport:
     """The outcome of one ``urllc5g check`` run."""
 
-    #: Findings surviving every filter: the gate.
+    #: Findings no pragma reviews: the gate.
     violations: list[Violation]
-    #: Every finding before the ignore list, pragmas and the baseline.
+    #: Every finding, pragma'd or not.
     unfiltered: list[Violation]
     ownership: OwnershipMap
     certifications: list[ScenarioCertification]
     files_checked: int
     suppressed: list[Violation] = field(default_factory=list)
-    baselined: list[Violation] = field(default_factory=list)
     refused_findings: int = 0
     #: dist finding -> names of the scenarios that reach it
     attribution: dict[Violation, frozenset[str]] = field(
@@ -169,17 +162,9 @@ def _module_findings(project: Project) -> list[Violation]:
 
 
 def check_paths(paths: Iterable[str | Path],
-                config: CheckConfig | None = None,
-                *,
-                baseline: Baseline | None = None) -> CheckReport:
-    """Run every rule family over ``paths`` and aggregate a report.
-
-    ``baseline`` overrides the config's baseline file.
-    """
+                config: CheckConfig | None = None) -> CheckReport:
+    """Run every rule family over ``paths`` and aggregate a report."""
     config = config or CheckConfig()
-    unknown = set(config.ignore) - set(RULES)
-    if unknown:
-        raise ValueError(f"unknown rule id(s) in ignore: {sorted(unknown)}")
     project = load_project(paths, exclude=config.is_excluded)
 
     detsan, ownership = detsan_violations(project)
@@ -203,8 +188,6 @@ def check_paths(paths: Iterable[str | Path],
     kept: list[Violation] = []
     suppressed: list[Violation] = []
     for violation in unfiltered:
-        if violation.rule_id in config.ignore:
-            continue
         module = by_path[violation.path]
         off = {*module.file_pragmas,
                *module.line_pragmas.get(violation.line, ())}
@@ -212,11 +195,6 @@ def check_paths(paths: Iterable[str | Path],
             suppressed.append(violation)
         else:
             kept.append(violation)
-    if baseline is None and config.baseline is not None:
-        baseline = load_baseline(config.baseline)
-    baselined: list[Violation] = []
-    if baseline is not None:
-        kept, baselined = baseline.filter(kept)
 
     def per_scenario(violations: list[Violation]) -> Counter:
         return Counter(name for violation in violations
@@ -243,7 +221,7 @@ def check_paths(paths: Iterable[str | Path],
         violations=kept, unfiltered=unfiltered, ownership=ownership,
         certifications=certifications,
         files_checked=project.files_checked, suppressed=suppressed,
-        baselined=baselined, refused_findings=refused_findings,
+        refused_findings=refused_findings,
         attribution=attribution)
 
 
@@ -277,7 +255,6 @@ def render_text(report: CheckReport) -> str:
                f"{len(report.violations)} finding(s)")
     extras = [f"{count} {label}" for count, label in (
         (len(report.suppressed), "suppressed"),
-        (len(report.baselined), "baselined"),
         (report.refused_findings, "on refused scenarios")) if count]
     if extras:
         summary += " (" + ", ".join(extras) + ")"
@@ -293,7 +270,6 @@ def render_json(report: CheckReport) -> str:
     payload = {
         "files_checked": report.files_checked,
         "suppressed": len(report.suppressed),
-        "baselined": len(report.baselined),
         "refused_findings": report.refused_findings,
         "exit_code": report.exit_code,
         "resolution": {"acquisitions": ownership.acquisitions,

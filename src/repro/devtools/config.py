@@ -1,13 +1,12 @@
 """Load ``urllc5g check`` configuration from ``pyproject.toml``.
 
 One ``[tool.urllc5g.check]`` table configures every rule family:
-``ignore`` (rule ids), ``exclude`` (path globs), ``baseline`` (a
-file), and the distributability contract — ``allow-env``
-(environment-variable name globs), ``refuse-scenarios``,
+``exclude`` (path globs) and the distributability contract —
+``allow-env`` (environment-variable name globs), ``refuse-scenarios``,
 ``allow-globals`` and ``sanctioned-writers`` (function qualname
-globs).  A relative ``baseline`` path is anchored at the pyproject's
-directory, so ``--config /elsewhere/pyproject.toml`` honours the
-reviewed baseline from any working directory.  See docs/ANALYSIS.md.
+globs).  A finding is reviewed in the source, by a ``# check:
+disable=<rule>`` pragma on its line or file, never here.  See
+docs/ANALYSIS.md.
 
 ``tomllib`` ships with Python 3.11+; on older interpreters (the
 project floor is 3.10) configuration falls back to the defaults rather
@@ -28,18 +27,15 @@ except ImportError:  # pragma: no cover - Python 3.10 fallback
 __all__ = ["CheckConfig", "find_pyproject", "glob_match",
            "load_check_config"]
 
-_LIST_KEYS = ("ignore", "exclude", "allow-env", "refuse-scenarios",
+_LIST_KEYS = ("exclude", "allow-env", "refuse-scenarios",
               "allow-globals", "sanctioned-writers")
-_PATH_KEYS = ("baseline",)
 
 
 @dataclass
 class CheckConfig:
-    """Which findings count, and the distributability contract."""
+    """Which files are checked, and the distributability contract."""
 
-    ignore: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
-    baseline: str | None = None
     #: The reviewed env-var contract: runner knobs are snapshot-managed.
     allow_env: tuple[str, ...] = ("URLLC5G_*",)
     refuse_scenarios: tuple[str, ...] = ()
@@ -91,17 +87,11 @@ def load_check_config(pyproject: str | Path | None = None,
     table = data.get("tool", {}).get("urllc5g", {}).get("check", {})
     if not isinstance(table, dict):
         raise ValueError("[tool.urllc5g.check] must be a table")
-    unknown = set(table) - set(_LIST_KEYS) - set(_PATH_KEYS)
+    unknown = set(table) - set(_LIST_KEYS)
     if unknown:
         raise ValueError(
             f"[tool.urllc5g.check] unknown key(s): {sorted(unknown)}")
-    kwargs: dict[str, object] = {}
-    for key in _PATH_KEYS:
-        if key in table:
-            if not isinstance(table[key], str):
-                raise ValueError(
-                    f"[tool.urllc5g.check] {key} must be a string")
-            kwargs[key] = str(path.parent / table[key])
+    kwargs: dict[str, tuple[str, ...]] = {}
     for key in _LIST_KEYS:
         if key in table:
             value = table[key]
@@ -110,4 +100,4 @@ def load_check_config(pyproject: str | Path | None = None,
                 raise ValueError(f"[tool.urllc5g.check] {key} must be "
                                  "a list of strings")
             kwargs[key.replace("-", "_")] = tuple(value)
-    return CheckConfig(**kwargs)  # type: ignore[arg-type]
+    return CheckConfig(**kwargs)

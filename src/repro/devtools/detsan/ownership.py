@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.devtools.analyze.loader import Project
-from repro.devtools.analyze.purity import (_chain, _propagate,
-                                           _resolved_edges, _short)
+from repro.devtools.analyze.purity import (_callees, _chain, _propagate,
+                                           _short)
 from repro.devtools.lintkit.core import Severity, Violation
 
 __all__ = ["DETSAN_RULES", "StreamInfo", "OwnershipMap",
@@ -134,18 +134,12 @@ def stream_ownership(project: Project) -> OwnershipMap:
 
 def _draw_tainted(project: Project) -> dict[str, tuple[str, str]]:
     """Fixpoint draw taint: functions that (transitively) draw."""
-    edges_by_fn = {
-        summary.qualname: _resolved_edges(project, summary)
-        for summary in project.functions.values()}
-    callees = {
-        qualname: {target for _, resolved in edges for target in resolved}
-        for qualname, edges in edges_by_fn.items()}
     direct = {
         qualname: (f"{summary.draws[0]['recv'] or '<expr>'}"
                    f".{summary.draws[0]['method']}")
         for qualname, summary in project.functions.items()
         if summary.draws}
-    return _propagate(direct, callees)
+    return _propagate(direct, _callees(project))
 
 
 def detsan_violations(project: Project

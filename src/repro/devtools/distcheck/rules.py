@@ -8,14 +8,13 @@ distributability hazard the loader extracted (host-state reads,
 module-global writes, filesystem mutations, boundary crossings,
 digest-form hazards) is attributed to the set of scenarios whose
 closure reaches the offending function; :mod:`repro.devtools.check`
-then certifies, baselines, or refuses each scenario from that
-attribution.
+then certifies, marks reviewed (``baselined-findings``) or refuses each
+scenario from that attribution.
 
-Violation messages deliberately never name scenarios: the reviewed
-baseline fingerprints ``rule|path|message``, and attribution (which
-scenarios reach a finding) must be able to change — e.g. when a new
-scenario is registered — without invalidating reviewed entries.
-Attribution lives in the report/manifest instead.
+Violation messages deliberately never name scenarios: attribution
+(which scenarios reach a finding) changes when a new scenario is
+registered, and a finding's text must not.  Attribution lives in the
+report/manifest instead.
 """
 
 from __future__ import annotations

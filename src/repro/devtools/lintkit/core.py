@@ -5,9 +5,9 @@ objects.  Rules register themselves with :func:`register`; the project
 loader runs every registered rule through :func:`run_file_rules` once
 it has summarised the module, so a rule reads only the summary: its
 import table and the extraction's records (see
-:mod:`repro.devtools.analyze.loader`).  Suppression — ``# check:`` pragmas, the
-``ignore`` list and the reviewed baseline — is applied afterwards by
-the shared pipeline, the same way for every rule family.
+:mod:`repro.devtools.analyze.loader`).  Suppression by ``# check:``
+pragmas is applied afterwards by the shared pipeline, the same way for
+every rule family.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def run_file_rules(summary: ModuleSummary) -> list[Violation]:
     """Every registered file-scope rule over one module, unfiltered.
 
     The project loader calls this with the module's summary and keeps
-    the findings with it; pragmas, ignore lists and the baseline apply
-    later, once, to every rule family.
+    the findings with it; pragmas apply later, once, to every rule
+    family.
     """
     return [violation
             for _, rule_cls in sorted(registered_rules().items())

@@ -169,7 +169,9 @@ def sanitize_active() -> bool:
 
 def current_log() -> SanitizeLog:
     """The log new proxies record into (session log, else env-mode log)."""
-    global _env_log
+    # Reviewed: a per-process slot, filled lazily in each process that
+    # sanitizes; a worker's copy is its own log, never the coordinator's.
+    global _env_log  # check: disable=dist-mutable-global
     if _session_log is not None:
         return _session_log
     if _env_log is None:
@@ -202,7 +204,9 @@ def set_sim_clock(now: Callable[[], int] | None) -> None:
     construction when sanitizing is active; records made with no
     registered clock carry ``sim_time=None``.
     """
-    global _clock
+    # Reviewed: a per-process slot, set by the Simulator that process
+    # runs; it only timestamps that process's own draw records.
+    global _clock  # check: disable=dist-mutable-global
     _clock = now
 
 

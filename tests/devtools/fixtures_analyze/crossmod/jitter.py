@@ -1,7 +1,7 @@
-"""Fixture: transitive wall-clock leak through an imported helper.
+"""Fixture: a caller of a wall-clock helper, clean in every family.
 
-This module never imports ``time`` and is lint-clean; only the call
-graph reveals that ``now_us`` bottoms out in ``time.perf_counter``.
+``now_us`` bottoms out in ``time.perf_counter``; that read is reported
+once, where it is written (``timing.py``), and not again at each call.
 """
 
 from crossmod.timing import now_us

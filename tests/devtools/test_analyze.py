@@ -5,8 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.analyze import load_baseline, write_baseline
-from repro.devtools.analyze.baseline import Baseline, fingerprint
 from repro.devtools.analyze.loader import (
     conversion_units,
     load_project,
@@ -21,7 +19,7 @@ from repro.devtools.check import (
     render_sarif,
     render_text,
 )
-from repro.devtools.config import CheckConfig, load_check_config
+from repro.devtools.config import load_check_config
 
 CROSSMOD = Path(__file__).parent / "fixtures_analyze" / "crossmod"
 SAMPLING = (Path(__file__).resolve().parents[2]
@@ -96,22 +94,14 @@ def test_cross_module_unit_mismatch_invisible_to_lint():
     assert "_us" in mismatches[0].message
 
 
-def test_transitive_wall_clock_invisible_to_lint():
-    assert file_findings(CROSSMOD / "jitter.py") == []
-    report = check_paths([CROSSMOD])
-    leaks = [v for v in report.violations
-             if v.rule_id == "transitive-wall-clock"]
-    assert leaks, render_text(report)
-    assert all(v.path.endswith("jitter.py") for v in leaks)
-    assert "time.perf_counter()" in leaks[0].message
-
-
 def test_direct_wall_clock_is_lints_finding_not_analyzes():
-    # timing.py reads the clock directly: the file rule flags it, and
-    # the purity family stays silent there (no double-reporting).
+    # timing.py reads the clock directly: the file rule flags it there,
+    # and jitter.py, which only calls it, is not reported again.
     report = check_paths([CROSSMOD])
     timing = [v for v in report.violations if v.path.endswith("timing.py")]
     assert {v.rule_id for v in timing} == {"no-wall-clock"}
+    assert [v for v in report.unfiltered
+            if v.path.endswith("jitter.py")] == []
 
 
 def test_transitive_schedule_in_set_loop_invisible_to_lint():
@@ -224,24 +214,6 @@ def test_unknown_units_never_flag(tmp_path):
     assert findings(report) == []
 
 
-def test_transitive_global_rng(tmp_path):
-    write_tree(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/noise.py": ("import random\n"
-                         "def draw():\n"
-                         "    return random.random()\n"),
-        "pkg/user.py": ("from pkg.noise import draw\n"
-                        "def sample_offset():\n"
-                        "    return draw() * 10.0\n"),
-    })
-    report = check_paths([tmp_path / "pkg"])
-    leaks = [v for v in report.violations
-             if v.rule_id == "transitive-global-rng"]
-    assert len(leaks) == 1
-    assert leaks[0].path.endswith("user.py")
-    assert "random.random()" in leaks[0].message
-
-
 @pytest.mark.parametrize("opener", ["if True:", "try:"])
 def test_def_nested_in_module_level_block_keeps_its_call_edge(
         tmp_path, opener):
@@ -262,14 +234,20 @@ def test_def_nested_in_module_level_block_keeps_its_call_edge(
     })
     report = check_paths([tmp_path / "pkg"])
     lines = (tmp_path / "pkg/probe.py").read_text().splitlines()
+    assert sorted(lines[v.line - 1].strip() for v in report.violations
+                  if v.rule_id == "no-wall-clock") == [
+        "return time.time()"] * 2
+    project = load_project([tmp_path / "pkg"])
+    assert resolved_callees(project, "pkg.probe.g") == {"pkg.probe.f"}
+    assert resolved_callees(project, "pkg.probe.h") == {"pkg.probe.k"}
 
-    def reported(rule_id):
-        return sorted(lines[v.line - 1].strip() for v in report.violations
-                      if v.rule_id == rule_id)
 
-    assert reported("no-wall-clock") == ["return time.time()"] * 2
-    assert reported("transitive-wall-clock") == ["return f()",
-                                                 "return k()"]
+def resolved_callees(project, qualname):
+    """The known functions ``qualname``'s call edges resolve to."""
+    return {project.resolve_function(candidate).qualname
+            for edge in project.functions[qualname].call_edges
+            for candidate in edge["f"]
+            if project.resolve_function(candidate) is not None}
 
 
 def test_inherited_method_resolves_to_the_defining_base():
@@ -295,10 +273,9 @@ def test_taint_flows_through_an_inherited_method(tmp_path):
                          "    def run(self):\n"
                          "        return self._stamp()\n"),
     })
-    report = check_paths([tmp_path / "pkg"])
-    leaks = [(Path(v.path).name, v.line) for v in report.violations
-             if v.rule_id == "transitive-wall-clock"]
-    assert leaks == [("child.py", 4)]
+    project = load_project([tmp_path / "pkg"])
+    assert resolved_callees(project, "pkg.child.Child.run") == {
+        "pkg.base.Base._stamp"}
 
 
 def test_default_rng_is_not_a_taint_source(tmp_path):
@@ -316,7 +293,7 @@ def test_default_rng_is_not_a_taint_source(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# pragmas, config, baseline
+# pragmas and config
 # ----------------------------------------------------------------------
 def test_line_pragma_suppresses_finding(tmp_path):
     write_tree(tmp_path, {
@@ -354,81 +331,19 @@ def test_unit_annotation_seeds_declared_unit(tmp_path):
     assert rule_ids(report) == {"cross-unit-arithmetic"}
 
 
-def test_config_ignore_drops_rule(tmp_path):
-    write_tree(tmp_path, {
-        "mod.py": ("def f(a_ms, b_us):\n"
-                   "    return a_ms + b_us\n"),
-    })
-    config = CheckConfig(ignore=("cross-unit-arithmetic",))
-    report = check_paths([tmp_path], config)
-    assert findings(report) == []
-
-
 def test_load_analyze_config_from_pyproject(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
         '[tool.urllc5g.check]\n'
-        'ignore = ["cross-unit-comparison"]\n'
-        'exclude = ["gen/*"]\n'
-        'baseline = "check-baseline.json"\n', encoding="utf-8")
+        'exclude = ["gen/*"]\n', encoding="utf-8")
     config = load_check_config(start=tmp_path)
-    assert config.ignore == ("cross-unit-comparison",)
     assert config.exclude == ("gen/*",)
-    # Relative paths anchor at the pyproject's directory, so an
-    # explicit --config works from any invocation cwd.
-    assert config.baseline == str(tmp_path / "check-baseline.json")
 
 
 def test_load_analyze_config_rejects_bad_types(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.check]\nbaseline = ["oops"]\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="must be a string"):
+        '[tool.urllc5g.check]\nexclude = "gen/*"\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="list of strings"):
         load_check_config(start=tmp_path)
-
-
-def test_baseline_round_trip_suppresses_known_findings(tmp_path):
-    source_dir = write_tree(tmp_path / "proj", {
-        "mod.py": ("def f(a_ms, b_us):\n"
-                   "    return a_ms + b_us\n"),
-    })
-    first = check_paths([source_dir])
-    assert rule_ids(first) == {"cross-unit-arithmetic"}
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, first.violations)
-    baseline = load_baseline(baseline_file)
-    second = check_paths([source_dir], baseline=baseline)
-    assert second.exit_code == 0
-    assert second.violations == []
-    assert second.baselined == first.violations
-
-
-def test_baseline_survives_line_shifts(tmp_path):
-    source = ("def f(a_ms, b_us):\n"
-              "    return a_ms + b_us\n")
-    source_dir = write_tree(tmp_path / "proj", {"mod.py": source})
-    first = check_paths([source_dir])
-    baseline = Baseline({fingerprint(v) for v in findings(first)})
-    # Prepend a line: the finding moves but stays baselined.
-    (source_dir / "mod.py").write_text('"""doc."""\n' + source,
-                                       encoding="utf-8")
-    second = check_paths([source_dir], baseline=baseline)
-    assert findings(second) == []
-    assert [v.line for v in second.baselined] == [3]
-
-
-def test_new_finding_escapes_the_baseline(tmp_path):
-    source_dir = write_tree(tmp_path / "proj", {
-        "mod.py": ("def f(a_ms, b_us):\n"
-                   "    return a_ms + b_us\n"),
-    })
-    first = check_paths([source_dir])
-    baseline = Baseline({fingerprint(v) for v in first.violations})
-    (source_dir / "other.py").write_text(
-        "def g(c_tc, d_ns):\n    return c_tc - d_ns\n",
-        encoding="utf-8")
-    second = check_paths([source_dir], baseline=baseline)
-    assert second.exit_code == 1
-    assert len(findings(second)) == 1
-    assert findings(second)[0].path.endswith("other.py")
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +395,7 @@ def test_sarif_lists_every_analyzer_rule_even_without_findings(tmp_path):
     assert run["results"] == []
     listed = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
     assert "cross-unit-arithmetic" in listed
-    assert "transitive-wall-clock" in listed
+    assert "transitive-unordered-schedule" in listed
 
 
 # ----------------------------------------------------------------------
@@ -521,5 +436,5 @@ def test_json_reporter_round_trips():
 def test_src_tree_is_analyze_clean(src_report_unconfigured):
     report = src_report_unconfigured
     assert findings(report) == [], render_text(report)
-    # No escapes: pragmas or baseline entries would hide regressions.
+    # No escapes: a pragma would hide a regression.
     assert findings_of(report.unfiltered) == []

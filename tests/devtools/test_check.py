@@ -65,8 +65,7 @@ def test_findings_parity_with_the_four_former_tools(root, monkeypatch):
     # findings_parity.json holds every (rule, path, enclosing name,
     # message) the separate lint/analyze/detsan/distcheck front ends
     # reported over these roots — src/ under the repo config, the
-    # fixtures without one — before and after ignore/pragma/baseline
-    # filtering.
+    # fixtures without one — before and after pragma filtering.
     monkeypatch.chdir(REPO)
     config = (load_check_config(start=root) if root == "src"
               else CheckConfig())
@@ -97,6 +96,77 @@ def test_findings_parity_ignores_moved_lines(tmp_path, monkeypatch):
         for line in found}
     assert rows(report.unfiltered) == PARITY[root]["unfiltered"]
     assert rows(report.violations) == PARITY[root]["filtered"]
+
+
+#: One finding of each program-scope family, with a ``{pragma}`` slot
+#: on the line it is reported at.
+PRAGMA_CASES = {
+    "cross-unit-arithmetic": (
+        "__all__ = []\n"
+        "\n"
+        "\n"
+        "def {name}(a_ms, b_us):\n"
+        "    return a_ms + b_us{pragma}\n"),
+    "transitive-unordered-schedule": (
+        "__all__ = []\n"
+        "\n"
+        "\n"
+        "def {name}(sim, ues):\n"
+        "    for ue in set(ues):{pragma}\n"
+        "        _wake(sim, ue)\n"
+        "\n"
+        "\n"
+        "def _wake(sim, ue):\n"
+        "    sim.schedule(0, ue)\n"),
+    "detsan-buffered-escape": (
+        "from repro.sim.sampling import BufferedSampler\n"
+        "\n"
+        "__all__ = []\n"
+        "\n"
+        "\n"
+        "class {name}:\n"
+        "    def __init__(self, sampler, rng):\n"
+        "        self.rng = rng\n"
+        "        self.delays = BufferedSampler(sampler, rng)\n"
+        "\n"
+        "    def step(self):\n"
+        "        return self.rng.random(){pragma}\n"),
+    "dist-mutable-global": (
+        "from repro.runner.scenarios import scenario\n"
+        "\n"
+        "__all__ = []\n"
+        "\n"
+        "_SEEN = []\n"
+        "\n"
+        "\n"
+        '@scenario("{name}")\n'
+        "def {name}(params, seed):\n"
+        "    _SEEN.append(seed){pragma}\n"
+        "    return len(_SEEN)\n"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PRAGMA_CASES))
+def test_line_pragma_reviews_each_program_family(tmp_path, rule):
+    # A pragma on the finding's line is the one way to review it.
+    source = PRAGMA_CASES[rule]
+    (tmp_path / "first.py").write_text(
+        source.format(name="first", pragma=f"  # check: disable={rule}"),
+        encoding="utf-8")
+    report = check_paths([tmp_path])
+    assert report.violations == []
+    assert [v.rule_id for v in report.suppressed] == [rule]
+    assert report.exit_code == 0
+    if RULES[rule].family == "dist":
+        (cert,) = report.certifications
+        assert (cert.status, cert.reviewed) == ("baselined-findings", 1)
+    # The pragma reviews its own line only: a copy without one gates.
+    (tmp_path / "second.py").write_text(
+        source.format(name="second", pragma=""), encoding="utf-8")
+    report = check_paths([tmp_path])
+    assert [(Path(v.path).name, v.rule_id) for v in report.violations] \
+        == [("second.py", rule)]
+    assert report.exit_code == 1
 
 
 def test_every_rule_has_a_family_and_scope():

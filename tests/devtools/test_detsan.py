@@ -4,8 +4,6 @@ import json
 
 import pytest
 
-from repro.devtools.analyze import write_baseline
-from repro.devtools.analyze.baseline import Baseline, fingerprint
 from repro.devtools.check import (
     RULES,
     check_paths,
@@ -14,7 +12,6 @@ from repro.devtools.check import (
     render_sarif,
     render_text,
 )
-from repro.devtools.config import load_check_config
 
 
 def write_tree(tmp_path, files):
@@ -342,7 +339,7 @@ def test_stream_facts_belong_to_the_extractors_scopes(tmp_path, body,
 
 
 # ----------------------------------------------------------------------
-# suppression mechanics: pragmas and the reviewed baseline
+# suppression mechanics: pragmas
 # ----------------------------------------------------------------------
 def test_analyze_pragma_suppresses_detsan_rules(tmp_path):
     suppressed = SHARED.replace(
@@ -354,34 +351,6 @@ def test_analyze_pragma_suppresses_detsan_rules(tmp_path):
     assert findings(report) == []
     assert [v.rule_id for v in report.suppressed] == [
         "detsan-shared-stream"]
-
-
-def test_baseline_roundtrip_filters_known_findings(tmp_path):
-    write_tree(tmp_path, {"sharedmod.py": SHARED})
-    report = check_paths([tmp_path])
-    assert report.exit_code == 1
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, report.violations)
-    rerun = check_paths(
-        [tmp_path],
-        baseline=Baseline({fingerprint(v) for v in report.violations}))
-    assert rerun.violations == []
-    assert findings_of(rerun.baselined) == findings(report)
-    assert rerun.exit_code == 0
-
-
-def test_config_reads_detsan_table(tmp_path):
-    pyproject = tmp_path / "pyproject.toml"
-    pyproject.write_text(
-        "[tool.urllc5g.check]\n"
-        'baseline = "accepted.json"\n'
-        'ignore = ["detsan-unused-stream"]\n',
-        encoding="utf-8")
-    config = load_check_config(pyproject=pyproject)
-    # Relative paths anchor at the pyproject's directory, so an
-    # explicit --config works from any invocation cwd.
-    assert config.baseline == str(tmp_path / "accepted.json")
-    assert config.ignore == ("detsan-unused-stream",)
 
 
 # ----------------------------------------------------------------------
@@ -436,11 +405,11 @@ def test_src_tree_is_detsan_clean_against_reviewed_baseline(src_report):
     assert report.exit_code == 0, render_text(report)
     # Every acceptance threshold from the determinism contract:
     # >= 95% of stream names resolve statically, and the only accepted
-    # debt is the reviewed baseline (no stray pragmas).
+    # debt is the reviewed AirLink escape, pragma'd at its line.
     assert report.ownership.resolution_rate >= 0.95
-    assert findings_of(report.suppressed) == []
-    # the AirLink escape, reviewed
-    assert len(findings_of(report.baselined)) == 1
+    (escape,) = findings_of(report.suppressed)
+    assert escape.rule_id == "detsan-buffered-escape"
+    assert escape.path.endswith("net/link.py")
 
 
 def test_src_ownership_map_covers_the_core_streams(src_report_unconfigured):

@@ -3,8 +3,6 @@
 import json
 from pathlib import Path
 
-from repro.devtools.analyze import write_baseline
-from repro.devtools.analyze.baseline import Baseline, fingerprint
 from repro.devtools.check import (
     RULES,
     check_paths,
@@ -338,34 +336,15 @@ def test_analyze_pragma_suppresses_dist_rules(tmp_path):
     assert report.exit_code == 0
 
 
-def test_baseline_roundtrip_filters_known_findings(tmp_path):
-    write_tree(tmp_path, {"probe.py": HOST_STATE})
-    report = check_paths([tmp_path])
-    assert report.exit_code == 1
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, report.violations)
-    rerun = check_paths(
-        [tmp_path],
-        baseline=Baseline({fingerprint(v) for v in report.violations}))
-    assert rerun.violations == []
-    assert findings_of(rerun.baselined) == findings(report)
-    assert cert_by_name(rerun)["env-probe"].status == \
-        "baselined-findings"
-    assert rerun.exit_code == 0
-
-
 def test_config_reads_distcheck_table(tmp_path):
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text(
         "[tool.urllc5g.check]\n"
-        'baseline = "accepted.json"\n'
         'allow-env = ["URLLC5G_*", "CI"]\n'
         'refuse-scenarios = ["chaos-selftest"]\n'
         'sanctioned-writers = ["repro.runner.cache.*"]\n',
         encoding="utf-8")
     config = load_check_config(pyproject=pyproject)
-    # Relative paths anchor at the pyproject's directory.
-    assert config.baseline == str(tmp_path / "accepted.json")
     assert config.allow_env == ("URLLC5G_*", "CI")
     assert config.refuse_scenarios == ("chaos-selftest",)
     assert config.sanctioned_writers == ("repro.runner.cache.*",)
@@ -444,10 +423,11 @@ def test_every_registered_scenario_is_certified_or_reviewed(src_report):
         assert cert.findings == 0, (name, cert.findings)
     # chaos-selftest fault-injects the host; it must stay refused.
     assert by_name["chaos-selftest"].status == "refused"
-    # No stray pragmas: accepted debt lives in the reviewed baseline.
-    assert findings_of(report.suppressed) == []
-    # the sanitizer log + sim clock slots
-    assert len(findings_of(report.baselined)) == 2
+    # The only accepted debt: the sanitizer log + sim clock slots,
+    # each pragma'd at its line.
+    assert sorted((v.rule_id, v.path.rpartition("/")[2])
+                  for v in findings_of(report.suppressed)) == [
+        ("dist-mutable-global", "sanitize.py")] * 2
     # The checked-in dispatch gate is exactly what the checker renders.
     assert render_manifest(report) == (
         REPO / "distcheck-manifest.json").read_text(encoding="utf-8")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.devtools.analyze import load_project
 from repro.devtools.check import (
     RULES,
     check_paths,
@@ -51,9 +52,9 @@ def rule_ids_in(tmp_path, source: str, path: str = "mod.py") -> set[str]:
     return {v.rule_id for v in file_findings_in(tmp_path, source, path)}
 
 
-def check_source(tmp_path, source, config=None):
+def check_source(tmp_path, source):
     (tmp_path / "mod.py").write_text(source, encoding="utf-8")
-    return check_paths([tmp_path], config)
+    return check_paths([tmp_path])
 
 
 def test_all_domain_rules_are_registered():
@@ -372,30 +373,22 @@ def test_pragma_only_silences_the_named_rule(tmp_path):
 # configuration
 # ----------------------------------------------------------------------
 def test_select_and_ignore(tmp_path, capsys):
-    # Rule selection and the parse cache are gone: every rule runs on
-    # every module, and ``ignore`` is the one switch that turns a rule
-    # off.  A pyproject still naming a removed key is an error (exit 2).
+    # Rule selection, the parse cache, the ``ignore`` list and the
+    # baseline file are gone: every rule runs on every module, and a
+    # pragma in the source is the one way to review a finding.  A
+    # pyproject still naming a removed key is an error (exit 2).
     pyproject = tmp_path / "pyproject.toml"
     for stale in ('select = ["no-wall-clock"]',
-                  'cache = ".urllc5g-analyze-cache.json"'):
+                  'cache = ".urllc5g-analyze-cache.json"',
+                  'ignore = ["rng-discipline"]',
+                  'baseline = "check-baseline.json"'):
         pyproject.write_text(f"[tool.urllc5g.check]\n{stale}\n",
                              encoding="utf-8")
         with pytest.raises(ValueError, match="unknown key"):
             load_check_config(start=tmp_path)
         assert main(["check", str(tmp_path),
                      "--config", str(pyproject)]) == 2
-        assert "unknown key" in capsys.readouterr().err
-    source = '__all__ = []\nimport random\n'
-    assert check_source(tmp_path, source).exit_code == 1
-    ignored = check_source(
-        tmp_path, source, CheckConfig(ignore=("rng-discipline",)))
-    assert ignored.violations == []
-    assert ignored.exit_code == 0
-
-
-def test_unknown_rule_id_rejected(tmp_path):
-    with pytest.raises(ValueError, match="unknown rule"):
-        check_paths([tmp_path], CheckConfig(ignore=("no-such-rule",)))
+        assert "unknown key(s)" in capsys.readouterr().err
 
 
 def test_exclude_glob(tmp_path):
@@ -409,13 +402,10 @@ def test_exclude_glob(tmp_path):
 def test_load_config_from_pyproject(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
         '[tool.urllc5g.check]\n'
-        'ignore = ["public-api-exports"]\n'
         'exclude = ["gen/*"]\n',
         encoding="utf-8")
     config = load_check_config(start=tmp_path)
-    assert config.ignore == ("public-api-exports",)
     assert config.exclude == ("gen/*",)
-    assert config.baseline is None
 
 
 def test_load_config_defaults_when_table_missing(tmp_path):
@@ -427,14 +417,21 @@ def test_load_config_defaults_when_table_missing(tmp_path):
 
 def test_load_config_rejects_bad_types(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.check]\nignore = "oops"\n', encoding="utf-8")
+        '[tool.urllc5g.check]\nexclude = "oops"\n', encoding="utf-8")
     with pytest.raises(ValueError, match="list of strings"):
         load_check_config(start=tmp_path)
 
 
 def test_repo_config_names_only_known_rules():
-    config = load_check_config(pyproject=REPO_ROOT / "pyproject.toml")
-    assert set(config.ignore) <= set(RULES)
+    # The repo's reviews are its pragmas: each names a registered rule,
+    # so none is left behind by a rule's removal or a typo.
+    load_check_config(pyproject=REPO_ROOT / "pyproject.toml")
+    project = load_project([REPO_ROOT / "src"])
+    named = {rule for module in project.modules
+             for rules in (module.file_pragmas,
+                           *module.line_pragmas.values())
+             for rule in rules}
+    assert named and named <= set(RULES)
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +485,7 @@ def test_src_tree_is_lint_clean(src_report):
     # The only suppressions are the sanctioned host-clock and
     # generator-construction sites, each a line pragma with its reason.
     assert sorted((v.rule_id, Path(v.path).name, v.line)
-                  for v in report.suppressed) == [
+                  for v in file_family(report.suppressed)) == [
         ("no-wall-clock", "executor.py", 237),
         ("no-wall-clock", "executor.py", 301),
         ("rng-discipline", "rng.py", 162),
