@@ -114,7 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_technologies(args: argparse.Namespace) -> None:
     # Both baselines intentionally share one comparison stream so the
     # table's Monte-Carlo noise is correlated across technologies.
-    rng = RngRegistry(args.seed).stream("technologies")  # detsan: shared
+    rng = RngRegistry(args.seed).stream("technologies")
     rows = [("5G FR2 mmWave",
              f"{MmWaveBaseline().sub_ms_fraction(rng, 30_000):.1%} sub-ms")]
     for stations in (2, 10):
@@ -405,10 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
              "runtime sanitizer instead")
     check.add_argument("paths", nargs="*", default=["src"],
                        help="files or directories (default: src)")
-    check.add_argument("--format",
-                       choices=("text", "json", "sarif", "dot"),
-                       default="text",
-                       help="dot emits the stream->owner graph")
+    check.add_argument("--format", choices=("text", "json", "sarif"),
+                       default="text")
     check.add_argument("--config", default=None,
                        help="explicit pyproject.toml path")
     check.add_argument("--no-config", action="store_true",

@@ -3,10 +3,10 @@
 - :mod:`repro.devtools.check` — ``urllc5g check``: one static pass over
   the shared project model (:mod:`repro.devtools.analyze.loader`) that
   runs every rule family — per-file rules (:mod:`.lintkit`),
-  cross-module time units and transitive purity (:mod:`.analyze`), RNG
-  stream ownership (:mod:`.detsan`) and scenario distributability
-  (:mod:`.distcheck`) — configured by one ``[tool.urllc5g.check]``
-  table (:mod:`repro.devtools.config`); see docs/ANALYSIS.md;
+  cross-module time units and transitive purity (:mod:`.analyze`) and
+  scenario distributability (:mod:`.distcheck`) — configured by one
+  ``[tool.urllc5g.check]`` table (:mod:`repro.devtools.config`); see
+  docs/ANALYSIS.md;
 - :mod:`repro.devtools.determinism` — a runtime sanitizer that runs a
   scenario twice with the same seed and compares trace digests.
 

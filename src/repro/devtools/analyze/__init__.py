@@ -12,7 +12,8 @@ families live here:
   assignments, returns and call boundaries;
 - **transitive purity** (:mod:`.purity`): a ``set`` loop that calls a
   function which schedules simulator events, found through the call
-  graph where the file-scope rule sees no ``.schedule(...)`` call.
+  graph where the file-scope rule sees no ``.schedule(...)`` call, or
+  that draws from an RNG, directly or through a callee.
 
 See docs/ANALYSIS.md.
 """

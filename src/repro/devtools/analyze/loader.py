@@ -5,15 +5,14 @@ The loader walks the analysis roots with the shared
 once and extracts a :class:`ModuleSummary`: the symbol table
 (functions, methods, classes, module constants), the call edges
 resolvable from imports/``self``, per-function purity effects, the
-*symbolic* unit facts the global passes resolve later, the RNG stream
-facts of the ``detsan`` pass, and the raw findings of the file-scope
-rules, which read only this summary.  The extraction is the one place a
-wall-clock read, a ``numpy.random`` call, a ``random`` import, an
-unbound ``rng``, an equality between time values, an unordered loop
-that schedules, a ``.stream(...)`` call and how its generator is held,
-or a buffer's claim of a generator is recognised: it evaluates every
-expression a module runs, including lambda bodies, decorators, default
-values and class bodies.
+*symbolic* unit facts the global passes resolve later, and the raw
+findings of the file-scope rules, which read only this summary.  The
+extraction is the one place a wall-clock read, a ``numpy.random`` call,
+a ``random`` import, an unbound ``rng``, an equality between time
+values, an unordered loop that schedules or draws, or a ``.stream(...)``
+call and its name template is recognised: it evaluates every expression
+a module runs, including lambda bodies, decorators, default values and
+class bodies.
 
 Symbolic unit expressions are plain dicts, so whole-program resolution
 never needs the AST again:
@@ -39,16 +38,14 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
+from repro.devtools.lintkit.core import Violation, run_file_rules
+from repro.devtools.lintkit.rules import DYNAMIC
 from repro.devtools.walker import iter_python_files
-
-if TYPE_CHECKING:
-    from repro.devtools.lintkit.core import Violation
 
 __all__ = [
     "UNITS",
-    "GLOBAL_NP_RANDOM",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
@@ -79,22 +76,16 @@ CONSTANT_UNIT_SEEDS = {
 }
 
 _UNIT_ANNOTATION_RE = re.compile(r"#\s*unit:\s*([A-Za-z]+)")
-_PRAGMA_RE = re.compile(r"#\s*check:\s*disable=([A-Za-z0-9_,\- ]+)")
-_PRAGMA_FILE_RE = re.compile(
-    r"#\s*check:\s*disable-file=([A-Za-z0-9_,\- ]+)")
+#: ``# check: disable=<id>[,<id>...]`` (or ``disable-file=``): rule ids
+#: are lowercase words joined by hyphens; text after the list is a note.
+_PRAGMA_RE = re.compile(
+    r"#\s*check:\s*disable(-file)?=([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)")
 
 _WALL_CLOCK_TIME_FUNCS = frozenset({
     "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
     "monotonic_ns", "process_time", "process_time_ns",
 })
 _WALL_CLOCK_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-#: The legacy ``numpy.random`` functions that draw from (or seed) the
-#: process-global generator.
-GLOBAL_NP_RANDOM = frozenset({
-    "seed", "random", "rand", "randn", "randint", "random_sample",
-    "normal", "uniform", "exponential", "lognormal", "poisson",
-    "binomial", "choice", "shuffle", "permutation", "standard_normal",
-})
 _SCHEDULE_METHODS = frozenset({"schedule", "call_in"})
 #: Method names that consume entropy when called on a Generator or a
 #: delay sampler.  Used for the ordering dimension of the taint
@@ -105,14 +96,6 @@ _GENERATOR_DRAW_METHODS = frozenset({
     "poisson", "integers", "choice", "standard_normal", "shuffle",
     "permutation", "sample", "sample_batch", "next",
 })
-#: Classes that take exclusive ownership of the Generator passed to
-#: their constructor (resolved through import aliases).
-_BUFFER_CLASSES = frozenset({"BufferedSampler", "UniformBuffer",
-                             "LogNormalBlockServer"})
-#: The sanctioned way to draw through a claimed generator: passing it
-#: back to the buffer that claimed it.
-_BUFFER_DRAW_METHODS = frozenset({"sample", "next"})
-_DETSAN_SHARED_RE = re.compile(r"#\s*detsan:\s*shared\b")
 _PASSTHROUGH_CALLS = frozenset({"float", "int", "round", "abs"})
 _JOIN_CALLS = frozenset({"min", "max"})
 _BUILTIN_NAMES = frozenset(dir(__import__("builtins")))
@@ -285,18 +268,14 @@ class ModuleSummary:
     module_checks: list[dict] = field(default_factory=list)
     functions: list[FunctionSummary] = field(default_factory=list)
     classes: list[ClassSummary] = field(default_factory=list)
+    #: Rule ids of each ``# check: disable=`` pragma, by line; the
+    #: ``disable-file=`` ones apply to every line of the module.
     line_pragmas: dict[int, list[str]] = field(default_factory=dict)
-    file_pragmas: list[str] = field(default_factory=list)
+    file_pragmas: dict[int, list[str]] = field(default_factory=dict)
     parse_error: dict | None = None
-    #: Every ``.stream(...)`` call with its name template; detsan
-    #: reads those with a registry ``scope``, each with how it is held
-    #: (``owner_kind``), its consumers and whether it is drawn, claimed
-    #: by a buffer or declared ``# detsan: shared``.
+    #: Every ``.stream(...)`` call: its name argument as written
+    #: (``arg``) and its name template (``template``).
     streams: list[dict] = field(default_factory=list)
-    #: BufferedSampler/UniformBuffer constructions and their rng args.
-    rng_buffers: list[dict] = field(default_factory=list)
-    #: Uses of a buffer-claimed generator outside the buffered idiom.
-    rng_escapes: list[dict] = field(default_factory=list)
     #: Module-level ``NAME = "literal"`` bindings (env-var name lookup).
     str_constants: dict[str, str] = field(default_factory=dict)
     #: Module-level bindings to mutable containers (dict/list/set/...).
@@ -462,12 +441,6 @@ class _ModuleExtractor:
         #: First reads of ``rng`` unbound where they were read, with
         #: their scope: a later binding in an enclosing body clears one.
         self.rng_reads: list[tuple[_FunctionExtractor, dict]] = []
-        #: Lines that carry a ``# detsan: shared`` contract.
-        self.shared_lines: set[int] = set()
-        #: The record of every ``.stream(...)`` call, by call node: the
-        #: code around the call says how the generator is held.
-        self.acquisitions: dict[ast.Call, dict] = {}
-        self.homes: list[_StreamHome] = []
 
     def run(self) -> ModuleSummary:
         self._collect_pragmas()
@@ -475,8 +448,7 @@ class _ModuleExtractor:
         module_fn = _FunctionExtractor(
             self, qualname=f"{self.qualname}.<module>", name="<module>",
             params=[], lineno=1, declared_unit=None, class_name=None,
-            module_level=True, enclosing=None,
-            home=self._home(f"{self.qualname}.<module>", None))
+            module_level=True, enclosing=None)
         module_fn.exec_block(
             [stmt for stmt in self.tree.body
              if not isinstance(stmt, (ast.FunctionDef,
@@ -499,9 +471,6 @@ class _ModuleExtractor:
         self.summary.unordered_loops = module_fn.unordered_loops
         self.summary.unbound_rng = [read for scope, read in self.rng_reads
                                     if not scope._binds("rng")]
-        self._settle_streams()
-        # Imported here: the file rules import this module's tables.
-        from repro.devtools.lintkit.core import run_file_rules
         self.summary.file_findings = run_file_rules(self.summary)
         return self.summary
 
@@ -510,17 +479,11 @@ class _ModuleExtractor:
         for lineno, line in enumerate(self.lines, start=1):
             if "#" not in line:
                 continue
-            if _DETSAN_SHARED_RE.search(line):
-                self.shared_lines.add(lineno)
-            match = _PRAGMA_RE.search(line)
-            if match:
-                rules = [r.strip() for r in match.group(1).split(",")]
-                self.summary.line_pragmas.setdefault(
-                    lineno, []).extend(rules)
-            match = _PRAGMA_FILE_RE.search(line)
-            if match:
-                self.summary.file_pragmas.extend(
-                    r.strip() for r in match.group(1).split(","))
+            for match in _PRAGMA_RE.finditer(line):
+                pragmas = (self.summary.file_pragmas if match.group(1)
+                           else self.summary.line_pragmas)
+                pragmas.setdefault(lineno, []).extend(
+                    rule.strip() for rule in match.group(2).split(","))
 
     def _collect_module_bindings(self) -> None:
         """Index module-level string constants and mutable containers,
@@ -618,9 +581,7 @@ class _ModuleExtractor:
             self, qualname=qualname, name=node.name, params=params,
             lineno=node.lineno, declared_unit=declared,
             class_name=class_name, module_level=False,
-            is_converter=conversion is not None, enclosing=enclosing,
-            home=(self._home(qualname, parent if class_name else None)
-                  if enclosing.hosts_homes else enclosing.home))
+            is_converter=conversion is not None, enclosing=enclosing)
         # Every parameter binds: ``self``, keyword-only and starred too.
         extractor.env.update((name, _bound_unit(name))
                              for name in _arg_names(args))
@@ -663,8 +624,7 @@ class _ModuleExtractor:
 
         The class body's checks, wall-clock reads and unordered loops
         are the enclosing scope's: the module body's for a top-level
-        class, the function's for a local one.  So are its stream facts,
-        but a method not written inside a def is a stream home of its own.
+        class, the function's for a local one.
         """
         enclosing.eval_definition_time(node)
         qualname = f"{parent}.{node.name}"
@@ -681,7 +641,7 @@ class _ModuleExtractor:
             self, qualname=f"{qualname}.<class>", name="<class>",
             params=[], lineno=node.lineno, declared_unit=None,
             class_name=node.name, module_level=False,
-            enclosing=enclosing, home=enclosing.home)
+            enclosing=enclosing)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 klass.methods.append(stmt.name)
@@ -709,45 +669,6 @@ class _ModuleExtractor:
         enclosing.unordered_loops.extend(class_fn.unordered_loops)
         self.summary.classes.append(klass)
 
-    # -- stream ownership ----------------------------------------------
-    def _home(self, func: str, klass: str | None) -> _StreamHome:
-        home = _StreamHome(func, klass)
-        self.homes.append(home)
-        return home
-
-    def _settle_streams(self) -> None:
-        """Derive what the acquisitions and claims need from the facts
-        the extraction recorded; no AST is walked.
-
-        A local's uses are its home's.  A ``self.X`` field is read, and
-        a method's claim escapes, anywhere in the class's methods.
-        """
-        classes: dict[str, list[_StreamHome]] = {}
-        for home in self.homes:
-            if home.klass is not None:
-                classes.setdefault(home.klass, []).append(home)
-        for home in self.homes:
-            region = classes[home.klass] if home.klass else [home]
-            for record in home.streams:
-                if record["owner_kind"] == "local":
-                    _apply_uses(record, [home])
-                    handoffs = sorted(set(record["handoffs"]))
-                    if handoffs and not record["drawn"]:
-                        record["owner_kind"] = "local-arg"
-                        record["owner"] = handoffs
-                    elif handoffs:
-                        # Drawn here *and* handed off: the sharing rule
-                        # sees both consumers of the one acquisition.
-                        record["owner"] = [home.func] + handoffs
-                elif record["owner_kind"] == "attribute":
-                    _apply_uses(record, region)
-            for claim, name, call in home.claims:
-                for anchor, expr, detail in _escapes(name, call, region):
-                    self.summary.rng_escapes.append({
-                        **anchor, "buffer": claim["buffer"],
-                        "stream_expr": expr, "func": home.func,
-                        "detail": detail})
-
 
 class _FunctionExtractor:
     """Flow-sensitive abstract interpretation of one function body."""
@@ -756,16 +677,10 @@ class _FunctionExtractor:
                  name: str, params: list[str], lineno: int,
                  declared_unit: str | None, class_name: str | None,
                  module_level: bool, enclosing: _FunctionExtractor | None,
-                 home: _StreamHome, is_converter: bool = False):
+                 is_converter: bool = False):
         self.module = module
         #: The scope this code is written in: its names are visible here.
         self.enclosing = enclosing
-        #: Where this code's stream facts go.
-        self.home = home
-        #: Whether a def written here is a stream home of its own: it is
-        #: unless it is written inside another def.
-        self.hosts_homes = module_level or (
-            name == "<class>" and enclosing.hosts_homes)
         self.qualname = qualname
         self.name = name
         self.params = params
@@ -863,14 +778,12 @@ class _FunctionExtractor:
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         self._lambda_names.add(target.id)
-            self._hold(stmt.value, stmt.targets)
         elif isinstance(stmt, ast.AnnAssign):
             value = (self.eval_expr(stmt.value)
                      if stmt.value is not None else None)
             self._eval_target(stmt.target)
             if value is not None:
                 self._assign(stmt.target, value, stmt)
-                self._hold(stmt.value, [stmt.target])
         elif isinstance(stmt, ast.AugAssign):
             value = self.eval_expr(stmt.value)
             self._eval_target(stmt.target)
@@ -917,9 +830,6 @@ class _FunctionExtractor:
             self.exec_block(stmt.finalbody)
         elif isinstance(stmt, ast.Expr):
             self.eval_expr(stmt.value)
-            acquired = self.module.acquisitions.get(stmt.value)
-            if acquired is not None:
-                acquired.update(owner_kind="discarded", uses=0)
         elif isinstance(stmt, (ast.Raise, ast.Assert)):
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
@@ -1055,7 +965,6 @@ class _FunctionExtractor:
             return (U_UNITLESS if isinstance(node.value, (int, float))
                     and not isinstance(node.value, bool) else U_UNKNOWN)
         if isinstance(node, ast.Name):
-            self.home.load(node.id)
             if node.id == "__file__" and "__file__" not in self.env:
                 self.host_state.append({
                     "line": node.lineno, "col": node.col_offset,
@@ -1070,7 +979,6 @@ class _FunctionExtractor:
             return self._name_unit(node.id)
         if isinstance(node, ast.Attribute):
             self.eval_expr(node.value)
-            self._receiver(node.value, node.attr, call=False)
             dotted = dotted_name(node)
             if dotted is not None:
                 resolved = self.module.summary.resolve_dotted(dotted)
@@ -1233,14 +1141,12 @@ class _FunctionExtractor:
             callee_name = func.attr
             candidates = self._resolve_attr_call(func)
             self._detect_schedule(func, node)
-            self._receiver(func.value, func.attr, call=True)
             if func.attr == "stream":
                 self._stream_call(node)
             if func.attr in _GENERATOR_DRAW_METHODS:
-                draw = {"line": node.lineno, "col": node.col_offset,
-                        "recv": dotted_name(func.value), "method": func.attr}
-                self.draws.append(draw)
-                self.home.draws.append(draw)
+                self.draws.append({
+                    "line": node.lineno, "col": node.col_offset,
+                    "recv": dotted_name(func.value), "method": func.attr})
                 for loop in self._loop_stack:
                     loop["draws"] = True
             if func.attr in _MUTATING_METHODS:
@@ -1268,7 +1174,6 @@ class _FunctionExtractor:
             if self._loop_stack:
                 for loop in self._loop_stack:
                     loop["calls"].extend(candidates)
-        self._hand_over(node, candidates)
         if candidates or conversion is not None:
             for index, value in enumerate(arg_units):
                 if isinstance(node.args[index], ast.Starred):
@@ -1329,125 +1234,15 @@ class _FunctionExtractor:
             return [self.module.summary.resolve_dotted(dotted)]
         return []
 
-    # -- stream ownership ----------------------------------------------
     def _stream_call(self, node: ast.Call) -> None:
-        """A ``.stream(...)`` call: the one record of it, read by the
-        fault-streams-named rule and, if it has a registry ``scope``,
-        by detsan.  The code around the call fills in how it is held."""
-        from repro.devtools.detsan.resolver import (is_resolved,
-                                                    resolve_stream_name)
+        """A ``.stream(...)`` call: its name as written and its template,
+        read by the fault-streams-named rule."""
         name = node.args[0] if node.args else None
-        template = resolve_stream_name(name) if name is not None else None
-        scope = (self._registry_scope(node.func.value, node.lineno)
-                 if name is not None else None)
-        func = self.home.func
-        record = {
+        self.module.summary.streams.append({
             **_at(node),
             "arg": ast.unparse(name) if name is not None else None,
-            "template": template, "resolved": is_resolved(template),
-            "scope": scope, "func": func,
-            "owner_kind": "other", "owner": [func], "holder": None,
-            "uses": 1, "drawn": False, "buffered": False, "handoffs": [],
-            "shared": node.lineno in self.module.shared_lines,
-        }
-        self.module.summary.streams.append(record)
-        self.module.acquisitions[node] = record
-        if scope is not None:
-            self.home.streams.append(record)
-
-    def _registry_scope(self, recv: ast.expr, line: int) -> str | None:
-        """Registry-scope key for an acquisition, or None if the
-        receiver does not look like an RngRegistry.
-
-        Scoping keeps independent registries (one per run/system) from
-        being conflated: ``self.rngs`` streams key by the owning class,
-        plain locals by the home, and a fresh ``RngRegistry(...)`` /
-        ``fork(...)`` receiver by its call site.
-        """
-        home = self.home
-        dotted = dotted_name(recv)
-        if dotted is not None:
-            last = dotted.rpartition(".")[2].lower()
-            if "rng" not in last and last != "registry":
-                return None
-            if dotted.startswith("self.") and home.klass:
-                return home.klass
-            return home.func
-        if isinstance(recv, ast.Call):
-            if isinstance(recv.func, ast.Attribute) \
-                    and recv.func.attr == "fork":
-                return f"{home.func}:{line}"
-            callee = dotted_name(recv.func)
-            if callee is not None and self.module.summary.resolve_dotted(
-                    callee).rpartition(".")[2] == "RngRegistry":
-                return f"{home.func}:{line}"
-        return None
-
-    def _receiver(self, value: ast.expr, attr: str, call: bool) -> None:
-        """``value.attr``: a load of a ``self.X`` field, or a stream
-        used inline (drawn, if ``call`` and ``attr`` draws)."""
-        if isinstance(value, ast.Name) and value.id == "self":
-            self.home.load(f"self.{attr}")
-        acquired = self.module.acquisitions.get(value)
-        if acquired is not None:
-            acquired.update(owner_kind="inline",
-                            drawn=call and attr in _GENERATOR_DRAW_METHODS)
-
-    def _hold(self, value: ast.expr, targets: list[ast.expr]) -> None:
-        """An assignment of an acquired stream (who holds it) or of a
-        name to ``self.X`` (an alias a claim follows)."""
-        acquired = self.module.acquisitions.get(value)
-        if acquired is not None:
-            target = targets[0] if len(targets) == 1 else None
-            # A name a class body binds is a class attribute, no local.
-            if isinstance(target, ast.Name) and self.name != "<class>":
-                acquired.update(owner_kind="local", holder=target.id)
-            elif isinstance(target, ast.Attribute) \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self" and self.home.klass:
-                acquired.update(owner_kind="attribute",
-                                holder=f"self.{target.attr}",
-                                owner=[self.home.klass])
-        elif isinstance(value, ast.Name):
-            for target in targets:
-                dotted = dotted_name(target)
-                if dotted is not None and dotted.startswith("self."):
-                    self.home.aliases.append((value.id, dotted))
-
-    def _hand_over(self, node: ast.Call, candidates: list[str]) -> None:
-        """The generators a call is handed: a stream acquired in its
-        arguments, each name or attribute passed, a buffer's claim."""
-        home = self.home
-        for arg in (*node.args, *(kw.value for kw in node.keywords)):
-            acquired = self.module.acquisitions.get(arg)
-            if acquired is not None:
-                acquired.update(owner_kind="argument",
-                                owner=candidates or [home.func])
-            elif isinstance(arg, (ast.Name, ast.Attribute)):
-                dotted = dotted_name(arg)
-                if dotted is not None:
-                    home.handed.append((dotted, node, candidates))
-        buffer = candidates[0].rpartition(".")[2] if candidates else None
-        if buffer not in _BUFFER_CLASSES:
-            return
-        kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
-        if buffer == "BufferedSampler":
-            rng = node.args[1] if len(node.args) > 1 else kwargs.get("rng")
-        else:
-            rng = node.args[0] if node.args else kwargs.get("rng")
-        if rng is None:
-            return
-        acquired = self.module.acquisitions.get(rng)
-        name = None
-        if acquired is not None and acquired["arg"] is not None:
-            if acquired["scope"] is not None:
-                acquired.update(buffered=True, drawn=True)
-        else:
-            name = dotted_name(rng)
-        claim = {**_at(node), "buffer": buffer, "func": home.func}
-        self.module.summary.rng_buffers.append(claim)
-        if name is not None:
-            home.claims.append((claim, name, node))
+            "template": _stream_template(name) if name is not None
+            else None})
 
     # -- purity --------------------------------------------------------
     def _detect_schedule(self, func: ast.Attribute,
@@ -1662,93 +1457,29 @@ class _FunctionExtractor:
         self.checks.append(check)
 
 
-class _StreamHome:
-    """Where detsan attributes stream facts: the module body, or a def
-    not written inside another def, each with the class bodies, defs and
-    lambdas written in it (a closure's uses are its maker's)."""
+def _stream_template(node: ast.expr) -> str | None:
+    """The name template of a ``.stream(...)`` argument, or ``None``.
 
-    def __init__(self, func: str, klass: str | None):
-        self.func = func
-        #: A method's class: its fields and claims are read class-wide.
-        self.klass = klass
-        #: The draws written here, each also in its function's summary.
-        self.draws: list[dict] = []
-        #: The registry-stream acquisitions made here.
-        self.streams: list[dict] = []
-        #: Claims of a named generator: ``(claim, name, call)``.
-        self.claims: list[tuple[dict, str, ast.Call]] = []
-        #: How often each name and ``self.X`` field is loaded.
-        self.loads: dict[str, int] = {}
-        #: Names and attributes passed to a call: ``(name, call,
-        #: candidates)``.
-        self.handed: list[tuple[str, ast.Call, list[str]]] = []
-        #: ``self.X = name`` assignments: ``(name, "self.X")``.
-        self.aliases: list[tuple[str, str]] = []
-
-    def load(self, name: str) -> None:
-        self.loads[name] = self.loads.get(name, 0) + 1
-
-
-def _method(call: ast.Call) -> str | None:
-    return call.func.attr if isinstance(call.func, ast.Attribute) else None
-
-
-def _apply_uses(record: dict, region: list[_StreamHome]) -> None:
-    """Count the loads of a stream's holder in ``region`` and note which
-    draw it, claim it for a buffer, or hand it to another callee."""
-    holder = record["holder"]
-    record["uses"] = sum(home.loads.get(holder, 0) for home in region)
-    for home in region:
-        if any(draw["recv"] == holder for draw in home.draws):
-            record["drawn"] = True
-        for name, call, candidates in home.handed:
-            if name != holder:
-                continue
-            last = candidates[0].rpartition(".")[2] if candidates else None
-            if last in _BUFFER_CLASSES:
-                # Claimed by a buffered sampler: consumed, but the
-                # buffer is machinery, not a second owner.
-                record["buffered"] = record["drawn"] = True
-            elif _method(call) in _BUFFER_DRAW_METHODS:
-                # The sanctioned sampler.sample(rng) idiom.
-                record["drawn"] = True
-            else:
-                record["handoffs"].extend(
-                    candidates or [ast.unparse(call.func)])
-
-
-def _escapes(name: str, claim: ast.Call, region: list[_StreamHome]
-             ) -> Iterator[tuple[dict, str, str]]:
-    """Uses of a claimed generator outside the buffered idiom.
-
-    The claimed rng may only flow back into the claiming sampler
-    (``.sample(rng)`` / ``.next``); a direct draw or a hand-off to any
-    other callee desynchronizes the pre-drawn block from the scalar
-    bit-stream, so it is an escape even on a conditional path.  A claim
-    of a bare name follows its ``self.X = name`` aliases.
+    Literal text is kept and every interpolated hole becomes
+    :data:`~repro.devtools.lintkit.rules.DYNAMIC`, so
+    ``f"fault.{kind.value}.{index}"`` is ``"fault.{*}.{*}"``; ``+``
+    concatenations join their parts.  An expression with no literal
+    fragment at all (a bare name, a call, ``%``/``.format``) has none.
     """
-    names = {name}
-    if "." not in name:
-        names.update(alias for home in region
-                     for value, alias in home.aliases if value == name)
-    for home in region:
-        for draw in home.draws:
-            if draw["recv"] in names:
-                yield ({"line": draw["line"], "col": draw["col"]},
-                       draw["recv"],
-                       f"drawn directly via .{draw['method']}()")
-        for used, call, candidates in home.handed:
-            if used not in names or call is claim \
-                    or _method(call) in _BUFFER_DRAW_METHODS:
-                continue
-            last = candidates[0].rpartition(".")[2] if candidates else None
-            if last in _BUFFER_CLASSES:
-                detail = f"also claimed by a second {last}"
-            else:
-                callee = (candidates[0] if candidates
-                          else ast.unparse(call.func))
-                detail = f"passed to {callee}()"
-            yield _at(call), used, detail
+    if isinstance(node, ast.Constant):
+        return node.value if isinstance(node.value, str) else None
+    if isinstance(node, ast.JoinedStr):
+        template = "".join(
+            str(value.value) if isinstance(value, ast.Constant) else DYNAMIC
+            for value in node.values)
+        return template if template.replace(DYNAMIC, "") else None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left = _stream_template(node.left)
+        right = _stream_template(node.right)
+        if left is None and right is None:
+            return None
+        return (left or DYNAMIC) + (right or DYNAMIC)
+    return None
 
 
 def _at(node: ast.AST) -> dict:

@@ -1,15 +1,14 @@
 """``urllc5g check``: every static rule in one pass over the project model.
 
-:func:`check_paths` loads the project once and runs the five rule
+:func:`check_paths` loads the project once and runs the four rule
 families of :data:`RULES` over it: ``file``
 (:mod:`repro.devtools.lintkit.rules`, run by the loader on each
 module's summary and kept with it), ``units`` and
-``purity`` (:mod:`repro.devtools.analyze`), ``detsan``
-(:mod:`repro.devtools.detsan.ownership`) and ``dist``
+``purity`` (:mod:`repro.devtools.analyze`) and ``dist``
 (:mod:`repro.devtools.distcheck.rules`).  A ``# check:
 disable=<rule>`` pragma on a finding's line or file is the only way to
-review it.  The ``dist-*`` findings, only those, fold into per-scenario
-verdicts:
+review it; a pragma naming no registered rule is an error.  The
+``dist-*`` findings, only those, fold into per-scenario verdicts:
 
 - ``certified``: no finding in the scenario's reachability closure;
 - ``baselined-findings``: every finding is pragma'd;
@@ -30,11 +29,9 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.devtools.analyze.loader import Project, load_project
-from repro.devtools.analyze.purity import purity_violations
+from repro.devtools.analyze.purity import PURITY_RULES, purity_violations
 from repro.devtools.analyze.units import resolve_units, unit_violations
 from repro.devtools.config import CheckConfig
-from repro.devtools.detsan.ownership import (DETSAN_RULES, OwnershipMap,
-                                             detsan_violations)
 from repro.devtools.distcheck.manifest import (DISTRIBUTABLE_STATUSES,
                                                SUPPORTED_SCHEMA_VERSION)
 from repro.devtools.distcheck.rules import (DIST_RULES, certification_map,
@@ -45,7 +42,7 @@ from repro.devtools.sarif import TOOL_VERSION, render_sarif as _sarif
 
 __all__ = ["RULES", "RENDERERS", "RuleSpec", "ScenarioCertification",
            "CheckReport", "check_paths", "render_text", "render_json",
-           "render_sarif", "render_dot", "render_manifest"]
+           "render_sarif", "render_manifest"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class RuleSpec:
     """One registered rule."""
 
     rule_id: str
-    family: str  # file | units | purity | detsan | dist
+    family: str  # file | units | purity | dist
     severity: str
     description: str
     scope: str  # file (one module at a time) | program
@@ -71,12 +68,6 @@ _UNIT_RULES = {
     "cross-unit-argument":
         "argument's unit contradicts the callee parameter's declared unit",
 }
-_PURITY_RULES = {
-    "transitive-unordered-schedule":
-        "unordered iteration transitively schedules simulator events",
-}
-#: Program-scope rules whose findings are warnings, not errors.
-_WARNING_RULES = frozenset({"detsan-unused-stream"})
 
 
 def _registry() -> dict[str, RuleSpec]:
@@ -86,13 +77,10 @@ def _registry() -> dict[str, RuleSpec]:
                           rule_cls.description, "file")
                  for rule_id, rule_cls in registered_rules().items())
     for family, table in (("units", _UNIT_RULES),
-                          ("purity", _PURITY_RULES),
-                          ("detsan", DETSAN_RULES), ("dist", DIST_RULES)):
-        specs.extend(RuleSpec(
-            rule_id, family,
-            Severity.WARNING if rule_id in _WARNING_RULES
-            else Severity.ERROR, description, "program")
-            for rule_id, description in table.items())
+                          ("purity", PURITY_RULES), ("dist", DIST_RULES)):
+        specs.extend(RuleSpec(rule_id, family, Severity.ERROR, description,
+                              "program")
+                     for rule_id, description in table.items())
     return {spec.rule_id: spec for spec in specs}
 
 
@@ -120,7 +108,6 @@ class CheckReport:
     violations: list[Violation]
     #: Every finding, pragma'd or not.
     unfiltered: list[Violation]
-    ownership: OwnershipMap
     certifications: list[ScenarioCertification]
     files_checked: int
     suppressed: list[Violation] = field(default_factory=list)
@@ -161,13 +148,26 @@ def _module_findings(project: Project) -> list[Violation]:
     return found
 
 
+def _check_pragmas(project: Project) -> None:
+    """Raise ValueError naming every pragma rule id that is not
+    registered: a typo or a deleted rule must not review nothing."""
+    unknown = [f"{module.path}:{line}: {rule!r}"
+               for module in project.modules
+               for pragmas in (module.line_pragmas, module.file_pragmas)
+               for line, rules in sorted(pragmas.items())
+               for rule in rules if rule != "all" and rule not in RULES]
+    if unknown:
+        raise ValueError("check pragma names no registered rule: "
+                         + "; ".join(unknown))
+
+
 def check_paths(paths: Iterable[str | Path],
                 config: CheckConfig | None = None) -> CheckReport:
     """Run every rule family over ``paths`` and aggregate a report."""
     config = config or CheckConfig()
     project = load_project(paths, exclude=config.is_excluded)
+    _check_pragmas(project)
 
-    detsan, ownership = detsan_violations(project)
     cert = certification_map(project)
     refuse = set(config.refuse_scenarios)
     attribution: dict[Violation, frozenset[str]] = {}
@@ -182,14 +182,15 @@ def check_paths(paths: Iterable[str | Path],
     unfiltered = sorted(
         _module_findings(project)
         + unit_violations(project, resolve_units(project))
-        + purity_violations(project) + detsan + dist, key=_order)
+        + purity_violations(project) + dist, key=_order)
 
     by_path = {module.path: module for module in project.modules}
     kept: list[Violation] = []
     suppressed: list[Violation] = []
     for violation in unfiltered:
         module = by_path[violation.path]
-        off = {*module.file_pragmas,
+        off = {*(rule for rules in module.file_pragmas.values()
+                 for rule in rules),
                *module.line_pragmas.get(violation.line, ())}
         if violation.rule_id in off or "all" in off:
             suppressed.append(violation)
@@ -218,7 +219,7 @@ def check_paths(paths: Iterable[str | Path],
             findings=found, reviewed=reviewed))
 
     return CheckReport(
-        violations=kept, unfiltered=unfiltered, ownership=ownership,
+        violations=kept, unfiltered=unfiltered,
         certifications=certifications,
         files_checked=project.files_checked, suppressed=suppressed,
         refused_findings=refused_findings,
@@ -230,11 +231,7 @@ def check_paths(paths: Iterable[str | Path],
 # ----------------------------------------------------------------------
 def render_text(report: CheckReport) -> str:
     """Human-readable report: verdicts, findings and a summary line."""
-    ownership = report.ownership
-    lines = [f"stream ownership map: {len(ownership.streams)} stream(s), "
-             f"{ownership.resolved}/{ownership.acquisitions} "
-             "acquisition(s) resolved (full map: --format json or dot)",
-             f"scenario certification "
+    lines = [f"scenario certification "
              f"({len(report.certifications)} scenario(s)):"]
     for cert in report.certifications:
         if cert.status == "refused":
@@ -266,21 +263,11 @@ def render_text(report: CheckReport) -> str:
 
 def render_json(report: CheckReport) -> str:
     """Machine-readable report for tooling."""
-    ownership = report.ownership
     payload = {
         "files_checked": report.files_checked,
         "suppressed": len(report.suppressed),
         "refused_findings": report.refused_findings,
         "exit_code": report.exit_code,
-        "resolution": {"acquisitions": ownership.acquisitions,
-                       "resolved": ownership.resolved,
-                       "rate": ownership.resolution_rate},
-        "streams": [
-            {"template": info.template, "scope": info.scope,
-             "owners": info.owners,
-             "sites": [f"{path}:{line}" for path, line in info.sites],
-             "buffered": info.buffered, "shared": info.shared}
-            for info in ownership.streams],
         "scenarios": [
             {"name": cert.name, "entry": cert.entry,
              "status": cert.status,
@@ -304,49 +291,6 @@ def render_sarif(report: CheckReport) -> str:
                   rules={rule_id: (spec.description, spec.severity)
                          for rule_id, spec in RULES.items()},
                   information_uri="docs/ANALYSIS.md")
-
-
-def _scope_label(scope: str) -> str:
-    """Short display form of a registry-scope key."""
-    parts = scope.split(":")[0].split(".")
-    return ".".join(parts[-2:])
-
-
-def render_dot(report: CheckReport) -> str:
-    """The stream-ownership graph in Graphviz dot, for docs.
-
-    Stream nodes are ellipses (doubled border when a buffered sampler
-    claims the stream exclusively), consumer components are boxes, and
-    an edge means "this component draws from this stream".  Output is
-    deterministic so the generated graph can live in version control.
-    """
-    lines = [
-        "// Generated by `urllc5g check --format dot`.",
-        "digraph stream_ownership {",
-        "  rankdir=LR;",
-        '  node [fontname="Helvetica", fontsize=11];',
-        '  edge [fontname="Helvetica", fontsize=9];',
-    ]
-    owners: dict[str, str] = {}
-    for index, info in enumerate(report.ownership.streams):
-        style = ["shape=ellipse"]
-        if info.buffered:
-            style.append("peripheries=2")
-        if info.shared:
-            style.append("style=dashed")
-        lines.append(f'  stream_{index} [label="{info.template}\\n'
-                     f'({_scope_label(info.scope)})", '
-                     f'{", ".join(style)}];')
-        for owner in info.owners:
-            if owner not in owners:
-                owners[owner] = f"owner_{len(owners)}"
-                short = ".".join(owner.split(".")[-2:])
-                lines.append(f'  {owners[owner]} [label="{short}", '
-                             'shape=box];')
-            label = ' [label="buffered"]' if info.buffered else ""
-            lines.append(f"  stream_{index} -> {owners[owner]}{label};")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def render_manifest(report: CheckReport) -> str:
@@ -382,4 +326,4 @@ def render_manifest(report: CheckReport) -> str:
 
 #: ``--format`` name -> renderer.
 RENDERERS = {"text": render_text, "json": render_json,
-             "sarif": render_sarif, "dot": render_dot}
+             "sarif": render_sarif}

@@ -148,8 +148,11 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
 
 
 def registered_rules() -> dict[str, type[Rule]]:
-    """All registered rules, keyed by id (import side-effect of rules.py)."""
-    from repro.devtools.lintkit import rules as _rules  # noqa: F401
+    """All registered rules, keyed by id.
+
+    Importing :mod:`repro.devtools.lintkit` (which loading this module
+    does first) registers them.
+    """
     return dict(_REGISTRY)
 
 

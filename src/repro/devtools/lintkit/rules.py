@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.devtools.analyze.loader import GLOBAL_NP_RANDOM, ModuleSummary
-from repro.devtools.detsan.resolver import is_resolved
 from repro.devtools.lintkit.core import (
     Rule,
     Severity,
@@ -25,7 +23,12 @@ from repro.devtools.lintkit.core import (
     register,
 )
 
+if TYPE_CHECKING:
+    from repro.devtools.analyze.loader import ModuleSummary
+
 __all__ = [
+    "DYNAMIC",
+    "is_resolved",
     "NoWallClockRule",
     "RngDisciplineRule",
     "NoFloatTickEqualityRule",
@@ -33,6 +36,24 @@ __all__ = [
     "PublicApiExportsRule",
     "FaultStreamsNamedRule",
 ]
+
+#: The legacy ``numpy.random`` functions that draw from (or seed) the
+#: process-global generator.
+GLOBAL_NP_RANDOM = frozenset({
+    "seed", "random", "rand", "randn", "randint", "random_sample",
+    "normal", "uniform", "exponential", "lognormal", "poisson",
+    "binomial", "choice", "shuffle", "permutation", "standard_normal",
+})
+
+#: The placeholder for every interpolated hole of a stream-name
+#: template: ``f"fault.{kind}.{index}"`` is ``"fault.{*}.{*}"``.
+DYNAMIC = "{*}"
+
+
+def is_resolved(template: str | None) -> bool:
+    """Whether a stream-name template names its stream family: it has
+    a literal prefix (``"fault.{*}.{*}"`` has, ``"{*}.jitter"`` not)."""
+    return bool(template) and not template.startswith(DYNAMIC)
 
 
 @register
@@ -230,8 +251,7 @@ class FaultStreamsNamedRule(Rule):
     contract silently.  Applies only to fault modules (a ``faults``
     package directory, or ``fault``/``faults`` in the file stem).
 
-    Stream names are judged by the template grammar of the detsan
-    ownership map (:mod:`repro.devtools.detsan.resolver`):
+    Stream names are judged by their template (:func:`is_resolved`):
     ``f"fault.{kind}.{index}"`` resolves to ``fault.{*}.{*}`` and
     passes, while a fully dynamic name is reported as unresolvable
     rather than silently failing the prefix check.
@@ -262,7 +282,7 @@ class FaultStreamsNamedRule(Rule):
                     "fault injectors must draw from a registry "
                     "stream whose name literally starts with "
                     "'fault.' (fault.<kind>.<index>)")
-            elif template is None or not is_resolved(template):
+            elif not is_resolved(template):
                 yield self.violation(
                     summary, call,
                     "stream name cannot be resolved statically; use a "

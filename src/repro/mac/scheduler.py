@@ -37,11 +37,16 @@ from repro.mac.scheme import DuplexingScheme
 from repro.phy.ofdm import Carrier
 from repro.phy.transport import transport_block_size
 from repro.sim.distributions import DelaySampler
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.trace import Tracer
 from repro.stack.packets import LatencySource, Packet
 from repro.stack.rlc import RlcQueue
 from repro.phy.timebase import tc_from_us
+
+#: DL windows in a row whose preparation misses its deadline, none
+#: filled in between, after which a run raises instead of re-arming
+#: forever: the margin cannot cover the PHY preparation at all.
+MAX_CONSECUTIVE_DL_MISSES = 1_000
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,7 @@ class GnbMacScheduler:
         self._control = scheme.dl_control_instants()
         self._scheduling = scheme.scheduling_instants()
         self._pending_decision: object | None = None
+        self._dl_miss_run = 0
         self._started = False
 
     # ------------------------------------------------------------------
@@ -259,12 +265,20 @@ class GnbMacScheduler:
         ready = decision_time + prep_tc + radio_tc
         if ready > window.start:
             self.counters.dl_deadline_misses += 1
+            self._dl_miss_run += 1
             if self.tracer.enabled:  # lazy fields: skip kwargs if disabled
                 self.tracer.emit(self.sim.now, "gnb.mac",
                                  "dl_deadline_miss",
                                  window_start=window.start,
                                  late_by=ready - window.start)
+            if self._dl_miss_run >= MAX_CONSECUTIVE_DL_MISSES:
+                raise SimulationError(
+                    f"DL livelock: {self._dl_miss_run} DL windows in a "
+                    f"row missed their deadline at t={self.sim.now}; "
+                    f"margin_tc={self.margin_tc} cannot cover the PHY "
+                    "preparation and radio submission")
         else:
+            self._dl_miss_run = 0
             self._fill_dl_window(window, decision_time, prep_tc,
                                  radio_tc)
         if any(state.dl_queue for state in self._ues.values()):

@@ -2,12 +2,14 @@
 
 The determinism contract (docs/PERFORMANCE.md, docs/ROBUSTNESS.md) says
 every registry stream has exactly one well-ordered consumer; buffered
-samplers additionally take *exclusive* ownership of their stream.  The
-static side of that contract is checked by ``urllc5g check``; this
-module is the dynamic side.  When sanitizing is active (environment
-variable ``URLLC5G_SANITIZE=1``, ``urllc5g bench --sanitize``, or a
-:func:`sanitizer_session`), :class:`~repro.sim.rng.RngRegistry` wraps
-every generator it vends in a :class:`RecordingGenerator` proxy that
+samplers additionally take *exclusive* ownership of their stream.  This
+module is that contract's claim check; the exact per-stream draw
+counters of the perf ledger and every results digest pin the rest
+(docs/ANALYSIS.md, "RNG ownership is checked at runtime").  When
+sanitizing is active (environment variable ``URLLC5G_SANITIZE=1``,
+``urllc5g bench --sanitize``, or a :func:`sanitizer_session`),
+:class:`~repro.sim.rng.RngRegistry` wraps every generator it vends in
+a :class:`RecordingGenerator` proxy that
 
 - logs every draw as (stream, consumer qualname, sim time, draw count),
 - raises :exc:`DeterminismViolation` when a stream claimed exclusively
@@ -19,8 +21,7 @@ ones.  When sanitizing is off, nothing here is on any hot path: the
 registry vends plain numpy Generators exactly as before.
 
 This module lives in ``repro.sim`` (not ``repro.devtools``) because the
-simulation core must not import devtools; ``repro.devtools.detsan``
-re-exports it alongside the static pass.
+simulation core must not import devtools.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class DeterminismViolation(RuntimeError):
     stream, mixed buffered/sequential modes) and by
     :class:`~repro.sim.sampling.BufferedSampler` when ``sample()`` is
     called with a Generator it does not own.  Carries the stream name
-    and both consumer qualnames so dynamic reports line up with the
-    static ``urllc5g check`` output.
+    and both consumer qualnames.
     """
 
     def __init__(self, message: str, *, stream: str | None = None,

@@ -293,6 +293,64 @@ def test_default_rng_is_not_a_taint_source(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# draw order: the second purity taint
+# ----------------------------------------------------------------------
+UNORDERED = """\
+def one_draw(rng):
+    return rng.random()
+
+
+def spray(rng, targets):
+    total = 0.0
+    for node in set(targets):
+        total += rng.normal()
+    return total
+
+
+def fan_out(rng, items):
+    out = []
+    for key in {"a", "b"}:
+        out.append(one_draw(rng))
+    return out
+"""
+
+
+def test_draws_under_unordered_iteration_are_flagged(tmp_path):
+    write_tree(tmp_path, {"unordered.py": UNORDERED})
+    report = check_paths([tmp_path])
+    hits = [v for v in findings(report)
+            if v.rule_id == "detsan-unordered-draw"]
+    assert len(hits) == 2
+    direct, transitive = sorted(hits, key=lambda v: v.line)
+    assert "spray" in direct.message
+    assert "one_draw" in transitive.message  # names the tainted callee
+
+
+def test_analyze_pragma_suppresses_detsan_rules(tmp_path):
+    suppressed = UNORDERED.replace(
+        "for node in set(targets):",
+        "for node in set(targets):  # check: disable=detsan-unordered-draw")
+    write_tree(tmp_path, {"unordered.py": suppressed})
+    report = check_paths([tmp_path])
+    assert [v.rule_id for v in findings(report)] == [
+        "detsan-unordered-draw"]
+    assert "fan_out" in findings(report)[0].message
+    assert [v.rule_id for v in report.suppressed] == [
+        "detsan-unordered-draw"]
+
+
+def test_sarif_report_carries_unordered_draw_results(tmp_path):
+    # One driver for every family; the draw-order results ride in it.
+    write_tree(tmp_path, {"unordered.py": UNORDERED})
+    doc = json.loads(render_sarif(check_paths([tmp_path])))
+    run = doc["runs"][0]
+    assert run["tool"]["driver"]["name"] == "urllc5g-check"
+    assert [r["ruleId"] for r in run["results"]
+            if r["ruleId"].startswith("detsan-")] == \
+        ["detsan-unordered-draw"] * 2
+
+
+# ----------------------------------------------------------------------
 # pragmas and config
 # ----------------------------------------------------------------------
 def test_line_pragma_suppresses_finding(tmp_path):
@@ -317,6 +375,47 @@ def test_file_pragma_suppresses_rule_everywhere(tmp_path):
     report = check_paths([tmp_path])
     assert findings(report) == []
     assert len(findings_of(report.suppressed)) == 2
+
+
+@pytest.mark.parametrize("note", [" reviewed", " (span end)", "; why"])
+def test_pragma_ids_end_at_the_first_non_id_character(tmp_path, note):
+    write_tree(tmp_path, {
+        "mod.py": ("def f(a_ms, b_us):\n"
+                   "    return a_ms + b_us  # check: disable="
+                   f"cross-unit-arithmetic{note}\n"),
+    })
+    report = check_paths([tmp_path])
+    assert findings(report) == []
+    assert [v.rule_id for v in report.suppressed] == [
+        "cross-unit-arithmetic"]
+
+
+def test_prose_naming_a_placeholder_rule_is_no_pragma(tmp_path):
+    # Documentation spells the grammar with an upper-case placeholder:
+    # not a rule id, so not a pragma, and the finding below still gates.
+    write_tree(tmp_path, {
+        "mod.py": ('"""Review a finding with ``# check: disable=RULE``."""\n'
+                   "def f(a_ms, b_us):\n"
+                   "    return a_ms + b_us\n"),
+    })
+    project = load_project([tmp_path])
+    (module,) = project.modules
+    assert module.line_pragmas == {} and module.file_pragmas == {}
+    assert rule_ids(check_paths([tmp_path])) == {"cross-unit-arithmetic"}
+
+
+@pytest.mark.parametrize("pragma", [
+    "# check: disable=cross-unit-arithmetc",
+    "# check: disable-file=detsan-shared-stream",
+    "# check: disable=cross-unit-arithmetic, no-such-rule",
+])
+def test_pragma_naming_an_unregistered_rule_is_an_error(tmp_path, pragma):
+    write_tree(tmp_path, {
+        "mod.py": ("def f(a_ms, b_us):\n"
+                   f"    return a_ms + b_us  {pragma}\n"),
+    })
+    with pytest.raises(ValueError, match=r"mod\.py:2: '"):
+        check_paths([tmp_path])
 
 
 def test_unit_annotation_seeds_declared_unit(tmp_path):

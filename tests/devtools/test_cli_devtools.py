@@ -28,7 +28,7 @@ def test_lint_src_is_clean_and_exits_zero(capsys):
                  "--config", str(REPO_ROOT / "pyproject.toml")])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "0 finding(s) (7 suppressed, 2 on refused scenarios)" in out
+    assert "0 finding(s) (6 suppressed, 2 on refused scenarios)" in out
 
 
 def test_lint_fixture_violations_exit_nonzero(capsys):
@@ -157,7 +157,6 @@ def test_check_all_aggregates_the_four_gates(capsys, monkeypatch):
     code = main(["check"])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "stream ownership map" in out
     assert "scenario certification" in out
     assert "chaos-selftest" in out and "refused" in out
 
@@ -177,6 +176,18 @@ def test_check_without_sanitizer_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["check"]) == 2
     assert "no such path: src" in capsys.readouterr().err
+
+
+def test_check_pragma_naming_an_unregistered_rule_exits_two(tmp_path,
+                                                           capsys):
+    # Like an unknown config key: a pragma that reviews nothing is an
+    # error with its file:line, never a silent no-op.
+    (tmp_path / "mod.py").write_text(
+        "__all__ = []  # check: disable=detsan-buffered-escape\n",
+        encoding="utf-8")
+    assert main(["check", str(tmp_path), "--no-config"]) == 2
+    err = capsys.readouterr().err
+    assert "mod.py:1: 'detsan-buffered-escape'" in err
 
 
 def test_check_with_no_python_files_is_an_error(tmp_path, capsys):

@@ -21,6 +21,7 @@ from repro.devtools.lintkit import (
     Severity,
     registered_rules,
 )
+from repro.devtools.lintkit.rules import is_resolved
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -428,7 +429,7 @@ def test_repo_config_names_only_known_rules():
     load_check_config(pyproject=REPO_ROOT / "pyproject.toml")
     project = load_project([REPO_ROOT / "src"])
     named = {rule for module in project.modules
-             for rules in (module.file_pragmas,
+             for rules in (*module.file_pragmas.values(),
                            *module.line_pragmas.values())
              for rule in rules}
     assert named and named <= set(RULES)
@@ -494,8 +495,52 @@ def test_src_tree_is_lint_clean(src_report):
 
 
 # ----------------------------------------------------------------------
-# fault-streams-named delegates name resolution to the detsan resolver
+# fault-streams-named judges each stream call's name template
 # ----------------------------------------------------------------------
+def stream_calls(tmp_path, source):
+    (tmp_path / "mod.py").write_text(source, encoding="utf-8")
+    (module,) = load_project([tmp_path]).modules
+    return module.streams
+
+
+def test_literal_prefix_fstring_resolves_to_a_template(tmp_path):
+    (call,) = stream_calls(tmp_path, (
+        "def per_ue(registry, ue_id):\n"
+        '    rng = registry.stream(f"ue{ue_id}")\n'
+        "    return rng.random()\n"))
+    assert call["template"] == "ue{*}"
+    assert is_resolved(call["template"])
+
+
+def test_unresolvable_dynamic_name_has_no_template(tmp_path):
+    (call,) = stream_calls(tmp_path, (
+        "def acquire(registry, name):\n"
+        "    return registry.stream(name)\n"))
+    assert (call["arg"], call["template"]) == ("name", None)
+    assert not is_resolved(call["template"])
+    assert not is_resolved("{*}.jitter")  # no literal prefix
+
+
+@pytest.mark.parametrize("source", [
+    "class Config:\n"
+    "    noise = RngRegistry(0).stream('s').random()\n",
+    "if RngRegistry:\n"
+    "    def run(registry):\n"
+    "        return registry.stream('s').random()\n",
+    "class Config:\n"
+    "    rng = RngRegistry(0).stream('s')\n"
+    "\n"
+    "    def draw(self):\n"
+    "        return self.rng.random()\n",
+], ids=["class-body", "def-in-module-block", "class-attribute"])
+def test_stream_calls_are_recorded_in_every_scope(tmp_path, source):
+    source = "from repro.sim.rng import RngRegistry\n" + source
+    line = next(number for number, text in enumerate(
+        source.splitlines(), start=1) if ".stream(" in text)
+    assert [(call["line"], call["template"])
+            for call in stream_calls(tmp_path, source)] == [(line, "s")]
+
+
 def test_fault_stream_fstring_with_literal_prefix_is_clean(tmp_path):
     source = (
         "class Injector:\n"

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.mac.catalog import minimal_dm, testbed_dddu
-from repro.mac.scheduler import GnbMacScheduler
+from repro.mac.scheduler import MAX_CONSECUTIVE_DL_MISSES, GnbMacScheduler
 from repro.mac.types import Direction
+from repro.net.session import RanConfig, RanSystem
 from repro.phy.ofdm import Carrier
 from repro.phy.timebase import tc_from_us
 from repro.sim.distributions import Constant
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.trace import Tracer
 from repro.stack.packets import Packet, PacketKind
 
@@ -153,6 +154,48 @@ def test_deadline_miss_requeues_and_counts(rng):
     scheduler.notify_dl_data()
     sim.run(until=scheme.period_tc * 4)
     assert scheduler.counters.dl_deadline_misses >= 1
+
+
+def test_unmeetable_margin_raises_instead_of_livelocking():
+    # With a zero margin any PHY preparation misses its window, so every
+    # DL decision re-arms for the next one.  The steps are bounded: a
+    # run that never ends fails here instead of hanging.
+    system = RanSystem(testbed_dddu(), RanConfig(seed=5, margin_tc=0))
+    system.queue_downlink([1])
+    with pytest.raises(SimulationError, match="DL livelock"):
+        for _ in range(100 * MAX_CONSECUTIVE_DL_MISSES):
+            if not system.sim.step():
+                break
+    counters = system.gnb.scheduler.counters
+    assert counters.dl_deadline_misses == counters.dl_windows \
+        == MAX_CONSECUTIVE_DL_MISSES
+
+
+def test_a_filled_window_ends_a_run_of_misses(rng):
+    # 999 misses, a fill, then 999 more and a fill: each run of misses
+    # stays below the bound, so neither raises.
+    calls = []
+
+    def radio(n_samples, generator):
+        calls.append(n_samples)
+        return 0.0 if len(calls) % MAX_CONSECUTIVE_DL_MISSES == 0 else 500.0
+
+    sim, scheduler, transmissions, _ = make_scheduler(
+        rng, margin_tc=0, radio_submission_us=radio)
+    scheduler.register_ue(1)
+    scheduler.start()
+
+    def inject():
+        scheduler.dl_queue(1).enqueue(make_packet(created=sim.now))
+        scheduler.notify_dl_data()
+
+    inject()
+    sim.run_until_idle()
+    sim.schedule(sim.now + 1, inject)
+    sim.run_until_idle()
+    assert len(transmissions) == 2
+    assert scheduler.counters.dl_deadline_misses == \
+        2 * (MAX_CONSECUTIVE_DL_MISSES - 1)
 
 
 def test_sr_produces_grant_after_scheduling_instant(rng):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.mac.catalog import testbed_dddu
+from repro.net.session import RanConfig, RanSystem
 from repro.sim.distributions import Exponential, LogNormal
 from repro.sim.rng import RngRegistry
 from repro.sim.sampling import BufferedSampler, UniformBuffer, force_sequential
@@ -187,3 +189,151 @@ def test_proxy_forwards_non_draw_attributes():
         assert rng.bit_generator is rng.wrapped.bit_generator
         assert rng.stream_name == "fwd"
     assert log.draw_counts() == {}
+
+
+# ----------------------------------------------------------------------
+# stream ownership: the sanitizer is its one guard, run on each way a
+# stream can be held, handed on or escape its buffer
+# ----------------------------------------------------------------------
+OWNERSHIP_HEADER = """\
+from repro.sim.rng import RngRegistry
+from repro.sim.sampling import LogNormalBlockServer, UniformBuffer
+
+
+def consume(rng):
+    return rng.random()
+
+
+"""
+
+#: (case, body after OWNERSHIP_HEADER, how to run it on a registry,
+#: the sanitizer's violation or None).  Sharing a stream between two
+#: plain consumers is no violation: the exact per-stream draw counters
+#: of the perf ledger and every results digest pin who draws what.
+OWNERSHIP_CASES = [
+    ("argument", """\
+def run():
+    return consume(RngRegistry(0).stream("s"))
+""", lambda ns, registry: ns["run"](), None),
+    ("inline", """\
+def run(registry):
+    return registry.stream("s").random()
+""", lambda ns, registry: ns["run"](registry), None),
+    ("local", """\
+def run(registry):
+    rng = registry.stream("s")
+    return rng.random() + rng.normal()
+""", lambda ns, registry: ns["run"](registry), None),
+    ("local-drawn-and-handed-off", """\
+def run(registry):
+    rng = registry.stream("s")
+    return rng.random() + consume(rng)
+""", lambda ns, registry: ns["run"](registry), None),
+    ("discarded", """\
+def run(registry):
+    registry.stream("s")
+""", lambda ns, registry: ns["run"](registry), None),
+    ("local-arg", """\
+def run(registry):
+    rng = registry.stream("s")
+    return consume(rng)
+""", lambda ns, registry: ns["run"](registry), None),
+    ("other", """\
+def run(registry):
+    return registry.stream("s")
+""", lambda ns, registry: ns["run"](registry).random(), None),
+    ("closure", """\
+def run(registry):
+    rng = registry.stream("s")
+
+    def step():
+        return rng.random()
+    return step
+""", lambda ns, registry: ns["run"](registry)(), None),
+    ("attribute", """\
+class Node:
+    def __init__(self, registry):
+        self.rng = registry.stream("s")
+
+    def step(self):
+        return self.rng.random()
+""", lambda ns, registry: ns["Node"](registry).step(), None),
+    ("attribute-never-drawn", """\
+class Node:
+    def __init__(self, registry):
+        self.rng = registry.stream("s")
+""", lambda ns, registry: ns["Node"](registry), None),
+    ("escape-drawn-directly", """\
+def run(registry):
+    rng = registry.stream("s")
+    uniforms = UniformBuffer(rng)
+    return uniforms.next() + rng.random()
+""", lambda ns, registry: ns["run"](registry),
+     "exclusively owned by mod.run .UniformBuffer.*mod.run drew"),
+    ("escape-passed-on", """\
+def run(registry):
+    rng = registry.stream("s")
+    uniforms = UniformBuffer(rng)
+    return uniforms.next() + consume(rng)
+""", lambda ns, registry: ns["run"](registry),
+     "exclusively owned by mod.run .UniformBuffer.*mod.consume drew"),
+    ("escape-second-claim", """\
+def run(registry):
+    rng = registry.stream("s")
+    return UniformBuffer(rng), LogNormalBlockServer(rng)
+""", lambda ns, registry: ns["run"](registry),
+     "claimed exclusively by two buffers"),
+    ("escape-through-self-alias", """\
+class Node:
+    def __init__(self, rng):
+        self.rng = rng
+        self.uniforms = UniformBuffer(rng)
+
+    def step(self):
+        return self.uniforms.next() + self.rng.normal()
+""", lambda ns, registry: ns["Node"](registry.stream("s")).step(),
+     "exclusively owned by mod.Node.__init__ .UniformBuffer.*"
+     "mod.Node.step drew"),
+]
+
+
+@pytest.mark.parametrize("body, drive, violation",
+                         [case[1:] for case in OWNERSHIP_CASES],
+                         ids=[case[0] for case in OWNERSHIP_CASES])
+def test_owner_kinds_and_escapes(body, drive, violation):
+    namespace = {"__name__": "mod"}
+    exec(compile(OWNERSHIP_HEADER + body, "mod.py", "exec"), namespace)
+    drive(namespace, RngRegistry(0))  # unsanitized, every case runs
+    with sanitizer_session() as log:
+        if violation is None:
+            drive(namespace, RngRegistry(0))
+            assert [stream.exclusive_owner
+                    for stream in log.streams.values()] in ([], [None])
+        else:
+            with pytest.raises(DeterminismViolation, match=violation) as err:
+                drive(namespace, RngRegistry(0))
+            assert err.value.stream == "s"
+
+
+def test_a_second_consumer_shows_in_the_stream_log():
+    def jitter(rng):
+        return rng.normal()
+
+    def drift(rng):
+        return rng.random()
+
+    with sanitizer_session() as log:
+        noise = RngRegistry(0).stream("noise")
+        jitter(noise) + drift(noise)
+    assert log.draw_counts() == {"noise": 2}
+    assert [name.rpartition(".")[2]
+            for name in log.consumer_map()["noise"]] == ["jitter", "drift"]
+
+
+def test_sanitized_ping_run_claims_the_upf_stream():
+    with sanitizer_session() as log:
+        system = RanSystem(testbed_dddu(), RanConfig(seed=3))
+        system.run_ping([i * 1_000_000 for i in range(3)])
+    assert "Upf" in log.streams["upf"].exclusive_owner
+    for name in ("gnb", "ue1", "upf"):
+        assert log.streams[name].draws > 0, name
