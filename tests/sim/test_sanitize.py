@@ -315,6 +315,36 @@ def test_owner_kinds_and_escapes(body, drive, violation):
             assert err.value.stream == "s"
 
 
+ESCAPED = """\
+from repro.sim.sampling import BufferedSampler
+
+
+class Node:
+    def __init__(self, sampler, rng):
+        self.rng = rng
+        self.delays = BufferedSampler(sampler, rng)
+
+    def step(self):
+        return self.delays.sample(self.rng) + self.rng.random()
+"""
+
+
+def test_escaped_buffered_stream_raises_at_runtime():
+    # A node holding both a BufferedSampler and its stream: the buffered
+    # draw is fine, the direct draw beside it is the escape.
+    namespace = {"__name__": "mod"}
+    exec(compile(ESCAPED, "mod.py", "exec"), namespace)
+    with sanitizer_session():
+        node = namespace["Node"](Exponential(12.0),
+                                 RngRegistry(0).stream("s"))
+        with pytest.raises(DeterminismViolation,
+                           match="exclusively owned") as err:
+            node.step()
+    assert err.value.stream == "s"
+    assert "BufferedSampler" in err.value.owner
+    assert err.value.consumer == "mod.Node.step"
+
+
 def test_a_second_consumer_shows_in_the_stream_log():
     def jitter(rng):
         return rng.normal()
